@@ -30,8 +30,15 @@ Run:  python benchmarks/bench_engine.py [output.json]
 
 from __future__ import annotations
 
-import json
 import os
+
+# One BLAS thread per process, as benchmarks/e2e pins it: the pool's gain
+# is process-level parallelism, and a multi-threaded BLAS would let the
+# sequential baseline occupy the same cores.  Must run before numpy loads.
+for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_blas_threads, "1")
+
+import json
 import statistics
 import sys
 import time

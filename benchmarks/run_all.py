@@ -13,7 +13,10 @@ afterwards.  Results land in ``BENCH_summary.json``:
 The harness itself exits non-zero if any benchmark fails, times out,
 or forgets to write its artifact, so CI can gate on it directly.
 
-Run:  python benchmarks/run_all.py [summary.json] [--only SUBSTRING]
+Run:  python benchmarks/run_all.py [summary.json] [--only SUBSTRING[,...]]
+
+``--only`` keeps the benchmarks whose name contains any of the
+comma-separated substrings (``--only engine,population,parallel``).
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ def main(argv: list[str] | None = None) -> int:
 
     scripts = discover()
     if only is not None:
-        scripts = [s for s in scripts if only in s.stem]
+        wanted = [part for part in only.split(",") if part]
+        scripts = [s for s in scripts if any(w in s.stem for w in wanted)]
     if not scripts:
         print("FAIL: no benchmarks matched", file=sys.stderr)
         return 2

@@ -16,12 +16,12 @@ Consequences:
 * killing a campaign after N units and resuming it produces artifacts
   bit-identical to an uninterrupted run (the resume test in
   ``tests/campaign/`` byte-compares the histories);
-* a unit's execution backend (``sequential`` / ``batched`` / ``pool``)
-  is part of its spec — and hence its key — so artifacts always record
-  the engine that produced them (the batched engine is numerically, not
-  byte-, identical to the reference); result-neutral knobs such as
-  ``telemetry`` and ``pool_workers`` are excluded from the key, so
-  toggling them never invalidates finished work;
+* a unit's execution backend (``sequential`` / ``population`` /
+  ``pool`` ...) is part of its spec — and hence its key — so artifacts
+  always record the engine that produced them (the vectorized engine is
+  numerically, not byte-, identical to the reference); result-neutral
+  knobs such as ``telemetry`` and ``pool_workers`` are excluded from
+  the key, so toggling them never invalidates finished work;
 * completed units are skipped by content key, never re-trained — the
   report stage (:mod:`repro.campaign.report`) regenerates every table
   from the store alone.

@@ -344,13 +344,13 @@ def common_options() -> argparse.ArgumentParser:
         default=None,
         help=(
             "execution engine for FL training: 'sequential' (reference, "
-            "the default), 'batched' (vectorized full-batch cohort "
-            "training), 'pool' (process pool over shared-memory "
-            "datasets), 'population' (struct-of-arrays cohort training "
-            "for large testbeds), or 'auto' (data-driven selection from "
-            "the workload and the measured break-even table); results "
-            "are equivalent across backends.  For 'campaign run' this "
-            "overrides every unit's backend"
+            "the default), 'population' (vectorized struct-of-arrays "
+            "cohort training), 'batched' (a spelling of 'population' "
+            "that always computes in float64), 'pool' (process pool "
+            "over shared-memory datasets), or 'auto' (chosen from the "
+            "spec and the CPU count); results are equivalent across "
+            "backends.  For 'campaign run' this overrides every unit's "
+            "backend"
         ),
     )
     parser.add_argument(
@@ -361,7 +361,7 @@ def common_options() -> argparse.ArgumentParser:
             "compute dtype for the 'population' backend: 'float64' "
             "(default, matches the reference bit-for-bit at equal op "
             "order) or 'float32' (half the memory at a ~1e-6 relative "
-            "parameter delta; see BENCH_population.json).  For "
+            "parameter delta).  For "
             "'campaign run' this overrides every unit's dtype"
         ),
     )

@@ -35,13 +35,10 @@ from repro.fl.partition import (
 )
 from repro.fl.population import (
     AggregationTree,
-    GridResult,
-    GridUnit,
     PopulationGroup,
     PopulationState,
     fullbatch_gd_stack,
     train_cohort,
-    train_unit_grid,
 )
 from repro.fl.sampling import (
     ClientSampler,
@@ -87,13 +84,10 @@ __all__ = [
     "partition_dirichlet",
     "partition_iid",
     "AggregationTree",
-    "GridResult",
-    "GridUnit",
     "PopulationGroup",
     "PopulationState",
     "fullbatch_gd_stack",
     "train_cohort",
-    "train_unit_grid",
     "ClientSampler",
     "FixedSampler",
     "FloydSampler",

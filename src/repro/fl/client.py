@@ -78,32 +78,6 @@ class EdgeServerClient:
         # non-convex extension).
         self._model = model_config.build()
 
-    @classmethod
-    def from_population(
-        cls,
-        state,
-        client_id: int,
-        rng: np.random.Generator | None = None,
-    ) -> "EdgeServerClient":
-        """Materialise one per-object client out of population stacks.
-
-        The inverse of :meth:`repro.fl.population.PopulationState.
-        from_clients`, for the interop/debug path: pull a single
-        client's rows back out of the ``(G, n, d)`` group stacks as a
-        float64 :class:`Dataset` view so it can run the reference
-        sequential code path (spot-checking a population round, or
-        serving one client to a component that still wants objects).
-        """
-        n = int(state.n_samples[client_id])
-        group = state.groups[n]
-        row = int(state.rows_of(np.asarray([client_id], dtype=np.int64))[0])
-        dataset = Dataset(
-            np.asarray(group.features[row], dtype=float),
-            group.labels[row],
-            state.model_config.n_classes,
-        )
-        return cls(client_id, dataset, state.model_config, rng=rng)
-
     @property
     def n_samples(self) -> int:
         """Local dataset size ``n_k``."""

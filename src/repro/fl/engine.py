@@ -7,14 +7,16 @@ semantics:
 
 * :class:`SequentialEngine` — the reference path: one
   :meth:`EdgeServerClient.train` call per participant, in order.
-* :class:`BatchedEngine` — stacks the cohort's full-batch gradient
-  descent into ``(G, n, d)`` / ``(G, d, C)`` tensors and replaces ``K``
-  per-client forward/gradient passes per epoch with batched matmul
-  kernels.  Only valid for the paper's setting (logistic regression,
-  ``batch_size=None``); anything else falls back to sequential
-  per-client training.  Per-client order of operations matches the
-  sequential path (batched ``matmul`` is per-slice gemm), so results
-  agree to ``atol=1e-10``.
+* :class:`PopulationEngine` — the one vectorized engine.  It adopts the
+  client datasets into struct-of-arrays group stacks once and trains
+  each cohort's full-batch gradient descent as batched matmul kernels
+  over ``(G, n, d)`` / ``(G, d, C)`` tensors.  Only valid for the
+  paper's setting (logistic regression, ``batch_size=None``, see
+  :func:`vectorizable`); :func:`create_engine` hands anything else a
+  :class:`SequentialEngine`.  Per-client order of operations matches
+  the sequential path (batched ``matmul`` is per-slice gemm), so
+  float64 results agree to ``atol=1e-10``.  :class:`BatchedEngine` is
+  its deprecated ``"batched"`` spelling, pinned to float64.
 * :class:`PoolEngine` — a persistent-worker ``multiprocessing`` runtime.
   Workers initialize exactly once per training run: client datasets ship
   via shared memory (:mod:`repro.perf.shared_data`), the static training
@@ -38,7 +40,6 @@ relies on for dropout draws, compression, and upload simulation.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import re
@@ -52,13 +53,8 @@ import numpy as np
 from repro.faults.models import substream
 from repro.fl.client import EdgeServerClient, LocalUpdate
 from repro.fl.model import LogisticRegressionConfig
-from repro.fl.population import (
-    PopulationState,
-    fullbatch_gd_stack,
-    train_cohort,
-)
+from repro.fl.population import PopulationState, train_cohort
 from repro.obs.sink import TelemetrySpool, get_spool_context
-from repro.perf.cache import StackCache
 from repro.perf.shared_data import (
     SharedDatasetStore,
     SharedParameterBlock,
@@ -80,21 +76,17 @@ __all__ = [
     "PoolEngine",
     "PopulationEngine",
     "create_engine",
-    "load_break_even_table",
     "resolve_backend",
-    "select_backend",
+    "vectorizable",
 ]
 
+# "batched" is a deprecated spelling of "population"; it stays accepted
+# because the backend name is hashed into ``RunSpec.key()``.
 BACKENDS = ("sequential", "batched", "pool", "population")
 
 # Sentinel accepted wherever a backend name is: resolved to a concrete
-# member of BACKENDS per host/workload by :func:`resolve_backend`.
+# member of BACKENDS from the spec by :func:`resolve_backend`.
 AUTO_BACKEND = "auto"
-
-# Cohorts below this size gain little from population stacks over the
-# batched engine's per-cohort stacking; above it, struct-of-arrays state
-# avoids re-stacking per round entirely.
-POPULATION_MIN_CLIENTS = 256
 
 
 @dataclass(frozen=True)
@@ -178,143 +170,32 @@ class SequentialEngine(ExecutionEngine):
         return results
 
 
-class BatchedEngine(ExecutionEngine):
-    """Vectorized full-batch GD over the whole cohort at once.
+def vectorizable(
+    clients: Sequence[EdgeServerClient], config: "FederatedConfig"
+) -> bool:
+    """Whether the stacked kernel reproduces per-client training exactly.
 
-    Participants are grouped by local dataset size ``n_k`` (the iid
-    partition differs by at most one sample, so there are at most two
-    groups and no padding); each group trains as one stack of batched
-    matmuls.  The per-cohort feature stack is memoized in a small FIFO
-    cache because samplers revisit cohorts.
+    Only the paper's setting qualifies: logistic regression trained by
+    full-batch gradient descent.  Mini-batch SGD and the MLP train per
+    client — :func:`create_engine` and :func:`resolve_backend` both
+    decide with this one predicate.
     """
-
-    name = "batched"
-
-    def __init__(
-        self,
-        clients: list[EdgeServerClient],
-        config: "FederatedConfig",
-        observer: "Observer | None" = None,
-    ) -> None:
-        self._clients = clients
-        self._config = config
-        self._observer = observer
-        model_config = clients[0].model_config
-        self._supported = (
-            isinstance(model_config, LogisticRegressionConfig)
-            and config.sgd.batch_size is None
-        )
-        self._model_config = model_config
-        self._fallback = SequentialEngine(clients, config, observer)
-        self._stack_cache = StackCache(capacity=32)
-
-    def _stacked(
-        self, group: tuple[int, ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._stack_cache.lookup(group)
-        if cached is not None:
-            if self._observer is not None:
-                self._observer.counter("engine.cache_hits", cache="stack").inc()
-            return cached
-        features = np.stack(
-            [self._clients[c].dataset.features for c in group]
-        )
-        labels = np.stack([self._clients[c].dataset.labels for c in group])
-        self._stack_cache.store(group, (features, labels))
-        return features, labels
-
-    def _train_group(
-        self,
-        group: tuple[int, ...],
-        global_parameters: np.ndarray,
-        learning_rate: float,
-    ) -> list[LocalUpdate]:
-        config = self._config
-        model_config = self._model_config
-        d, n_classes = model_config.n_features, model_config.n_classes
-        mu = config.proximal_mu
-        l2 = model_config.l2
-        epochs = config.local_epochs
-        features, labels = self._stacked(group)
-        n = labels.shape[1]
-
-        # The arithmetic lives in the shared population kernel so the
-        # batched, population, and stacked-grid paths stay one code path.
-        weights, bias, losses = fullbatch_gd_stack(
-            features,
-            labels,
-            global_parameters[: d * n_classes].reshape(d, n_classes),
-            global_parameters[d * n_classes :],
-            epochs=epochs,
-            learning_rate=learning_rate,
-            activation=model_config.activation,
-            l2=l2,
-            proximal_mu=mu,
-        )
-
-        return [
-            LocalUpdate(
-                client_id=client_id,
-                parameters=np.concatenate(
-                    [weights[g].ravel(), bias[g]]
-                ),
-                n_samples=n,
-                epochs=epochs,
-                gradient_steps=epochs,
-                final_local_loss=float(losses[g]),
-            )
-            for g, client_id in enumerate(group)
-        ]
-
-    def train_round(
-        self,
-        participants: Sequence[int],
-        global_parameters: np.ndarray,
-        round_index: int,
-        learning_rate: float,
-    ) -> list[ClientTrainResult]:
-        if not self._supported:
-            return self._fallback.train_round(
-                participants, global_parameters, round_index, learning_rate
-            )
-        started = time.perf_counter()
-        groups: dict[int, list[int]] = {}
-        for client_id in participants:
-            groups.setdefault(self._clients[client_id].n_samples, []).append(
-                client_id
-            )
-        updates: dict[int, LocalUpdate] = {}
-        for group in groups.values():
-            # Canonical (sorted) order: each lane is independent, so the
-            # stack order is free — sorting makes the cohort's feature
-            # stack cacheable across rounds that reshuffle the same set.
-            for update in self._train_group(
-                tuple(sorted(group)), global_parameters, learning_rate
-            ):
-                updates[update.client_id] = update
-        elapsed = time.perf_counter() - started
-        if self._observer is not None:
-            self._observer.counter("engine.batched_rounds").inc()
-        per_client = elapsed / max(1, len(participants))
-        return [
-            ClientTrainResult(updates[client_id], per_client)
-            for client_id in participants
-        ]
+    return (
+        isinstance(clients[0].model_config, LogisticRegressionConfig)
+        and config.sgd.batch_size is None
+    )
 
 
 class PopulationEngine(ExecutionEngine):
     """Struct-of-arrays backend over a :class:`PopulationState`.
 
-    Where the batched engine stacks each round's cohort on demand from
-    per-object clients, this backend adopts the *whole population* into
-    group stacks once at construction and trains every cohort by fancy-
-    indexed gather + one :func:`fullbatch_gd_stack` call per group — no
-    per-client Python objects on the hot path, so N scales to millions.
-    Same restrictions as the batched engine (logistic regression,
-    full batch); anything else falls back to sequential per-client
-    training.  With the float64 default the results are bit-identical
-    to the batched engine and ``atol=1e-10`` against sequential; the
-    opt-in float32 population trades that for half the memory.
+    Adopts the *whole population* into group stacks once at
+    construction and trains every cohort by fancy-indexed gather + one
+    :func:`~repro.fl.population.fullbatch_gd_stack` call per ``n_k``
+    group — no per-client Python objects on the hot path, so N scales
+    to millions.  Requires a :func:`vectorizable` config.  In float64
+    the results agree with sequential to ``atol=1e-10``; ``dtype=
+    "float32"`` trades that for half the memory.
     """
 
     name = "population"
@@ -325,55 +206,16 @@ class PopulationEngine(ExecutionEngine):
         config: "FederatedConfig",
         observer: "Observer | None" = None,
         *,
-        state: PopulationState | None = None,
+        dtype: str = "float64",
     ) -> None:
+        if not vectorizable(clients, config):
+            raise ValueError(
+                "the population engine needs logistic regression with "
+                "full-batch GD; use the sequential or pool engine"
+            )
         self._config = config
         self._observer = observer
-        if state is not None:
-            self._state = state
-            self._supported = config.sgd.batch_size is None and isinstance(
-                state.model_config, LogisticRegressionConfig
-            )
-            self._fallback = (
-                SequentialEngine(clients, config, observer)
-                if clients
-                else None
-            )
-            return
-        model_config = clients[0].model_config
-        self._supported = (
-            isinstance(model_config, LogisticRegressionConfig)
-            and config.sgd.batch_size is None
-        )
-        self._fallback = SequentialEngine(clients, config, observer)
-        self._state = (
-            PopulationState.from_clients(
-                clients,
-                dtype=getattr(config, "population_dtype", "float64"),
-            )
-            if self._supported
-            else None
-        )
-
-    @classmethod
-    def from_state(
-        cls,
-        state: PopulationState,
-        config: "FederatedConfig",
-        observer: "Observer | None" = None,
-    ) -> "PopulationEngine":
-        """Build directly on population stacks, no client objects at all.
-
-        The benchmark/synthetic path: at N=10^6 even *constructing* a
-        client-object list is prohibitive, so the engine must be
-        reachable from :meth:`PopulationState.synthesize` alone.  The
-        unsupported-config fallback is unavailable in this mode.
-        """
-        return cls([], config, observer, state=state)
-
-    @property
-    def state(self) -> PopulationState | None:
-        return self._state
+        self.state = PopulationState.from_clients(clients, dtype=dtype)
 
     def train_round(
         self,
@@ -382,21 +224,12 @@ class PopulationEngine(ExecutionEngine):
         round_index: int,
         learning_rate: float,
     ) -> list[ClientTrainResult]:
-        if not self._supported or self._state is None:
-            if self._fallback is None:
-                raise RuntimeError(
-                    "population engine built from_state cannot fall back "
-                    "to per-client training"
-                )
-            return self._fallback.train_round(
-                participants, global_parameters, round_index, learning_rate
-            )
         if not participants:
             return []
         started = time.perf_counter()
         config = self._config
         updates = train_cohort(
-            self._state,
+            self.state,
             participants,
             global_parameters,
             epochs=config.local_epochs,
@@ -411,6 +244,17 @@ class PopulationEngine(ExecutionEngine):
             )
         per_client = elapsed / max(1, len(participants))
         return [ClientTrainResult(update, per_client) for update in updates]
+
+
+class BatchedEngine(PopulationEngine):
+    """Deprecated: the ``"batched"`` spelling of :class:`PopulationEngine`.
+
+    Kept as a subclass, not an alias, so tooling that wraps each engine
+    class's ``train_round`` wraps it once.  :func:`create_engine` builds
+    it in float64, as the batched engine always computed.
+    """
+
+    name = "batched"
 
 
 # ----------------------------------------------------------------------
@@ -718,20 +562,25 @@ class PoolEngine(ExecutionEngine):
 
 
 # ----------------------------------------------------------------------
-# Data-driven backend selection (``--backend auto``).
-#
-# Selection is grounded in two measurements rather than flags: the
-# timing-law work proxy ``K * E * d`` (per-client samples are fixed by
-# the partition, so ``n`` cancels when comparing like against like) and
-# the measured pool break-even table in ``BENCH_parallel.json``.  On a
-# host where the table shows pool below break-even everywhere (this
-# repo's 1-CPU container), ``auto`` never picks pool — not because of a
-# hard-coded rule, but because no measured row crosses speedup 1.0.
+# Backend selection (``--backend auto``): a pure function of the spec
+# and the host's CPU count.  The CPU count only ever chooses between
+# pool and sequential, whose results are bit-identical, so it can never
+# change a stored byte.
 # ----------------------------------------------------------------------
 
-_BREAK_EVEN_PATH = (
-    Path(__file__).resolve().parents[3] / "BENCH_parallel.json"
-)
+# The pool needs a second core to overlap anything.
+POOL_MIN_CPUS = 2
+
+# Timing-law work ``K * E * d`` per round above which every measured
+# pool row beat sequential on a 2-vCPU host with one BLAS thread per
+# process; ``benchmarks/bench_parallel.py`` measures and prints it.
+POOL_MIN_WORK = 62_720
+
+# Below this population size ``auto`` computes in float64 whatever
+# ``population_dtype`` says: stores keyed there were written by the
+# float64-only batched engine, and resuming them must give the same
+# bytes.
+_AUTO_FLOAT32_MIN_CLIENTS = 256
 
 
 def _available_cpus() -> int:
@@ -741,116 +590,33 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _row_work(row: dict) -> float:
-    """Timing-law work proxy for one break-even row: ``K * E * d``."""
-    model = str(row.get("model", "0x0"))
-    try:
-        n_features = int(model.split("x", 1)[0])
-    except ValueError:
-        n_features = 0
-    return (
-        float(row.get("participants", 0))
-        * float(row.get("epochs", 0))
-        * float(n_features)
-    )
-
-
-def load_break_even_table(path: str | Path | None = None) -> dict | None:
-    """Load the measured pool break-even table, or ``None`` if absent.
-
-    Defaults to the repo-root ``BENCH_parallel.json`` written by
-    ``benchmarks/bench_parallel.py``.  A missing or malformed table
-    simply disables the pool branch of ``auto`` — selection then falls
-    back to the always-safe vectorized/sequential choice.
-    """
-    candidate = Path(path) if path is not None else _BREAK_EVEN_PATH
-    try:
-        payload = json.loads(candidate.read_text())
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def _pool_crossover_work(table: dict | None) -> float | None:
-    """Smallest measured work at which pool beats sequential, if any."""
-    if not table:
-        return None
-    break_even = table.get("break_even") or {}
-    rows = break_even.get("rows") or []
-    profitable = [
-        _row_work(row)
-        for row in rows
-        if float(row.get("speedup_pool", 0.0)) >= 1.0
-    ]
-    return min(profitable) if profitable else None
-
-
-def select_backend(
-    *,
-    n_clients: int,
-    participants: int,
-    epochs: int,
-    n_features: int,
-    vectorizable: bool,
-    available_cpus: int | None = None,
-    table: dict | None = None,
-) -> str:
-    """Pick a concrete backend for one workload, data-driven.
-
-    Vectorizable workloads (logistic regression, full batch) always
-    take a stacked path — the batched engine's measured headline
-    (~4.5x, ``BENCH_engine.json``) dominates anything the pool can
-    reach on any core count this repo has measured — with the
-    population backend taking over once the client count justifies
-    struct-of-arrays state.  Non-vectorizable workloads go to the pool
-    only when (a) the host has at least ``pool_cpu_floor`` cores and
-    (b) the measured break-even table contains a profitable row at or
-    below this workload's timing-law work; otherwise sequential.
-    """
-    if vectorizable:
-        if n_clients >= POPULATION_MIN_CLIENTS:
-            return "population"
-        if participants >= 2:
-            return "batched"
-        return "sequential"
-    cpus = available_cpus if available_cpus is not None else _available_cpus()
-    thresholds = (table or {}).get("thresholds") or {}
-    cpu_floor = int(thresholds.get("pool_cpu_floor", 2))
-    crossover = _pool_crossover_work(table)
-    if cpus >= cpu_floor and crossover is not None:
-        work = float(participants) * float(epochs) * float(n_features)
-        if work >= crossover:
-            return "pool"
-    return "sequential"
-
-
 def resolve_backend(
     backend: str,
     clients: list[EdgeServerClient],
     config: "FederatedConfig",
     *,
     available_cpus: int | None = None,
-    table: dict | None = None,
 ) -> str:
-    """Resolve ``"auto"`` to a concrete backend; pass others through."""
+    """Resolve ``"auto"`` to a concrete backend; pass others through.
+
+    A :func:`vectorizable` spec resolves to ``"population"``.  Anything
+    else takes the pool when the host has at least
+    :data:`POOL_MIN_CPUS` cores and the round's ``K * E * d`` reaches
+    :data:`POOL_MIN_WORK`, and runs sequentially otherwise.
+    """
     if backend != AUTO_BACKEND:
         return backend
-    model_config = clients[0].model_config if clients else None
-    vectorizable = (
-        isinstance(model_config, LogisticRegressionConfig)
-        and config.sgd.batch_size is None
+    if vectorizable(clients, config):
+        return "population"
+    cpus = available_cpus if available_cpus is not None else _available_cpus()
+    work = (
+        config.participants_per_round
+        * config.local_epochs
+        * clients[0].model_config.n_features
     )
-    if table is None:
-        table = load_break_even_table()
-    return select_backend(
-        n_clients=len(clients),
-        participants=config.participants_per_round,
-        epochs=config.local_epochs,
-        n_features=getattr(model_config, "n_features", 0),
-        vectorizable=vectorizable,
-        available_cpus=available_cpus,
-        table=table,
-    )
+    if cpus >= POOL_MIN_CPUS and work >= POOL_MIN_WORK:
+        return "pool"
+    return "sequential"
 
 
 def create_engine(
@@ -861,19 +627,27 @@ def create_engine(
 ) -> ExecutionEngine:
     """Instantiate the execution backend named by ``backend``.
 
-    ``"auto"`` is resolved against the current host and workload first
-    (see :func:`resolve_backend`).
+    ``"auto"`` is resolved first (see :func:`resolve_backend`).  The
+    vectorized spellings build a :class:`SequentialEngine` when the
+    config is not :func:`vectorizable`.  Only ``"population"`` (and
+    ``"auto"`` at population scale) honours ``population_dtype``.
     """
-    if backend == AUTO_BACKEND:
-        backend = resolve_backend(backend, clients, config)
-    if backend == "sequential":
+    resolved = resolve_backend(backend, clients, config)
+    if resolved in ("batched", "population") and not vectorizable(
+        clients, config
+    ):
+        resolved = "sequential"
+    if resolved == "sequential":
         return SequentialEngine(clients, config, observer)
-    if backend == "batched":
+    if resolved == "batched":
         return BatchedEngine(clients, config, observer)
-    if backend == "pool":
+    if resolved == "pool":
         return PoolEngine(clients, config, observer)
-    if backend == "population":
-        return PopulationEngine(clients, config, observer)
+    if resolved == "population":
+        dtype = config.population_dtype
+        if backend == AUTO_BACKEND and len(clients) < _AUTO_FLOAT32_MIN_CLIENTS:
+            dtype = "float64"
+        return PopulationEngine(clients, config, observer, dtype=dtype)
     raise ValueError(
         f"backend must be one of {BACKENDS}; got {backend!r}"
     )

@@ -11,25 +11,13 @@ population as a handful of stacked tensors instead:
   (:class:`PopulationGroup`).  The iid partition produces at most two
   sizes, so a million-client population is two contiguous allocations,
   not a million.
-* **Scalar vectors** — per-client scalars (``n_k``, battery budget,
-  last local loss) are plain ``(N,)`` vectors on
-  :class:`PopulationState`, so policy code can mask/aggregate them with
-  array ops instead of object traversal.
-* **One shared kernel** — :func:`fullbatch_gd_stack` is the exact
-  full-batch gradient-descent loop of the batched engine (same
-  operation order, same in-place ops), factored out so the batched
-  engine, the population engine, and the stacked-unit grid trainer all
-  run the identical arithmetic.  With float64 inputs its results are
-  bit-identical to ``BatchedEngine`` and agree with the sequential
-  client path to ``atol=1e-10``.
-* **Stacked units** — :func:`train_unit_grid` goes one level further
-  and stacks *campaign units* (K/E/seed combinations over one shared
-  dataset) into the same kernel: every unit's round-``r`` cohort
-  becomes extra lanes of one ``(G_total, n, d)`` stack, so a whole grid
-  trains in a handful of matmuls per round.  Per-unit results are
-  bit-identical to running the batched engine unit by unit, because a
-  stacked matmul is a per-slice gemm and aggregation reduces each
-  unit's lanes separately, in participant order.
+* **Scalar vectors** — per-client scalars (``n_k`` and the group-stack
+  row) are plain ``(N,)`` vectors on :class:`PopulationState`, indexed
+  by client id.
+* **One kernel** — :func:`fullbatch_gd_stack` is the full-batch
+  gradient-descent loop of the vectorized engine, mirroring the
+  per-client path's operation order.  With float64 inputs its results
+  agree with the sequential client path to ``atol=1e-10``.
 * **Hierarchical aggregation** — :class:`AggregationTree` folds a
   round's updates through ``fog`` tier nodes before the cloud combines
   the tier partials (Al-Abiad et al., arXiv:2107.03520): the cloud's
@@ -45,7 +33,7 @@ engine layer can build on it without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -55,17 +43,13 @@ from repro.fl.model import LogisticRegressionConfig, _sigmoid
 
 if TYPE_CHECKING:
     from repro.data.dataset import Dataset
-    from repro.fl.sgd import SGDConfig
 
 __all__ = [
     "AggregationTree",
-    "GridResult",
-    "GridUnit",
     "PopulationGroup",
     "PopulationState",
     "fullbatch_gd_stack",
     "train_cohort",
-    "train_unit_grid",
 ]
 
 
@@ -83,25 +67,16 @@ def fullbatch_gd_stack(
     bias_global: np.ndarray,
     *,
     epochs: int,
-    learning_rate: float | np.ndarray,
+    learning_rate: float,
     activation: str = "softmax",
     l2: float = 0.0,
     proximal_mu: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized full-batch GD over a stack of independent lanes.
 
-    This is the batched engine's training loop, verbatim — extracted so
-    every vectorized path in the repo shares one arithmetic.  Each lane
-    ``g`` of ``features (G, n, d)`` / ``labels (G, n)`` descends
-    independently from its anchor model for ``epochs`` steps.
-
-    ``weights_global``/``bias_global`` may be a single ``(d, C)`` /
-    ``(C,)`` model (broadcast to every lane, the batched-engine case) or
-    per-lane ``(G, d, C)`` / ``(G, C)`` anchors (the stacked-unit case,
-    where lanes belong to different units).  Broadcasting does not
-    change the per-element arithmetic, so both shapes produce identical
-    lane results.  ``learning_rate`` may likewise be a scalar or a
-    per-lane ``(G,)`` vector.
+    Each lane ``g`` of ``features (G, n, d)`` / ``labels (G, n)``
+    descends independently from the shared ``(d, C)`` / ``(C,)``
+    anchor model for ``epochs`` steps.
 
     Computation runs in the dtype of ``features`` (float64 in the
     equivalence-tested default; float32 on the opt-in fast path).
@@ -115,13 +90,6 @@ def fullbatch_gd_stack(
     n_classes = bias_global.shape[-1]
     rows = np.arange(n)
     group_index = np.arange(n_group)[:, None]
-
-    lr = learning_rate
-    if isinstance(lr, np.ndarray) and lr.ndim == 1:
-        lr_w: float | np.ndarray = lr[:, None, None]
-        lr_b: float | np.ndarray = lr[:, None]
-    else:
-        lr_w = lr_b = lr
 
     # Start every lane from broadcast *views* of its anchor; each epoch
     # rebinds out-of-place, never writing through.
@@ -159,8 +127,8 @@ def fullbatch_gd_stack(
             grad_b += proximal_mu * (bias - bias_global)
         # In-place scale then subtract: same values as
         # ``weights - lr * grad`` with half the large temporaries.
-        grad_w *= lr_w
-        grad_b *= lr_b
+        grad_w *= learning_rate
+        grad_b *= learning_rate
         weights = weights - grad_w
         bias = bias - grad_b
 
@@ -194,13 +162,8 @@ class PopulationState:
     """A whole client population as struct-of-arrays.
 
     ``groups`` maps local dataset size ``n`` → :class:`PopulationGroup`
-    holding every client with that many samples.  Per-client scalars
-    live as ``(N,)`` vectors indexed by client id:
-
-    * ``n_samples`` — local dataset size ``n_k``,
-    * ``battery_j`` — remaining energy budget (``inf`` = unmetered),
-    * ``last_loss`` — most recent final local loss (``nan`` before the
-      first round a client participates in).
+    holding every client with that many samples; ``n_samples`` is the
+    ``(N,)`` vector of local dataset sizes ``n_k``, indexed by client id.
 
     Client ids must be exactly ``0..N-1`` (the repo-wide convention:
     client id == partition index).
@@ -212,7 +175,6 @@ class PopulationState:
         model_config: LogisticRegressionConfig,
         *,
         dtype: np.dtype | str = np.float64,
-        battery_j: np.ndarray | None = None,
     ) -> None:
         self.model_config = model_config
         self.dtype = np.dtype(dtype)
@@ -235,16 +197,6 @@ class PopulationState:
             self._row[group.client_ids] = np.arange(
                 group.n_clients, dtype=np.int64
             )
-        if battery_j is None:
-            self.battery_j = np.full(n_clients, np.inf)
-        else:
-            self.battery_j = np.asarray(battery_j, dtype=np.float64).copy()
-            if self.battery_j.shape != (n_clients,):
-                raise ValueError(
-                    f"battery_j must have shape ({n_clients},); "
-                    f"got {self.battery_j.shape}"
-                )
-        self.last_loss = np.full(n_clients, np.nan)
 
     # -- construction --------------------------------------------------
 
@@ -333,25 +285,11 @@ class PopulationState:
     def nbytes(self) -> int:
         """Total bytes held by the group stacks and scalar vectors."""
         stacks = sum(g.nbytes for g in self.groups.values())
-        vectors = (
-            self.n_samples.nbytes
-            + self._row.nbytes
-            + self.battery_j.nbytes
-            + self.last_loss.nbytes
-        )
-        return int(stacks + vectors)
+        return int(stacks + self.n_samples.nbytes + self._row.nbytes)
 
     def rows_of(self, client_ids: np.ndarray) -> np.ndarray:
         """Group-stack row index of each client (all in one group)."""
         return self._row[client_ids]
-
-    def drain_battery(self, client_ids: np.ndarray, joules: float) -> None:
-        """Charge ``joules`` of training energy to each listed client."""
-        self.battery_j[np.asarray(client_ids, dtype=np.int64)] -= joules
-
-    def active_clients(self) -> np.ndarray:
-        """Ids of clients whose battery budget is still positive."""
-        return np.flatnonzero(self.battery_j > 0.0)
 
 
 def train_cohort(
@@ -367,14 +305,12 @@ def train_cohort(
 
     Cohort members are grouped by ``n_k`` and each group trains as one
     :func:`fullbatch_gd_stack` call in canonical (sorted-id) lane
-    order — the same grouping the batched engine uses, so float64
-    results are bit-identical to it.  On a float32 population the
-    arithmetic runs in float32 and the returned parameter vectors are
-    cast back to float64, keeping aggregation dtype-stable.
+    order.  On a float32 population the arithmetic runs in float32 and
+    the returned parameter vectors are cast back to float64, keeping
+    aggregation dtype-stable.
 
     Updates are returned in ``client_ids`` order (the trainer's
-    participant-order contract).  ``state.last_loss`` is refreshed for
-    every trained client.
+    participant-order contract).
     """
     ids = np.asarray(client_ids, dtype=np.int64)
     model_config = state.model_config
@@ -409,7 +345,6 @@ def train_cohort(
         if flat.dtype != np.float64:
             flat = flat.astype(np.float64)
         losses64 = np.asarray(losses, dtype=np.float64)
-        state.last_loss[members] = losses64
         for g, client_id in enumerate(members):
             updates[int(client_id)] = LocalUpdate(
                 client_id=int(client_id),
@@ -472,165 +407,3 @@ class AggregationTree:
             raise ValueError("cannot aggregate an empty list of updates")
         return self.fold(np.stack([u.parameters for u in updates]))
 
-
-@dataclass(frozen=True)
-class GridUnit:
-    """One (K, E, seed) cell of a stacked campaign grid."""
-
-    participants: int
-    epochs: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.participants < 1:
-            raise ValueError(
-                f"participants must be positive; got {self.participants}"
-            )
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be positive; got {self.epochs}")
-
-
-@dataclass(frozen=True)
-class GridResult:
-    """Final state of one grid unit after ``n_rounds`` stacked rounds."""
-
-    unit: GridUnit
-    parameters: np.ndarray
-    final_mean_loss: float
-
-
-def train_unit_grid(
-    state: PopulationState,
-    units: Sequence[GridUnit],
-    *,
-    n_rounds: int,
-    sgd: "SGDConfig",
-    proximal_mu: float = 0.0,
-    initial_parameters: np.ndarray | None = None,
-    tree: AggregationTree | None = None,
-) -> list[GridResult]:
-    """Train a whole K/E/seed grid over one shared dataset, stacked.
-
-    Each unit replays the trainer's plain-FedAvg semantics exactly: a
-    ``default_rng(seed)``-driven uniform cohort per round (sorted, no
-    replacement), full-batch local GD for its ``E`` epochs at the
-    round's decayed learning rate, and an unweighted mean over its
-    ``K`` lanes in participant order.  What's new is *where* the work
-    runs: every unit's round-``r`` lanes are appended to shared
-    ``(G, n, d)`` stacks (grouped by ``(n_k, E)`` so each kernel call
-    has a uniform epoch count) and trained together, with per-lane
-    ``(G, d, C)`` anchors carrying each unit's own global model.  A
-    stacked matmul is a per-slice gemm, so with the float64 default
-    every unit's final parameters are bit-identical to running it alone
-    on the batched engine.
-
-    ``tree`` applies fog-tier aggregation to every unit (documented
-    ``~1e-12`` tolerance vs flat).
-    """
-    if not units:
-        return []
-    if n_rounds < 0:
-        raise ValueError(f"n_rounds must be non-negative; got {n_rounds}")
-    model_config = state.model_config
-    d, n_classes = model_config.n_features, model_config.n_classes
-    split = d * n_classes
-    n_parameters = model_config.n_parameters
-    if initial_parameters is None:
-        initial_parameters = model_config.build().get_parameters()
-    initial_parameters = np.asarray(initial_parameters, dtype=np.float64)
-    if initial_parameters.shape != (n_parameters,):
-        raise ValueError(
-            f"initial_parameters must have shape ({n_parameters},); "
-            f"got {initial_parameters.shape}"
-        )
-    for unit in units:
-        if unit.participants > state.n_clients:
-            raise ValueError(
-                f"unit {unit} selects {unit.participants} of "
-                f"{state.n_clients} clients"
-            )
-
-    rngs = [np.random.default_rng(unit.seed) for unit in units]
-    params = np.tile(initial_parameters, (len(units), 1))  # (U, P)
-    last_losses = [float("nan")] * len(units)
-
-    for round_index in range(n_rounds):
-        learning_rate = sgd.rate_at_round(round_index)
-        cohorts = [
-            np.sort(
-                rng.choice(
-                    state.n_clients, size=unit.participants, replace=False
-                )
-            )
-            for unit, rng in zip(units, rngs)
-        ]
-        # Lanes keyed by (n_k, E): uniform samples-per-lane and epochs
-        # within a kernel call; lane order is (unit, sorted client) so
-        # each unit's lanes keep the batched engine's canonical order.
-        lanes: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for unit_index, cohort in enumerate(cohorts):
-            epochs = units[unit_index].epochs
-            for slot, client_id in enumerate(cohort):
-                key = (int(state.n_samples[client_id]), epochs)
-                lanes.setdefault(key, []).append(
-                    (unit_index, int(client_id), slot)
-                )
-
-        round_updates = [
-            np.empty((unit.participants, n_parameters))
-            for unit in units
-        ]
-        round_losses = [
-            np.empty(unit.participants) for unit in units
-        ]
-        for (n, epochs), lane_list in lanes.items():
-            unit_of = np.fromiter(
-                (lane[0] for lane in lane_list), dtype=np.int64
-            )
-            ids = np.fromiter(
-                (lane[1] for lane in lane_list), dtype=np.int64
-            )
-            group = state.groups[n]
-            rows = state.rows_of(ids)
-            anchors = params[unit_of]  # (G, P) gather, one copy per lane
-            if state.dtype != np.float64:
-                anchors = anchors.astype(state.dtype)
-            weights, bias, losses = fullbatch_gd_stack(
-                group.features[rows],
-                group.labels[rows],
-                anchors[:, :split].reshape(-1, d, n_classes),
-                anchors[:, split:],
-                epochs=epochs,
-                learning_rate=learning_rate,
-                activation=model_config.activation,
-                l2=model_config.l2,
-                proximal_mu=proximal_mu,
-            )
-            flat = np.concatenate(
-                [weights.reshape(len(lane_list), -1), bias], axis=1
-            )
-            if flat.dtype != np.float64:
-                flat = flat.astype(np.float64)
-            losses64 = np.asarray(losses, dtype=np.float64)
-            for g, (unit_index, _, slot) in enumerate(lane_list):
-                round_updates[unit_index][slot] = flat[g]
-                round_losses[unit_index][slot] = losses64[g]
-
-        for unit_index in range(len(units)):
-            stacked = round_updates[unit_index]
-            if tree is None:
-                params[unit_index] = stacked.mean(axis=0)
-            else:
-                params[unit_index] = tree.fold(stacked)
-            last_losses[unit_index] = float(
-                round_losses[unit_index].mean()
-            )
-
-    return [
-        GridResult(
-            unit=unit,
-            parameters=params[unit_index].copy(),
-            final_mean_loss=last_losses[unit_index],
-        )
-        for unit_index, unit in enumerate(units)
-    ]

@@ -46,7 +46,7 @@ from repro.faults.policies import (
 )
 from repro.fl.client import EdgeServerClient, LocalUpdate
 from repro.fl.compression import ErrorFeedback
-from repro.fl.engine import AUTO_BACKEND, BACKENDS, create_engine, resolve_backend
+from repro.fl.engine import AUTO_BACKEND, BACKENDS, create_engine
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.sampling import ClientSampler, UniformSampler
@@ -90,21 +90,19 @@ class FederatedConfig:
             the extension benchmarks quantify.
         seed: seed for sampling and dropout randomness.
         backend: execution engine for the round's local training —
-            ``"sequential"`` (reference), ``"batched"`` (vectorized
-            full-batch cohort training; equivalent to sequential to
-            ``atol=1e-10``), ``"pool"`` (process pool over
-            shared-memory datasets; bit-identical to sequential),
-            ``"population"`` (struct-of-arrays cohort training over
-            stacked population tensors; bit-identical to batched), or
-            ``"auto"`` (resolved per host/workload from the timing-law
-            cost model and the measured break-even table).  See
-            :mod:`repro.fl.engine`.
+            ``"sequential"`` (reference), ``"population"`` (vectorized
+            struct-of-arrays cohort training; equivalent to sequential
+            to ``atol=1e-10``), ``"batched"`` (deprecated spelling of
+            ``"population"``, always float64), ``"pool"`` (process pool
+            over shared-memory datasets; bit-identical to sequential),
+            or ``"auto"`` (resolved from the spec and the CPU count).
+            See :mod:`repro.fl.engine`.
         pool_workers: worker-process count for the ``"pool"`` backend
             (ignored by the other backends).
         population_dtype: array dtype for the ``"population"``
             backend's stacks — ``"float64"`` (default, equivalence-
             tested) or ``"float32"`` (half the memory; accuracy delta
-            measured in ``BENCH_population.json``).
+            measured by ``benchmarks/bench_population.py``).
     """
 
     n_rounds: int
@@ -249,10 +247,10 @@ class FederatedTrainer:
         self._schedule = LearningRateSchedule(config.sgd)
         # "auto" resolves once per trainer so the whole run uses one
         # engine, and the resolved choice is observable for tests/logs.
-        self.resolved_backend = resolve_backend(config.backend, clients, config)
         self._engine = create_engine(
-            self.resolved_backend, clients, config, self._observer
+            config.backend, clients, config, self._observer
         )
+        self.resolved_backend = self._engine.name
         self._eval_cache = EvalCache()
         self.total_gradient_steps = 0
         self.total_uploads = 0

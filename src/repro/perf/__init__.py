@@ -6,8 +6,6 @@ Helpers behind the pluggable execution engine
 
 * :class:`EvalCache` — version-keyed memoization of the coordinator's
   round evaluation (skipped/degraded rounds reuse the previous result);
-* :class:`StackCache` — bounded FIFO cache of stacked per-cohort
-  tensors for the batched backend;
 * :class:`SharedDatasetStore` / :func:`attach_datasets` — one-time
   shipping of all client datasets to pool workers via
   ``multiprocessing.shared_memory``;
@@ -18,7 +16,7 @@ Helpers behind the pluggable execution engine
   independent campaign units across processes.
 """
 
-from repro.perf.cache import EvalCache, StackCache
+from repro.perf.cache import EvalCache
 from repro.perf.scheduler import (
     ParallelUnitScheduler,
     ScheduleOutcome,
@@ -35,7 +33,6 @@ from repro.perf.shared_data import (
 
 __all__ = [
     "EvalCache",
-    "StackCache",
     "ParallelUnitScheduler",
     "ScheduleOutcome",
     "SharedDatasetSpec",

@@ -1,23 +1,18 @@
-"""Version-keyed memoization helpers for the execution engine.
+"""Version-keyed memoization for the trainer's round evaluation.
 
-Two hot paths repeat work on unchanged inputs:
-
-* the coordinator's train/test evaluation re-runs every round even when
-  a degraded round carried the previous global model forward unchanged
-  (:class:`EvalCache`);
-* the batched backend re-stacks the same clients' feature tensors when
-  the sampler re-selects the same cohort (:class:`StackCache`).
-
-Both caches are deliberately tiny and explicit — no weak references, no
-global registries — so cache behaviour stays auditable in tests via the
-``engine.cache_hits{cache=...}`` counters their callers maintain.
+The coordinator's train/test evaluation would re-run every round even
+when a degraded round carried the previous global model forward
+unchanged (:class:`EvalCache`).  The cache is deliberately tiny and
+explicit — no weak references, no global registries — so its behaviour
+stays auditable in tests via the ``engine.cache_hits{cache=eval}``
+counter its caller maintains.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["EvalCache", "StackCache"]
+__all__ = ["EvalCache"]
 
 
 class EvalCache:
@@ -51,77 +46,3 @@ class EvalCache:
         self._version = None
         self._value = None
 
-
-def _value_nbytes(value: Any) -> int:
-    """Bytes held by a cached value (arrays, or containers of arrays)."""
-    nbytes = getattr(value, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
-    if isinstance(value, (tuple, list)):
-        return sum(_value_nbytes(item) for item in value)
-    return 0
-
-
-class StackCache:
-    """Bounded FIFO cache of stacked per-cohort tensors.
-
-    Keys are tuples of client ids; values are whatever the batched
-    backend stacked for that cohort.  Eviction is insertion-ordered: the
-    sampler cycles through a small set of cohorts in practice, so FIFO
-    with a small capacity captures nearly all repeats without ever
-    holding more than ``capacity`` stacked tensors alive.
-
-    ``max_bytes`` adds a second bound for population-scale cohorts,
-    where entry *count* stops being a useful memory proxy (32 stacks of
-    a 10^5-client cohort is gigabytes): insertion evicts oldest-first
-    until the tracked payload fits.  A single entry larger than the
-    bound is simply not cached — better a re-stack than an eviction
-    storm.
-    """
-
-    def __init__(
-        self, capacity: int = 32, max_bytes: int | None = None
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1; got {capacity}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1; got {max_bytes}")
-        self.capacity = capacity
-        self.max_bytes = max_bytes
-        self._entries: dict[tuple[int, ...], Any] = {}
-        self._nbytes: dict[tuple[int, ...], int] = {}
-        self.total_bytes = 0
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key: tuple[int, ...]) -> Any | None:
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def _evict_oldest(self) -> None:
-        oldest = next(iter(self._entries))
-        self._entries.pop(oldest)
-        self.total_bytes -= self._nbytes.pop(oldest, 0)
-
-    def store(self, key: tuple[int, ...], value: Any) -> None:
-        size = _value_nbytes(value) if self.max_bytes is not None else 0
-        if self.max_bytes is not None and size > self.max_bytes:
-            return
-        if key in self._entries:
-            self.total_bytes -= self._nbytes.pop(key, 0)
-            self._entries.pop(key)
-        while len(self._entries) >= self.capacity:
-            self._evict_oldest()
-        if self.max_bytes is not None:
-            while self._entries and self.total_bytes + size > self.max_bytes:
-                self._evict_oldest()
-        self._entries[key] = value
-        self._nbytes[key] = size
-        self.total_bytes += size
-
-    def __len__(self) -> int:
-        return len(self._entries)

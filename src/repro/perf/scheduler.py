@@ -75,22 +75,22 @@ __all__ = [
 
 
 # Per-backend wall-clock efficiency relative to sequential execution,
-# calibrated against BENCH_engine.json's measured headline (batched
-# trains the K=20/E=16 cell ~4.2x faster at IoT scale; the population
-# backend runs the same stacked kernel without per-round re-stacking).
-# Factors are deliberately conservative — at BLAS-bound paper scale
-# (784x10) vectorization only buys ~1.1x, and an *under*-estimated cost
-# would tighten watchdog deadlines, so we err toward sequential-like
-# cost.  Pool stays at 1.0: on the measured 1-CPU container it is below
-# break-even, and the deadline must cover the slow case.
+# calibrated against benchmarks/bench_engine.py's headline (the
+# vectorized engine trains the K=20/E=16 cell ~4.2x faster at IoT
+# scale).  Factors are deliberately conservative — at BLAS-bound paper
+# scale (784x10) vectorization only buys ~1.1x, and an *under*-estimated
+# cost would tighten watchdog deadlines, so we err toward
+# sequential-like cost.  Pool stays at 1.0 so the deadline covers a
+# host with a single core.
 BACKEND_COST_FACTORS = {
     "sequential": 1.0,
-    "batched": 0.25,
+    # "batched" is a spelling of the population engine.
+    "batched": 0.2,
     "pool": 1.0,
     "population": 0.2,
-    # "auto" resolves to a vectorized backend whenever the workload
-    # supports one, so it inherits the batched factor.
-    "auto": 0.25,
+    # "auto" resolves to the population engine whenever the workload
+    # supports one.
+    "auto": 0.2,
 }
 
 

@@ -62,64 +62,6 @@ class SharedDatasetSpec:
 class SharedDatasetStore:
     """Parent-side owner of the packed shared-memory dataset blocks."""
 
-    @classmethod
-    def from_population(cls, state) -> "SharedDatasetStore":
-        """Pack a :class:`~repro.fl.population.PopulationState` directly.
-
-        The object-list constructor would force a million-client
-        population back into per-client :class:`Dataset` objects just to
-        concatenate them again.  This path scatters each ``(G, n, d)``
-        group stack straight into the shared blocks (one fancy-indexed
-        write per group, rows ordered by client id), so the pool engine
-        and population engine can share one state without a per-object
-        detour.  Blocks are always float64/int64 — the spec's worker
-        contract — regardless of the population's compute dtype.
-        """
-        store = cls.__new__(cls)
-        n_samples = state.n_samples
-        n_clients = int(n_samples.shape[0])
-        starts = np.zeros(n_clients, dtype=np.int64)
-        np.cumsum(n_samples[:-1], out=starts[1:])
-        total_rows = int(n_samples.sum())
-        n_features = state.model_config.n_features
-        features_dtype = np.dtype(np.float64)
-        labels_dtype = np.dtype(np.int64)
-        store._features_shm = shared_memory.SharedMemory(
-            create=True,
-            size=total_rows * n_features * features_dtype.itemsize,
-        )
-        store._labels_shm = shared_memory.SharedMemory(
-            create=True, size=total_rows * labels_dtype.itemsize
-        )
-        all_features = np.ndarray(
-            (total_rows, n_features),
-            dtype=features_dtype,
-            buffer=store._features_shm.buf,
-        )
-        all_labels = np.ndarray(
-            (total_rows,), dtype=labels_dtype, buffer=store._labels_shm.buf
-        )
-        for n, group in state.groups.items():
-            dest = (
-                starts[group.client_ids][:, None]
-                + np.arange(n, dtype=np.int64)[None, :]
-            ).ravel()
-            all_features[dest] = group.features.reshape(-1, n_features)
-            all_labels[dest] = group.labels.reshape(-1)
-        store.spec = SharedDatasetSpec(
-            features_name=store._features_shm.name,
-            labels_name=store._labels_shm.name,
-            features_dtype=features_dtype.str,
-            labels_dtype=labels_dtype.str,
-            n_features=n_features,
-            n_classes=state.model_config.n_classes,
-            row_offsets=tuple(
-                (int(starts[i]), int(n_samples[i])) for i in range(n_clients)
-            ),
-        )
-        store._closed = False
-        return store
-
     def __init__(self, datasets: list[Dataset]) -> None:
         if not datasets:
             raise ValueError("need at least one dataset to share")

@@ -2,15 +2,18 @@
 
 The population backend must be a drop-in replacement for the sequential
 reference: same cohorts, same update order, same aggregated parameters
-(within ``atol=1e-10``; bit-identical to the batched engine, whose
-kernel it shares).  The suite sweeps seeds, K, E, FedProx, dropout,
+(within ``atol=1e-10``; bit-identical to its deprecated ``batched``
+spelling).  The suite sweeps seeds, K, E, FedProx, dropout,
 over-selection, and an active fault plan; checks cohort-order
-invariance of :func:`train_cohort`; verifies the stacked K/E/seed grid
-against per-unit trainer runs; and pins the fog-tier aggregation fold
-to the flat mean.
+invariance of :func:`train_cohort`; pins the fog-tier aggregation fold
+to the flat mean; and checks that ``auto`` is a pure function of the
+spec and the CPU count.
 """
 
 from __future__ import annotations
+
+import builtins
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,29 +22,28 @@ from repro.data.dataset import Dataset
 from repro.faults.injector import FaultInjector
 from repro.faults.models import make_demo_plan
 from repro.faults.policies import ResilienceConfig, RetryPolicy
-from repro.fl.client import EdgeServerClient, LocalUpdate
+from repro.fl.client import LocalUpdate
 from repro.fl.engine import (
     AUTO_BACKEND,
-    POPULATION_MIN_CLIENTS,
+    POOL_MIN_WORK,
     PopulationEngine,
-    select_backend,
+    SequentialEngine,
+    create_engine,
+    resolve_backend,
 )
+from repro.fl.mlp import MLPConfig
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.partition import partition_iid
 from repro.fl.population import (
     AggregationTree,
-    GridUnit,
     PopulationState,
     train_cohort,
-    train_unit_grid,
 )
 from repro.fl.sampling import FloydSampler
 from repro.fl.server import Coordinator, aggregate_mean
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
 from repro.obs.observer import Observer
-from repro.perf.cache import StackCache
-from repro.perf.shared_data import SharedDatasetStore, attach_datasets
 
 pytestmark = pytest.mark.population_smoke
 
@@ -212,13 +214,15 @@ class TestPopulationState:
         state = PopulationState.from_datasets(_PARTITIONS, _CONFIG)
         assert state.n_clients == _N_CLIENTS
         for client_id, dataset in enumerate(_PARTITIONS):
-            restored = EdgeServerClient.from_population(state, client_id)
+            n = len(dataset.labels)
+            assert state.n_samples[client_id] == n
+            group = state.groups[n]
+            (row,) = state.rows_of(np.array([client_id]))
+            assert group.client_ids[row] == client_id
             np.testing.assert_array_equal(
-                restored.dataset.features, dataset.features
+                group.features[row], dataset.features
             )
-            np.testing.assert_array_equal(
-                restored.dataset.labels, dataset.labels
-            )
+            np.testing.assert_array_equal(group.labels[row], dataset.labels)
 
     def test_synthesize_shapes_and_dtype(self):
         state = PopulationState.synthesize(
@@ -230,14 +234,6 @@ class TestPopulationState:
             16, n_features=6, n_classes=4, dtype=np.float32
         )
         assert f32.dtype == np.float32
-
-    def test_battery_drain(self):
-        state = PopulationState.synthesize(10, seed=3)
-        state.battery_j[:] = 5.0
-        state.drain_battery(np.array([0, 1, 2]), 6.0)
-        active = state.active_clients()
-        assert 0 not in active and 1 not in active and 2 not in active
-        assert len(active) == 7
 
     def test_rejects_gapped_ids(self):
         group_cls = type(
@@ -342,50 +338,6 @@ class TestAggregationTree:
             )
 
 
-class TestUnitGrid:
-    def test_grid_matches_per_unit_trainers(self):
-        state = PopulationState.from_datasets(_PARTITIONS, _CONFIG)
-        sgd = SGDConfig(learning_rate=0.5, decay=0.99)
-        units = [
-            GridUnit(participants=5, epochs=3, seed=7),
-            GridUnit(participants=8, epochs=2, seed=11),
-            GridUnit(participants=3, epochs=5, seed=7),
-        ]
-        results = train_unit_grid(state, units, n_rounds=6, sgd=sgd)
-        for unit, result in zip(units, results):
-            clients = build_clients(_PARTITIONS, _CONFIG)
-            trainer = FederatedTrainer(
-                clients=clients,
-                config=FederatedConfig(
-                    n_rounds=6,
-                    participants_per_round=unit.participants,
-                    local_epochs=unit.epochs,
-                    sgd=sgd,
-                    seed=unit.seed,
-                    backend="batched",
-                ),
-                train_eval=_TRAIN,
-                test_eval=_TEST,
-            )
-            trainer.run()
-            trainer.close()
-            np.testing.assert_array_equal(
-                result.parameters, trainer.coordinator.global_parameters
-            )
-
-    def test_grid_with_tree_close_to_flat(self):
-        state = PopulationState.from_datasets(_PARTITIONS, _CONFIG)
-        sgd = SGDConfig(learning_rate=0.5, decay=0.99)
-        units = [GridUnit(participants=6, epochs=2, seed=0)]
-        flat = train_unit_grid(state, units, n_rounds=5, sgd=sgd)
-        tiered = train_unit_grid(
-            state, units, n_rounds=5, sgd=sgd, tree=AggregationTree(3)
-        )
-        np.testing.assert_allclose(
-            tiered[0].parameters, flat[0].parameters, rtol=0, atol=1e-10
-        )
-
-
 class TestPopulationEngineFallback:
     def test_minibatch_config_falls_back(self):
         clients = build_clients(_PARTITIONS, _CONFIG)
@@ -396,11 +348,12 @@ class TestPopulationEngineFallback:
             sgd=SGDConfig(learning_rate=0.3, batch_size=8),
             backend="population",
         )
-        engine = PopulationEngine(clients, config)
-        assert engine.state is None
+        for backend in ("population", "batched", AUTO_BACKEND):
+            engine = create_engine(backend, clients, config)
+            assert isinstance(engine, SequentialEngine)
 
-    def test_from_state_requires_vectorizable(self):
-        state = PopulationState.synthesize(8, seed=0)
+    def test_rejects_non_vectorizable_config(self):
+        clients = build_clients(_PARTITIONS, _CONFIG)
         config = FederatedConfig(
             n_rounds=1,
             participants_per_round=1,
@@ -408,10 +361,8 @@ class TestPopulationEngineFallback:
             sgd=SGDConfig(learning_rate=0.3, batch_size=8),
             backend="population",
         )
-        engine = PopulationEngine.from_state(state, config)
-        anchor = state.model_config.build().get_parameters()
-        with pytest.raises(RuntimeError, match="cannot fall back"):
-            engine.train_round([0], anchor, 0, 0.1)
+        with pytest.raises(ValueError, match="full-batch"):
+            PopulationEngine(clients, config)
 
 
 class TestFloydSampler:
@@ -437,123 +388,102 @@ class TestFloydSampler:
         np.testing.assert_array_equal(sampler.select(0), np.arange(6))
 
 
+def _resolve_auto(
+    available_cpus: int,
+    *,
+    model_config=_CONFIG,
+    participants: int = 5,
+    epochs: int = 2,
+    **config_kwargs,
+) -> str:
+    clients = build_clients(_PARTITIONS, model_config)
+    config = FederatedConfig(
+        n_rounds=1,
+        participants_per_round=participants,
+        local_epochs=epochs,
+        backend=AUTO_BACKEND,
+        **config_kwargs,
+    )
+    return resolve_backend(
+        AUTO_BACKEND, clients, config, available_cpus=available_cpus
+    )
+
+
+# An MLP on 8 features needs K*E = POOL_MIN_WORK / 8 to reach the pool.
+_POOL_EPOCHS = -(-POOL_MIN_WORK // (8 * _N_CLIENTS))
+_MLP = MLPConfig(n_features=8, n_hidden=4, n_classes=3)
+
+
 class TestAutoSelection:
     def test_vectorized_small_population(self):
-        assert (
-            select_backend(
-                n_clients=20,
-                participants=5,
-                epochs=2,
-                n_features=784,
-                vectorizable=True,
-            )
-            == "batched"
-        )
+        assert _resolve_auto(1) == "population"
 
     def test_vectorized_single_participant(self):
-        assert (
-            select_backend(
-                n_clients=20,
-                participants=1,
-                epochs=2,
-                n_features=784,
-                vectorizable=True,
-            )
-            == "sequential"
-        )
+        assert _resolve_auto(1, participants=1) == "population"
 
     def test_vectorized_large_population(self):
-        assert (
-            select_backend(
-                n_clients=POPULATION_MIN_CLIENTS,
-                participants=10,
-                epochs=1,
-                n_features=784,
-                vectorizable=True,
-            )
-            == "population"
+        assert _resolve_auto(64, participants=_N_CLIENTS, epochs=16) == (
+            "population"
         )
 
     def test_single_cpu_never_pool(self):
-        profitable = {
-            "thresholds": {"pool_cpu_floor": 2},
-            "break_even": {
-                "rows": [
-                    {
-                        "participants": 4,
-                        "epochs": 1,
-                        "model": "8x3",
-                        "speedup_pool": 1.5,
-                    }
-                ]
-            },
-        }
         assert (
-            select_backend(
-                n_clients=20,
-                participants=16,
-                epochs=8,
-                n_features=784,
-                vectorizable=False,
-                available_cpus=1,
-                table=profitable,
+            _resolve_auto(
+                1,
+                model_config=_MLP,
+                participants=_N_CLIENTS,
+                epochs=_POOL_EPOCHS,
             )
             == "sequential"
         )
 
     def test_pool_when_measured_profitable(self):
-        profitable = {
-            "thresholds": {"pool_cpu_floor": 2},
-            "break_even": {
-                "rows": [
-                    {
-                        "participants": 4,
-                        "epochs": 1,
-                        "model": "8x3",
-                        "speedup_pool": 1.5,
-                    }
-                ]
-            },
-        }
         assert (
-            select_backend(
-                n_clients=20,
-                participants=16,
-                epochs=8,
-                n_features=784,
-                vectorizable=False,
-                available_cpus=8,
-                table=profitable,
+            _resolve_auto(
+                2,
+                model_config=_MLP,
+                participants=_N_CLIENTS,
+                epochs=_POOL_EPOCHS,
             )
             == "pool"
         )
 
     def test_no_profitable_row_never_pool(self):
-        unprofitable = {
-            "thresholds": {"pool_cpu_floor": 2},
-            "break_even": {
-                "rows": [
-                    {
-                        "participants": 16,
-                        "epochs": 8,
-                        "model": "784x10",
-                        "speedup_pool": 0.8,
-                    }
-                ]
-            },
-        }
+        # Below the measured crossover work the pool cannot pay.
         assert (
-            select_backend(
-                n_clients=20,
-                participants=16,
-                epochs=8,
-                n_features=784,
-                vectorizable=False,
-                available_cpus=8,
-                table=unprofitable,
+            _resolve_auto(
+                64,
+                model_config=_MLP,
+                participants=_N_CLIENTS,
+                epochs=_POOL_EPOCHS - 1,
             )
             == "sequential"
         )
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_auto_reads_no_file(self, cpus: int, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("backend selection must not read files")
+
+        monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+        monkeypatch.setattr(builtins, "open", refuse)
+        for participants, epochs in ((1, 1), (4, 2), (_N_CLIENTS, 64)):
+            assert (
+                _resolve_auto(cpus, participants=participants, epochs=epochs)
+                == "population"
+            )
+        non_vectorizable = (
+            {"model_config": _MLP},
+            {"sgd": SGDConfig(learning_rate=0.3, batch_size=8)},
+        )
+        for kwargs in non_vectorizable:
+            for epochs in (1, _POOL_EPOCHS):
+                resolved = _resolve_auto(
+                    cpus, participants=_N_CLIENTS, epochs=epochs, **kwargs
+                )
+                assert resolved in ("sequential", "pool")
+                if cpus == 1:
+                    assert resolved == "sequential"
 
     def test_trainer_resolves_auto_once(self):
         clients = build_clients(_PARTITIONS, _CONFIG)
@@ -568,43 +498,5 @@ class TestAutoSelection:
             train_eval=_TRAIN,
             test_eval=_TEST,
         )
-        assert trainer.resolved_backend == "batched"
+        assert trainer.resolved_backend == "population"
         trainer.close()
-
-
-class TestStackCacheBytes:
-    def test_byte_bound_evicts_oldest(self):
-        cache = StackCache(capacity=32, max_bytes=100)
-        a = np.zeros(5, dtype=np.float64)  # 40 bytes each
-        cache.store((1,), a)
-        cache.store((2,), a)
-        assert cache.total_bytes == 80
-        cache.store((3,), a)  # 120 > 100: (1,) evicted
-        assert cache.lookup((1,)) is None
-        assert cache.lookup((3,)) is not None
-        assert cache.total_bytes == 80
-
-    def test_oversized_entry_not_cached(self):
-        cache = StackCache(capacity=32, max_bytes=100)
-        cache.store((1,), np.zeros(64, dtype=np.float64))  # 512 bytes
-        assert len(cache) == 0
-        assert cache.total_bytes == 0
-
-
-class TestSharedStoreFromPopulation:
-    def test_matches_object_list_constructor(self):
-        state = PopulationState.from_datasets(_PARTITIONS, _CONFIG)
-        from_objects = SharedDatasetStore(list(_PARTITIONS))
-        from_state = SharedDatasetStore.from_population(state)
-        try:
-            ref, ref_handles = attach_datasets(from_objects.spec)
-            new, new_handles = attach_datasets(from_state.spec)
-            assert from_state.spec.row_offsets == from_objects.spec.row_offsets
-            for d_ref, d_new in zip(ref, new):
-                np.testing.assert_array_equal(d_ref.features, d_new.features)
-                np.testing.assert_array_equal(d_ref.labels, d_new.labels)
-            for handle in (*ref_handles, *new_handles):
-                handle.close()
-        finally:
-            from_objects.close()
-            from_state.close()
