@@ -31,10 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import time
-import traceback as traceback_module
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -60,6 +57,7 @@ from repro.obs.sink import (
     read_spool_tail,
     set_spool_context,
 )
+from repro.perf.cancel import CancelToken, interruptible
 from repro.perf.scheduler import (
     ParallelUnitScheduler,
     SupervisionPolicy,
@@ -86,9 +84,9 @@ DEFAULT_SUPERVISION = SupervisionPolicy()
 
 
 class ParallelUnitError(RuntimeError):
-    """One or more units raised during an *unsupervised* parallel pass.
+    """One or more units raised during an *unsupervised* pass.
 
-    Raised after the scheduler has drained, so every unit that finished
+    Raised after every other unit has run, so every unit that finished
     cleanly is already checkpointed in the store — re-running the
     campaign resumes past them and retries only the failed units.
     Supervised passes (the default) never raise this: failed units are
@@ -136,9 +134,9 @@ class CampaignRunSummary:
 
     Attributes:
         outcomes: per-unit outcomes in execution order.
-        interrupted: the pass stopped early (unit cap reached,
-            ``KeyboardInterrupt``, or ``SIGTERM``); completed units are
-            checkpointed and a later pass will resume after them.
+        interrupted: the pass stopped early (unit cap reached, SIGINT
+            or SIGTERM); completed units are checkpointed and a later
+            pass will resume after them.
     """
 
     outcomes: tuple[UnitOutcome, ...]
@@ -169,8 +167,8 @@ class CampaignRunSummary:
 
 # ----------------------------------------------------------------------
 # Unit execution.  Module-level (and hence picklable) so the parallel
-# scheduler can ship units to worker processes; the sequential runner
-# goes through the same code path, which is what makes the two modes
+# scheduler can ship units to worker processes; inline (jobs=1) units
+# go through the same code path, which is what makes every --jobs value
 # byte-identical.
 # ----------------------------------------------------------------------
 
@@ -273,18 +271,6 @@ class UnitPayload:
     heartbeat: bool = False
 
 
-def _coerce_payload(payload) -> UnitPayload:
-    """Accept the legacy ``(spec, store_root[, spool_dir])`` tuple form."""
-    if isinstance(payload, UnitPayload):
-        return payload
-    spec, store_root, *rest = payload
-    return UnitPayload(
-        spec=spec,
-        store_root=str(store_root),
-        spool_dir=rest[0] if rest else None,
-    )
-
-
 def _heartbeat_path(store: ArtifactStore, key: str) -> Path:
     return store.heartbeat_dir / f"{key}.json"
 
@@ -334,7 +320,7 @@ def _clear_heartbeat(store: ArtifactStore, key: str) -> None:
         pass
 
 
-def _execute_and_record(payload) -> dict:
+def _execute_and_record(unit: UnitPayload) -> dict:
     """Scheduler worker: run one unit and checkpoint it into the store.
 
     Workers open the shared store through the repository API (the
@@ -343,17 +329,18 @@ def _execute_and_record(payload) -> dict:
     finished — exactly the sequential crash contract.  Returns a small
     summary the parent uses for telemetry and outcome accounting.
 
-    The payload is a :class:`UnitPayload` (or the legacy ``(spec,
-    store_root[, spool_dir])`` tuple); with a spool directory and
-    ``spec.telemetry`` on, the unit's observer streams every event live
-    into a spool file the parent tails while the unit is still training.
+    With a spool directory and ``spec.telemetry`` on, the unit's
+    observer streams every event live into a spool file the parent tails
+    while the unit is still training.  Training stops at a round
+    boundary once the pass is cancelled (the partial unit is discarded);
+    only a hard cancel may interrupt it mid-round.  The store write and
+    its verification are never interrupted.
 
     After the store write the unit's artifacts are immediately re-hashed
     against the manifest (verify-after-write): torn or corrupted bytes
     fail *this attempt* with :class:`UnitVerificationError` instead of
     surfacing hours later in a resume check or a report.
     """
-    unit = _coerce_payload(payload)
     spec = unit.spec
     key = spec.key()
     store = ArtifactStore(unit.store_root)
@@ -381,7 +368,8 @@ def _execute_and_record(payload) -> dict:
             )
         if saboteur is not None:
             saboteur.on_start(unit.attempt)
-        result = execute_unit(spec, observer=observer)
+        with interruptible():
+            result = execute_unit(spec, observer=observer)
         duration_s = time.perf_counter() - started
         telemetry_jsonl = None
         if observer is not None:
@@ -455,37 +443,6 @@ def _result_document(spec: RunSpec, result: PrototypeResult) -> dict:
     }
 
 
-@contextmanager
-def _sigterm_as_interrupt():
-    """Map ``SIGTERM`` onto ``KeyboardInterrupt`` for the duration.
-
-    Cluster schedulers preempt with SIGTERM; converting it lets a
-    campaign pass take the exact same graceful-drain-and-checkpoint
-    path as Ctrl-C.  Installing a handler is only legal from the main
-    thread — anywhere else (e.g. a runner driven from a worker thread
-    in tests) the conversion is silently skipped.
-    """
-    installed = False
-    previous = None
-    try:
-        previous = signal.signal(signal.SIGTERM, _sigterm_handler)
-        installed = True
-    except ValueError:  # not the main thread
-        pass
-    try:
-        yield
-    finally:
-        if installed:
-            signal.signal(
-                signal.SIGTERM,
-                previous if previous is not None else signal.SIG_DFL,
-            )
-
-
-def _sigterm_handler(signum, frame):  # pragma: no cover - signal path
-    raise KeyboardInterrupt(f"terminated by signal {signum}")
-
-
 class CampaignRunner:
     """Executes a campaign against an artifact store, resumably.
 
@@ -540,7 +497,6 @@ class CampaignRunner:
         self.store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
         self._observer = active_or_none(observer)
         self._chaos = chaos
-        self._dataset_cache: dict[tuple, tuple[Dataset, Dataset]] = {}
         # Overrides rewrite the campaign itself, and the unit list is
         # always the rewritten campaign's own expansion — so the stored
         # spec, len(campaign), and every unit name/key agree with what
@@ -610,36 +566,11 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     # Unit execution.
     # ------------------------------------------------------------------
-    def _datasets(self, spec: RunSpec) -> tuple[Dataset, Dataset]:
-        signature = (spec.n_train, spec.n_test, spec.seed, spec.noise_std)
-        if signature not in self._dataset_cache:
-            self._dataset_cache[signature] = load_synthetic_mnist(
-                n_train=spec.n_train,
-                n_test=spec.n_test,
-                seed=spec.seed,
-                noise_std=spec.noise_std,
-            )
-        return self._dataset_cache[signature]
-
     def run_unit(self, spec: RunSpec) -> PrototypeResult:
         """Execute one unit on a fresh, independently seeded testbed."""
         return execute_unit(
-            spec,
-            datasets=self._datasets(spec),
-            observer=self._unit_observer(spec),
+            spec, observer=Observer() if spec.telemetry else None
         )
-
-    def _unit_observer(self, spec: RunSpec) -> Observer | None:
-        self._active_unit_observer = Observer() if spec.telemetry else None
-        return self._active_unit_observer
-
-    def _drain_unit_telemetry(self) -> str | None:
-        observer = getattr(self, "_active_unit_observer", None)
-        if observer is None:
-            return None
-        self._active_unit_observer = None
-        observer.emit("metrics.snapshot", **observer.snapshot())
-        return observer.events.to_jsonl()
 
     # ------------------------------------------------------------------
     # Failure accounting.
@@ -725,39 +656,40 @@ class CampaignRunner:
             supervision: failure policy.  The default retries a failed
                 unit with deterministic backoff and, once the attempt
                 budget is spent, *quarantines* it (durable failure
-                record, campaign completes degraded).  In parallel mode
-                it additionally arms the watchdog and broken-pool
-                recovery.  ``None`` restores fail-fast: the first
-                failure raises (:class:`ParallelUnitError` after the
-                drain, in parallel mode).
+                record, campaign completes degraded).  With worker
+                processes it additionally arms the watchdog and
+                broken-pool recovery.  ``None`` gives every unit one
+                attempt and writes no failure record: the remaining
+                units still run, then :class:`ParallelUnitError` is
+                raised.
             retry_quarantined: forget existing failure trails first, so
                 previously quarantined units get a fresh budget.
 
-        A ``KeyboardInterrupt`` mid-unit is absorbed gracefully: the
-        summary reports ``interrupted=True`` and the partially-run
-        unit's artifacts are simply absent, so the next pass re-runs it
-        from scratch (deterministically, to the same bytes).  For the
-        duration of the pass ``SIGTERM`` is mapped onto the same path,
-        so cluster preemption checkpoints instead of killing mid-write.
+        For the duration of the pass SIGINT and SIGTERM only cancel a
+        token (:mod:`repro.perf.cancel`): nothing new starts, in-flight
+        worker units finish, and an inline unit stops at its next round
+        boundary with its partial work discarded.  The summary reports
+        ``interrupted=True`` and the next pass re-runs what is missing
+        from scratch, deterministically, to the same bytes.  A second
+        signal hard-cancels.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1; got {jobs}")
-        with _sigterm_as_interrupt():
-            return self._run(max_units, jobs, supervision, retry_quarantined)
+        token = CancelToken()
+        with token.on_signals():
+            return self._run(
+                token, max_units, jobs, supervision, retry_quarantined
+            )
 
     def _run(
         self,
+        token: CancelToken,
         max_units: int | None,
         jobs: int,
         supervision: SupervisionPolicy | None,
         retry_quarantined: bool,
     ) -> CampaignRunSummary:
         obs = self._observer
-        collector = (
-            TelemetryCollector(self.store.spool_dir, observer=obs)
-            if obs is not None
-            else None
-        )
         if retry_quarantined:
             for key in self.store.quarantined_keys():
                 self.store.clear_failures(key)
@@ -765,9 +697,6 @@ class CampaignRunner:
         quarantined_keys = (
             self.store.quarantined_keys() if supervision is not None else set()
         )
-        outcomes: list[UnitOutcome] = []
-        interrupted = False
-        executed = 0
         if obs is not None:
             obs.emit(
                 "campaign.start",
@@ -778,339 +707,103 @@ class CampaignRunner:
                 quarantined=len(quarantined_keys),
                 jobs=jobs,
             )
-        if jobs > 1:
-            return self._run_parallel(
-                max_units,
-                jobs,
-                completed,
-                quarantined_keys,
-                collector,
-                supervision,
-            )
-        spool_dir = str(self.store.spool_dir)
-        try:
-            for spec in self.units:
-                key = spec.key()
-                if key in completed:
-                    outcomes.append(
-                        UnitOutcome(key=key, name=spec.name, skipped=True)
-                    )
-                    if obs is not None:
-                        obs.counter("campaign.units_skipped").inc()
-                        obs.emit(
-                            "campaign.unit",
-                            campaign=self.campaign.name,
-                            unit=spec.name,
-                            key=key,
-                            skipped=True,
-                        )
-                    continue
-                if key in quarantined_keys:
-                    # Quarantine is durable: the unit stays out of the way
-                    # until the operator grants a fresh budget.
-                    outcomes.append(
-                        UnitOutcome(
-                            key=key,
-                            name=spec.name,
-                            skipped=True,
-                            quarantined=True,
-                            attempts=self.store.attempts_used(key),
-                        )
-                    )
-                    if obs is not None:
-                        obs.emit(
-                            "campaign.unit",
-                            campaign=self.campaign.name,
-                            unit=spec.name,
-                            key=key,
-                            skipped=True,
-                            quarantined=True,
-                        )
-                    continue
-                if max_units is not None and executed >= max_units:
-                    interrupted = True
-                    break
-                # The sequential loop runs the *same* module-level worker
-                # function as the parallel scheduler — one code path, so
-                # both modes emit the identical unit event stream and write
-                # identical artifacts.  Attempt numbering continues from
-                # the durable failure trail, so a killed-and-resumed retry
-                # sequence is indistinguishable from an uninterrupted one.
-                attempt = (
-                    self.store.attempts_used(key) if supervision is not None else 0
-                )
-                unit_summary = None
-                quarantined_now = False
-                while True:
-                    try:
-                        unit_summary = _execute_and_record(
-                            UnitPayload(
-                                spec=spec,
-                                store_root=str(self.store.root),
-                                spool_dir=spool_dir,
-                                attempt=attempt,
-                                chaos=self._chaos,
-                            )
-                        )
-                    except KeyboardInterrupt:
-                        interrupted = True
-                    except Exception as error:
-                        if supervision is None:
-                            if collector is not None:
-                                collector.poll()
-                            raise
-                        attempt += 1
-                        quarantined_now = attempt >= supervision.max_attempts
-                        self._record_unit_failure(
-                            spec,
-                            attempt,
-                            "error",
-                            repr(error),
-                            quarantined_now,
-                            traceback_module.format_exc(),
-                        )
-                    finally:
-                        if collector is not None:
-                            try:
-                                collector.poll()
-                            except KeyboardInterrupt:
-                                # The unit (if it finished) is already
-                                # durably checkpointed; remember the
-                                # interrupt but keep its summary.
-                                interrupted = True
-                    if unit_summary is not None or interrupted or quarantined_now:
-                        break
-                    try:
-                        time.sleep(supervision.backoff_s(key, attempt))
-                    except KeyboardInterrupt:
-                        # Ctrl-C / SIGTERM during a backoff wait checkpoints
-                        # exactly like an interrupt during the unit itself.
-                        interrupted = True
-                        break
-                if unit_summary is not None:
-                    # Bookkeeping for a completed unit runs before any
-                    # interrupt is honored: the store already holds the
-                    # artifact, so the summary must count it — otherwise
-                    # a drain landing between checkpoint and accounting
-                    # under-reports `executed` relative to the store.
-                    duration_s = float(unit_summary["duration_s"])
-                    executed += 1
-                    outcomes.append(
-                        UnitOutcome(
-                            key=key,
-                            name=spec.name,
-                            skipped=False,
-                            duration_s=duration_s,
-                            attempts=attempt + 1,
-                        )
-                    )
-                    try:
-                        if obs is not None:
-                            obs.counter("campaign.units_run").inc()
-                            obs.histogram("campaign.unit_duration_s").observe(
-                                duration_s
-                            )
-                            obs.emit(
-                                "campaign.unit",
-                                campaign=self.campaign.name,
-                                unit=spec.name,
-                                key=key,
-                                skipped=False,
-                                duration_s=duration_s,
-                                rounds=unit_summary["rounds"],
-                                total_energy_j=unit_summary["total_energy_j"],
-                                reached_target=unit_summary["reached_target"],
-                            )
-                    except KeyboardInterrupt:
-                        interrupted = True
-                    if interrupted:
-                        break
-                    continue
-                if interrupted:
-                    break
-                if quarantined_now:
-                    outcomes.append(
-                        UnitOutcome(
-                            key=key,
-                            name=spec.name,
-                            skipped=False,
-                            quarantined=True,
-                            attempts=attempt,
-                        )
-                    )
-                    if obs is not None:
-                        obs.emit(
-                            "campaign.unit",
-                            campaign=self.campaign.name,
-                            unit=spec.name,
-                            key=key,
-                            skipped=False,
-                            quarantined=True,
-                            attempts=attempt,
-                        )
-                    continue
-        except KeyboardInterrupt:
-            # An interrupt landing *between* units (skip bookkeeping,
-            # attempts lookups, telemetry emits) checkpoints exactly
-            # like one mid-unit: everything recorded so far is durable.
-            interrupted = True
-        summary = CampaignRunSummary(
-            outcomes=tuple(outcomes), interrupted=interrupted
-        )
-        if obs is not None:
-            obs.emit(
-                "campaign.end",
-                campaign=self.campaign.name,
-                executed=summary.executed,
-                skipped=summary.skipped,
-                quarantined=summary.quarantined,
-                interrupted=summary.interrupted,
-            )
-        return summary
-
-    def _run_parallel(
-        self,
-        max_units: int | None,
-        jobs: int,
-        completed: set[str],
-        quarantined_keys: set[str],
-        collector: TelemetryCollector | None = None,
-        supervision: SupervisionPolicy | None = None,
-    ) -> CampaignRunSummary:
-        """Fan incomplete units out over a process scheduler.
-
-        Unit independence does the heavy lifting: each worker seeds its
-        own prototype from the unit's spec and checkpoints straight
-        into the shared store (each index update is atomic in either
-        backend), so the artifact bytes are identical to a sequential
-        pass regardless of completion order.
-        ``max_units`` caps *pending* units in unit order — the same
-        semantics (and kill-and-resume hook) as the sequential loop.
-
-        With ``supervision`` the pass runs under
-        :meth:`~repro.perf.scheduler.ParallelUnitScheduler.run_supervised`:
-        failed attempts are retried with deterministic backoff, hung or
-        overdue workers are killed by the watchdog, a broken pool is
-        rebuilt with survivors resubmitted, and budget-exhausted units
-        are quarantined — the pass completes degraded instead of
-        raising.
-        """
-        obs = self._observer
-        outcomes: list[UnitOutcome] = []
-        skipped_outcomes: dict[str, UnitOutcome] = {}
+        # Sort units into skipped, quarantined (durable: the unit stays
+        # out of the way until the operator grants a fresh budget) and
+        # pending.
+        outcomes: dict[str, UnitOutcome] = {}
         pending: list[RunSpec] = []
         for spec in self.units:
             key = spec.key()
             if key in completed:
-                skipped_outcomes[key] = UnitOutcome(
+                outcomes[key] = UnitOutcome(
                     key=key, name=spec.name, skipped=True
                 )
                 if obs is not None:
                     obs.counter("campaign.units_skipped").inc()
-                    obs.emit(
-                        "campaign.unit",
-                        campaign=self.campaign.name,
-                        unit=spec.name,
-                        key=key,
-                        skipped=True,
-                    )
             elif key in quarantined_keys:
-                skipped_outcomes[key] = UnitOutcome(
+                outcomes[key] = UnitOutcome(
                     key=key,
                     name=spec.name,
                     skipped=True,
                     quarantined=True,
                     attempts=self.store.attempts_used(key),
                 )
-                if obs is not None:
-                    obs.emit(
-                        "campaign.unit",
-                        campaign=self.campaign.name,
-                        unit=spec.name,
-                        key=key,
-                        skipped=True,
-                        quarantined=True,
-                    )
             else:
                 pending.append(spec)
-        interrupted = False
-        if max_units is not None and len(pending) > max_units:
+                continue
+            self._emit_unit(outcomes[key])
+        # ``max_units`` caps pending units in unit order.
+        capped = max_units is not None and len(pending) > max_units
+        if capped:
             pending = pending[:max_units]
-            interrupted = True
-        scheduler = ParallelUnitScheduler(jobs, observer=obs)
-        spool_dir = str(self.store.spool_dir)
+        keys = [spec.key() for spec in pending]
         store_root = str(self.store.root)
-        costs = [estimate_unit_cost(spec) for spec in pending]
-        poll = collector.poll if collector is not None else None
-        if supervision is not None:
-            keys = [spec.key() for spec in pending]
-            chaos = self._chaos
+        spool_dir = str(self.store.spool_dir)
 
-            def make_payload(index: int, attempt: int) -> UnitPayload:
-                return UnitPayload(
-                    spec=pending[index],
-                    store_root=store_root,
-                    spool_dir=spool_dir,
-                    attempt=attempt,
-                    chaos=chaos,
-                    heartbeat=True,
-                )
-
-            def on_failure(failure: UnitFailure) -> None:
-                self._record_unit_failure(
-                    pending[failure.index],
-                    failure.attempt,
-                    failure.kind,
-                    failure.error,
-                    failure.quarantined,
-                    failure.traceback,
-                )
-
-            def completed_check(index: int) -> bool:
-                # Manifest entry alone is not proof after a pool break —
-                # the artifacts must also verify, or a corrupt write
-                # would be exonerated as "already complete".
-                key = keys[index]
-                return (
-                    self.store.contains(key)
-                    and self.store.verify_unit(key) == []
-                )
-
-            schedule = scheduler.run_supervised(
-                [
-                    UnitPayload(
-                        spec=spec, store_root=store_root, spool_dir=spool_dir
-                    )
-                    for spec in pending
-                ],
-                _execute_and_record,
-                supervision=supervision,
-                costs=costs,
-                keys=keys,
-                initial_attempts=[
-                    self.store.attempts_used(key) for key in keys
-                ],
-                make_payload=make_payload,
-                on_failure=on_failure,
-                completed_check=completed_check,
-                heartbeat_dir=self.store.heartbeat_dir,
-                spool_dir=self.store.spool_dir,
-                poll=poll,
+        def make_payload(index: int, attempt: int) -> UnitPayload:
+            # Attempt numbering continues from the durable failure
+            # trail, so a killed-and-resumed retry sequence is
+            # indistinguishable from an uninterrupted one.  Heartbeats
+            # let the watchdog aim at a worker process; inline units
+            # have none.
+            return UnitPayload(
+                spec=pending[index],
+                store_root=store_root,
+                spool_dir=spool_dir,
+                attempt=attempt,
+                chaos=self._chaos,
+                heartbeat=jobs > 1,
             )
-        else:
-            schedule = scheduler.run(
-                [
-                    UnitPayload(
-                        spec=spec, store_root=store_root, spool_dir=spool_dir
-                    )
-                    for spec in pending
-                ],
-                _execute_and_record,
-                costs,
-                poll=poll,
+
+        unsupervised_failures: list[UnitFailure] = []
+
+        def on_failure(failure: UnitFailure) -> None:
+            if supervision is None:
+                unsupervised_failures.append(failure)
+                return
+            self._record_unit_failure(
+                pending[failure.index],
+                failure.attempt,
+                failure.kind,
+                failure.error,
+                failure.quarantined,
+                failure.traceback,
             )
-        interrupted = interrupted or schedule.interrupted
-        executed_outcomes: dict[str, UnitOutcome] = {}
+
+        def completed_check(index: int) -> bool:
+            # Manifest entry alone is not proof after a pool break — the
+            # artifacts must also verify, or a corrupt write would be
+            # exonerated as "already complete".
+            key = keys[index]
+            return (
+                self.store.contains(key)
+                and self.store.verify_unit(key) == []
+            )
+
+        collector = (
+            TelemetryCollector(self.store.spool_dir, observer=obs)
+            if obs is not None
+            else None
+        )
+        schedule = ParallelUnitScheduler(jobs, observer=obs).run(
+            keys,
+            _execute_and_record,
+            costs=[estimate_unit_cost(spec) for spec in pending],
+            poll=collector.poll if collector is not None else None,
+            supervision=supervision,
+            keys=keys,
+            initial_attempts=(
+                [self.store.attempts_used(key) for key in keys]
+                if supervision is not None
+                else None
+            ),
+            make_payload=make_payload,
+            on_failure=on_failure,
+            completed_check=completed_check,
+            heartbeat_dir=self.store.heartbeat_dir,
+            spool_dir=self.store.spool_dir,
+            token=token,
+        )
         for index in schedule.completed:
             spec = pending[index]
             summary = schedule.results.get(index)
@@ -1125,56 +818,43 @@ class CampaignRunner:
                     "total_energy_j": result_doc["total_energy_j"],
                     "reached_target": result_doc["reached_target"],
                 }
-            duration_s = float(summary["duration_s"])
-            executed_outcomes[spec.key()] = UnitOutcome(
+            outcome = UnitOutcome(
                 key=spec.key(),
                 name=spec.name,
                 skipped=False,
-                duration_s=duration_s,
+                duration_s=float(summary["duration_s"]),
                 attempts=schedule.attempts.get(index, 1),
             )
+            outcomes[outcome.key] = outcome
             if obs is not None:
                 obs.counter("campaign.units_run").inc()
-                obs.histogram("campaign.unit_duration_s").observe(duration_s)
-                obs.emit(
-                    "campaign.unit",
-                    campaign=self.campaign.name,
-                    unit=spec.name,
-                    key=spec.key(),
-                    skipped=False,
-                    duration_s=duration_s,
-                    rounds=summary["rounds"],
-                    total_energy_j=summary["total_energy_j"],
-                    reached_target=summary["reached_target"],
+                obs.histogram("campaign.unit_duration_s").observe(
+                    outcome.duration_s
                 )
+            self._emit_unit(
+                outcome,
+                rounds=summary["rounds"],
+                total_energy_j=summary["total_energy_j"],
+                reached_target=summary["reached_target"],
+            )
         for index in schedule.quarantined:
             spec = pending[index]
-            executed_outcomes[spec.key()] = UnitOutcome(
+            outcome = UnitOutcome(
                 key=spec.key(),
                 name=spec.name,
                 skipped=False,
                 quarantined=True,
                 attempts=schedule.attempts.get(index, 0),
             )
-            if obs is not None:
-                obs.emit(
-                    "campaign.unit",
-                    campaign=self.campaign.name,
-                    unit=spec.name,
-                    key=spec.key(),
-                    skipped=False,
-                    quarantined=True,
-                    attempts=schedule.attempts.get(index, 0),
-                )
-        # Outcomes in unit order, mirroring the sequential loop.
-        for spec in self.units:
-            key = spec.key()
-            if key in skipped_outcomes:
-                outcomes.append(skipped_outcomes[key])
-            elif key in executed_outcomes:
-                outcomes.append(executed_outcomes[key])
+            outcomes[outcome.key] = outcome
+            self._emit_unit(outcome)
         summary = CampaignRunSummary(
-            outcomes=tuple(outcomes), interrupted=interrupted
+            outcomes=tuple(
+                outcomes[spec.key()]
+                for spec in self.units
+                if spec.key() in outcomes
+            ),
+            interrupted=capped or schedule.interrupted,
         )
         if obs is not None:
             obs.emit(
@@ -1185,18 +865,32 @@ class CampaignRunner:
                 quarantined=summary.quarantined,
                 interrupted=summary.interrupted,
             )
-        if (
-            supervision is None
-            and schedule.failed
-            and not schedule.interrupted
-        ):
-            failures = ", ".join(
-                f"{pending[i].name}: {err}"
-                for i, err in sorted(schedule.failed.items())
-            )
+        if unsupervised_failures and not schedule.interrupted:
+            failures = sorted(unsupervised_failures, key=lambda f: f.index)
             raise ParallelUnitError(
-                f"{len(schedule.failed)} campaign unit(s) failed "
+                f"{len(failures)} campaign unit(s) failed "
                 f"(completed units are checkpointed; re-run to resume): "
-                f"{failures}"
-            )
+                + ", ".join(
+                    f"{pending[f.index].name}: {f.error}" for f in failures
+                )
+            ) from failures[0].exception
         return summary
+
+    def _emit_unit(self, outcome: UnitOutcome, **fields) -> None:
+        """The ``campaign.unit`` event for one unit's outcome."""
+        if self._observer is None:
+            return
+        if outcome.quarantined:
+            fields["quarantined"] = True
+            if not outcome.skipped:
+                fields["attempts"] = outcome.attempts
+        elif not outcome.skipped:
+            fields = {"duration_s": outcome.duration_s, **fields}
+        self._observer.emit(
+            "campaign.unit",
+            campaign=self.campaign.name,
+            unit=outcome.name,
+            key=outcome.key,
+            skipped=outcome.skipped,
+            **fields,
+        )

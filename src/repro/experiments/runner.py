@@ -548,9 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-supervise",
         action="store_true",
         help=(
-            "for 'run': disable retries/watchdog/quarantine and fail "
-            "fast on the first unit error (the pre-supervision "
-            "behaviour)"
+            "for 'run': one attempt per unit, with no retries, watchdog "
+            "or quarantine record; the remaining units still run and "
+            "are checkpointed, then the first unit error is raised"
         ),
     )
     campaign.add_argument(
@@ -649,6 +649,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         CampaignRunner,
         CampaignSpec,
         CampaignStatus,
+        ParallelUnitError,
         StoreError,
         campaign_telemetry,
         make_demo_campaign,
@@ -791,12 +792,20 @@ def _run_campaign(args: argparse.Namespace) -> int:
     except StoreError as error:
         print(str(error), file=sys.stderr)
         return 2
-    summary = runner.run(
-        max_units=args.max_units,
-        jobs=args.jobs,
-        supervision=supervision,
-        retry_quarantined=args.retry_quarantined,
-    )
+    try:
+        summary = runner.run(
+            max_units=args.max_units,
+            jobs=args.jobs,
+            supervision=supervision,
+            retry_quarantined=args.retry_quarantined,
+        )
+    except ParallelUnitError as error:
+        # Fail fast: the other units are checkpointed; surface the first
+        # failing unit's own exception and traceback.
+        print(error, file=sys.stderr)
+        if error.__cause__ is None:
+            raise
+        raise error.__cause__ from None
     if observer is not None:
         _export_observer(observer, args)
     print(

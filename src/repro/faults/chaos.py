@@ -96,7 +96,7 @@ class Saboteur:
                 f"chaos: deliberate interrupt on attempt {attempt}"
             )
         if self.kind == "hang":
-            # Sleep in small slices so a SIGTERM-converted interrupt can
+            # Sleep in small slices so a hard cancel's interrupt can
             # still unwind this frame; SIGKILL needs no cooperation.
             deadline = time.monotonic() + self.hang_s
             while time.monotonic() < deadline:

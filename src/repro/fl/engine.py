@@ -55,6 +55,7 @@ from repro.fl.client import EdgeServerClient, LocalUpdate
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.population import PopulationState, train_cohort
 from repro.obs.sink import TelemetrySpool, get_spool_context
+from repro.perf.cancel import check_cancelled
 from repro.perf.shared_data import (
     SharedDatasetStore,
     SharedParameterBlock,
@@ -541,7 +542,13 @@ class PoolEngine(ExecutionEngine):
         tasks = [
             (tuple(chunk), round_index, learning_rate) for chunk in chunks
         ]
-        chunk_results = self._pool.map(_pool_train_chunk, tasks)
+        pending = self._pool.map_async(_pool_train_chunk, tasks)
+        while not pending.ready():
+            # A signal that cancels the pass may also have ended the
+            # workers, whose chunks would then never arrive.
+            pending.wait(0.2)
+            check_cancelled()
+        chunk_results = pending.get()
         if self._observer is not None:
             self._observer.counter("engine.pool_chunks").inc(len(tasks))
             self._observer.counter("engine.pool_tasks").inc(

@@ -47,6 +47,7 @@ from repro.net.messages import (
     model_upload_message,
 )
 from repro.obs.observer import active_or_none
+from repro.perf.cancel import check_cancelled
 from repro.sim.engine import Simulator
 from repro.sim.processes import StepProcess
 
@@ -506,6 +507,8 @@ class HardwarePrototype:
         state = {"stop": False}
 
         def run_round(sim: Simulator) -> None:
+            # A cancelled campaign pass stops here, between rounds.
+            check_cancelled()
             record = trainer.run_round()
             round_energy = 0.0
             round_duration = 0.0

@@ -12,8 +12,9 @@ Helpers behind the pluggable execution engine
 * :class:`SharedParameterBlock` / :func:`attach_parameters` — per-round
   broadcast of the global model to persistent pool workers;
 * :class:`ParallelUnitScheduler` / :func:`estimate_unit_cost` /
-  :func:`order_longest_first` — longest-job-first parallel dispatch of
-  independent campaign units across processes.
+  :func:`order_longest_first` — the longest-job-first supervision loop
+  every campaign ``--jobs`` value runs through (inline or across
+  processes), cancelled cooperatively through :mod:`repro.perf.cancel`.
 """
 
 from repro.perf.cache import EvalCache

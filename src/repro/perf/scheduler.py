@@ -14,19 +14,19 @@ scheduling half of that story:
   whole unit is estimated at ``rounds * K * E * n``.  Units are
   dispatched longest-first, which keeps the makespan near-optimal for
   the wide/short mix a (K, E) grid produces.
-* a **process scheduler** (:class:`ParallelUnitScheduler`) that fans the
-  ordered units out over a ``ProcessPoolExecutor``, drains gracefully on
-  interrupt (running units finish, queued units are cancelled), and
-  reports per-unit outcomes so the caller can decide what a failure
-  means.
-* a **supervised mode** (:meth:`ParallelUnitScheduler.run_supervised`)
-  for fleets where worker death is routine: per-unit bounded retries
-  with deterministic capped-exponential-jitter backoff, a watchdog that
-  reclaims hung workers via cost-model deadlines and spool-heartbeat
-  staleness, ``BrokenProcessPool`` recovery (rebuild the executor,
-  charge the guilty unit one attempt, resubmit the innocent survivors),
-  and quarantine for units whose retry budget is exhausted — the batch
-  completes degraded instead of aborting.
+* a **supervision loop** (:meth:`ParallelUnitScheduler.run`), the one
+  loop every ``--jobs`` value goes through.  An executor seam runs
+  units inline for ``jobs=1`` and over a ``ProcessPoolExecutor`` above.
+  Per-unit bounded retries use deterministic capped-exponential-jitter
+  backoff; units whose retry budget is exhausted are quarantined, so the
+  batch completes degraded instead of aborting.  Process pools add a
+  watchdog that reclaims hung workers via cost-model deadlines and
+  spool-heartbeat staleness, and ``BrokenProcessPool`` recovery
+  (rebuild the executor, charge the guilty unit one attempt, resubmit
+  the innocent survivors).
+* **cooperative cancellation** (:mod:`repro.perf.cancel`): the loop
+  checks a token between units; once cancelled nothing new starts and
+  in-flight units are awaited, so a drain never tears a store write.
 
 Determinism is the caller's contract: each worker must derive all
 randomness from its own unit's seed, and all result recording must be
@@ -51,7 +51,12 @@ import os
 import signal
 import time
 import traceback as traceback_module
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +64,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.faults.models import substream
 from repro.faults.policies import RetryPolicy
+from repro.perf.cancel import (
+    Cancelled,
+    CancelToken,
+    activate,
+    install_in_worker,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observer import Observer
@@ -142,7 +153,7 @@ def order_longest_first(units: Sequence) -> list[int]:
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """How :meth:`ParallelUnitScheduler.run_supervised` handles failure.
+    """How :meth:`ParallelUnitScheduler.run` handles failure.
 
     Attributes:
         retry: per-unit bounded retry budget with capped-exponential
@@ -163,8 +174,8 @@ class SupervisionPolicy:
             not grown for this long is declared hung even without a
             deadline (``None`` disables; only applies to units that
             write spools).
-        kill_grace_s: how long a hard-cancel waits between SIGTERM and
-            SIGKILL when terminating workers.
+        kill_grace_s: how long a hard cancel waits for workers to
+            unwind before SIGKILLing them.
         seed: seed of the backoff-jitter RNG stream.  Jitter derives
             from ``(seed, unit key, attempt)`` alone, so schedules are
             reproducible across resumes.
@@ -224,6 +235,8 @@ class UnitFailure:
             ``None``.
         quarantined: the retry budget is exhausted; the unit will not
             be resubmitted.
+        exception: the exception object when the worker raised, else
+            ``None``.
     """
 
     index: int
@@ -233,6 +246,7 @@ class UnitFailure:
     error: str
     traceback: str | None = None
     quarantined: bool = False
+    exception: BaseException | None = None
 
 
 @dataclass
@@ -245,16 +259,18 @@ class ScheduleOutcome:
             (``None`` when completion was detected via the caller's
             ``completed_check`` after a pool break ate the future).
         failed: ``index -> repr(exception)`` for units that ended the
-            batch failed but not quarantined (in supervised mode this
-            only happens when an interrupt cut retries short).
+            batch failed but not quarantined (without supervision, or
+            when a cancellation cut retries short).
         quarantined: ``index -> last error`` for units whose supervised
             retry budget was exhausted.
         attempts: ``index -> cumulative attempts consumed`` (including
             the succeeding one) for every unit supervision touched.
-        cancelled: indices drained without running (interrupt).
-        interrupted: True when a KeyboardInterrupt triggered draining.
-        hard_cancelled: a second interrupt arrived during the graceful
-            drain and workers were terminated instead of awaited.
+        cancelled: indices drained without running, or whose unit
+            discarded its partial work on cancellation.
+        interrupted: cancellation left some unit unfinished (cancelled,
+            or failed with retry budget left).
+        hard_cancelled: a hard cancel arrived during the drain and
+            workers were terminated instead of awaited.
         pool_rebuilds: how many times a broken process pool was rebuilt.
         timeouts: how many watchdog kills were issued.
         wall_clock_s: scheduler wall-clock for the whole batch.
@@ -271,24 +287,6 @@ class ScheduleOutcome:
     pool_rebuilds: int = 0
     timeouts: int = 0
     wall_clock_s: float = 0.0
-
-
-def _raise_keyboard_interrupt(signum, frame):  # pragma: no cover - signal path
-    raise KeyboardInterrupt
-
-
-def _worker_initializer() -> None:  # pragma: no cover - runs in workers
-    """Make SIGTERM unwind the worker like Ctrl-C would.
-
-    Installed in every pool worker so a hard-cancel's SIGTERM (or a
-    cluster preemption fanned out by the executor) raises through the
-    unit's ``finally`` blocks — engines close, shared-memory segments
-    unlink — instead of killing the process with artifacts half-torn.
-    """
-    try:
-        signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
-    except (ValueError, OSError):
-        pass
 
 
 def _read_json(path: Path) -> dict | None:
@@ -309,15 +307,41 @@ def _format_remote_traceback(error: BaseException) -> str:
     )
 
 
+class _InlineExecutor:
+    """The ``jobs=1`` side of the executor seam: units run in this process.
+
+    ``submit`` runs the call to completion and returns an already
+    resolved future, so the supervision loop books an inline unit
+    exactly like a pool unit that finished instantly.  There is no
+    worker process, hence no heartbeat, no watchdog and no worker-lost
+    path: a cancelled inline unit stops at its next round boundary.
+    """
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except (Exception, Cancelled, KeyboardInterrupt) as error:
+            future.set_exception(error)
+        return future
+
+    def shutdown(
+        self, wait: bool = True, cancel_futures: bool = False
+    ) -> None:
+        pass
+
+
 class ParallelUnitScheduler:
-    """Longest-first fan-out of independent unit payloads over processes.
+    """Longest-first supervision of independent unit payloads.
 
     The scheduler is generic: it receives opaque payloads plus a
     *picklable, module-level* worker callable and never interprets
     results beyond success/failure.  Workers are expected to persist
     their own results (e.g. through the campaign repository API); the
     scheduler only tracks outcomes, so a killed run loses nothing that
-    completed.
+    completed.  ``jobs=1`` runs units inline in this process, ``jobs>1``
+    over a ``ProcessPoolExecutor``; both go through the one loop in
+    :meth:`run`.
     """
 
     def __init__(
@@ -328,20 +352,22 @@ class ParallelUnitScheduler:
         self.jobs = int(jobs)
         self._observer = observer
 
-    def _new_executor(self) -> ProcessPoolExecutor:
+    def _new_executor(self) -> ProcessPoolExecutor | _InlineExecutor:
+        if self.jobs == 1:
+            return _InlineExecutor()
         return ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_worker_initializer
+            max_workers=self.jobs, initializer=install_in_worker
         )
 
-    def _hard_cancel(
-        self, executor: ProcessPoolExecutor, grace_s: float = 5.0
-    ) -> None:
+    def _hard_cancel(self, executor, grace_s: float = 5.0) -> None:
         """Terminate the pool now instead of waiting for in-flight units.
 
-        SIGTERM first — workers convert it to :class:`KeyboardInterrupt`
-        (see :func:`_worker_initializer`), so engines tear down and
-        shared-memory segments are released — then SIGKILL whatever is
-        still alive after the grace period.
+        Every worker gets SIGINT and SIGTERM together.  Two distinct
+        signals cannot coalesce into one handler call, so the worker's
+        token sees a second request and unwinds the unit through its
+        ``finally`` blocks (see :func:`~repro.perf.cancel.install_in_worker`):
+        engines tear down, shared-memory segments are released.  SIGKILL
+        follows for whatever is still alive after the grace period.
         """
         # Snapshot the worker processes *before* shutdown: the executor
         # drops its _processes reference (sets it to None) as part of
@@ -356,11 +382,12 @@ class ParallelUnitScheduler:
         except Exception:  # pragma: no cover - defensive
             pass
         for proc in processes:
-            try:
-                if proc.is_alive():
-                    proc.terminate()
-            except Exception:  # pragma: no cover - racing process death
-                pass
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    if proc.is_alive():
+                        os.kill(proc.pid, signum)
+                except OSError:  # pragma: no cover - racing process death
+                    pass
         deadline = time.monotonic() + grace_s
         for proc in processes:
             try:
@@ -381,140 +408,8 @@ class ParallelUnitScheduler:
         worker: Callable,
         costs: Sequence[float] | None = None,
         poll: Callable[[], object] | None = None,
-    ) -> ScheduleOutcome:
-        """Execute ``worker(payload)`` for every payload across processes.
-
-        Payloads are dispatched in descending ``costs`` order (submission
-        order when ``costs`` is None).  On KeyboardInterrupt the queue is
-        drained: queued payloads are cancelled, in-flight ones are
-        allowed to finish, and the outcome records all three buckets.  A
-        *second* interrupt during the drain hard-cancels instead:
-        workers are SIGTERMed (releasing shared memory via their
-        interrupt handlers), then SIGKILLed after a grace period, and
-        the outcome reports ``hard_cancelled=True``.
-
-        ``poll``, when given, is invoked from the scheduling loop while
-        units are in flight (the wait then uses a short timeout instead
-        of blocking indefinitely) and once more after the batch drains —
-        the hook the campaign runner uses to tail worker telemetry
-        spools live.  It runs in the parent process and must not raise.
-        """
-        outcome = ScheduleOutcome()
-        if not payloads:
-            return outcome
-        order = list(range(len(payloads)))
-        if costs is not None:
-            if len(costs) != len(payloads):
-                raise ValueError("costs must match payloads one-to-one")
-            order.sort(key=lambda i: (-costs[i], i))
-        observer = self._observer
-        if observer is not None:
-            observer.emit(
-                "scheduler.start",
-                jobs=self.jobs,
-                units=len(payloads),
-            )
-            observer.counter("scheduler.units_submitted").inc(len(payloads))
-        started = time.perf_counter()
-        executor = self._new_executor()
-        futures = {}
-        try:
-            for index in order:
-                futures[executor.submit(worker, payloads[index])] = index
-            pending = set(futures)
-            while pending:
-                done, pending = wait(
-                    pending,
-                    timeout=0.2 if poll is not None else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                if poll is not None:
-                    poll()
-                for future in done:
-                    index = futures[future]
-                    error = future.exception()
-                    if error is None:
-                        outcome.completed.append(index)
-                        outcome.results[index] = future.result()
-                        if observer is not None:
-                            observer.counter(
-                                "scheduler.units_completed"
-                            ).inc()
-                    else:
-                        outcome.failed[index] = repr(error)
-                        if observer is not None:
-                            observer.counter("scheduler.units_failed").inc()
-        except KeyboardInterrupt:
-            outcome.interrupted = True
-            if observer is not None:
-                observer.counter("scheduler.interrupts").inc()
-            # Graceful drain: cancel whatever has not started, then wait
-            # for in-flight units so their store writes complete.  A
-            # second Ctrl-C during that wait must not escape into the
-            # finally below (whose blocking shutdown would just hang
-            # again) — it means "stop waiting", so terminate the pool.
-            try:
-                executor.shutdown(wait=True, cancel_futures=True)
-            except KeyboardInterrupt:
-                outcome.hard_cancelled = True
-                if observer is not None:
-                    observer.counter("scheduler.hard_cancels").inc()
-                self._hard_cancel(executor)
-            for future, index in futures.items():
-                if future.cancelled():
-                    outcome.cancelled.append(index)
-                elif future.done() and index not in outcome.failed:
-                    if index not in outcome.completed:
-                        if future.exception() is None:
-                            outcome.completed.append(index)
-                            outcome.results[index] = future.result()
-                        else:
-                            outcome.failed[index] = repr(future.exception())
-                elif not future.done():
-                    # Hard-cancelled mid-flight: the worker was killed
-                    # before the future could resolve.
-                    outcome.cancelled.append(index)
-        finally:
-            if not outcome.hard_cancelled:
-                try:
-                    executor.shutdown(wait=True)
-                except KeyboardInterrupt:
-                    outcome.hard_cancelled = True
-                    if observer is not None:
-                        observer.counter("scheduler.hard_cancels").inc()
-                    self._hard_cancel(executor)
-            if poll is not None:
-                # One final poll after every worker has exited, so the
-                # spools' last flushed lines are merged before the
-                # outcome is interpreted.
-                poll()
-        outcome.completed.sort()
-        outcome.cancelled.sort()
-        outcome.wall_clock_s = time.perf_counter() - started
-        if observer is not None:
-            observer.emit(
-                "scheduler.end",
-                completed=len(outcome.completed),
-                failed=len(outcome.failed),
-                cancelled=len(outcome.cancelled),
-                interrupted=outcome.interrupted,
-                wall_clock_s=round(outcome.wall_clock_s, 6),
-            )
-            observer.histogram("scheduler.batch_duration_s").observe(
-                outcome.wall_clock_s
-            )
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Supervised mode.
-    # ------------------------------------------------------------------
-    def run_supervised(
-        self,
-        payloads: Sequence,
-        worker: Callable,
         *,
-        supervision: SupervisionPolicy,
-        costs: Sequence[float] | None = None,
+        supervision: SupervisionPolicy | None = None,
         keys: Sequence[str] | None = None,
         initial_attempts: Sequence[int] | None = None,
         make_payload: Callable[[int, int], object] | None = None,
@@ -522,34 +417,50 @@ class ParallelUnitScheduler:
         completed_check: Callable[[int], bool] | None = None,
         heartbeat_dir: str | Path | None = None,
         spool_dir: str | Path | None = None,
-        poll: Callable[[], object] | None = None,
+        token: CancelToken | None = None,
     ) -> ScheduleOutcome:
-        """Supervised fan-out: retries, watchdog, pool recovery, quarantine.
+        """Run ``worker(payload)`` for every payload, supervised.
 
-        Same dispatch semantics as :meth:`run`, plus the failure
-        handling a long campaign on flaky hardware needs:
+        Payloads are dispatched longest-first by ``costs`` (submission
+        order when ``costs`` is None), at most ``jobs`` at a time:
 
         * a unit whose worker **raises** is retried after a
           deterministic backoff (``supervision.retry``), up to the
           attempt budget, then quarantined;
         * a unit whose worker **dies** (segfault, OOM-kill) breaks the
-          ``ProcessPoolExecutor``; the scheduler identifies the guilty
-          unit via worker exit codes plus the heartbeat files under
-          ``heartbeat_dir`` (SIGKILLed pid ↔ unit key), charges it one
-          attempt, rebuilds the executor, and resubmits the innocent
-          survivors at no attempt cost;
+          pool; the loop identifies the guilty unit via worker exit
+          codes plus the heartbeat files under ``heartbeat_dir``
+          (SIGKILLed pid ↔ unit key), charges it one attempt, rebuilds
+          the executor, and resubmits the innocent survivors at no
+          attempt cost;
         * a unit that **hangs** is detected by the watchdog — deadline
           from the cost model and observed throughput (or the hard
           ``unit_timeout_s``), or spool staleness under ``spool_dir`` —
           its worker is SIGKILLed, and the kill is charged to it as a
           ``timeout`` attempt via the same pool-break recovery path.
 
+        Without ``supervision`` every unit gets one attempt and no
+        watchdog; a failed unit ends in ``failed`` while the rest run.
+        Inline (``jobs=1``) units have no process to lose or kill.
+
+        Cancellation is cooperative.  ``token`` (a fresh one when None)
+        is checked between units: once cancelled nothing new starts,
+        in-flight units are awaited and the outcome reports
+        ``interrupted``.  A ``KeyboardInterrupt`` reaching the loop (no
+        signal handler installed) counts as the first request.  A hard
+        cancel during that wait terminates the workers instead and
+        reports ``hard_cancelled``.
+
         Args:
             payloads: opaque per-unit payloads (used when
                 ``make_payload`` is None).
             worker: picklable module-level callable.
-            supervision: the retry/deadline policy.
             costs: dispatch ordering and deadline derivation.
+            poll: invoked from the loop while units are in flight and
+                once after the batch drains — the hook the campaign
+                runner uses to tail worker telemetry spools.  Runs in
+                this process and must not raise.
+            supervision: the retry/deadline policy; None for one attempt.
             keys: stable per-unit identity keys (backoff jitter,
                 heartbeat/spool file names).  Defaults to stringified
                 indices.
@@ -559,9 +470,7 @@ class ParallelUnitScheduler:
             make_payload: ``(index, attempt) -> payload``, letting the
                 caller embed the attempt number in what workers see.
             on_failure: called once per failed attempt with a
-                :class:`UnitFailure` (the campaign runner persists
-                failure records and emits telemetry from it).  Must not
-                raise.
+                :class:`UnitFailure`.  Must not raise.
             completed_check: ``index -> bool`` consulted for pool-break
                 survivors; units whose side effects are already durable
                 (e.g. checkpointed in the store) are marked complete
@@ -570,385 +479,53 @@ class ParallelUnitScheduler:
                 written by workers (pid/attempt/done).
             spool_dir: directory of ``<key>.jsonl`` telemetry spools,
                 for staleness detection.
-            poll: as in :meth:`run`.
+            token: the pass's :class:`~repro.perf.cancel.CancelToken`.
         """
         outcome = ScheduleOutcome()
         total = len(payloads)
         if total == 0:
             return outcome
-        if costs is not None and len(costs) != total:
-            raise ValueError("costs must match payloads one-to-one")
-        if keys is None:
-            keys = [str(index) for index in range(total)]
-        elif len(keys) != total:
-            raise ValueError("keys must match payloads one-to-one")
-        if initial_attempts is None:
-            initial_attempts = [0] * total
-        elif len(initial_attempts) != total:
-            raise ValueError("initial_attempts must match payloads one-to-one")
-        if make_payload is None:
-            make_payload = lambda index, attempt: payloads[index]  # noqa: E731
-        heartbeat_dir = Path(heartbeat_dir) if heartbeat_dir is not None else None
-        spool_dir = Path(spool_dir) if spool_dir is not None else None
-
+        for name, values in (
+            ("costs", costs),
+            ("keys", keys),
+            ("initial_attempts", initial_attempts),
+        ):
+            if values is not None and len(values) != total:
+                raise ValueError(f"{name} must match payloads one-to-one")
         observer = self._observer
         if observer is not None:
             observer.emit(
                 "scheduler.start",
                 jobs=self.jobs,
                 units=total,
-                supervised=True,
-                max_attempts=supervision.max_attempts,
+                supervised=supervision is not None,
             )
             observer.counter("scheduler.units_submitted").inc(total)
         started = time.perf_counter()
-
-        attempts_failed = list(initial_attempts)
-        last_error: dict[int, str] = {}
-        not_before = {index: 0.0 for index in range(total)}
-        waiting = list(range(total))
-        waiting.sort(
-            key=lambda i: (-(costs[i] if costs is not None else 0.0), i)
+        batch = _Batch(
+            self,
+            outcome,
+            worker,
+            make_payload or (lambda index, attempt: payloads[index]),
+            keys=(
+                list(keys)
+                if keys is not None
+                else [str(index) for index in range(total)]
+            ),
+            costs=costs,
+            attempts=list(initial_attempts or [0] * total),
+            supervision=supervision,
+            poll=poll,
+            on_failure=on_failure,
+            completed_check=completed_check,
+            heartbeat_dir=(
+                Path(heartbeat_dir) if heartbeat_dir is not None else None
+            ),
+            spool_dir=Path(spool_dir) if spool_dir is not None else None,
+            token=token if token is not None else CancelToken(),
         )
-        in_flight: dict[object, int] = {}
-        first_running: dict[int, float] = {}
-        watchdog_marked: set[int] = set()
-        known_procs: dict[int, object] = {}
-        observations: list[tuple[float, float]] = []
-        submit_time: dict[int, float] = {}
-        done_set: set[int] = set()
-
-        def observed_rate() -> float | None:
-            cost_sum = sum(cost for cost, _ in observations)
-            time_sum = sum(duration for _, duration in observations)
-            if time_sum <= 0 or cost_sum <= 0:
-                return None
-            return cost_sum / time_sum
-
-        def read_heartbeat(index: int) -> dict | None:
-            if heartbeat_dir is None:
-                return None
-            return _read_json(heartbeat_dir / f"{keys[index]}.json")
-
-        def charge(
-            index: int,
-            kind: str,
-            error: str,
-            traceback_text: str | None = None,
-            reschedule: bool = True,
-        ) -> None:
-            attempts_failed[index] += 1
-            last_error[index] = error
-            quarantined = attempts_failed[index] >= supervision.max_attempts
-            if observer is not None:
-                observer.counter("scheduler.units_failed").inc()
-            failure = UnitFailure(
-                index=index,
-                key=keys[index],
-                attempt=attempts_failed[index],
-                kind=kind,
-                error=error,
-                traceback=traceback_text,
-                quarantined=quarantined,
-            )
-            if on_failure is not None:
-                try:
-                    on_failure(failure)
-                except Exception:  # pragma: no cover - callback bug guard
-                    pass
-            if quarantined:
-                outcome.quarantined[index] = error
-            elif reschedule:
-                not_before[index] = time.monotonic() + supervision.backoff_s(
-                    keys[index], attempts_failed[index]
-                )
-                waiting.append(index)
-                waiting.sort(
-                    key=lambda i: (
-                        -(costs[i] if costs is not None else 0.0),
-                        i,
-                    )
-                )
-
-        def mark_completed(index: int, result: object) -> None:
-            done_set.add(index)
-            watchdog_marked.discard(index)
-            outcome.completed.append(index)
-            outcome.results[index] = result
-            if observer is not None:
-                observer.counter("scheduler.units_completed").inc()
-
-        def recover_pool(
-            executor: ProcessPoolExecutor, survivors: list[int]
-        ) -> ProcessPoolExecutor:
-            """Attribute guilt, charge attempts, rebuild, resubmit."""
-            now = time.monotonic()
-            for proc in known_procs.values():
-                try:
-                    proc.join(0.5)
-                except Exception:  # pragma: no cover - racing death
-                    pass
-            killed_pids = {
-                pid
-                for pid, proc in known_procs.items()
-                if proc.exitcode == -signal.SIGKILL
-            }
-            try:
-                executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - defensive
-                pass
-            known_procs.clear()
-            outcome.pool_rebuilds += 1
-            if observer is not None:
-                observer.counter("scheduler.pool_rebuilds").inc()
-                observer.emit(
-                    "scheduler.pool_rebuild",
-                    survivors=len(survivors),
-                    killed_pids=sorted(killed_pids),
-                )
-            for index in survivors:
-                first_running.pop(index, None)
-                if completed_check is not None and completed_check(index):
-                    # The worker finished its durable write before the
-                    # pool broke; the future just never resolved.
-                    mark_completed(index, None)
-                    continue
-                heartbeat = read_heartbeat(index)
-                lost_worker = (
-                    heartbeat is not None
-                    and not heartbeat.get("done")
-                    and heartbeat.get("pid") in killed_pids
-                    and heartbeat.get("attempt") == attempts_failed[index]
-                )
-                if index in watchdog_marked:
-                    charge(
-                        index,
-                        kind="timeout",
-                        error=last_error.get(
-                            index, "watchdog: unit exceeded its deadline"
-                        ),
-                    )
-                elif lost_worker:
-                    charge(
-                        index,
-                        kind="worker-lost",
-                        error=(
-                            "worker process killed "
-                            f"(pid {heartbeat.get('pid')}, SIGKILL) while "
-                            f"executing attempt {attempts_failed[index]}"
-                        ),
-                    )
-                else:
-                    # Innocent bystander: resubmit at no attempt cost.
-                    not_before[index] = now
-                    waiting.append(index)
-            waiting.sort(
-                key=lambda i: (-(costs[i] if costs is not None else 0.0), i)
-            )
-            watchdog_marked.clear()
-            return self._new_executor()
-
-        def watchdog_pass(now: float) -> bool:
-            """Kill overdue workers; True when a kill was issued."""
-            rate = observed_rate()
-            killed_any = False
-            for future, index in list(in_flight.items()):
-                if index in watchdog_marked:
-                    continue
-                if not future.running():
-                    continue
-                began = first_running.get(index)
-                if began is None:
-                    first_running[index] = now
-                    continue
-                elapsed = now - began
-                cost = costs[index] if costs is not None else None
-                deadline = supervision.deadline_s(cost, rate)
-                reason = None
-                if deadline is not None and elapsed > deadline:
-                    reason = (
-                        f"exceeded its {deadline:.1f}s deadline "
-                        f"(running {elapsed:.1f}s)"
-                    )
-                elif (
-                    supervision.heartbeat_timeout_s is not None
-                    and spool_dir is not None
-                    and elapsed > supervision.heartbeat_timeout_s
-                ):
-                    spool_path = spool_dir / f"{keys[index]}.jsonl"
-                    try:
-                        stale_s = now_wall - spool_path.stat().st_mtime
-                    except OSError:
-                        stale_s = None
-                    if (
-                        stale_s is not None
-                        and stale_s > supervision.heartbeat_timeout_s
-                    ):
-                        reason = (
-                            f"telemetry spool silent for {stale_s:.1f}s "
-                            f"(heartbeat timeout "
-                            f"{supervision.heartbeat_timeout_s:.1f}s)"
-                        )
-                if reason is None:
-                    continue
-                outcome.timeouts += 1
-                watchdog_marked.add(index)
-                last_error[index] = f"watchdog: unit {reason}"
-                if observer is not None:
-                    observer.counter("watchdog.timeouts").inc()
-                    observer.emit(
-                        "watchdog.timeout",
-                        key=keys[index],
-                        reason=reason,
-                    )
-                heartbeat = read_heartbeat(index)
-                pid = None
-                if (
-                    heartbeat is not None
-                    and not heartbeat.get("done")
-                    and heartbeat.get("attempt") == attempts_failed[index]
-                ):
-                    pid = heartbeat.get("pid")
-                targets = (
-                    [pid]
-                    if isinstance(pid, int)
-                    else [
-                        known
-                        for known, proc in known_procs.items()
-                        if proc.is_alive()
-                    ]
-                )
-                for target in targets:
-                    try:
-                        os.kill(target, signal.SIGKILL)
-                        killed_any = True
-                    except (ProcessLookupError, PermissionError, OSError):
-                        pass
-            return killed_any
-
-        executor = self._new_executor()
-        try:
-            while waiting or in_flight:
-                now = time.monotonic()
-                now_wall = time.time()
-                # Submit everything whose backoff gate has passed, in
-                # cost order (the list is kept sorted).
-                eligible = [i for i in waiting if not_before[i] <= now]
-                for index in eligible:
-                    waiting.remove(index)
-                    future = executor.submit(
-                        worker, make_payload(index, attempts_failed[index])
-                    )
-                    in_flight[future] = index
-                    submit_time[index] = now
-                for pid, proc in getattr(executor, "_processes", {}).items():
-                    known_procs.setdefault(pid, proc)
-                if not in_flight:
-                    # Everything is waiting out a backoff.
-                    gate = min(not_before[i] for i in waiting)
-                    time.sleep(min(0.2, max(0.01, gate - now)))
-                    if poll is not None:
-                        poll()
-                    continue
-                done, _ = wait(
-                    set(in_flight), timeout=0.2, return_when=FIRST_COMPLETED
-                )
-                if poll is not None:
-                    poll()
-                now = time.monotonic()
-                broken_indices: list[int] = []
-                pool_broken = False
-                for future in done:
-                    index = in_flight.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        duration = now - first_running.pop(
-                            index, submit_time[index]
-                        )
-                        if costs is not None and duration > 0:
-                            observations.append((costs[index], duration))
-                        mark_completed(index, future.result())
-                    elif isinstance(error, BrokenProcessPool):
-                        pool_broken = True
-                        broken_indices.append(index)
-                    else:
-                        first_running.pop(index, None)
-                        charge(
-                            index,
-                            kind="error",
-                            error=repr(error),
-                            traceback_text=_format_remote_traceback(error),
-                        )
-                if pool_broken:
-                    survivors = broken_indices + list(in_flight.values())
-                    in_flight.clear()
-                    executor = recover_pool(executor, survivors)
-                    continue
-                if watchdog_pass(now):
-                    # The kill breaks the pool; the next wait() returns
-                    # the broken futures and the recovery path runs.
-                    continue
-        except KeyboardInterrupt:
-            outcome.interrupted = True
-            if observer is not None:
-                observer.counter("scheduler.interrupts").inc()
-            try:
-                executor.shutdown(wait=True, cancel_futures=True)
-            except KeyboardInterrupt:
-                outcome.hard_cancelled = True
-                if observer is not None:
-                    observer.counter("scheduler.hard_cancels").inc()
-                self._hard_cancel(executor, supervision.kill_grace_s)
-            for future, index in in_flight.items():
-                if future.cancelled() or not future.done():
-                    outcome.cancelled.append(index)
-                    continue
-                error = future.exception()
-                if error is None:
-                    mark_completed(index, future.result())
-                elif isinstance(error, BrokenProcessPool):
-                    outcome.cancelled.append(index)
-                else:
-                    # A real failure during the drain still earns its
-                    # failure record, so a resumed run keeps counting
-                    # attempts from the durable trail.
-                    charge(
-                        index,
-                        kind="error",
-                        error=repr(error),
-                        traceback_text=_format_remote_traceback(error),
-                        reschedule=False,
-                    )
-            outcome.cancelled.extend(
-                index for index in waiting if index not in done_set
-            )
-        finally:
-            if not outcome.hard_cancelled:
-                try:
-                    executor.shutdown(wait=True, cancel_futures=True)
-                except KeyboardInterrupt:
-                    outcome.hard_cancelled = True
-                    if observer is not None:
-                        observer.counter("scheduler.hard_cancels").inc()
-                    self._hard_cancel(executor, supervision.kill_grace_s)
-            if poll is not None:
-                poll()
-        for index in range(total):
-            consumed = attempts_failed[index] - initial_attempts[index]
-            if index in done_set:
-                consumed += 1
-            if consumed > 0 or index in done_set:
-                outcome.attempts[index] = attempts_failed[index] + (
-                    1 if index in done_set else 0
-                )
-            if (
-                index in last_error
-                and index not in done_set
-                and index not in outcome.quarantined
-            ):
-                outcome.failed[index] = last_error[index]
-        outcome.completed.sort()
-        outcome.cancelled = sorted(set(outcome.cancelled))
+        with activate(batch.token):
+            batch.run()
         outcome.wall_clock_s = time.perf_counter() - started
         if observer is not None:
             observer.emit(
@@ -966,3 +543,401 @@ class ParallelUnitScheduler:
                 outcome.wall_clock_s
             )
         return outcome
+
+
+class _Batch:
+    """The state of one :meth:`ParallelUnitScheduler.run` call."""
+
+    def __init__(
+        self,
+        scheduler: ParallelUnitScheduler,
+        outcome: ScheduleOutcome,
+        worker: Callable,
+        make_payload: Callable[[int, int], object],
+        *,
+        keys: list[str],
+        costs: Sequence[float] | None,
+        attempts: list[int],
+        supervision: SupervisionPolicy | None,
+        poll: Callable[[], object] | None,
+        on_failure: Callable[[UnitFailure], None] | None,
+        completed_check: Callable[[int], bool] | None,
+        heartbeat_dir: Path | None,
+        spool_dir: Path | None,
+        token: CancelToken,
+    ) -> None:
+        self.scheduler = scheduler
+        self.observer = scheduler._observer
+        self.outcome = outcome
+        self.worker = worker
+        self.make_payload = make_payload
+        self.keys = keys
+        self.costs = costs
+        self.initial = list(attempts)
+        self.attempts = attempts  # failed attempts so far, per unit
+        self.supervision = supervision
+        self.max_attempts = supervision.max_attempts if supervision else 1
+        self.poll = poll
+        self.on_failure = on_failure
+        self.completed_check = completed_check
+        self.heartbeat_dir = heartbeat_dir
+        self.spool_dir = spool_dir
+        self.token = token
+        # The watchdog needs a process to kill and a policy to time it.
+        self.watchdog = supervision is not None and scheduler.jobs > 1
+        self.waiting = list(range(len(keys)))
+        self._sort_waiting()
+        self.not_before = [0.0] * len(keys)
+        self.in_flight: dict[Future, int] = {}
+        self.submitted: dict[int, float] = {}
+        self.done: set[int] = set()
+        self.last_error: dict[int, str] = {}
+        self.watchdog_marked: set[int] = set()
+        self.known_procs: dict[int, object] = {}
+        self.observations: list[tuple[float, float]] = []
+        self.executor = None
+
+    def _count(self, name: str) -> None:
+        if self.observer is not None:
+            self.observer.counter(name).inc()
+
+    def _sort_waiting(self) -> None:
+        costs = self.costs
+        self.waiting.sort(key=lambda i: (-(costs[i] if costs else 0.0), i))
+
+    def _requeue(self, index: int, not_before: float) -> None:
+        self.not_before[index] = not_before
+        self.waiting.append(index)
+        self._sort_waiting()
+
+    def _poll(self) -> None:
+        if self.poll is not None:
+            self.poll()
+
+    def _durable(self, index: int) -> bool:
+        """The unit's side effects are durable though its future broke."""
+        return self.completed_check is not None and self.completed_check(index)
+
+    # ------------------------------------------------------------------
+    # The loop.
+    # ------------------------------------------------------------------
+    def run(self) -> None:
+        self.executor = self.scheduler._new_executor()
+        try:
+            try:
+                while self.waiting or self.in_flight:
+                    if self.token.cancelled:
+                        break
+                    self._step()
+            except KeyboardInterrupt:
+                self._request_cancel()
+            if self.waiting or self.in_flight:  # cancelled with work left
+                self._drain()
+        finally:
+            if not self.outcome.hard_cancelled:
+                self._await_in_flight()
+            # One final poll after every worker has exited, so the
+            # spools' last flushed lines are merged.
+            self._poll()
+        self._finish()
+
+    def _request_cancel(self) -> None:
+        if not self.token.cancelled:
+            self.token.cancel()
+
+    def _step(self) -> None:
+        now = time.monotonic()
+        for index in [i for i in self.waiting if self.not_before[i] <= now]:
+            if self.token.cancelled:
+                break
+            if len(self.in_flight) >= self.scheduler.jobs:
+                break
+            self.waiting.remove(index)
+            self.submitted[index] = now
+            future = self.executor.submit(
+                self.worker, self.make_payload(index, self.attempts[index])
+            )
+            self.in_flight[future] = index
+        processes = getattr(self.executor, "_processes", None) or {}
+        for pid, proc in processes.items():
+            self.known_procs.setdefault(pid, proc)
+        if not self.in_flight:
+            if self.waiting:  # everything is waiting out a backoff
+                gate = min(self.not_before[i] for i in self.waiting)
+                time.sleep(min(0.2, max(0.01, gate - now)))
+            self._poll()
+            return
+        done, _ = wait(
+            set(self.in_flight), timeout=0.2, return_when=FIRST_COMPLETED
+        )
+        self._poll()
+        broken = [
+            index for index in map(self._settle, done) if index is not None
+        ]
+        if broken:
+            survivors = broken + list(self.in_flight.values())
+            self.in_flight.clear()
+            self._recover(survivors)
+        elif self.watchdog:
+            # A kill breaks the pool; the next wait() returns the broken
+            # futures and the recovery path charges the unit.
+            self._watchdog_pass(time.monotonic())
+
+    def _settle(self, future: Future) -> int | None:
+        """Book one resolved future; its index when the pool broke under it."""
+        index = self.in_flight.pop(future)
+        error = future.exception()
+        if error is None:
+            duration = time.monotonic() - self.submitted.pop(index)
+            if self.costs is not None and duration > 0:
+                self.observations.append((self.costs[index], duration))
+            self._complete(index, future.result())
+        elif isinstance(error, BrokenProcessPool):
+            return index
+        elif isinstance(error, (Cancelled, KeyboardInterrupt)):
+            # The unit saw a cancellation and discarded its partial
+            # work; the pass stops at this unit boundary.
+            self.outcome.cancelled.append(index)
+            self._request_cancel()
+        else:
+            self._charge(index, "error", repr(error), error)
+        return None
+
+    def _complete(self, index: int, result: object) -> None:
+        self.done.add(index)
+        self.outcome.completed.append(index)
+        self.outcome.results[index] = result
+        self._count("scheduler.units_completed")
+
+    def _charge(
+        self,
+        index: int,
+        kind: str,
+        error: str,
+        exception: BaseException | None = None,
+    ) -> None:
+        """One failed attempt: record it, then retry, quarantine or fail."""
+        self.attempts[index] += 1
+        self.last_error[index] = error
+        exhausted = self.attempts[index] >= self.max_attempts
+        quarantined = exhausted and self.supervision is not None
+        self._count("scheduler.units_failed")
+        if self.on_failure is not None:
+            try:
+                self.on_failure(
+                    UnitFailure(
+                        index=index,
+                        key=self.keys[index],
+                        attempt=self.attempts[index],
+                        kind=kind,
+                        error=error,
+                        traceback=(
+                            _format_remote_traceback(exception)
+                            if exception is not None
+                            else None
+                        ),
+                        quarantined=quarantined,
+                        exception=exception,
+                    )
+                )
+            except Exception:  # pragma: no cover - callback bug guard
+                pass
+        if quarantined:
+            self.outcome.quarantined[index] = error
+        elif not exhausted and not self.token.cancelled:
+            self._requeue(
+                index,
+                time.monotonic()
+                + self.supervision.backoff_s(
+                    self.keys[index], self.attempts[index]
+                ),
+            )
+
+    # ------------------------------------------------------------------
+    # Pool recovery and the watchdog (process pools only).
+    # ------------------------------------------------------------------
+    def _heartbeat(self, index: int) -> dict | None:
+        """The unit's live heartbeat for its current attempt, if any."""
+        if self.heartbeat_dir is None:
+            return None
+        heartbeat = _read_json(self.heartbeat_dir / f"{self.keys[index]}.json")
+        if (
+            heartbeat is None
+            or heartbeat.get("done")
+            or heartbeat.get("attempt") != self.attempts[index]
+        ):
+            return None
+        return heartbeat
+
+    def _recover(self, survivors: list[int]) -> None:
+        """Attribute guilt, charge attempts, rebuild, resubmit."""
+        now = time.monotonic()
+        for proc in self.known_procs.values():
+            try:
+                proc.join(0.5)
+            except Exception:  # pragma: no cover - racing death
+                pass
+        killed_pids = {
+            pid
+            for pid, proc in self.known_procs.items()
+            if proc.exitcode == -signal.SIGKILL
+        }
+        try:
+            self.executor.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # pragma: no cover - defensive
+            pass
+        self.known_procs.clear()
+        self.outcome.pool_rebuilds += 1
+        if self.observer is not None:
+            self.observer.counter("scheduler.pool_rebuilds").inc()
+            self.observer.emit(
+                "scheduler.pool_rebuild",
+                survivors=len(survivors),
+                killed_pids=sorted(killed_pids),
+            )
+        for index in survivors:
+            self.submitted.pop(index, None)
+            if self._durable(index):
+                # The worker finished its durable write before the pool
+                # broke; the future just never resolved.
+                self._complete(index, None)
+                continue
+            heartbeat = self._heartbeat(index)
+            if index in self.watchdog_marked:
+                self._charge(index, "timeout", self.last_error[index])
+            elif heartbeat is not None and heartbeat.get("pid") in killed_pids:
+                self._charge(
+                    index,
+                    "worker-lost",
+                    "worker process killed "
+                    f"(pid {heartbeat.get('pid')}, SIGKILL) while "
+                    f"executing attempt {self.attempts[index]}",
+                )
+            else:
+                # Innocent bystander: resubmit at no attempt cost.
+                self._requeue(index, now)
+        self.watchdog_marked.clear()
+        self.executor = self.scheduler._new_executor()
+
+    def _observed_rate(self) -> float | None:
+        cost_sum = sum(cost for cost, _ in self.observations)
+        time_sum = sum(duration for _, duration in self.observations)
+        if time_sum <= 0 or cost_sum <= 0:
+            return None
+        return cost_sum / time_sum
+
+    def _watchdog_pass(self, now: float) -> None:
+        """SIGKILL the workers of overdue or silent units."""
+        policy = self.supervision
+        rate = self._observed_rate()
+        now_wall = time.time()
+        for index in list(self.in_flight.values()):
+            if index in self.watchdog_marked:
+                continue
+            elapsed = now - self.submitted[index]
+            cost = self.costs[index] if self.costs is not None else None
+            deadline = policy.deadline_s(cost, rate)
+            reason = None
+            if deadline is not None and elapsed > deadline:
+                reason = (
+                    f"exceeded its {deadline:.1f}s deadline "
+                    f"(running {elapsed:.1f}s)"
+                )
+            elif (
+                policy.heartbeat_timeout_s is not None
+                and self.spool_dir is not None
+                and elapsed > policy.heartbeat_timeout_s
+            ):
+                spool_path = self.spool_dir / f"{self.keys[index]}.jsonl"
+                try:
+                    stale_s = now_wall - spool_path.stat().st_mtime
+                except OSError:
+                    stale_s = None
+                if (
+                    stale_s is not None
+                    and stale_s > policy.heartbeat_timeout_s
+                ):
+                    reason = (
+                        f"telemetry spool silent for {stale_s:.1f}s "
+                        f"(heartbeat timeout "
+                        f"{policy.heartbeat_timeout_s:.1f}s)"
+                    )
+            if reason is None:
+                continue
+            self.outcome.timeouts += 1
+            self.watchdog_marked.add(index)
+            self.last_error[index] = f"watchdog: unit {reason}"
+            if self.observer is not None:
+                self.observer.counter("watchdog.timeouts").inc()
+                self.observer.emit(
+                    "watchdog.timeout", key=self.keys[index], reason=reason
+                )
+            heartbeat = self._heartbeat(index)
+            pid = heartbeat.get("pid") if heartbeat is not None else None
+            targets = (
+                [pid]
+                if isinstance(pid, int)
+                else [
+                    known
+                    for known, proc in self.known_procs.items()
+                    if proc.is_alive()
+                ]
+            )
+            for target in targets:
+                try:
+                    os.kill(target, signal.SIGKILL)
+                except OSError:
+                    pass
+
+    # ------------------------------------------------------------------
+    # Cancellation.
+    # ------------------------------------------------------------------
+    def _await_in_flight(self) -> None:
+        """Wait for in-flight units; a hard cancel terminates them instead."""
+        try:
+            with self.token.interruptible():
+                self.executor.shutdown(wait=True, cancel_futures=True)
+        except KeyboardInterrupt:
+            self.outcome.hard_cancelled = True
+            self._count("scheduler.hard_cancels")
+            self.scheduler._hard_cancel(
+                self.executor,
+                self.supervision.kill_grace_s if self.supervision else 5.0,
+            )
+
+    def _drain(self) -> None:
+        """Nothing new starts; book what the in-flight units did."""
+        self._count("scheduler.interrupts")
+        self._await_in_flight()
+        for future, index in list(self.in_flight.items()):
+            if not future.done() or future.cancelled():
+                self.in_flight.pop(future)
+                self.outcome.cancelled.append(index)
+            elif self._settle(future) is not None:
+                # The pool broke under the unit during the drain.
+                if self._durable(index):
+                    self._complete(index, None)
+                else:
+                    self.outcome.cancelled.append(index)
+        self.outcome.cancelled.extend(self.waiting)
+        self.waiting.clear()
+
+    def _finish(self) -> None:
+        outcome = self.outcome
+        for index in range(len(self.keys)):
+            done = index in self.done
+            if done or self.attempts[index] > self.initial[index]:
+                outcome.attempts[index] = self.attempts[index] + int(done)
+            if (
+                index in self.last_error
+                and not done
+                and index not in outcome.quarantined
+            ):
+                outcome.failed[index] = self.last_error[index]
+        outcome.completed.sort()
+        outcome.cancelled = sorted(set(outcome.cancelled))
+        # Interrupted: some unit was left without a terminal outcome.
+        outcome.interrupted = bool(outcome.cancelled) or any(
+            self.attempts[index] < self.max_attempts
+            for index in outcome.failed
+        )
