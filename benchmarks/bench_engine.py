@@ -14,6 +14,13 @@ rounds), guarding against performance regressions.  The headline also
 records the max |param| difference between backends so the speedup and
 the ``atol=1e-10`` equivalence are certified by the same artifact.
 
+The paper-sized row also pins the dtype contract: datasets store float32
+features while the model computes in float64, and each matrix must be
+widened once by its owner, never inside every matmul.  The row times the
+sequential backend on the same data stored as float32, round by round
+alternated with float64, and fails if float32 is more than
+``MAX_FLOAT32_RATIO`` slower (at ``DTYPE_SAMPLES_PER_SERVER``; see there).
+
 The paper-sized contrast row also times the persistent-worker pool
 backend.  Its guard is CPU-aware: with multiple cores the pool must
 beat sequential by the acceptance margin; on a single-core container
@@ -84,6 +91,17 @@ ACCEPT_POOL_SPEEDUP = 1.5
 MIN_BOUNDED_POOL_SPEEDUP = 0.5
 POOL_CPU_FLOOR = 2
 
+# Dtype-contract guard (paper row): float32-stored features may cost at
+# most this much more per round than float64 ones.  Timed at 1 000
+# samples per server, where widening inside every matmul costs ~1.5x.
+# At the row's 100 samples BLAS takes its small-matrix kernels, whose
+# summation order depends on operand layout; keeping the float32 path's
+# bits then needs the slower layout, ~1.1x whoever widens, which no
+# 1.10 bound can separate from noise.
+MAX_FLOAT32_RATIO = 1.10
+DTYPE_SAMPLES_PER_SERVER = 1_000
+DTYPE_ROUNDS = 10
+
 
 def _available_cpus() -> int:
     try:
@@ -110,6 +128,79 @@ def _make_data(model: LogisticRegressionConfig, samples_per_server: int):
     return train, test, partitions
 
 
+def _as_float32(data):
+    """The same datasets with their features stored as float32."""
+
+    def narrow(dataset: Dataset) -> Dataset:
+        return Dataset(
+            dataset.features.astype(np.float32), dataset.labels, dataset.n_classes
+        )
+
+    train, test, partitions = data
+    return narrow(train), narrow(test), [narrow(p) for p in partitions]
+
+
+def run_dtype_contract(data, model: LogisticRegressionConfig) -> dict:
+    """Sequential s/round on float64 vs float32-stored features.
+
+    Two trainers, one per dtype, run their rounds alternately, so drift
+    in the host's speed hits both alike; the ratio is the median of the
+    per-pair ratios.
+    """
+    variants = {"float64": data, "float32": _as_float32(data)}
+    trainers = {
+        name: _trainer("sequential", model, variant, HEADLINE_K, HEADLINE_E)
+        for name, variant in variants.items()
+    }
+    times: dict[str, list[float]] = {name: [] for name in variants}
+    try:
+        for _ in range(WARMUP_ROUNDS):
+            for trainer in trainers.values():
+                trainer.run_round()
+        for _ in range(DTYPE_ROUNDS):
+            for name, trainer in trainers.items():
+                started = time.perf_counter()
+                trainer.run_round()
+                times[name].append(time.perf_counter() - started)
+    finally:
+        for trainer in trainers.values():
+            trainer.close()
+    ratios = [b / a for a, b in zip(times["float64"], times["float32"])]
+    return {
+        "samples_per_server": DTYPE_SAMPLES_PER_SERVER,
+        "rounds": DTYPE_ROUNDS,
+        "sequential_seconds_per_round_median": {
+            name: statistics.median(values) for name, values in times.items()
+        },
+        "float32_over_float64": statistics.median(ratios),
+        "max_float32_ratio": MAX_FLOAT32_RATIO,
+    }
+
+
+def _trainer(
+    backend: str,
+    model: LogisticRegressionConfig,
+    data,
+    participants: int,
+    epochs: int,
+    rounds: int = 1_000,
+) -> FederatedTrainer:
+    train, test, partitions = data
+    return FederatedTrainer(
+        clients=build_clients(partitions, model),
+        config=FederatedConfig(
+            n_rounds=rounds,
+            participants_per_round=participants,
+            local_epochs=epochs,
+            sgd=SGDConfig(learning_rate=0.1, decay=0.995),
+            seed=SEED,
+            backend=backend,
+        ),
+        train_eval=train,
+        test_eval=test,
+    )
+
+
 def _timed_run(
     backend: str,
     model: LogisticRegressionConfig,
@@ -119,19 +210,8 @@ def _timed_run(
     rounds: int,
 ) -> tuple[float, np.ndarray]:
     """Train ``warmup + rounds`` rounds; return (timed seconds, params)."""
-    train, test, partitions = data
-    trainer = FederatedTrainer(
-        clients=build_clients(partitions, model),
-        config=FederatedConfig(
-            n_rounds=WARMUP_ROUNDS + rounds,
-            participants_per_round=participants,
-            local_epochs=epochs,
-            sgd=SGDConfig(learning_rate=0.1, decay=0.995),
-            seed=SEED,
-            backend=backend,
-        ),
-        train_eval=train,
-        test_eval=test,
+    trainer = _trainer(
+        backend, model, data, participants, epochs, WARMUP_ROUNDS + rounds
     )
     try:
         for _ in range(WARMUP_ROUNDS):
@@ -250,11 +330,15 @@ def main(argv: list[str] | None = None) -> int:
         "pool row is the workload the persistent-worker runtime targets "
         "— its speedup scales with available cores.",
     }
+    paper_row["dtype_contract"] = run_dtype_contract(
+        _make_data(PAPER_MODEL, DTYPE_SAMPLES_PER_SERVER), PAPER_MODEL
+    )
     print(
         f"paper-sized model contrast: batched "
         f"{paper_row['speedup_batched']:.2f}x, "
         f"pool {paper_row['speedup_pool']:.2f}x "
-        f"({cpus} cpus)"
+        f"({cpus} cpus), float32/float64 sequential "
+        f"{paper_row['dtype_contract']['float32_over_float64']:.2f}x"
     )
 
     payload = {
@@ -310,6 +394,14 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"pool speedup {paper_row['speedup_pool']:.2f}x at paper scale "
             f"below {pool_threshold:.2f}x threshold ({cpus} cpus)"
+        )
+    dtype_ratio = paper_row["dtype_contract"]["float32_over_float64"]
+    if dtype_ratio > MAX_FLOAT32_RATIO:
+        failures.append(
+            f"float32-stored features cost {dtype_ratio:.2f}x float64 per "
+            f"sequential round with the paper model (limit "
+            f"{MAX_FLOAT32_RATIO:.2f}x): features are widened inside the "
+            "kernels instead of once by their owner"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

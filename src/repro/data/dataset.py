@@ -71,6 +71,21 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx], self.labels[idx], self.n_classes)
 
+    def widened(self) -> "Dataset":
+        """This dataset with float64 features (itself if they already are).
+
+        Features are stored as float32; the models compute in float64.
+        Owners widen once and train or evaluate on the copy, instead of
+        letting every mixed-dtype matmul widen the whole matrix again.
+        Widening is exact; gradients on the copy also need
+        :func:`repro.fl.model.transpose_for_backward` to keep their bits.
+        """
+        if self.features.dtype == np.float64:
+            return self
+        return Dataset(
+            self.features.astype(np.float64), self.labels, self.n_classes
+        )
+
     def shuffled(self, rng: np.random.Generator) -> "Dataset":
         """Return a copy with samples in a random order drawn from ``rng``."""
         perm = rng.permutation(len(self))

@@ -37,7 +37,7 @@ from repro.core.planner import EnergyPlanner
 from repro.data.dataset import Dataset
 from repro.data.synthetic_mnist import load_synthetic_mnist
 from repro.experiments.config import ExperimentScale
-from repro.fl.model import LogisticRegressionModel
+from repro.fl.model import LogisticRegressionModel, transpose_for_backward
 from repro.hardware.prototype import HardwarePrototype, PrototypeConfig
 from repro.iot.network import IoTNetwork
 from repro.net.messages import model_upload_message
@@ -76,11 +76,14 @@ def estimate_f_star(
     from scipy.optimize import minimize
 
     model = LogisticRegressionModel(scale.model_config())
+    # Widened once here, not inside every matmul of every iterate.
+    data = train.widened()
+    features_t = None if data is train else transpose_for_backward(train.features)
 
     def loss_and_grad(flat: np.ndarray) -> tuple[float, np.ndarray]:
         model.set_parameters(flat)
-        loss = model.loss(train.features, train.labels)
-        grad = model.gradient_flat(train.features, train.labels)
+        loss = model.loss(data.features, data.labels)
+        grad = model.gradient_flat(data.features, data.labels, features_t)
         return loss, grad
 
     result = minimize(

@@ -156,6 +156,7 @@ class AsyncFederatedTrainer:
         self._version = 0
         self._records: list[AsyncUpdateRecord] = []
         self._stopped = False
+        self._eval_sets: tuple[Dataset, Dataset] | None = None
 
     def _mixing_weight(self, staleness: int) -> float:
         return self.config.mixing_alpha * (1.0 + staleness) ** (
@@ -163,10 +164,17 @@ class AsyncFederatedTrainer:
         )
 
     def _evaluate(self) -> tuple[float, float]:
+        # Float64 copies, built at the first evaluation and then held.
+        if self._eval_sets is None:
+            self._eval_sets = (
+                self.train_eval.widened(),
+                self.test_eval.widened(),
+            )
+        train_eval, test_eval = self._eval_sets
         model = self._model_config.build()
         model.set_parameters(self._global)
-        loss = model.loss(self.train_eval.features, self.train_eval.labels)
-        accuracy = model.accuracy(self.test_eval.features, self.test_eval.labels)
+        loss = model.loss(train_eval.features, train_eval.labels)
+        accuracy = model.accuracy(test_eval.features, test_eval.labels)
         return loss, accuracy
 
     def run(self) -> AsyncResult:
@@ -230,7 +238,12 @@ class AsyncFederatedTrainer:
 
         for client_id in range(len(self.clients)):
             simulator.schedule(self.duration_fn(client_id), start_job(client_id))
-        simulator.run()
+        try:
+            simulator.run()
+        finally:
+            # ``start_job`` reaches itself through its closure; break the
+            # cycle so the trainer is freed without waiting for the GC.
+            del start_job
 
         final_loss, final_accuracy = self._evaluate()
         reached = (

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.fl.model import LogisticRegressionConfig, LogisticRegressionModel
+from repro.fl.model import (
+    LogisticRegressionConfig,
+    LogisticRegressionModel,
+    transpose_for_backward,
+)
 from repro.fl.sgd import SGDConfig
 
 __all__ = ["LocalUpdate", "EdgeServerClient"]
@@ -85,13 +89,27 @@ class EdgeServerClient:
 
     def local_loss(self, parameters: np.ndarray) -> float:
         """Evaluate the local loss function ``F_k`` (eq. (1)) at ``parameters``."""
+        data = self.dataset.widened()
         self._model.set_parameters(parameters)
-        return self._model.loss(self.dataset.features, self.dataset.labels)
+        return self._model.loss(data.features, data.labels)
 
     def local_gradient(self, parameters: np.ndarray) -> np.ndarray:
         """Full-batch gradient of ``F_k`` at ``parameters`` (flat vector)."""
+        data = self.dataset.widened()
         self._model.set_parameters(parameters)
-        return self._model.gradient_flat(self.dataset.features, self.dataset.labels)
+        return self._model.gradient_flat(
+            data.features, data.labels, self._features_t(self.dataset.features)
+        )
+
+    def _features_t(self, features: np.ndarray) -> np.ndarray | None:
+        """The kernels' ``features_t`` for rows of this partition.
+
+        ``None`` (the ``features.T`` view) when the partition is stored
+        as float64, else :func:`~repro.fl.model.transpose_for_backward`.
+        """
+        if self.dataset.features.dtype == np.float64:
+            return None
+        return transpose_for_backward(features)
 
     def train(
         self,
@@ -135,6 +153,10 @@ class EdgeServerClient:
             raise ValueError(f"proximal_mu must be non-negative; got {proximal_mu}")
         batch_size = sgd.batch_size if sgd is not None else None
         global_parameters = np.asarray(global_parameters, dtype=float)
+        # One float64 copy of the partition per call serves every
+        # matmul below; float32 features would be widened inside each.
+        data = self.dataset.widened()
+        features, labels = data.features, data.labels
         steps = 0
 
         if batch_size is None:
@@ -142,12 +164,15 @@ class EdgeServerClient:
             # epoch shares one forward pass between the loss and the
             # gradient, and parameter vectors flow out-of-place through
             # the ``copy=False`` view fast path.
-            features, labels = self.dataset.features, self.dataset.labels
+            # Transposed from the stored rows: float32 reads half the bytes.
+            features_t = self._features_t(self.dataset.features)
             params = global_parameters
             last_loss = 0.0
             for _ in range(epochs):
                 self._model.set_parameters(params, copy=False)
-                last_loss, gradient = self._model.forward_backward(features, labels)
+                last_loss, gradient = self._model.forward_backward(
+                    features, labels, features_t
+                )
                 if proximal_mu:
                     gradient = gradient + proximal_mu * (params - global_parameters)
                 params = params - learning_rate * gradient
@@ -158,24 +183,25 @@ class EdgeServerClient:
             self._model.set_parameters(global_parameters)
             batch_rng = rng if rng is not None else self._rng
 
-            def step(features: np.ndarray, labels: np.ndarray) -> None:
+            def step(batch: np.ndarray, batch_labels: np.ndarray) -> None:
+                batch_t = self._features_t(batch)
                 if proximal_mu == 0.0:
-                    self._model.sgd_step(features, labels, learning_rate)
+                    self._model.sgd_step(
+                        batch, batch_labels, learning_rate, batch_t
+                    )
                     return
                 params = self._model.get_parameters()
-                gradient = self._model.gradient_flat(features, labels)
+                gradient = self._model.gradient_flat(batch, batch_labels, batch_t)
                 gradient = gradient + proximal_mu * (params - global_parameters)
                 self._model.set_parameters(
                     params - learning_rate * gradient, copy=False
                 )
 
             for _ in range(epochs):
-                for feats, labels in self.dataset.batches(batch_size, batch_rng):
-                    step(feats, labels)
+                for batch, batch_labels in data.batches(batch_size, batch_rng):
+                    step(batch, batch_labels)
                     steps += 1
-            final_loss = self._model.loss(
-                self.dataset.features, self.dataset.labels
-            )
+            final_loss = self._model.loss(features, labels)
         return LocalUpdate(
             client_id=self.client_id,
             parameters=self._model.get_parameters(),

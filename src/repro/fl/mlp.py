@@ -157,9 +157,20 @@ class MLPModel:
             )
         return value
 
-    def gradient_flat(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Backprop gradient as a flat vector aligned with the parameters."""
+    def gradient_flat(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        features_t: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Backprop gradient as a flat vector aligned with the parameters.
+
+        ``features_t`` is as in
+        :meth:`repro.fl.model.LogisticRegressionModel.gradient`.
+        """
         n = features.shape[0]
+        if features_t is None:
+            features_t = features.T
         hidden, logits = self._forward(features)
         delta_out = softmax(logits)
         delta_out[np.arange(n), labels] -= 1.0
@@ -167,7 +178,7 @@ class MLPModel:
         grad_w2 = hidden.T @ delta_out
         grad_b2 = delta_out.sum(axis=0)
         delta_hidden = (delta_out @ self.w2.T) * (hidden > 0)
-        grad_w1 = features.T @ delta_hidden
+        grad_w1 = features_t @ delta_hidden
         grad_b1 = delta_hidden.sum(axis=0)
         if self.config.l2:
             grad_w1 += self.config.l2 * self.w1
@@ -177,7 +188,10 @@ class MLPModel:
         )
 
     def forward_backward(
-        self, features: np.ndarray, labels: np.ndarray
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        features_t: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
         """Loss and flat gradient sharing one forward pass.
 
@@ -186,6 +200,8 @@ class MLPModel:
         both values are evaluated at the current parameters.
         """
         n = features.shape[0]
+        if features_t is None:
+            features_t = features.T
         hidden, logits = self._forward(features)
         probs = softmax(logits)
         picked = probs[np.arange(n), labels]
@@ -200,7 +216,7 @@ class MLPModel:
         grad_w2 = hidden.T @ delta_out
         grad_b2 = delta_out.sum(axis=0)
         delta_hidden = (delta_out @ self.w2.T) * (hidden > 0)
-        grad_w1 = features.T @ delta_hidden
+        grad_w1 = features_t @ delta_hidden
         grad_b1 = delta_hidden.sum(axis=0)
         if self.config.l2:
             grad_w1 += self.config.l2 * self.w1
@@ -214,9 +230,13 @@ class MLPModel:
         return float(np.mean(self.predict(features) == labels))
 
     def sgd_step(
-        self, features: np.ndarray, labels: np.ndarray, learning_rate: float
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        learning_rate: float,
+        features_t: np.ndarray | None = None,
     ) -> None:
-        gradient = self.gradient_flat(features, labels)
+        gradient = self.gradient_flat(features, labels, features_t)
         self.set_parameters(
             self.get_parameters() - learning_rate * gradient, copy=False
         )

@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LogisticRegressionConfig", "LogisticRegressionModel", "softmax"]
+__all__ = [
+    "LogisticRegressionConfig",
+    "LogisticRegressionModel",
+    "softmax",
+    "transpose_for_backward",
+]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -27,6 +32,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def transpose_for_backward(features: np.ndarray) -> np.ndarray:
+    """``features.T`` as a C-ordered float64 array (a ``features_t``).
+
+    Given float32 features, ``features.T @ probs`` widens the transpose
+    into a fresh C-ordered buffer, and BLAS sums in an order that
+    depends on the operand's layout.  An owner that widens float32
+    features once (:meth:`repro.data.dataset.Dataset.widened`) passes
+    this as the kernels' ``features_t``, so the gradient keeps the bits
+    it had when every matmul widened on its own.  Float64 features need
+    none: the kernels use the ``features.T`` view, as they always have.
+    """
+    n_samples, n_features = features.shape
+    out = np.empty((n_features, n_samples))
+    # Copied in row blocks: a block's transpose stays in cache, which
+    # makes the copy several times faster than one strided pass.
+    for start in range(0, n_samples, 256):
+        out[:, start : start + 256] = features[start : start + 256].T
+    return out
 
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -189,34 +214,48 @@ class LogisticRegressionModel:
         return data_loss
 
     def gradient(
-        self, features: np.ndarray, labels: np.ndarray
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        features_t: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of :meth:`loss` with respect to ``(weights, bias)``.
 
         For the softmax head this is the exact cross-entropy gradient
         ``X^T (p - y) / n``; for the sigmoid head we use the same
         expression, which corresponds to a one-vs-all logistic loss and
-        keeps training stable.
+        keeps training stable.  ``features_t``, when given, is the
+        :func:`transpose_for_backward` of ``features``.
         """
         n = features.shape[0]
+        if features_t is None:
+            features_t = features.T
         if self.config.activation == "softmax":
             probs = softmax(self.logits(features))
         else:
             probs = _sigmoid(self.logits(features))
         probs[np.arange(n), labels] -= 1.0
-        grad_w = features.T @ probs / n
+        grad_w = features_t @ probs / n
         grad_b = probs.sum(axis=0) / n
         if self.config.l2:
             grad_w = grad_w + self.config.l2 * self.weights
         return grad_w, grad_b
 
-    def gradient_flat(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def gradient_flat(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        features_t: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Gradient as a flat vector aligned with :meth:`get_parameters`."""
-        grad_w, grad_b = self.gradient(features, labels)
+        grad_w, grad_b = self.gradient(features, labels, features_t)
         return np.concatenate([grad_w.ravel(), grad_b])
 
     def forward_backward(
-        self, features: np.ndarray, labels: np.ndarray
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        features_t: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
         """Loss and flat gradient from one shared forward pass.
 
@@ -227,6 +266,8 @@ class LogisticRegressionModel:
         the one this gradient step descends).
         """
         n = features.shape[0]
+        if features_t is None:
+            features_t = features.T
         if self.config.activation == "softmax":
             probs = softmax(self.logits(features))
             picked = probs[np.arange(n), labels]
@@ -238,7 +279,7 @@ class LogisticRegressionModel:
         if self.config.l2:
             loss += 0.5 * self.config.l2 * float(np.sum(self.weights**2))
         probs[np.arange(n), labels] -= 1.0
-        grad_w = features.T @ probs / n
+        grad_w = features_t @ probs / n
         grad_b = probs.sum(axis=0) / n
         if self.config.l2:
             grad_w = grad_w + self.config.l2 * self.weights
@@ -249,7 +290,11 @@ class LogisticRegressionModel:
         return float(np.mean(self.predict(features) == labels))
 
     def sgd_step(
-        self, features: np.ndarray, labels: np.ndarray, learning_rate: float
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        learning_rate: float,
+        features_t: np.ndarray | None = None,
     ) -> None:
         """Apply one gradient-descent step.
 
@@ -257,6 +302,6 @@ class LogisticRegressionModel:
         model loaded via ``set_parameters(..., copy=False)`` never
         mutates the caller's vector.
         """
-        grad_w, grad_b = self.gradient(features, labels)
+        grad_w, grad_b = self.gradient(features, labels, features_t)
         self.weights = self.weights - learning_rate * grad_w
         self.bias = self.bias - learning_rate * grad_b

@@ -252,6 +252,7 @@ class FederatedTrainer:
         )
         self.resolved_backend = self._engine.name
         self._eval_cache = EvalCache()
+        self._eval_sets: tuple[Dataset, Dataset] | None = None
         self.total_gradient_steps = 0
         self.total_uploads = 0
         self.total_upload_bytes = 0
@@ -265,6 +266,20 @@ class FederatedTrainer:
     def n_clients(self) -> int:
         """Number of edge servers ``N`` in the system."""
         return len(self.clients)
+
+    def _widened_eval_sets(self) -> tuple[Dataset, Dataset]:
+        """``(train_eval, test_eval)`` with float64 features.
+
+        Built at the first evaluation rather than in ``__init__``, so
+        set-up time does not move, and then held: widening on every
+        call would cost as much as the matmul it saves.
+        """
+        if self._eval_sets is None:
+            self._eval_sets = (
+                self.train_eval.widened(),
+                self.test_eval.widened(),
+            )
+        return self._eval_sets
 
     def _apply_compression(
         self,
@@ -561,13 +576,10 @@ class FederatedTrainer:
             evaluation = self._eval_cache.lookup(version)
             if evaluation is None:
                 model = self.coordinator.global_model(copy=False)
+                train_eval, test_eval = self._widened_eval_sets()
                 evaluation = (
-                    model.loss(
-                        self.train_eval.features, self.train_eval.labels
-                    ),
-                    model.accuracy(
-                        self.test_eval.features, self.test_eval.labels
-                    ),
+                    model.loss(train_eval.features, train_eval.labels),
+                    model.accuracy(test_eval.features, test_eval.labels),
                 )
                 self._eval_cache.store(version, evaluation)
             elif obs is not None:

@@ -631,6 +631,10 @@ class HardwarePrototype:
             simulator.run()
         finally:
             trainer.close()
+            # ``run_round`` schedules itself, so it reaches itself through
+            # its closure; break the cycle so the trainer, clients and
+            # devices it captures are freed without waiting for the GC.
+            del run_round
 
         if self.config.include_iot:
             assert self.iot_network is not None
