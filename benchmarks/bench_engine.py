@@ -21,6 +21,13 @@ sequential backend on the same data stored as float32, round by round
 alternated with float64, and fails if float32 is more than
 ``MAX_FLOAT32_RATIO`` slower (at ``DTYPE_SAMPLES_PER_SERVER``; see there).
 
+The ``gemm_orientation`` row pins the kernels' GEMM orientation: 16
+full-batch ``forward_backward`` epochs on one paper-shaped partition
+(3 000 x 784, float32 widened once, with its ``features_t``) against the
+same epochs written inline as the naive two matmuls, alternated.  It
+fails if the parameters differ by a bit or the model's epochs take more
+than ``MAX_GEMM_ORIENTATION_RATIO`` of the naive ones.
+
 The paper-sized contrast row also times the persistent-worker pool
 backend.  Its guard is CPU-aware: with multiple cores the pool must
 beat sequential by the acceptance margin; on a single-core container
@@ -54,7 +61,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.fl.model import LogisticRegressionConfig
+from repro.fl.model import (
+    LogisticRegressionConfig,
+    softmax,
+    transpose_for_backward,
+)
 from repro.fl.partition import partition_iid
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
@@ -102,6 +113,15 @@ MAX_FLOAT32_RATIO = 1.10
 DTYPE_SAMPLES_PER_SERVER = 1_000
 DTYPE_ROUNDS = 10
 
+# GEMM-orientation guard: the model's full-batch epochs at the paper's
+# partition shape may take at most this share of the naive two-matmul
+# epochs (measured 0.70x on one BLAS thread).
+MAX_GEMM_ORIENTATION_RATIO = 0.85
+GEMM_ROWS = 3_000
+GEMM_EPOCHS = 16
+GEMM_PAIRS = 10
+GEMM_LEARNING_RATE = 0.01
+
 
 def _available_cpus() -> int:
     try:
@@ -128,16 +148,17 @@ def _make_data(model: LogisticRegressionConfig, samples_per_server: int):
     return train, test, partitions
 
 
+def _narrow(dataset: Dataset) -> Dataset:
+    """The same dataset with its features stored as float32."""
+    return Dataset(
+        dataset.features.astype(np.float32), dataset.labels, dataset.n_classes
+    )
+
+
 def _as_float32(data):
     """The same datasets with their features stored as float32."""
-
-    def narrow(dataset: Dataset) -> Dataset:
-        return Dataset(
-            dataset.features.astype(np.float32), dataset.labels, dataset.n_classes
-        )
-
     train, test, partitions = data
-    return narrow(train), narrow(test), [narrow(p) for p in partitions]
+    return _narrow(train), _narrow(test), [_narrow(p) for p in partitions]
 
 
 def run_dtype_contract(data, model: LogisticRegressionConfig) -> dict:
@@ -174,6 +195,82 @@ def run_dtype_contract(data, model: LogisticRegressionConfig) -> dict:
         },
         "float32_over_float64": statistics.median(ratios),
         "max_float32_ratio": MAX_FLOAT32_RATIO,
+    }
+
+
+def _naive_epochs(
+    features: np.ndarray,
+    features_t: np.ndarray,
+    labels: np.ndarray,
+    params: np.ndarray,
+    model: LogisticRegressionConfig,
+) -> np.ndarray:
+    """The client's epochs as ``features @ W`` and ``features_t @ probs``."""
+    n = features.shape[0]
+    rows = np.arange(n)
+    n_weights = model.n_features * model.n_classes
+    for _ in range(GEMM_EPOCHS):
+        weights = params[:n_weights].reshape(model.n_features, model.n_classes)
+        probs = softmax(features @ weights + params[n_weights:])
+        # The loss forward_backward also returns, so both sides do it.
+        np.mean(np.log(np.maximum(probs[rows, labels], 1e-12)))
+        probs[rows, labels] -= 1.0
+        grad_w = features_t @ probs / n
+        grad_b = probs.sum(axis=0) / n
+        gradient = np.concatenate([grad_w.ravel(), grad_b])
+        params = params - GEMM_LEARNING_RATE * gradient
+    return params
+
+
+def _model_epochs(
+    features: np.ndarray,
+    features_t: np.ndarray,
+    labels: np.ndarray,
+    params: np.ndarray,
+    model: LogisticRegressionConfig,
+) -> np.ndarray:
+    """The same epochs through ``forward_backward``, as the client runs them."""
+    kernel = model.build()
+    for _ in range(GEMM_EPOCHS):
+        kernel.set_parameters(params, copy=False)
+        _, gradient = kernel.forward_backward(features, labels, features_t)
+        params = params - GEMM_LEARNING_RATE * gradient
+    return params
+
+
+def run_gemm_orientation(model: LogisticRegressionConfig) -> dict:
+    """Model epochs vs naive-matmul epochs on one paper-shaped partition.
+
+    The two run alternately, so drift in the host's speed hits both
+    alike; the ratio is the median of the per-pair ratios.
+    """
+    stored = _narrow(_linear_task(GEMM_ROWS, model, seed=SEED))
+    data = stored.widened()
+    features_t = transpose_for_backward(stored.features)
+    start = np.zeros(model.n_parameters)
+    variants = {"naive": _naive_epochs, "model": _model_epochs}
+    times: dict[str, list[float]] = {name: [] for name in variants}
+    params = {}
+    for _ in range(GEMM_PAIRS):
+        for name, epochs in variants.items():
+            started = time.perf_counter()
+            params[name] = epochs(
+                data.features, features_t, data.labels, start, model
+            )
+            times[name].append(time.perf_counter() - started)
+    ratios = [b / a for a, b in zip(times["naive"], times["model"])]
+    return {
+        "rows": GEMM_ROWS,
+        "epochs": GEMM_EPOCHS,
+        "pairs": GEMM_PAIRS,
+        "seconds_median": {
+            name: statistics.median(values) for name, values in times.items()
+        },
+        "model_over_naive": statistics.median(ratios),
+        "max_model_over_naive": MAX_GEMM_ORIENTATION_RATIO,
+        "identical_parameters": bool(
+            np.array_equal(params["model"], params["naive"])
+        ),
     }
 
 
@@ -333,12 +430,15 @@ def main(argv: list[str] | None = None) -> int:
     paper_row["dtype_contract"] = run_dtype_contract(
         _make_data(PAPER_MODEL, DTYPE_SAMPLES_PER_SERVER), PAPER_MODEL
     )
+    paper_row["gemm_orientation"] = run_gemm_orientation(PAPER_MODEL)
     print(
         f"paper-sized model contrast: batched "
         f"{paper_row['speedup_batched']:.2f}x, "
         f"pool {paper_row['speedup_pool']:.2f}x "
         f"({cpus} cpus), float32/float64 sequential "
-        f"{paper_row['dtype_contract']['float32_over_float64']:.2f}x"
+        f"{paper_row['dtype_contract']['float32_over_float64']:.2f}x, "
+        f"model/naive epochs "
+        f"{paper_row['gemm_orientation']['model_over_naive']:.2f}x"
     )
 
     payload = {
@@ -402,6 +502,18 @@ def main(argv: list[str] | None = None) -> int:
             f"sequential round with the paper model (limit "
             f"{MAX_FLOAT32_RATIO:.2f}x): features are widened inside the "
             "kernels instead of once by their owner"
+        )
+    gemm = paper_row["gemm_orientation"]
+    if not gemm["identical_parameters"]:
+        failures.append(
+            "forward_backward epochs diverged from the naive two-matmul "
+            "epochs at paper shape"
+        )
+    if gemm["model_over_naive"] > MAX_GEMM_ORIENTATION_RATIO:
+        failures.append(
+            f"forward_backward epochs take {gemm['model_over_naive']:.2f}x "
+            f"the naive two-matmul epochs at paper shape (limit "
+            f"{MAX_GEMM_ORIENTATION_RATIO:.2f}x)"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fl.model import softmax
+from repro.fl.model import _cols_matmul, _rows_matmul, softmax
 
 __all__ = ["MLPConfig", "MLPModel"]
 
@@ -134,8 +134,12 @@ class MLPModel:
     # ------------------------------------------------------------------
     # Forward / loss / gradient.
     # ------------------------------------------------------------------
-    def _forward(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hidden = np.maximum(features @ self.w1 + self.b1, 0.0)
+    def _forward(
+        self, features: np.ndarray, features_t: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        hidden = np.maximum(
+            _rows_matmul(features, self.w1, features_t) + self.b1, 0.0
+        )
         logits = hidden @ self.w2 + self.b2
         return hidden, logits
 
@@ -169,16 +173,14 @@ class MLPModel:
         :meth:`repro.fl.model.LogisticRegressionModel.gradient`.
         """
         n = features.shape[0]
-        if features_t is None:
-            features_t = features.T
-        hidden, logits = self._forward(features)
+        hidden, logits = self._forward(features, features_t)
         delta_out = softmax(logits)
         delta_out[np.arange(n), labels] -= 1.0
         delta_out /= n
         grad_w2 = hidden.T @ delta_out
         grad_b2 = delta_out.sum(axis=0)
         delta_hidden = (delta_out @ self.w2.T) * (hidden > 0)
-        grad_w1 = features_t @ delta_hidden
+        grad_w1 = _cols_matmul(features, features_t, delta_hidden)
         grad_b1 = delta_hidden.sum(axis=0)
         if self.config.l2:
             grad_w1 += self.config.l2 * self.w1
@@ -200,9 +202,7 @@ class MLPModel:
         both values are evaluated at the current parameters.
         """
         n = features.shape[0]
-        if features_t is None:
-            features_t = features.T
-        hidden, logits = self._forward(features)
+        hidden, logits = self._forward(features, features_t)
         probs = softmax(logits)
         picked = probs[np.arange(n), labels]
         loss = float(-np.mean(np.log(np.maximum(picked, 1e-12))))
@@ -216,7 +216,7 @@ class MLPModel:
         grad_w2 = hidden.T @ delta_out
         grad_b2 = delta_out.sum(axis=0)
         delta_hidden = (delta_out @ self.w2.T) * (hidden > 0)
-        grad_w1 = features_t @ delta_hidden
+        grad_w1 = _cols_matmul(features, features_t, delta_hidden)
         grad_b1 = delta_hidden.sum(axis=0)
         if self.config.l2:
             grad_w1 += self.config.l2 * self.w1

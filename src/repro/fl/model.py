@@ -44,6 +44,8 @@ def transpose_for_backward(features: np.ndarray) -> np.ndarray:
     this as the kernels' ``features_t``, so the gradient keeps the bits
     it had when every matmul widened on its own.  Float64 features need
     none: the kernels use the ``features.T`` view, as they always have.
+    Above the small-matrix cutoff the layout no longer moves bits, and
+    the forward uses this only because it is faster (:func:`_rows_matmul`).
     """
     n_samples, n_features = features.shape
     out = np.empty((n_features, n_samples))
@@ -52,6 +54,63 @@ def transpose_for_backward(features: np.ndarray) -> np.ndarray:
     for start in range(0, n_samples, 256):
         out[:, start : start + 256] = features[start : start + 256].T
     return out
+
+
+# OpenBLAS hands a GEMM with m*n*k at or below 100**3 to its small-matrix
+# kernels (the GEMM_SMALL_MATRIX_PERMIT of interface/gemm.c), whose
+# summation order depends on operand layout: at 784 features and 10
+# classes, 127 rows change bits when transposed and 128 rows do not.
+# Above it, each output element accumulates over k in the same K-blocks
+# with FMA, which is symmetric in its two factors, so the transposed
+# product with the large operand on BLAS's fast side has the same bits.
+_SMALL_GEMM_MNK = 100**3
+# Except, measured on OpenBLAS 0.3.31's SkylakeX kernels, a forward with
+# 12 or more output columns, which changes bits at some row counts when
+# transposed; so only outputs this narrow (a classifier's classes, not
+# the MLP's hidden layer) are swapped.  The backward matched at every
+# width measured.  tests/fl/test_gemm_orientation.py checks both limits.
+_MAX_SWAPPED_WIDTH = 11
+
+
+def _swap(array: np.ndarray) -> np.ndarray:
+    return np.swapaxes(array, -1, -2)
+
+
+def _rows_matmul(
+    features: np.ndarray,
+    weights: np.ndarray,
+    features_t: np.ndarray | None = None,
+) -> np.ndarray:
+    """``features @ weights``, bit for bit, C-ordered.
+
+    Large products run as ``(weights.T @ features_t).T``, about 1.5x
+    faster; ``features_t`` is the :func:`transpose_for_backward` of
+    ``features`` or ``None``.  Serves ``(G, n, d)`` stacks too.
+    """
+    n, d = features.shape[-2:]
+    width = weights.shape[-1]
+    if n * d * width <= _SMALL_GEMM_MNK or width > _MAX_SWAPPED_WIDTH:
+        return features @ weights
+    if features_t is None:
+        features_t = _swap(features)
+    # C order: softmax's row reductions sum F-ordered rows differently.
+    return np.ascontiguousarray(_swap(_swap(weights) @ features_t))
+
+
+def _cols_matmul(
+    features: np.ndarray,
+    features_t: np.ndarray | None,
+    probs: np.ndarray,
+) -> np.ndarray:
+    """``features.T @ probs`` (``features_t @ probs`` when given), C-ordered.
+
+    Large products run as ``(probs.T @ features).T``, 1.6x to 3x faster
+    and the same bits.  Serves ``(G, n, d)`` stacks too.
+    """
+    n, d = features.shape[-2:]
+    if n * d * probs.shape[-1] <= _SMALL_GEMM_MNK:
+        return (_swap(features) if features_t is None else features_t) @ probs
+    return np.ascontiguousarray(_swap(_swap(probs) @ features))
 
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -186,9 +245,15 @@ class LogisticRegressionModel:
     # ------------------------------------------------------------------
     # Forward / loss / gradient.
     # ------------------------------------------------------------------
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        """Compute the pre-activation scores for a batch of samples."""
-        return features @ self.weights + self.bias
+    def logits(
+        self, features: np.ndarray, features_t: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Compute the pre-activation scores for a batch of samples.
+
+        ``features_t``, when given, is the :func:`transpose_for_backward`
+        of ``features``; it only makes the product faster.
+        """
+        return _rows_matmul(features, self.weights, features_t) + self.bias
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Per-class probabilities (rows sum to 1 under softmax)."""
@@ -228,14 +293,12 @@ class LogisticRegressionModel:
         :func:`transpose_for_backward` of ``features``.
         """
         n = features.shape[0]
-        if features_t is None:
-            features_t = features.T
         if self.config.activation == "softmax":
-            probs = softmax(self.logits(features))
+            probs = softmax(self.logits(features, features_t))
         else:
-            probs = _sigmoid(self.logits(features))
+            probs = _sigmoid(self.logits(features, features_t))
         probs[np.arange(n), labels] -= 1.0
-        grad_w = features_t @ probs / n
+        grad_w = _cols_matmul(features, features_t, probs) / n
         grad_b = probs.sum(axis=0) / n
         if self.config.l2:
             grad_w = grad_w + self.config.l2 * self.weights
@@ -266,20 +329,18 @@ class LogisticRegressionModel:
         the one this gradient step descends).
         """
         n = features.shape[0]
-        if features_t is None:
-            features_t = features.T
         if self.config.activation == "softmax":
-            probs = softmax(self.logits(features))
+            probs = softmax(self.logits(features, features_t))
             picked = probs[np.arange(n), labels]
         else:
-            probs = _sigmoid(self.logits(features))
+            probs = _sigmoid(self.logits(features, features_t))
             total = probs.sum(axis=-1, keepdims=True)
             picked = (probs / np.maximum(total, 1e-12))[np.arange(n), labels]
         loss = float(-np.mean(np.log(np.maximum(picked, 1e-12))))
         if self.config.l2:
             loss += 0.5 * self.config.l2 * float(np.sum(self.weights**2))
         probs[np.arange(n), labels] -= 1.0
-        grad_w = features_t @ probs / n
+        grad_w = _cols_matmul(features, features_t, probs) / n
         grad_b = probs.sum(axis=0) / n
         if self.config.l2:
             grad_w = grad_w + self.config.l2 * self.weights

@@ -39,7 +39,12 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.fl.client import EdgeServerClient, LocalUpdate
-from repro.fl.model import LogisticRegressionConfig, _sigmoid
+from repro.fl.model import (
+    LogisticRegressionConfig,
+    _cols_matmul,
+    _rows_matmul,
+    _sigmoid,
+)
 
 if TYPE_CHECKING:
     from repro.data.dataset import Dataset
@@ -96,10 +101,9 @@ def fullbatch_gd_stack(
     weights = np.broadcast_to(weights_global, (n_group, d, n_classes))
     bias = np.broadcast_to(bias_global, (n_group, n_classes))
     losses = np.zeros(n_group, dtype=features.dtype)
-    features_t = features.transpose(0, 2, 1)
 
     for _ in range(epochs):
-        logits = features @ weights
+        logits = _rows_matmul(features, weights)
         logits += bias[:, None, :]
         if activation == "softmax":
             shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -116,7 +120,7 @@ def fullbatch_gd_stack(
         if l2:
             losses = losses + 0.5 * l2 * np.sum(weights**2, axis=(1, 2))
         probs[group_index, rows, labels] -= 1.0
-        grad_w = features_t @ probs
+        grad_w = _cols_matmul(features, None, probs)
         grad_w /= n
         grad_b = probs.sum(axis=1)
         grad_b /= n

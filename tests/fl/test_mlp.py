@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
+from repro.data.synthetic_mnist import load_synthetic_mnist
+from repro.fl.history_io import history_to_json
 from repro.fl.mlp import MLPConfig, MLPModel
 from repro.fl.partition import partition_iid
 from repro.fl.sgd import SGDConfig
@@ -157,4 +161,70 @@ class TestFederatedIntegration:
         coordinator = Coordinator(_CONFIG)
         np.testing.assert_array_equal(
             coordinator.global_parameters, _CONFIG.build().get_parameters()
+        )
+
+
+_PAPER_MLP = MLPConfig()
+_DIGEST_TRAIN, _DIGEST_TEST = load_synthetic_mnist(n_train=3_000, n_test=300, seed=4)
+
+
+def _digest_run(n_partitions: int, batch_size: int | None = None):
+    trainer = FederatedTrainer(
+        clients=build_clients(
+            partition_iid(_DIGEST_TRAIN, n_partitions, np.random.default_rng(2)),
+            _PAPER_MLP,
+        ),
+        config=FederatedConfig(
+            n_rounds=2,
+            participants_per_round=3,
+            local_epochs=2,
+            sgd=SGDConfig(learning_rate=0.1, decay=0.99, batch_size=batch_size),
+        ),
+        train_eval=_DIGEST_TRAIN,
+        test_eval=_DIGEST_TEST,
+    )
+    history = trainer.run()
+    return trainer.coordinator.global_parameters, history
+
+
+class TestGoldenDigests:
+    """Training the paper-width MLP on float32 data must never move a bit.
+
+    Recorded before the first layer's matmuls were routed through the
+    logistic-regression GEMM helpers, with OpenBLAS's default threading
+    on two cores.  The partitions straddle BLAS's small-matrix cutoff:
+    1 000 and 100 rows are above it, and the last 8-row batch of
+    ``batch_size=32`` is below it.
+    """
+
+    # name -> (partitions, batch size, params sha256, history sha256)
+    CASES = {
+        "1000-rows": (
+            3,
+            None,
+            "03a4719e39883224b466ced59b13880b2441520fc12ce197e4a9e6dbc3adeb89",
+            "0e22e829b7750f0166ede061211b3a9c58584528ce1a4cc38dc3d9739d0e481c",
+        ),
+        "100-rows": (
+            30,
+            None,
+            "6ac679785a5b014a39a76cd86818501d6fcdd063bd4d5f8fb07733e4481fa70f",
+            "d1038879bd26e07969c78f87bc6535e36c6c9a721793a833e8731e32391a97f6",
+        ),
+        "batch-32": (
+            3,
+            32,
+            "096eea7d3d53b0f09d5b00da8af7071899482c0f3e3aefe206d68e621d3f0655",
+            "9e2df436847a2cd27a0b36f2e40ac31ce9f1b87af486fa5064862faee1027765",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest(self, case: str) -> None:
+        n_partitions, batch_size, params_sha, history_sha = self.CASES[case]
+        params, history = _digest_run(n_partitions, batch_size)
+        assert hashlib.sha256(params.tobytes()).hexdigest() == params_sha
+        assert (
+            hashlib.sha256(history_to_json(history).encode()).hexdigest()
+            == history_sha
         )
