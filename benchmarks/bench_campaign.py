@@ -88,12 +88,22 @@ def _available_cpus() -> int:
 
 
 def _store_digest(root: Path) -> str:
-    """One hash over every store file (lock excluded), path-keyed."""
+    """One hash over the artifact files, path-keyed, and the index digest.
+
+    The lock and the SQLite index file are excluded: raw index bytes
+    depend on the order units completed in, so the index is compared
+    through its logical ``index_digest()``.
+    """
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name != ".lock":
+        if (
+            path.is_file()
+            and path.name != ".lock"
+            and not path.name.startswith(ArtifactStore.index_filename)
+        ):
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
+    digest.update(ArtifactStore(root).index_digest().encode())
     return digest.hexdigest()
 
 

@@ -78,7 +78,7 @@ MAX_BOUNDED_OVERHEAD = 0.50  # always enforced, even noise-limited
 
 # Store content outside unit artifacts: failure trails carry wall-clock
 # timestamps and spool/heartbeat dirs are runtime scratch, so identity
-# is asserted over everything else (units + manifest + campaign.json).
+# is asserted over everything else (units + index + campaign.json).
 _RUNTIME_DIRS = ("quarantine", "heartbeats", "spools")
 
 # Retries are the point of the recovery phases; keep their backoff out
@@ -112,16 +112,25 @@ def _campaign(name: str) -> CampaignSpec:
 
 
 def _store_digest(root: Path) -> str:
-    """One hash over artifacts + manifest; runtime dirs excluded."""
+    """One hash over artifacts + the index digest; runtime dirs excluded.
+
+    Raw SQLite index bytes depend on the order units completed in, so
+    the index is compared through its logical ``index_digest()``.
+    """
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*")):
-        if not path.is_file() or path.name == ".lock":
+        if (
+            not path.is_file()
+            or path.name == ".lock"
+            or path.name.startswith(ArtifactStore.index_filename)
+        ):
             continue
         relative = path.relative_to(root)
         if relative.parts[0] in _RUNTIME_DIRS:
             continue
         digest.update(str(relative).encode())
         digest.update(path.read_bytes())
+    digest.update(ArtifactStore(root).index_digest().encode())
     return digest.hexdigest()
 
 

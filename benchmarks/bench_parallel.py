@@ -8,8 +8,8 @@ the timings:
   sequential engine at the paper headline (K=20, E=16, 784x10 model),
   with ``max_abs_param_diff`` (must be exactly 0);
 * **campaign level** — an 8-unit (K, E) grid run with ``jobs=4`` vs the
-  sequential runner, with whole-store byte identity (unit files *and*
-  manifest must hash identically);
+  sequential runner, with whole-store byte identity (unit files must
+  hash identically and the index digests must be equal);
 * **paper shape** — pool vs sequential at the paper's full data shape
   (3 000 samples per server, K=20, E=16, 784x10), the row behind the
   decision to keep the pool engine;
@@ -250,12 +250,22 @@ def _campaign_spec() -> CampaignSpec:
 
 
 def _store_digest(root: Path) -> str:
-    """One hash over every store file (lock excluded), path-keyed."""
+    """One hash over the artifact files, path-keyed, and the index digest.
+
+    The lock and the SQLite index file are excluded: raw index bytes
+    depend on the order units completed in, so the index is compared
+    through its logical ``index_digest()``.
+    """
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name != ".lock":
+        if (
+            path.is_file()
+            and path.name != ".lock"
+            and not path.name.startswith(ArtifactStore.index_filename)
+        ):
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
+    digest.update(ArtifactStore(root).index_digest().encode())
     return digest.hexdigest()
 
 

@@ -1,36 +1,22 @@
-"""Store-index scaling benchmark: JSON manifest vs SQLite backend.
+"""Store-index scaling benchmark: the SQLite index at 10^2..10^4 units.
 
-The repository redesign exists for one measurable reason: the JSON
-manifest pays O(n) per index operation (every lookup re-parses the
-whole document, every insert rewrites it), which caps campaigns far
-below the 10^5–10^6-unit grids the roadmap's campaign service must
-index.  The SQLite backend claims O(log n) probes and O(1)-ish row
-inserts.  This benchmark certifies that claim at 10^2 / 10^3 / 10^4
-synthetic units:
+The store index must not cap campaigns below the 10^5–10^6-unit grids
+a campaign service indexes: a lookup must cost O(log n), not a linear
+scan.  This benchmark certifies that at 10^2 / 10^3 / 10^4 synthetic
+units:
 
 * **lookup** — ``contains()`` over a fixed probe set (half present,
-  half absent) against pre-seeded stores of each size.  The guard
-  requires the SQLite backend to beat the JSON backend by a healthy
-  factor at every size >= 10^3 (the acceptance bar: sub-linear lookup
-  vs the JSON linear scan);
-* **sub-linear scaling** — SQLite per-lookup cost may grow by at most
+  half absent) against pre-seeded stores of each size;
+* **sub-linear scaling** — per-lookup cost may grow by at most
   ``MAX_SQLITE_LOOKUP_GROWTH`` from 10^2 to 10^4 units, two decades of
-  data for which a linear scan grows ~100x;
-* **insert** — per-entry ``put_entry()`` cost at each pre-seeded size,
-  recorded for both backends (tracking; the JSON rewrite is *expected*
-  to be linear — that is the bottleneck being escaped).
+  data for which a linear scan grows ~100x.  The guard compares medians
+  of many probes and is enforced unconditionally;
+* **insert** — per-entry ``put_entry()`` cost at each pre-seeded size
+  (tracking only).
 
 Entries are synthetic (fabricated keys and checksums through the same
-``put_entry`` API the migration path uses) so the benchmark measures
-pure index mechanics, not training.
-
-The speedup guard is **noise-aware**, mirroring ``bench_chaos.py``:
-each rep times the identical probe batch twice on the SQLite backend,
-and the spread of those identical-work ratios is the box's timing
-noise floor.  When the floor cannot resolve the strict speedup factor,
-the guard relaxes to requiring any speedup > 1 and the JSON records
-``noise_limited: true``.  The scaling guard compares medians of many
-probes and is enforced unconditionally.
+``put_entry``/``bulk_put_entries`` index API the legacy import uses) so
+the benchmark measures pure index mechanics, not training.
 
 Writes ``BENCH_store.json`` and exits non-zero on any guard failure.
 
@@ -54,16 +40,12 @@ from pathlib import Path
 from repro.campaign import ArtifactStore, CampaignSpec, RunSpec
 
 SIZES = (100, 1_000, 10_000)
-BACKENDS = ("json", "sqlite")
 REPS = 5
 PROBES = 32  # present keys per batch; the same count of absent keys rides along
 INSERTS = 16  # per-entry inserts timed per rep
 
-# Guards.
-MIN_SQLITE_SPEEDUP = 3.0  # sqlite vs json lookup, sizes >= GUARD_SIZE
-GUARD_SIZE = 1_000
+# Guard.
 MAX_SQLITE_LOOKUP_GROWTH = 10.0  # 10^2 -> 10^4 units (linear would be ~100x)
-NOISE_RESOLUTION_FACTOR = 3.0
 
 
 def _campaign() -> CampaignSpec:
@@ -97,9 +79,9 @@ def _synthetic_entry(index: int) -> dict:
     }
 
 
-def _seed_store(root: Path, backend: str, size: int) -> ArtifactStore:
+def _seed_store(root: Path, size: int) -> ArtifactStore:
     """A store whose index holds ``size`` synthetic entries."""
-    store = ArtifactStore(root, backend=backend)
+    store = ArtifactStore(root)
     store.initialize(_campaign())
     store.bulk_put_entries(
         {_synthetic_key(i): _synthetic_entry(i) for i in range(size)}
@@ -136,49 +118,30 @@ def _time_inserts(store: ArtifactStore, start: int, count: int) -> float:
 
 
 def run_size(workdir: Path, size: int) -> dict:
-    """Benchmark both backends at one pre-seeded store size."""
+    """Benchmark the index at one pre-seeded store size."""
     keys = _probe_keys(size)
-    row: dict = {"units": size, "reps": REPS, "backends": {}}
-    noise_ratios: list[float] = []
-    for backend in BACKENDS:
-        root = workdir / f"{backend}-{size}"
-        store = _seed_store(root, backend, size)
-        lookup_times: list[float] = []
-        insert_times: list[float] = []
-        extra = size  # synthetic keys beyond the seeded range
-        for rep in range(REPS):
-            lookup_times.append(_time_lookups(store, keys))
-            if backend == "sqlite":
-                # Identical work, timed again: the spread of these
-                # ratios is the box's timing noise floor.
-                second = _time_lookups(store, keys)
-                noise_ratios.append(second / lookup_times[-1])
-            extra += PROBES  # keep the probe misses truly absent
-            insert_times.append(_time_inserts(store, extra, INSERTS))
-            extra += INSERTS
-        index_bytes = (root / store.index_filename).stat().st_size
-        store.close()
-        row["backends"][backend] = {
-            "lookup_s_median": statistics.median(lookup_times),
-            "lookup_s_all": lookup_times,
-            "insert_s_median": statistics.median(insert_times),
-            "insert_s_all": insert_times,
-            "index_bytes": index_bytes,
-        }
-    json_lookup = row["backends"]["json"]["lookup_s_median"]
-    sqlite_lookup = row["backends"]["sqlite"]["lookup_s_median"]
-    row["lookup_speedup"] = (
-        json_lookup / sqlite_lookup if sqlite_lookup > 0 else float("inf")
-    )
-    row["noise_ratios"] = noise_ratios
+    root = workdir / f"store-{size}"
+    store = _seed_store(root, size)
+    lookup_times: list[float] = []
+    insert_times: list[float] = []
+    extra = size  # synthetic keys beyond the seeded range
+    for _ in range(REPS):
+        lookup_times.append(_time_lookups(store, keys))
+        extra += PROBES  # keep the probe misses truly absent
+        insert_times.append(_time_inserts(store, extra, INSERTS))
+        extra += INSERTS
+    row = {
+        "units": size,
+        "reps": REPS,
+        "lookup_s_median": statistics.median(lookup_times),
+        "lookup_s_all": lookup_times,
+        "insert_s_median": statistics.median(insert_times),
+        "insert_s_all": insert_times,
+        "index_bytes": (root / store.index_filename).stat().st_size,
+    }
     print(
-        f"n={size:>6}: lookup json {json_lookup * 1e6:8.1f}us  "
-        f"sqlite {sqlite_lookup * 1e6:7.1f}us  "
-        f"(speedup {row['lookup_speedup']:.1f}x)  "
-        f"insert json "
-        f"{row['backends']['json']['insert_s_median'] * 1e6:8.1f}us  "
-        f"sqlite "
-        f"{row['backends']['sqlite']['insert_s_median'] * 1e6:7.1f}us"
+        f"n={size:>6}: lookup {row['lookup_s_median'] * 1e6:7.1f}us  "
+        f"insert {row['insert_s_median'] * 1e6:7.1f}us"
     )
     return row
 
@@ -193,68 +156,27 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    noise_ratios = [ratio for row in rows for ratio in row["noise_ratios"]]
-    noise_floor = statistics.median(abs(r - 1.0) for r in noise_ratios)
-    # The speedup guard compares two medians; it can only resolve a
-    # factor the box's own jitter does not swamp.
-    noise_limited = noise_floor * NOISE_RESOLUTION_FACTOR > (
-        MIN_SQLITE_SPEEDUP - 1.0
-    )
-
-    by_size = {row["units"]: row for row in rows}
-    growth = (
-        by_size[SIZES[-1]]["backends"]["sqlite"]["lookup_s_median"]
-        / by_size[SIZES[0]]["backends"]["sqlite"]["lookup_s_median"]
-    )
-    json_growth = (
-        by_size[SIZES[-1]]["backends"]["json"]["lookup_s_median"]
-        / by_size[SIZES[0]]["backends"]["json"]["lookup_s_median"]
-    )
-
+    growth = rows[-1]["lookup_s_median"] / rows[0]["lookup_s_median"]
     payload = {
         "benchmark": "store",
         "sizes": rows,
         "sqlite_lookup_growth_1e2_to_1e4": growth,
-        "json_lookup_growth_1e2_to_1e4": json_growth,
-        "noise_floor": noise_floor,
-        "noise_limited": noise_limited,
-        "thresholds": {
-            "min_sqlite_speedup": MIN_SQLITE_SPEEDUP,
-            "guard_size": GUARD_SIZE,
-            "max_sqlite_lookup_growth": MAX_SQLITE_LOOKUP_GROWTH,
-            "noise_resolution_factor": NOISE_RESOLUTION_FACTOR,
-        },
+        "thresholds": {"max_sqlite_lookup_growth": MAX_SQLITE_LOOKUP_GROWTH},
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(
-        f"sqlite lookup growth 1e2->1e4: {growth:.1f}x "
-        f"(json: {json_growth:.1f}x, linear ~100x); "
-        f"noise floor ±{noise_floor:.1%}"
-        f"{' (noise-limited)' if noise_limited else ''}"
-    )
+    print(f"lookup growth 1e2->1e4: {growth:.1f}x (linear ~100x)")
     print(f"wrote {out_path}")
 
-    failures: list[str] = []
-    speedup_floor = 1.0 if noise_limited else MIN_SQLITE_SPEEDUP
-    for row in rows:
-        if row["units"] < GUARD_SIZE:
-            continue
-        if row["lookup_speedup"] < speedup_floor:
-            failures.append(
-                f"sqlite lookup speedup {row['lookup_speedup']:.1f}x "
-                f"< {speedup_floor:.1f}x at {row['units']} units"
-            )
     if growth > MAX_SQLITE_LOOKUP_GROWTH:
-        failures.append(
-            f"sqlite lookup cost grew {growth:.1f}x from {SIZES[0]} to "
+        print(
+            f"FAIL: lookup cost grew {growth:.1f}x from {SIZES[0]} to "
             f"{SIZES[-1]} units (> {MAX_SQLITE_LOOKUP_GROWTH:.0f}x; "
-            "not sub-linear)"
+            "not sub-linear)",
+            file=sys.stderr,
         )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print("all store-index guards passed")
-    return 1 if failures else 0
+        return 1
+    print("all store-index guards passed")
+    return 0
 
 
 if __name__ == "__main__":

@@ -17,11 +17,10 @@ per-figure scripts:
   each into an :class:`~repro.campaign.store.ArtifactStore`; interrupted
   campaigns resume bit-identically by skipping completed keys.
 * :class:`~repro.campaign.repository.CampaignRepository` /
-  :func:`~repro.campaign.repository.open_store` — the storage API.
-  Two index backends implement it: the JSON manifest (compatibility)
-  and a WAL-mode SQLite index for large grids;
-  :func:`~repro.campaign.repository.migrate_store` converts between
-  them byte-identically.
+  :func:`~repro.campaign.repository.open_store` — the storage API,
+  implemented by one store with a WAL-mode SQLite index;
+  :func:`~repro.campaign.repository.migrate_store` imports a store
+  whose index is a legacy ``manifest.json`` document.
 * :class:`~repro.campaign.report.CampaignReport` — regenerates the
   Fig. 5/6 energy grids and the best-``(K, E)`` headline from stored
   artifacts alone, without re-running any training.
@@ -58,16 +57,13 @@ from repro.campaign.spec import (
     RunSpec,
     make_demo_campaign,
 )
-from repro.campaign.sqlite_store import SqliteArtifactStore
 from repro.campaign.status import CampaignStatus, CampaignStatusMonitor, UnitStatus
 from repro.campaign.store import (
     ArtifactStore,
     DoctorReport,
-    JsonArtifactStore,
     StoreError,
     StoreHealthReport,
     UnitArtifact,
-    detect_backend,
 )
 from repro.perf.scheduler import SupervisionPolicy
 
@@ -83,12 +79,10 @@ __all__ = [
     "DEFAULT_SUPERVISION",
     "DoctorReport",
     "FaultAxis",
-    "JsonArtifactStore",
     "MigrationResult",
     "ParallelUnitError",
     "ResilienceAxis",
     "RunSpec",
-    "SqliteArtifactStore",
     "StoreError",
     "StoreHealthReport",
     "SupervisionPolicy",
@@ -97,7 +91,6 @@ __all__ = [
     "UnitStatus",
     "UnitVerificationError",
     "campaign_telemetry",
-    "detect_backend",
     "load_rows",
     "make_demo_campaign",
     "migrate_store",

@@ -1,31 +1,22 @@
-"""The campaign repository API: protocol, factory, and migration.
+"""The campaign repository API: protocol, factory, and legacy import.
 
 This module is the *contract* layer of campaign storage.  Runners,
 schedulers, status monitors, reports, and the CLI program against
-:class:`CampaignRepository` — the structural protocol every store
-backend satisfies — and open stores through :func:`open_store`, so
-none of them knows (or cares) whether a store indexes its completed
-units in a JSON manifest or a SQLite database.
+:class:`CampaignRepository` — the structural protocol the store
+satisfies — and open stores through :func:`open_store`.  The one
+implementation is :class:`~repro.campaign.store.ArtifactStore`, whose
+completed-unit index is a WAL-mode SQLite ``manifest.db``.
 
-The two shipped implementations live next door:
-
-* :class:`~repro.campaign.store.JsonArtifactStore` — the original
-  ``manifest.json`` format; O(n) lookups under an advisory flock.
-* :class:`~repro.campaign.sqlite_store.SqliteArtifactStore` — a
-  WAL-mode ``manifest.db`` with one indexed row per unit; O(log n)
-  probes, no store-wide writer lock.
-
-:func:`migrate_store` converts a store between backends in either
-direction.  Only the index representation changes: artifact bytes are
-copied verbatim and the index is rebuilt from the source's entries, so
-a json → sqlite → json round trip is byte-identical (and a
-sqlite → json → sqlite round trip is logical-index-identical, which
-is the strongest possible claim — raw SQLite file bytes depend on
-page-allocation order).
+:func:`migrate_store` imports a store whose index is a legacy
+``manifest.json`` document into a new directory.  Artifact bytes are
+copied verbatim and the index is rebuilt from the manifest's recorded
+checksums, so the imported store's logical index digest equals the
+digest of the legacy document.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,8 +28,10 @@ from repro.campaign.store import (
     StoreError,
     StoreHealthReport,
     UnitArtifact,
-    detect_backend,
+    _LEGACY_MANIFEST_FILE,
     _LOCK_FILE,
+    _MANIFEST_SCHEMA,
+    _sha256,
 )
 from repro.fl.metrics import TrainingHistory
 
@@ -71,8 +64,6 @@ class CampaignRepository(Protocol):
       rest).  Both return the same typed
       :class:`~repro.campaign.store.StoreHealthReport`.
     """
-
-    backend_name: str
 
     def initialize(self, campaign: CampaignSpec) -> None:
         """Bind the store to ``campaign``; no-op on same-key resume."""
@@ -117,7 +108,7 @@ class CampaignRepository(Protocol):
         ...
 
     def close(self) -> None:
-        """Release backend resources (idempotent)."""
+        """Release any held resources (idempotent)."""
         ...
 
 
@@ -126,15 +117,18 @@ def open_store(
 ) -> ArtifactStore:
     """Open the campaign store at ``root``; the repository entry point.
 
-    Resolution order: the backend already on disk (detected from the
-    index file — asking for a different one raises
-    :class:`~repro.campaign.store.StoreError`); else the explicit
-    ``backend`` argument; else ``$REPRO_STORE_BACKEND``; else JSON.
-    Equivalent to ``ArtifactStore(root, backend)`` — this spelling
-    exists so callers can program against :class:`CampaignRepository`
-    without importing a concrete class.
+    Equivalent to ``ArtifactStore(root)`` — this spelling exists so
+    callers can program against :class:`CampaignRepository` without
+    importing a concrete class.  ``backend`` is accepted for callers
+    that name the index format; it must be ``None`` or ``"sqlite"``.
     """
-    return ArtifactStore(root, backend)
+    if backend not in (None, "sqlite"):
+        raise StoreError(
+            f"unknown store backend {backend!r}: the store index is "
+            "SQLite; import a legacy manifest.json store with "
+            "'campaign migrate'"
+        )
+    return ArtifactStore(root)
 
 
 @dataclass(frozen=True)
@@ -142,21 +136,17 @@ class MigrationResult:
     """What :func:`migrate_store` did.
 
     Attributes:
-        source: root of the store migrated from.
+        source: root of the legacy store imported from.
         destination: root of the store created.
-        source_backend: index backend of the source.
-        destination_backend: index backend of the destination.
         units: completed-unit entries carried over.
         files_copied: artifact/runtime files copied verbatim.
-        index_digest: logical index digest shared by both stores —
-            migration fails loudly rather than return with the
-            digests unequal.
+        index_digest: logical index digest shared by the legacy
+            manifest and the new index — the import fails loudly
+            rather than return with the digests unequal.
     """
 
     source: Path
     destination: Path
-    source_backend: str
-    destination_backend: str
     units: int
     files_copied: int
     index_digest: str
@@ -164,40 +154,57 @@ class MigrationResult:
     def render(self) -> str:
         """One-paragraph summary for the ``campaign migrate`` CLI."""
         return (
-            f"migrated {self.source} ({self.source_backend}) -> "
-            f"{self.destination} ({self.destination_backend}): "
+            f"imported {self.source} ({_LEGACY_MANIFEST_FILE}) -> "
+            f"{self.destination}: "
             f"{self.units} unit(s), {self.files_copied} file(s) copied, "
             f"index digest {self.index_digest[:12]}"
         )
 
 
+def _read_legacy_manifest(source: Path) -> dict:
+    path = source / _LEGACY_MANIFEST_FILE
+    if not path.exists():
+        raise StoreError(
+            f"no campaign store with a legacy {_LEGACY_MANIFEST_FILE} "
+            f"at {source}"
+        )
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        raise StoreError(f"corrupt manifest {path}: {error}") from None
+    if manifest.get("schema") != _MANIFEST_SCHEMA:
+        raise StoreError(
+            f"unexpected manifest schema {manifest.get('schema')!r}"
+        )
+    return manifest
+
+
 def migrate_store(
-    source: str | Path, destination: str | Path, backend: str
+    source: str | Path, destination: str | Path
 ) -> MigrationResult:
-    """Convert the store at ``source`` into ``backend`` at ``destination``.
+    """Import the legacy ``manifest.json`` store at ``source``.
 
     Everything except the index is copied byte-for-byte — ``units/``,
     ``campaign.json``, and the ``quarantine/`` failure trail (attempt
-    counters must survive migration or resumed campaigns would restart
+    counters must survive the import or resumed campaigns would restart
     retry budgets).  Runtime droppings that only describe a *live* run
     are left behind: the ``.lock`` file, ``heartbeats/``, ``spools/``,
-    and the source's own index file.  The destination index is then
-    rebuilt in one batch from the source's entries and both logical
-    index digests are compared — a mismatch raises
-    :class:`~repro.campaign.store.StoreError` and nothing is reported
-    migrated.
+    and the legacy ``manifest.json`` itself.  The SQLite index is then
+    built in one batch from the manifest's entries, keeping their
+    recorded checksums: they are the values that detect corruption, so
+    a unit byte changed after the manifest recorded it still fails
+    ``verify()``.  Finally the new index digest is compared with the
+    digest of the legacy document — a mismatch raises
+    :class:`~repro.campaign.store.StoreError`.
 
     ``destination`` must not already contain a store (or anything
-    else); migration never merges.  The source is read-only throughout,
-    so a failed or interrupted migration costs nothing but the partial
-    destination directory.
+    else); the import never merges.  The source is read-only
+    throughout, so a failed or interrupted import costs nothing but the
+    partial destination directory.
     """
     source = Path(source)
     destination = Path(destination)
-    source_backend = detect_backend(source)
-    if source_backend is None:
-        raise StoreError(f"no campaign store at {source}")
-    src = ArtifactStore(source)
+    manifest = _read_legacy_manifest(source)
     if destination.resolve() == source.resolve():
         raise StoreError("migration destination must differ from the source")
     if destination.exists() and any(destination.iterdir()):
@@ -205,17 +212,8 @@ def migrate_store(
             f"migration destination {destination} is not empty; "
             "refusing to merge into an existing directory"
         )
-    campaign = src.campaign()
-    entries = src._index_entries()
 
-    skip_names = {
-        _LOCK_FILE,
-        src.index_filename,
-        src.index_filename + "-wal",
-        src.index_filename + "-shm",
-        "heartbeats",
-        "spools",
-    }
+    skip_names = {_LOCK_FILE, _LEGACY_MANIFEST_FILE, "heartbeats", "spools"}
     destination.mkdir(parents=True, exist_ok=True)
     files_copied = 0
     for item in sorted(source.iterdir()):
@@ -229,29 +227,24 @@ def migrate_store(
             shutil.copy2(item, target)
             files_copied += 1
 
-    dst = ArtifactStore(destination, backend=backend)
-    # initialize() would no-op on the already-copied campaign.json
-    # without ever creating the destination index — create it directly.
-    with dst._lock():
-        dst._index_create(campaign)
-    dst.bulk_put_entries(entries)
+    store = ArtifactStore(destination)
+    with store._lock():
+        store._index_create(store.campaign())
+    store.bulk_put_entries(manifest["units"])
 
-    source_digest = src.index_digest()
-    destination_digest = dst.index_digest()
-    if source_digest != destination_digest:
+    legacy_digest = _sha256(
+        json.dumps(manifest, sort_keys=True).encode("utf-8")
+    )
+    digest = store.index_digest()
+    if digest != legacy_digest:
         raise StoreError(
-            f"migration produced a different logical index "
-            f"(source {source_digest[:12]}, "
-            f"destination {destination_digest[:12]})"
+            f"import produced a different logical index "
+            f"(legacy {legacy_digest[:12]}, imported {digest[:12]})"
         )
-    dst.close()
-    src.close()
     return MigrationResult(
         source=source,
         destination=destination,
-        source_backend=source_backend,
-        destination_backend=dst.backend_name,
-        units=len(entries),
+        units=len(manifest["units"]),
         files_copied=files_copied,
-        index_digest=destination_digest,
+        index_digest=digest,
     )

@@ -323,10 +323,9 @@ def _clear_heartbeat(store: ArtifactStore, key: str) -> None:
 def _execute_and_record(unit: UnitPayload) -> dict:
     """Scheduler worker: run one unit and checkpoint it into the store.
 
-    Workers open the shared store through the repository API (the
-    backend is auto-detected from the index file the parent created),
-    so a campaign killed mid-parallel-run keeps every unit that
-    finished — exactly the sequential crash contract.  Returns a small
+    Workers open the shared store the parent created, so a campaign
+    killed mid-parallel-run keeps every unit that finished — exactly
+    the sequential crash contract.  Returns a small
     summary the parent uses for telemetry and outcome accounting.
 
     With a spool directory and ``spec.telemetry`` on, the unit's

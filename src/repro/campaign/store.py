@@ -1,4 +1,4 @@
-"""On-disk campaign artifact stores: checkpoint, verify, resume.
+"""The on-disk campaign artifact store: checkpoint, verify, resume.
 
 Energy sweeps at paper scale take hours; a campaign must survive being
 killed.  The store checkpoints every completed unit as it finishes:
@@ -7,7 +7,7 @@ killed.  The store checkpoints every completed unit as it finishes:
 
     <root>/
       campaign.json            # the CampaignSpec this store belongs to
-      manifest.json | manifest.db   # completed-unit index (backend-specific)
+      manifest.db              # completed-unit index (SQLite, WAL mode)
       units/<unit key>/
         spec.json              # the unit's RunSpec
         history.json           # repro.fl.history_io document
@@ -15,44 +15,34 @@ killed.  The store checkpoints every completed unit as it finishes:
         telemetry.jsonl        # optional per-unit event log
 
 A unit is *complete* exactly when the index lists it — the unit files
-are written first and the index entry last (atomically), so a crash
+are written first and the index row last (one transaction), so a crash
 mid-unit leaves at worst an orphaned directory that the next run
 overwrites.  The index records a SHA-256 checksum of every artifact
 file, and :meth:`ArtifactStore.verify` re-hashes them so silent
 corruption is detected before a resumed campaign or a report trusts
 stale bytes.
 
-Two index **backends** implement the same repository API (see
-:mod:`repro.campaign.repository` for the :class:`CampaignRepository`
-protocol):
+The index is a SQLite database with one ``units`` row per unit, keyed
+by content hash, with the checksums as columns: ``contains`` is an
+O(log n) primary-key probe, key scans are index-ordered, and WAL lets
+concurrent runner processes commit without queuing on a store-wide
+lock.  Connections are opened per operation and closed before
+returning.  That costs a few tens of microseconds per call but buys
+fork safety: the process-pool runner forks workers, and a SQLite
+connection (with its POSIX fcntl locks, which die with *any* fd close
+in the process) must never cross a fork.  Closing the last connection
+also checkpoints and removes the ``-wal``/``-shm`` sidecars, so a
+store at rest is ``manifest.db`` alone.
 
-* :class:`JsonArtifactStore` (``manifest.json``) — the original format:
-  one JSON document holding every entry, rewritten atomically under an
-  advisory ``flock`` on ``<root>/.lock``.  Simple and transparent, but
-  every lookup re-parses the whole manifest and every writer serialises
-  on the flock — O(n) per operation, which caps campaigns well below
-  the 10^5–10^6-unit grids a campaign service must index.
-* :class:`~repro.campaign.sqlite_store.SqliteArtifactStore`
-  (``manifest.db``) — a SQLite database in WAL mode, one row per unit
-  keyed by content hash with the checksums as columns.  ``contains``
-  is an O(log n) primary-key probe, scans are index-ordered, and WAL
-  lets concurrent workers commit without queuing on a store-wide file
-  lock.
+Raw database bytes depend on the order rows were written, so stores
+are compared through the *logical* index: :meth:`ArtifactStore.manifest`
+renders it as a canonical document and :meth:`ArtifactStore.index_digest`
+hashes it.  Two stores are byte-identical when their artifact bytes
+match and their index digests are equal.
 
-``ArtifactStore(root)`` is the polymorphic constructor: it detects the
-backend from the index file on disk (``manifest.db`` wins over
-``manifest.json``), falls back to the ``REPRO_STORE_BACKEND``
-environment variable and then to JSON for brand-new stores, and
-returns an instance of the matching backend class.  Both backends
-share the artifact layout, the quarantine/heartbeat/spool runtime
-areas, and every invariant the runner relies on — kill-and-resume
-byte-identity, parallel-vs-sequential equivalence, verify-after-write
-— so campaigns, reports, and the doctor are backend-agnostic.
-
-The logical index content is canonicalised by :meth:`ArtifactStore.manifest`
-(a pure function of the entries, identical across backends), and
-:meth:`ArtifactStore.index_digest` hashes it — the cross-backend
-equality check that migration and the parity tests assert.
+Older stores kept the index as a ``manifest.json`` document.  Such a
+directory is not opened as a store: :func:`~repro.campaign.repository.migrate_store`
+(``campaign migrate``) imports it into a new directory.
 """
 
 from __future__ import annotations
@@ -62,7 +52,8 @@ import json
 import os
 import re
 import shutil
-from contextlib import contextmanager
+import sqlite3
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -78,19 +69,16 @@ from repro.fl.metrics import TrainingHistory
 
 __all__ = [
     "ArtifactStore",
-    "JsonArtifactStore",
     "UnitArtifact",
     "StoreError",
     "StoreHealthReport",
     "DoctorReport",
-    "detect_backend",
-    "STORE_BACKENDS",
 ]
 
 _MANIFEST_SCHEMA = "repro.campaign-manifest/1"
 _FAILURE_SCHEMA = "repro.failure-record/1"
 _CAMPAIGN_FILE = "campaign.json"
-_MANIFEST_FILE = "manifest.json"
+_LEGACY_MANIFEST_FILE = "manifest.json"
 _INDEX_DB_FILE = "manifest.db"
 _UNITS_DIR = "units"
 _SPOOLS_DIR = "spools"
@@ -104,12 +92,51 @@ _TELEMETRY_FILE = "telemetry.jsonl"
 _LOCK_FILE = ".lock"
 _ATTEMPT_PATTERN = re.compile(r"^attempt-(\d+)\.json$")
 
-#: Recognised index backends, in detection-priority order.
-STORE_BACKENDS = ("sqlite", "json")
+#: Artifact filenames whose checksums live in dedicated columns.  Any
+#: other recorded file rides in the ``extra`` JSON column, so the row
+#: schema never constrains what a unit may store.
+_FILE_COLUMNS = {
+    _SPEC_FILE: "spec_sha256",
+    _HISTORY_FILE: "history_sha256",
+    _RESULT_FILE: "result_sha256",
+    _TELEMETRY_FILE: "telemetry_sha256",
+}
 
-#: Environment default consulted when a brand-new store is created
-#: without an explicit backend choice.
-_BACKEND_ENV = "REPRO_STORE_BACKEND"
+_SCHEMA_SQL = """
+CREATE TABLE IF NOT EXISTS meta (
+    key TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS units (
+    key TEXT PRIMARY KEY,
+    name TEXT NOT NULL,
+    spec_sha256 TEXT,
+    history_sha256 TEXT,
+    result_sha256 TEXT,
+    telemetry_sha256 TEXT,
+    extra TEXT NOT NULL DEFAULT '{}'
+) WITHOUT ROWID;
+CREATE INDEX IF NOT EXISTS idx_units_name ON units (name);
+"""
+
+_UPSERT_SQL = """
+INSERT INTO units (
+    key, name, spec_sha256, history_sha256, result_sha256,
+    telemetry_sha256, extra
+) VALUES (?, ?, ?, ?, ?, ?, ?)
+ON CONFLICT (key) DO UPDATE SET
+    name = excluded.name,
+    spec_sha256 = excluded.spec_sha256,
+    history_sha256 = excluded.history_sha256,
+    result_sha256 = excluded.result_sha256,
+    telemetry_sha256 = excluded.telemetry_sha256,
+    extra = excluded.extra
+"""
+
+_ROW_COLUMNS = (
+    "key, name, spec_sha256, history_sha256, result_sha256, "
+    "telemetry_sha256, extra"
+)
 
 
 class StoreError(RuntimeError):
@@ -147,65 +174,31 @@ def _exclusive_lock(path: Path):
             fcntl.flock(handle, fcntl.LOCK_UN)
 
 
-def detect_backend(root: str | Path) -> str | None:
-    """Which index backend the store at ``root`` uses, by inspection.
-
-    ``"sqlite"`` when ``manifest.db`` exists, ``"json"`` when
-    ``manifest.json`` does, ``None`` when neither is present (a
-    brand-new directory, or a store whose index was destroyed — the
-    doctor can rebuild the latter once a backend is chosen).
-    """
-    root = Path(root)
-    if (root / _INDEX_DB_FILE).exists():
-        return "sqlite"
-    if (root / _MANIFEST_FILE).exists():
-        return "json"
-    return None
-
-
-def _validated_backend(name: str, origin: str) -> str:
-    if name not in STORE_BACKENDS:
-        raise StoreError(
-            f"unknown store backend {name!r} (from {origin}); "
-            f"expected one of {', '.join(STORE_BACKENDS)}"
-        )
-    return name
+def _entry_to_row(key: str, entry: dict) -> tuple:
+    columns = dict.fromkeys(_FILE_COLUMNS.values())
+    extra = {}
+    for filename, digest in entry.get("files", {}).items():
+        column = _FILE_COLUMNS.get(filename)
+        if column is not None:
+            columns[column] = digest
+        else:
+            extra[filename] = digest
+    return (
+        key,
+        entry["name"],
+        *columns.values(),
+        json.dumps(extra, sort_keys=True),
+    )
 
 
-def _resolve_backend(root: Path, backend: str | None) -> str:
-    """Pick the backend class for ``ArtifactStore(root, backend)``.
-
-    Detection wins for existing stores: asking for a backend that
-    contradicts the index already on disk is an error (``migrate`` is
-    the conversion path), never a silent mix of two index formats in
-    one directory.  For new stores the explicit argument wins, then
-    the ``REPRO_STORE_BACKEND`` environment default, then JSON — the
-    compatibility default every pre-repository store used.
-    """
-    detected = detect_backend(root)
-    if backend is not None:
-        backend = _validated_backend(backend, "argument")
-        if detected is not None and detected != backend:
-            raise StoreError(
-                f"store at {root} is {detected}-backed but backend="
-                f"{backend!r} was requested; use 'campaign migrate' to "
-                "convert between index formats"
-            )
-        return backend
-    if detected is not None:
-        return detected
-    env = os.environ.get(_BACKEND_ENV)
-    if env:
-        return _validated_backend(env, f"${_BACKEND_ENV}")
-    return "json"
-
-
-def _backend_class(name: str) -> type["ArtifactStore"]:
-    if name == "json":
-        return JsonArtifactStore
-    from repro.campaign.sqlite_store import SqliteArtifactStore
-
-    return SqliteArtifactStore
+def _row_to_entry(row: tuple) -> tuple[str, dict]:
+    files = {
+        filename: digest
+        for filename, digest in zip(_FILE_COLUMNS, row[2:6])
+        if digest is not None
+    }
+    files.update(json.loads(row[6]))
+    return row[0], {"name": row[1], "files": dict(sorted(files.items()))}
 
 
 @dataclass(eq=False)
@@ -217,7 +210,6 @@ class StoreHealthReport:
     status`` and ``campaign doctor`` render health identically.
 
     Attributes:
-        backend: index backend of the store examined.
         checked: recorded units whose artifacts were re-hashed.
         repaired: whether the examination ran in ``--repair`` mode.
         problems: every integrity problem observed *before* repair.
@@ -235,7 +227,6 @@ class StoreHealthReport:
     them, and is *truthy exactly when problems were found*.
     """
 
-    backend: str = ""
     checked: int = 0
     repaired: bool = False
     problems: list[str] = field(default_factory=list)
@@ -262,8 +253,7 @@ class StoreHealthReport:
             return self.problems == other
         if isinstance(other, StoreHealthReport):
             return (
-                self.backend == other.backend
-                and self.checked == other.checked
+                self.checked == other.checked
                 and self.repaired == other.repaired
                 and self.problems == other.problems
                 and self.adopted == other.adopted
@@ -378,92 +368,114 @@ class UnitArtifact:
 class ArtifactStore:
     """Checkpointed storage for one campaign's run artifacts.
 
-    ``ArtifactStore(root)`` is polymorphic: it resolves the index
-    backend (auto-detected from disk, else the explicit ``backend``
-    argument, else ``$REPRO_STORE_BACKEND``, else JSON) and returns an
-    instance of the matching subclass — :class:`JsonArtifactStore` or
-    :class:`~repro.campaign.sqlite_store.SqliteArtifactStore`.  All
-    artifact-layout logic (unit directories, quarantine, heartbeats,
-    spools, verification, the doctor) lives here and is shared; only
-    the completed-unit *index* operations are backend-specific.
+    Holds the artifact layout (unit directories, quarantine,
+    heartbeats, spools), the SQLite completed-unit index, verification
+    and the doctor.  Opening a directory that holds a legacy
+    ``manifest.json`` index and no ``manifest.db`` raises
+    :class:`StoreError`: ``campaign migrate`` imports it first.
 
     Args:
         root: store directory; created on :meth:`initialize`.
-        backend: index backend for a brand-new store (``"json"`` or
-            ``"sqlite"``); must match the store on disk if one exists.
     """
 
-    #: Subclass identity; also the value of ``--store-backend`` that
-    #: selects it.
-    backend_name = "auto"
-    #: Name of the index file under ``root`` (backend-specific).
-    index_filename = ""
+    #: Name of the index file under ``root``.
+    index_filename = _INDEX_DB_FILE
 
-    def __new__(cls, root: str | Path, backend: str | None = None):
-        if cls is ArtifactStore:
-            cls = _backend_class(_resolve_backend(Path(root), backend))
-        return object.__new__(cls)
-
-    def __init__(self, root: str | Path, backend: str | None = None) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        if (self.root / _LEGACY_MANIFEST_FILE).exists() and not (
+            self.root / _INDEX_DB_FILE
+        ).exists():
+            raise StoreError(
+                f"store at {self.root} has a legacy {_LEGACY_MANIFEST_FILE} "
+                "index; import it into a new directory with 'campaign "
+                f"migrate --dir {self.root} --out NEW'"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({str(self.root)!r})"
 
     # ------------------------------------------------------------------
-    # Index hooks — each backend supplies these.
+    # The SQLite index.
     # ------------------------------------------------------------------
+    def _connect(self, create: bool = False) -> sqlite3.Connection:
+        """Open a fresh connection (per-operation; see module docstring)."""
+        path = self.root / _INDEX_DB_FILE
+        if not create and not path.exists():
+            raise StoreError(f"no manifest at {self.root}")
+        connection = sqlite3.connect(path, timeout=30.0, isolation_level=None)
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            connection.execute("PRAGMA busy_timeout=30000")
+            # WAL + NORMAL is durable against process crash (the
+            # paper-scale failure mode the chaos suite injects); only a
+            # power loss can lose the tail of the log, and campaigns
+            # re-run missing units.
+            connection.execute("PRAGMA synchronous=NORMAL")
+        except sqlite3.DatabaseError as error:
+            connection.close()
+            raise StoreError(f"corrupt manifest index at {path}: {error}")
+        return connection
+
     def _index_exists(self) -> bool:
-        """Whether the index file is present on disk."""
-        raise NotImplementedError
+        return (self.root / _INDEX_DB_FILE).exists()
 
     def _index_create(self, campaign: CampaignSpec) -> None:
         """Create an empty index bound to ``campaign`` (caller locks)."""
-        raise NotImplementedError
+        with closing(self._connect(create=True)) as connection:
+            connection.execute("BEGIN IMMEDIATE")
+            connection.executescript(_SCHEMA_SQL)
+            connection.executemany(
+                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                [
+                    ("schema", _MANIFEST_SCHEMA),
+                    ("campaign_key", campaign.key()),
+                    ("campaign_name", campaign.name),
+                ],
+            )
+            connection.commit()
 
     def _index_entries(self) -> dict[str, dict]:
         """Every ``key -> entry`` mapping, sorted by key."""
-        raise NotImplementedError
+        with closing(self._connect()) as connection:
+            rows = connection.execute(
+                f"SELECT {_ROW_COLUMNS} FROM units ORDER BY key"
+            ).fetchall()
+        return dict(_row_to_entry(row) for row in rows)
 
     def _index_get(self, key: str) -> dict | None:
-        """One entry, or ``None`` when the unit is not recorded."""
-        raise NotImplementedError
-
-    def _index_put(self, key: str, entry: dict) -> None:
-        """Atomically upsert one entry."""
-        raise NotImplementedError
+        with closing(self._connect()) as connection:
+            row = connection.execute(
+                f"SELECT {_ROW_COLUMNS} FROM units WHERE key = ?", (key,)
+            ).fetchone()
+        return None if row is None else _row_to_entry(row)[1]
 
     def _index_delete(self, key: str) -> None:
-        """Remove one entry (no-op when absent)."""
-        raise NotImplementedError
-
-    def _index_bulk_put(self, entries: dict[str, dict]) -> None:
-        """Upsert many entries in one atomic batch (migration path)."""
-        raise NotImplementedError
-
-    def _index_contains(self, key: str) -> bool:
-        """Membership probe; the hot path resumes and schedulers hit."""
-        raise NotImplementedError
-
-    def _index_count(self) -> int:
-        """Number of recorded units."""
-        raise NotImplementedError
-
-    def _index_keys(self, prefix: str | None = None) -> list[str]:
-        """Sorted unit keys, optionally restricted to a key prefix."""
-        raise NotImplementedError
+        with closing(self._connect()) as connection:
+            connection.execute("DELETE FROM units WHERE key = ?", (key,))
 
     def manifest(self) -> dict:
         """The canonical index document (schema, campaign, units).
 
-        A pure function of the index *contents* — byte-for-byte
-        identical across backends holding the same entries, which is
-        what makes :meth:`index_digest` a cross-backend equality check.
+        A pure function of the index *contents*, independent of the
+        order rows were written — what makes :meth:`index_digest` an
+        equality check between stores.
         """
-        raise NotImplementedError
+        with closing(self._connect()) as connection:
+            meta = dict(connection.execute("SELECT key, value FROM meta"))
+        if meta.get("schema") != _MANIFEST_SCHEMA:
+            raise StoreError(
+                f"unexpected manifest schema {meta.get('schema')!r}"
+            )
+        return {
+            "schema": meta["schema"],
+            "campaign_key": meta["campaign_key"],
+            "campaign_name": meta["campaign_name"],
+            "units": self._index_entries(),
+        }
 
     def close(self) -> None:
-        """Release any backend resources (idempotent; no-op for JSON)."""
+        """No-op: connections never outlive one operation."""
 
     def __enter__(self) -> "ArtifactStore":
         return self
@@ -582,10 +594,8 @@ class ArtifactStore:
         Artifact files land first; the index entry (with checksums) is
         written last and atomically, so completion is all-or-nothing.
         Concurrent runner processes sharing one store never drop each
-        other's completed-unit entries — the JSON backend serialises
-        its read-modify-write under the store lock, the SQLite backend
-        commits a single-row transaction.  Returns the unit's content
-        key.
+        other's completed-unit entries: each commits a single-row
+        transaction.  Returns the unit's content key.
         """
         key = spec.key()
         unit_dir = self.unit_dir(key)
@@ -601,7 +611,7 @@ class ArtifactStore:
         for filename, text in files.items():
             _atomic_write(unit_dir / filename, text)
             checksums[filename] = _sha256(text.encode("utf-8"))
-        self._index_put(key, {"name": spec.name, "files": checksums})
+        self.put_entry(key, {"name": spec.name, "files": checksums})
         return key
 
     # The repository-protocol spelling of record_unit.
@@ -619,21 +629,25 @@ class ArtifactStore:
         """Upsert one *index entry* without touching artifact files.
 
         Low-level: the entry is trusted as-is (``{"name": ..., "files":
-        {filename: sha256}}``).  Migration tooling and the store
+        {filename: sha256}}``).  The legacy import and the store
         benchmark use this; campaign execution goes through
         :meth:`record_unit`, which writes the artifacts the entry
         vouches for.
         """
-        self._index_put(key, entry)
+        with closing(self._connect()) as connection:
+            connection.execute(_UPSERT_SQL, _entry_to_row(key, entry))
 
     def bulk_put_entries(self, entries: dict[str, dict]) -> None:
-        """Upsert many index entries in one atomic batch.
+        """Upsert many index entries in one transaction.
 
-        The migration fast path: converting a 10^5-unit store must not
-        pay one index rewrite (JSON) or one fsync (SQLite) per unit.
+        The import fast path: a 10^5-unit store must not pay one
+        commit per unit.
         """
-        if entries:
-            self._index_bulk_put(dict(entries))
+        rows = [_entry_to_row(key, entry) for key, entry in entries.items()]
+        with closing(self._connect()) as connection:
+            connection.execute("BEGIN IMMEDIATE")
+            connection.executemany(_UPSERT_SQL, rows)
+            connection.commit()
 
     # ------------------------------------------------------------------
     # Failure records and quarantine.
@@ -692,7 +706,7 @@ class ArtifactStore:
             return set()
         quarantined = set()
         for unit_dir in directory.iterdir():
-            if not unit_dir.is_dir() or self._index_contains(unit_dir.name):
+            if not unit_dir.is_dir() or self.contains(unit_dir.name):
                 continue
             records = self.failure_records(unit_dir.name)
             if records and any(r.get("quarantined") for r in records):
@@ -728,23 +742,36 @@ class ArtifactStore:
     def contains(self, key: str) -> bool:
         """Whether the unit with content key ``key`` is complete.
 
-        The resume hot path: the SQLite backend answers with one
-        indexed probe instead of re-parsing a manifest document.
+        The resume hot path: one primary-key probe.
         """
-        return self._index_contains(key)
+        with closing(self._connect()) as connection:
+            row = connection.execute(
+                "SELECT 1 FROM units WHERE key = ?", (key,)
+            ).fetchone()
+        return row is not None
 
     def keys(self, prefix: str | None = None) -> list[str]:
         """Sorted content keys of every complete unit.
 
-        ``prefix`` restricts to keys starting with it — an indexed
-        range scan on the SQLite backend (content keys are hex, so a
-        prefix names a contiguous key range).
+        ``prefix`` restricts to keys starting with it.  Content keys
+        are lowercase hex, so a prefix names the contiguous key range
+        ``[prefix, prefix + '\\uffff')`` — an indexed range scan, not
+        a table scan.
         """
-        return self._index_keys(prefix)
+        with closing(self._connect()) as connection:
+            if prefix is None:
+                rows = connection.execute("SELECT key FROM units ORDER BY key")
+            else:
+                rows = connection.execute(
+                    "SELECT key FROM units WHERE key >= ? AND key < ? "
+                    "ORDER BY key",
+                    (prefix, prefix + "\uffff"),
+                )
+            return [row[0] for row in rows]
 
     def completed_keys(self) -> set[str]:
         """Content keys of every unit the index marks complete."""
-        return set(self._index_keys())
+        return set(self.keys())
 
     def units(self) -> Iterator[UnitArtifact]:
         """Handles onto every completed unit, in key order."""
@@ -770,9 +797,9 @@ class ArtifactStore:
         """SHA-256 over the canonical index content.
 
         Hashes the :meth:`manifest` document, which is a pure function
-        of the entries — so two stores (of *either* backend) holding
-        the same completed units under the same campaign produce the
-        same digest.  The parity and migration tests assert exactly
+        of the entries — so two stores holding the same completed units
+        under the same campaign produce the same digest, whatever order
+        the units completed in.  The legacy import asserts exactly
         this.
         """
         return _sha256(
@@ -860,7 +887,6 @@ class ArtifactStore:
                 f"{key}: orphan unit directory (on disk but not in manifest)"
             )
         return StoreHealthReport(
-            backend=self.backend_name,
             checked=len(entries),
             problems=problems,
             healthy=not problems,
@@ -894,7 +920,7 @@ class ArtifactStore:
             path = unit_dir / filename
             if path.exists():
                 checksums[filename] = _sha256(path.read_bytes())
-        self._index_put(key, {"name": spec.name, "files": checksums})
+        self.put_entry(key, {"name": spec.name, "files": checksums})
 
     def doctor(self, repair: bool = False) -> StoreHealthReport:
         """Diagnose — and with ``repair=True``, heal — this store.
@@ -912,9 +938,7 @@ class ArtifactStore:
         Meaningful for stores at rest: a campaign writing concurrently
         makes units mid-checkpoint look like orphans.
         """
-        report = StoreHealthReport(
-            backend=self.backend_name, repaired=bool(repair)
-        )
+        report = StoreHealthReport(repaired=bool(repair))
         if not (self.root / _CAMPAIGN_FILE).exists():
             report.problems.append(
                 f"{_CAMPAIGN_FILE} missing — store is not recoverable "
@@ -991,107 +1015,3 @@ class ArtifactStore:
             report.healthy = not report.problems
         return report
 
-
-class JsonArtifactStore(ArtifactStore):
-    """The JSON-manifest index backend (compatibility format).
-
-    One ``manifest.json`` document lists every completed unit; each
-    update re-reads, modifies, and atomically rewrites it under the
-    store's advisory ``flock``.  Every operation is O(n) in recorded
-    units and all writers serialise on one lock, so this backend is
-    right for small grids and human inspection; large campaigns should
-    use (or :func:`~repro.campaign.repository.migrate_store` to) the
-    SQLite backend.
-
-    ``sort_keys`` makes the manifest bytes a pure function of its
-    *contents*: a parallel run, whose units complete in scheduler
-    order, ends with a manifest byte-identical to a sequential run's —
-    and a store migrated away and back round-trips byte-identically.
-    """
-
-    backend_name = "json"
-    index_filename = _MANIFEST_FILE
-
-    # ------------------------------------------------------------------
-    # Manifest document plumbing.
-    # ------------------------------------------------------------------
-    def _manifest_path(self) -> Path:
-        return self.root / _MANIFEST_FILE
-
-    def _empty_manifest(self, campaign: CampaignSpec) -> dict:
-        return {
-            "schema": _MANIFEST_SCHEMA,
-            "campaign_key": campaign.key(),
-            "campaign_name": campaign.name,
-            "units": {},
-        }
-
-    def manifest(self) -> dict:
-        """The parsed manifest document."""
-        path = self._manifest_path()
-        if not path.exists():
-            raise StoreError(f"no manifest at {self.root}")
-        try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise StoreError(f"corrupt manifest {path}: {error}") from None
-        if manifest.get("schema") != _MANIFEST_SCHEMA:
-            raise StoreError(
-                f"unexpected manifest schema {manifest.get('schema')!r}"
-            )
-        return manifest
-
-    def _write_manifest(self, manifest: dict) -> None:
-        _atomic_write(
-            self._manifest_path(),
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
-
-    # ------------------------------------------------------------------
-    # Index hooks.
-    # ------------------------------------------------------------------
-    def _index_exists(self) -> bool:
-        return self._manifest_path().exists()
-
-    def _index_create(self, campaign: CampaignSpec) -> None:
-        self._write_manifest(self._empty_manifest(campaign))
-
-    def _index_entries(self) -> dict[str, dict]:
-        # sort_keys on write keeps the stored document key-ordered, but
-        # sort defensively so hand-edited manifests stay deterministic.
-        units = self.manifest()["units"]
-        return {key: units[key] for key in sorted(units)}
-
-    def _index_get(self, key: str) -> dict | None:
-        return self.manifest()["units"].get(key)
-
-    def _index_put(self, key: str, entry: dict) -> None:
-        with self._lock():
-            manifest = self.manifest()
-            manifest["units"][key] = entry
-            self._write_manifest(manifest)
-
-    def _index_delete(self, key: str) -> None:
-        with self._lock():
-            manifest = self.manifest()
-            if key in manifest["units"]:
-                del manifest["units"][key]
-                self._write_manifest(manifest)
-
-    def _index_bulk_put(self, entries: dict[str, dict]) -> None:
-        with self._lock():
-            manifest = self.manifest()
-            manifest["units"].update(entries)
-            self._write_manifest(manifest)
-
-    def _index_contains(self, key: str) -> bool:
-        return key in self.manifest()["units"]
-
-    def _index_count(self) -> int:
-        return len(self.manifest()["units"])
-
-    def _index_keys(self, prefix: str | None = None) -> list[str]:
-        keys = sorted(self.manifest()["units"])
-        if prefix is not None:
-            keys = [key for key in keys if key.startswith(prefix)]
-        return keys

@@ -31,10 +31,8 @@ content-hashed unit key — if the store already holds completed units),
 regenerates the Fig. 5/6 energy grids from stored artifacts without
 re-running any training, ``doctor`` audits — with ``--repair``,
 self-heals — a store damaged by crashes or torn writes, and
-``migrate`` converts a store between index backends.  Stores open
-through the repository API (:mod:`repro.campaign.repository`):
-``--store-backend {json,sqlite}`` picks the index format for new
-stores, existing stores auto-detect from disk.  Runs are supervised by
+``migrate`` imports a store whose index is a legacy ``manifest.json``
+into a new directory (``--out``).  Runs are supervised by
 default (bounded retries, watchdog deadlines, quarantine;
 ``--no-supervise`` restores fail-fast).  For ``campaign``,
 ``--backend``, ``--fault-plan`` and ``--quorum`` act as grid-wide
@@ -437,29 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
             "store, 'report' regenerates the energy tables from stored "
             "artifacts without re-running training, 'doctor' "
             "audits (with --repair, self-heals) a store damaged by "
-            "crashes or torn writes, and 'migrate' converts a store "
-            "between index backends (--store-backend into --out)."
+            "crashes or torn writes, and 'migrate' imports a store "
+            "with a legacy manifest.json index into --out."
         ),
     )
     campaign.add_argument(
         "action",
         choices=("init", "run", "status", "report", "doctor", "migrate"),
         help="campaign operation",
-    )
-    campaign.add_argument(
-        "--store-backend",
-        choices=("json", "sqlite"),
-        default=None,
-        metavar="BACKEND",
-        help=(
-            "store index backend: 'json' (one manifest.json document; "
-            "the compatibility default) or 'sqlite' (indexed WAL-mode "
-            "manifest.db; use for large grids).  Existing stores "
-            "auto-detect from disk — passing a conflicting backend is "
-            "an error, except for 'doctor --repair', where it names "
-            "the index to rebuild, and 'migrate', where it names the "
-            "destination format (required there)"
-        ),
     )
     campaign.add_argument(
         "--out",
@@ -666,17 +649,11 @@ def _run_campaign(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "migrate":
-        if args.out is None or args.store_backend is None:
-            print(
-                "campaign migrate requires --out DIR and "
-                "--store-backend {json,sqlite}",
-                file=sys.stderr,
-            )
+        if args.out is None:
+            print("campaign migrate requires --out DIR", file=sys.stderr)
             return 2
         try:
-            result = migrate_store(
-                args.store_dir, args.out, args.store_backend
-            )
+            result = migrate_store(args.store_dir, args.out)
         except StoreError as error:
             print(f"migrate failed: {error}", file=sys.stderr)
             return 2
@@ -684,7 +661,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        store = ArtifactStore(args.store_dir, backend=args.store_backend)
+        store = ArtifactStore(args.store_dir)
     except StoreError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -711,8 +688,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         health = store.verify()
         print(
             f"campaign {campaign.name!r} (key {campaign.key()}): "
-            f"{len(completed)}/{len(campaign)} units complete "
-            f"[{store.backend_name} store]"
+            f"{len(completed)}/{len(campaign)} units complete"
         )
         status = CampaignStatus.collect(store)
         print(status.render_summary())

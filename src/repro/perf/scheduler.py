@@ -2,10 +2,8 @@
 
 A campaign grid is embarrassingly parallel: every unit trains from a
 fresh, independently seeded prototype and touches no shared mutable
-state except the campaign store — whose index updates are atomic in
-either backend (flock-serialised manifest rewrites for JSON,
-single-row WAL transactions for SQLite; see
-:mod:`repro.campaign.repository`).  This module provides the generic
+state except the campaign store — whose index updates are atomic
+single-row SQLite transactions (see :mod:`repro.campaign.store`).  This module provides the generic
 scheduling half of that story:
 
 * a **cost model** derived from the paper's timing law

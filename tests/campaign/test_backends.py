@@ -1,15 +1,18 @@
-"""Backend parity: JSON and SQLite stores are observably identical.
+"""The store's one index (SQLite) and the import of legacy JSON stores.
 
-The repository redesign's core promise is that the index backend is an
-implementation detail: the same campaign run against either backend
-produces the same unit keys, the same artifact bytes, the same logical
-index, the same reports, and the same CLI output — and ``migrate``
-converts between them without changing any of it.
+Completed units are indexed in a SQLite ``manifest.db``.  Stores written
+before that kept a ``manifest.json`` document instead;
+``data/legacy_json_store`` holds the bytes such a store left on disk
+(the tiny 2x2 campaign plus one failure record).  ``migrate`` imports
+one into a new directory, and the imported store must be observably
+identical to the same campaign run today: the same unit keys, artifact
+bytes, logical index, reports and CLI output.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -20,11 +23,8 @@ from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     CampaignReport,
-    JsonArtifactStore,
-    SqliteArtifactStore,
     StoreError,
     StoreHealthReport,
-    detect_backend,
     migrate_store,
     open_store,
 )
@@ -32,7 +32,11 @@ from repro.experiments.runner import main
 
 pytestmark = pytest.mark.campaign_smoke
 
-BACKENDS = ("json", "sqlite")
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy_json_store"
+#: ``index_digest()`` the JSON index reported for the legacy store.
+LEGACY_DIGEST = "32968dd1bbfe680c1eda40ae8ad6e3430e4c2c00a40dcabbdea0c9fde485f186"
+#: The completed unit whose first attempt failed (``attempt-1.json``).
+LEGACY_FAILED_KEY = "26cdca76036ad56e"
 
 
 def _unit_fingerprint(root: Path) -> dict[str, bytes]:
@@ -49,106 +53,87 @@ def _unit_fingerprint(root: Path) -> dict[str, bytes]:
     return fingerprint
 
 
+def _legacy_copy(tmp_path: Path) -> Path:
+    """A writable copy of the legacy store."""
+    return Path(shutil.copytree(LEGACY_STORE, tmp_path / "legacy"))
+
+
 @pytest.fixture()
 def both_stores(tmp_path, tiny_campaign: CampaignSpec):
-    """The tiny campaign fully executed against each backend."""
-    stores = {}
-    for backend in BACKENDS:
-        store = ArtifactStore(tmp_path / backend, backend=backend)
-        CampaignRunner(tiny_campaign, store).run()
-        stores[backend] = store
-    return stores
+    """The legacy store imported, and the same campaign run afresh."""
+    migrate_store(LEGACY_STORE, tmp_path / "legacy")
+    fresh = ArtifactStore(tmp_path / "fresh")
+    CampaignRunner(tiny_campaign, fresh).run()
+    return {"legacy": ArtifactStore(tmp_path / "legacy"), "fresh": fresh}
 
 
 class TestDispatch:
-    """``ArtifactStore(root)`` resolves the right backend class."""
-
-    def test_default_is_json(self, tmp_path, monkeypatch) -> None:
-        monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        assert isinstance(ArtifactStore(tmp_path / "new"), JsonArtifactStore)
+    """``open_store`` opens the SQLite index and refuses anything else."""
 
     def test_explicit_sqlite(self, tmp_path) -> None:
-        store = ArtifactStore(tmp_path / "new", backend="sqlite")
-        assert isinstance(store, SqliteArtifactStore)
-
-    def test_auto_detect_each_backend(
-        self, tmp_path, tiny_campaign: CampaignSpec
-    ) -> None:
-        for backend in BACKENDS:
-            root = tmp_path / backend
-            ArtifactStore(root, backend=backend).initialize(tiny_campaign)
-            assert detect_backend(root) == backend
-            reopened = open_store(root)
-            assert reopened.backend_name == backend
-
-    def test_env_default_for_new_stores(self, tmp_path, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        assert isinstance(
-            ArtifactStore(tmp_path / "new"), SqliteArtifactStore
-        )
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "bogus")
-        with pytest.raises(StoreError, match="REPRO_STORE_BACKEND"):
-            ArtifactStore(tmp_path / "other")
+        store = open_store(tmp_path / "new", backend="sqlite")
+        assert type(store) is ArtifactStore
+        assert type(open_store(tmp_path / "new")) is ArtifactStore
 
     def test_backend_mismatch_raises(
         self, tmp_path, tiny_campaign: CampaignSpec
     ) -> None:
-        root = tmp_path / "store"
-        ArtifactStore(root, backend="sqlite").initialize(tiny_campaign)
         with pytest.raises(StoreError, match="migrate"):
-            ArtifactStore(root, backend="json")
+            open_store(tmp_path / "new", backend="json")
+        legacy = _legacy_copy(tmp_path)
+        with pytest.raises(StoreError, match="campaign migrate"):
+            open_store(legacy)
+        with pytest.raises(StoreError, match="campaign migrate"):
+            CampaignRunner(tiny_campaign, legacy)
+        assert not (legacy / "manifest.db").exists()
 
-    def test_both_satisfy_repository_protocol(self, tmp_path) -> None:
-        for backend in BACKENDS:
-            store = ArtifactStore(tmp_path / backend, backend=backend)
-            assert isinstance(store, CampaignRepository)
+    def test_store_satisfies_repository_protocol(self, tmp_path) -> None:
+        assert isinstance(ArtifactStore(tmp_path / "new"), CampaignRepository)
 
 
 class TestParity:
-    """Same campaign, either backend: observably identical stores."""
+    """An imported legacy store and a fresh run are observably identical."""
 
     def test_same_keys_and_artifact_bytes(self, both_stores) -> None:
-        json_store, sqlite_store = (
-            both_stores["json"],
-            both_stores["sqlite"],
+        legacy, fresh = both_stores["legacy"], both_stores["fresh"]
+        assert legacy.keys() == fresh.keys()
+        assert _unit_fingerprint(legacy.root) == _unit_fingerprint(
+            LEGACY_STORE
         )
-        assert json_store.keys() == sqlite_store.keys()
-        assert _unit_fingerprint(json_store.root) == _unit_fingerprint(
-            sqlite_store.root
-        )
+        assert _unit_fingerprint(legacy.root) == _unit_fingerprint(fresh.root)
 
     def test_same_logical_index(self, both_stores) -> None:
-        assert (
-            both_stores["json"].index_digest()
-            == both_stores["sqlite"].index_digest()
+        legacy, fresh = both_stores["legacy"], both_stores["fresh"]
+        assert legacy.index_digest() == LEGACY_DIGEST
+        assert fresh.index_digest() == LEGACY_DIGEST
+        document = json.loads(
+            (LEGACY_STORE / "manifest.json").read_text(encoding="utf-8")
         )
-        assert both_stores["json"].manifest() == both_stores[
-            "sqlite"
-        ].manifest()
+        assert legacy.manifest() == document == fresh.manifest()
 
     def test_same_histories(self, both_stores) -> None:
-        for key in both_stores["json"].keys():
-            json_unit = both_stores["json"].get(key)
-            sqlite_unit = both_stores["sqlite"].get(key)
-            assert json_unit.history().records == (
-                sqlite_unit.history().records
+        for key in both_stores["legacy"].keys():
+            legacy_unit = both_stores["legacy"].get(key)
+            fresh_unit = both_stores["fresh"].get(key)
+            assert legacy_unit.history().records == (
+                fresh_unit.history().records
             )
-            assert json_unit.result() == sqlite_unit.result()
+            assert legacy_unit.result() == fresh_unit.result()
 
     def test_same_report_tables(self, both_stores) -> None:
         assert (
-            CampaignReport.from_store(both_stores["json"]).render()
-            == CampaignReport.from_store(both_stores["sqlite"]).render()
+            CampaignReport.from_store(both_stores["legacy"]).render()
+            == CampaignReport.from_store(both_stores["fresh"]).render()
         )
 
     def test_same_cli_report_output(self, both_stores, capsys) -> None:
         outputs = {}
-        for backend, store in both_stores.items():
+        for origin, store in both_stores.items():
             assert (
                 main(["campaign", "report", "--dir", str(store.root)]) == 0
             )
-            outputs[backend] = capsys.readouterr().out
-        assert outputs["json"] == outputs["sqlite"]
+            outputs[origin] = capsys.readouterr().out
+        assert outputs["legacy"] == outputs["fresh"]
 
     def test_prefix_scan_matches_filter(self, both_stores) -> None:
         for store in both_stores.values():
@@ -166,14 +151,14 @@ class TestParity:
 
 
 class TestSqliteInvariants:
-    """The store invariants the runner relies on, on the new backend."""
+    """The store invariants the runner relies on."""
 
     def test_kill_and_resume_byte_identity(
         self, tmp_path, tiny_campaign: CampaignSpec
     ) -> None:
-        oneshot = ArtifactStore(tmp_path / "oneshot", backend="sqlite")
+        oneshot = ArtifactStore(tmp_path / "oneshot")
         CampaignRunner(tiny_campaign, oneshot).run()
-        resumed = ArtifactStore(tmp_path / "resumed", backend="sqlite")
+        resumed = ArtifactStore(tmp_path / "resumed")
         CampaignRunner(tiny_campaign, resumed).run(max_units=2)
         assert len(resumed.keys()) == 2
         summary = CampaignRunner(tiny_campaign, resumed).run()
@@ -187,9 +172,9 @@ class TestSqliteInvariants:
     def test_parallel_matches_sequential(
         self, tmp_path, tiny_campaign: CampaignSpec
     ) -> None:
-        sequential = ArtifactStore(tmp_path / "seq", backend="sqlite")
+        sequential = ArtifactStore(tmp_path / "seq")
         CampaignRunner(tiny_campaign, sequential).run()
-        parallel = ArtifactStore(tmp_path / "par", backend="sqlite")
+        parallel = ArtifactStore(tmp_path / "par")
         CampaignRunner(tiny_campaign, parallel).run(jobs=2)
         assert _unit_fingerprint(parallel.root) == _unit_fingerprint(
             sequential.root
@@ -199,11 +184,11 @@ class TestSqliteInvariants:
     def test_doctor_rebuilds_deleted_index(
         self, tmp_path, tiny_campaign: CampaignSpec
     ) -> None:
-        store = ArtifactStore(tmp_path / "store", backend="sqlite")
+        store = ArtifactStore(tmp_path / "store")
         CampaignRunner(tiny_campaign, store).run()
         digest = store.index_digest()
         (store.root / "manifest.db").unlink()
-        broken = ArtifactStore(store.root, backend="sqlite")
+        broken = ArtifactStore(store.root)
         report = broken.doctor(repair=True)
         assert "manifest.db missing" in report.problems
         assert sorted(report.adopted) == broken.keys()
@@ -213,7 +198,7 @@ class TestSqliteInvariants:
     def test_doctor_quarantines_corrupt_unit(
         self, tmp_path, tiny_campaign: CampaignSpec
     ) -> None:
-        store = ArtifactStore(tmp_path / "store", backend="sqlite")
+        store = ArtifactStore(tmp_path / "store")
         CampaignRunner(tiny_campaign, store).run()
         victim = store.keys()[0]
         (store.unit_dir(victim) / "result.json").write_text(
@@ -228,10 +213,9 @@ class TestSqliteInvariants:
     def test_store_at_rest_is_single_file_index(
         self, tmp_path, tiny_campaign: CampaignSpec
     ) -> None:
-        # Per-operation connections auto-checkpoint the WAL on close,
-        # so nothing but manifest.db survives a finished run — the
-        # fingerprint/migration story depends on this.
-        store = ArtifactStore(tmp_path / "store", backend="sqlite")
+        # Per-operation connections checkpoint the WAL on close, so
+        # nothing but manifest.db survives a finished run.
+        store = ArtifactStore(tmp_path / "store")
         CampaignRunner(tiny_campaign, store).run()
         assert not (store.root / "manifest.db-wal").exists()
         assert not (store.root / "manifest.db-shm").exists()
@@ -240,11 +224,10 @@ class TestSqliteInvariants:
 class TestHealthReport:
     """verify()/doctor() share one typed report, list-compatible."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_typed_and_list_compatible(
-        self, tmp_path, tiny_campaign: CampaignSpec, backend: str
+        self, tmp_path, tiny_campaign: CampaignSpec
     ) -> None:
-        store = ArtifactStore(tmp_path / backend, backend=backend)
+        store = ArtifactStore(tmp_path / "store")
         CampaignRunner(tiny_campaign, store).run(max_units=1)
         health = store.verify()
         assert isinstance(health, StoreHealthReport)
@@ -252,7 +235,6 @@ class TestHealthReport:
         assert not health  # falsy when problem-free
         assert list(health) == []
         assert health.healthy
-        assert health.backend == backend
         assert health.checked == 1
         checkup = store.doctor()
         assert isinstance(checkup, StoreHealthReport)
@@ -261,7 +243,7 @@ class TestHealthReport:
     def test_problems_surface_through_list_protocol(
         self, tmp_path, tiny_campaign: CampaignSpec
     ) -> None:
-        store = ArtifactStore(tmp_path / "store", backend="sqlite")
+        store = ArtifactStore(tmp_path / "store")
         CampaignRunner(tiny_campaign, store).run(max_units=1)
         key = store.keys()[0]
         (store.unit_dir(key) / "history.json").write_text(
@@ -276,55 +258,75 @@ class TestHealthReport:
 
 
 class TestMigration:
-    """``migrate`` round-trips byte-identically, either direction."""
+    """``migrate`` imports a legacy ``manifest.json`` store."""
 
-    def test_round_trip_byte_identity_with_quarantine_trail(
+    def test_import_keeps_failure_trail_and_resumes_nothing(
         self, tmp_path, tiny_campaign: CampaignSpec
     ) -> None:
-        source = ArtifactStore(tmp_path / "src", backend="json")
-        CampaignRunner(tiny_campaign, source).run()
-        # A failure trail must survive migration: attempt counters are
-        # durable state a resumed campaign keeps counting from.
-        loser = tiny_campaign.expand()[0].key()
-        source.record_failure(
-            loser, {"unit": "u", "kind": "crash", "error": "boom"}
+        result = migrate_store(LEGACY_STORE, tmp_path / "dst")
+        assert result.units == 4
+        assert result.index_digest == LEGACY_DIGEST
+        # campaign.json, 4 units x 3 files and the failure record.
+        assert result.files_copied == 14
+        store = ArtifactStore(tmp_path / "dst")
+        assert store.verify() == []
+        assert store.attempts_used(LEGACY_FAILED_KEY) == 1
+        record_path = (
+            LEGACY_STORE / "quarantine" / LEGACY_FAILED_KEY / "attempt-1.json"
         )
-        result = migrate_store(source.root, tmp_path / "mid", "sqlite")
-        assert result.units == len(source.keys())
-        assert result.index_digest == source.index_digest()
-        back = migrate_store(tmp_path / "mid", tmp_path / "dst", "json")
-        assert back.index_digest == result.index_digest
-        assert (tmp_path / "dst" / "manifest.json").read_bytes() == (
-            source.root / "manifest.json"
-        ).read_bytes()
-        assert _unit_fingerprint(tmp_path / "dst") == _unit_fingerprint(
-            source.root
-        )
-        migrated = ArtifactStore(tmp_path / "dst")
-        assert migrated.failure_records(loser) == source.failure_records(
-            loser
-        )
-        assert migrated.verify().healthy
+        assert store.failure_records(LEGACY_FAILED_KEY) == [
+            json.loads(record_path.read_text(encoding="utf-8"))
+        ]
+        summary = CampaignRunner(tiny_campaign, store).run()
+        assert summary.executed == 0
+        assert summary.skipped == 4
 
-    def test_refuses_nonempty_destination(
-        self, tmp_path, tiny_campaign: CampaignSpec
+    def test_import_keeps_recorded_checksums(self, tmp_path) -> None:
+        # A unit byte changed after the manifest recorded it must still
+        # fail verify() once imported: the recorded checksums carry over
+        # instead of being recomputed from the bytes on disk.
+        legacy = _legacy_copy(tmp_path)
+        history = legacy / "units" / LEGACY_FAILED_KEY / "history.json"
+        history.write_bytes(history.read_bytes().replace(b"0", b"1", 1))
+        result = migrate_store(legacy, tmp_path / "dst")
+        assert result.index_digest == LEGACY_DIGEST
+        (problem,) = ArtifactStore(tmp_path / "dst").verify()
+        assert problem.startswith(
+            f"{LEGACY_FAILED_KEY}: checksum mismatch on history.json"
+        )
+
+    def test_refuses_an_index_that_disagrees_with_the_manifest(
+        self, tmp_path
     ) -> None:
-        source = ArtifactStore(tmp_path / "src", backend="json")
-        CampaignRunner(tiny_campaign, source).run(max_units=1)
+        legacy = _legacy_copy(tmp_path)
+        manifest_path = legacy / "manifest.json"
+        document = json.loads(manifest_path.read_text(encoding="utf-8"))
+        document["campaign_name"] = "renamed"
+        manifest_path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(StoreError, match="different logical index"):
+            migrate_store(legacy, tmp_path / "dst")
+
+    def test_refuses_nonempty_destination(self, tmp_path) -> None:
         occupied = tmp_path / "dst"
         occupied.mkdir()
         (occupied / "keep.txt").write_text("mine", encoding="utf-8")
         with pytest.raises(StoreError, match="not empty"):
-            migrate_store(source.root, occupied, "sqlite")
+            migrate_store(LEGACY_STORE, occupied)
         assert (occupied / "keep.txt").read_text(encoding="utf-8") == "mine"
 
-    def test_refuses_missing_source(self, tmp_path) -> None:
+    def test_refuses_missing_source(
+        self, tmp_path, tiny_campaign: CampaignSpec
+    ) -> None:
         with pytest.raises(StoreError, match="no campaign store"):
-            migrate_store(tmp_path / "nothing", tmp_path / "dst", "sqlite")
+            migrate_store(tmp_path / "nothing", tmp_path / "dst")
+        # A store that already has a SQLite index has nothing to import.
+        ArtifactStore(tmp_path / "sqlite").initialize(tiny_campaign)
+        with pytest.raises(StoreError, match="no campaign store"):
+            migrate_store(tmp_path / "sqlite", tmp_path / "dst")
 
 
 class TestCli:
-    """--store-backend and the migrate action on the campaign CLI."""
+    """The campaign CLI over the SQLite store and the legacy import."""
 
     def test_run_status_with_sqlite_backend(
         self, tmp_path, tiny_campaign: CampaignSpec, capsys
@@ -341,8 +343,6 @@ class TestCli:
                     str(spec_path),
                     "--dir",
                     str(store_dir),
-                    "--store-backend",
-                    "sqlite",
                 ]
             )
             == 0
@@ -351,72 +351,49 @@ class TestCli:
         assert not (store_dir / "manifest.json").exists()
         capsys.readouterr()
         assert main(["campaign", "status", "--dir", str(store_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "4/4 units complete" in out
-        assert "[sqlite store]" in out
+        assert "4/4 units complete" in capsys.readouterr().out
 
-    def test_cli_migrate_round_trip(
-        self, tmp_path, tiny_campaign: CampaignSpec, capsys
-    ) -> None:
-        store = ArtifactStore(tmp_path / "src", backend="json")
-        CampaignRunner(tiny_campaign, store).run()
+    def test_cli_migrate_imports_legacy_store(self, tmp_path, capsys) -> None:
+        out = tmp_path / "imported"
         assert (
             main(
                 [
                     "campaign",
                     "migrate",
                     "--dir",
-                    str(store.root),
+                    str(LEGACY_STORE),
                     "--out",
-                    str(tmp_path / "mid"),
-                    "--store-backend",
-                    "sqlite",
+                    str(out),
                 ]
             )
             == 0
         )
-        assert "migrated" in capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "campaign",
-                    "migrate",
-                    "--dir",
-                    str(tmp_path / "mid"),
-                    "--out",
-                    str(tmp_path / "dst"),
-                    "--store-backend",
-                    "json",
-                ]
-            )
-            == 0
-        )
-        assert (tmp_path / "dst" / "manifest.json").read_bytes() == (
-            store.root / "manifest.json"
-        ).read_bytes()
+        assert "imported" in capsys.readouterr().out
+        assert main(["campaign", "status", "--dir", str(out)]) == 0
+        assert "4/4 units complete" in capsys.readouterr().out
 
-    def test_cli_migrate_requires_out_and_backend(
-        self, tmp_path, capsys
-    ) -> None:
+    def test_cli_migrate_requires_out(self, tmp_path, capsys) -> None:
         assert main(["campaign", "migrate", "--dir", str(tmp_path)]) == 2
         assert "requires --out" in capsys.readouterr().err
 
     def test_cli_backend_mismatch_is_an_error(
         self, tmp_path, tiny_campaign: CampaignSpec, capsys
     ) -> None:
-        store = ArtifactStore(tmp_path / "store", backend="sqlite")
-        store.initialize(tiny_campaign)
-        assert (
-            main(
-                [
-                    "campaign",
-                    "status",
-                    "--dir",
-                    str(store.root),
-                    "--store-backend",
-                    "json",
-                ]
-            )
-            == 2
+        # An un-imported legacy directory is refused by every action
+        # that opens a store — doctor --repair included, which must not
+        # adopt the units as orphans and drop their recorded checksums.
+        legacy = _legacy_copy(tmp_path)
+        spec_path = tmp_path / "campaign.json"
+        tiny_campaign.save(spec_path)
+        for action in (
+            ["status"],
+            ["doctor", "--repair"],
+            ["run", "--spec", str(spec_path)],
+        ):
+            argv = ["campaign", action[0], "--dir", str(legacy), *action[1:]]
+            assert main(argv) == 2
+            assert "campaign migrate" in capsys.readouterr().err
+        assert _unit_fingerprint(legacy) == _unit_fingerprint(LEGACY_STORE)
+        assert sorted(p.name for p in legacy.iterdir()) == sorted(
+            p.name for p in LEGACY_STORE.iterdir()
         )
-        assert "migrate" in capsys.readouterr().err

@@ -3,13 +3,47 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignSpec, RunSpec
+from repro.campaign import ArtifactStore, CampaignSpec, RunSpec
 from repro.campaign.runner import DEFAULT_SUPERVISION
 from repro.faults import RetryPolicy
 from repro.perf.scheduler import SupervisionPolicy
+
+_RUNTIME_DIRS = ("quarantine", "heartbeats", "spools")
+
+
+def _store_digest(root: str | Path) -> dict[str, str]:
+    """Artifact file hashes by relative path, plus the logical index digest.
+
+    Runtime state — failure records, heartbeats, telemetry spools, the
+    lock file — carries wall times, pids and tracebacks, and raw
+    ``manifest.db`` bytes depend on the order units completed in, so
+    all of them are left out; the index takes part through
+    ``index_digest()``.
+    """
+    root = Path(root)
+    digest = {
+        str(path.relative_to(root)): hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+        and path.name != ".lock"
+        and not path.name.startswith(ArtifactStore.index_filename)
+        and path.relative_to(root).parts[0] not in _RUNTIME_DIRS
+    }
+    digest["<index>"] = ArtifactStore(root).index_digest()
+    return digest
+
+
+@pytest.fixture(scope="session")
+def store_digest():
+    """Compares stores: artifact bytes plus ``index_digest()``."""
+    return _store_digest
 
 
 @pytest.fixture()

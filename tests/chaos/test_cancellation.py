@@ -5,10 +5,10 @@ between units and the prototype between rounds, so a cancelled pass
 never tears a checkpoint and never miscounts it.  This property is
 checked at seeded points across the unit lifecycle — before a training
 round, around the store write, after verify-after-write, and inside the
-loop's own completion bookkeeping — for ``jobs=1`` and ``jobs=4`` and
-for both store backends.  Each case must leave a ``verify()``-clean
-store whose ``executed`` count matches the units it holds, and resuming
-must land the exact bytes of an uninterrupted run.
+loop's own completion bookkeeping — for ``jobs=1`` and ``jobs=4``.
+Each case must leave a ``verify()``-clean store whose ``executed``
+count matches the units it holds, and resuming must land the exact
+bytes of an uninterrupted run.
 
 The cancellation is a real SIGTERM sent to the process running the
 pass, from wherever the lifecycle point executes (the pass itself for
@@ -18,7 +18,6 @@ fire exactly once per case, so no case ever escalates to a hard cancel.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import signal
@@ -32,9 +31,8 @@ from repro.obs.observer import Observer
 
 pytestmark = pytest.mark.chaos_smoke
 
-_RUNTIME_DIRS = ("quarantine", "heartbeats", "spools")
-_BACKENDS = ("json", "sqlite")
-_COMBOS = [(jobs, backend) for jobs in (1, 4) for backend in _BACKENDS]
+# The jobs value of case i is _JOBS[i % 4]; the seeded draws depend on it.
+_JOBS = (1, 1, 4, 4)
 
 # Lifecycle points, with how often one process reaches each in a pass
 # over the 4-unit grid (3 rounds per unit).  A jobs=4 worker typically
@@ -59,10 +57,10 @@ def _seeded_cases(count: int = 24, seed: int = 13) -> list[tuple]:
     points = sorted({point for point, _ in _CALLS})
     cases = []
     for index in range(count):
-        jobs, backend = _COMBOS[index % len(_COMBOS)]
+        jobs = _JOBS[index % len(_JOBS)]
         point = rng.choice(points)
         nth = rng.randint(1, _CALLS[point, jobs])
-        cases.append((jobs, backend, point, nth))
+        cases.append((jobs, point, nth))
     return cases
 
 
@@ -83,23 +81,6 @@ def _campaign() -> CampaignSpec:
     return CampaignSpec(
         name="cancel", base=spec, participants=(1, 2), epochs=(1, 2)
     )
-
-
-def _store_digest(store: ArtifactStore) -> dict[str, str]:
-    """Artifact file hashes plus the logical index digest."""
-    root = store.root
-    digest = {
-        str(path.relative_to(root)): hashlib.sha256(
-            path.read_bytes()
-        ).hexdigest()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-        and path.name != ".lock"
-        and not path.name.startswith(store.index_filename)
-        and path.relative_to(root).parts[0] not in _RUNTIME_DIRS
-    }
-    digest["<index>"] = store.index_digest()
-    return digest
 
 
 class _Trigger:
@@ -150,30 +131,23 @@ class _CompletionObserver(Observer):
 
 
 @pytest.fixture(scope="module")
-def references(tmp_path_factory) -> dict[str, dict[str, str]]:
-    """Digest of an uninterrupted pass, per store backend."""
-    digests = {}
-    for backend in _BACKENDS:
-        root = tmp_path_factory.mktemp(f"reference-{backend}")
-        store = ArtifactStore(root / "store", backend=backend)
-        CampaignRunner(_campaign(), store).run()
-        digests[backend] = _store_digest(store)
-    return digests
+def reference(tmp_path_factory, store_digest) -> dict[str, str]:
+    """Digest of an uninterrupted pass."""
+    root = tmp_path_factory.mktemp("reference") / "store"
+    CampaignRunner(_campaign(), ArtifactStore(root)).run()
+    return store_digest(root)
 
 
 @pytest.mark.parametrize(
-    "jobs, backend, point, nth",
+    "jobs, point, nth",
     _CASES,
-    ids=[
-        f"{i:02d}-jobs{j}-{b}-{p}{n}"
-        for i, (j, b, p, n) in enumerate(_CASES)
-    ],
+    ids=[f"{i:02d}-jobs{j}-{p}{n}" for i, (j, p, n) in enumerate(_CASES)],
 )
 def test_cancellation_at_a_seeded_lifecycle_point(
-    tmp_path, monkeypatch, references, jobs, backend, point, nth
+    tmp_path, monkeypatch, reference, store_digest, jobs, point, nth
 ) -> None:
     campaign = _campaign()
-    store = ArtifactStore(tmp_path / "store", backend=backend)
+    store = ArtifactStore(tmp_path / "store")
     latch = tmp_path / "latch"
     trigger = _Trigger(latch, nth)
     observer = None
@@ -201,4 +175,4 @@ def test_cancellation_at_a_seeded_lifecycle_point(
     assert not resumed.interrupted
     assert summary.executed + resumed.executed == len(campaign)
     assert store.verify() == []
-    assert _store_digest(store) == references[backend]
+    assert store_digest(store.root) == reference

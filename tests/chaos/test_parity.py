@@ -9,9 +9,6 @@ an inline unit has no worker process for the watchdog to reclaim.
 
 from __future__ import annotations
 
-import hashlib
-from pathlib import Path
-
 import pytest
 
 from repro.campaign import ArtifactStore, CampaignRunner, CampaignSpec
@@ -20,21 +17,6 @@ from repro.perf.scheduler import SupervisionPolicy
 
 pytestmark = pytest.mark.chaos_smoke
 
-_RUNTIME_DIRS = ("quarantine", "heartbeats", "spools")
-
-
-def _artifact_digest(root: Path) -> dict[str, str]:
-    """SHA-256 of every artifact file; runtime state is excluded."""
-    return {
-        str(path.relative_to(root)): hashlib.sha256(
-            path.read_bytes()
-        ).hexdigest()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-        and path.name != ".lock"
-        and path.relative_to(root).parts[0] not in _RUNTIME_DIRS
-    }
-
 
 class TestJobsParity:
     def test_one_plan_gives_the_same_store_at_jobs_1_and_4(
@@ -42,6 +24,7 @@ class TestJobsParity:
         tmp_path,
         chaos_campaign: CampaignSpec,
         fast_supervision: SupervisionPolicy,
+        store_digest,
     ) -> None:
         plan = ChaosPlan.build(
             {
@@ -58,7 +41,7 @@ class TestJobsParity:
             )
             keys = [spec.key() for spec in chaos_campaign.expand()]
             runs[jobs] = {
-                "digest": _artifact_digest(store.root),
+                "digest": store_digest(store.root),
                 "attempts": {key: store.attempts_used(key) for key in keys},
                 "trails": {
                     key: [

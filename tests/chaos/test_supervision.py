@@ -35,26 +35,8 @@ from repro.perf.scheduler import SupervisionPolicy
 
 pytestmark = pytest.mark.chaos_smoke
 
-_RUNTIME_DIRS = ("quarantine", "heartbeats", "spools")
-
-
-def _artifact_digest(root: Path) -> dict[str, str]:
-    """SHA-256 of every *artifact* file by relative path.
-
-    Runtime state — failure records, heartbeats, telemetry spools, the
-    lock file — is excluded: those carry wall times, pids and
-    tracebacks, so only ``units/``, the manifest and the campaign
-    binding participate in byte-identity claims.
-    """
-    digest = {}
-    for path in sorted(root.rglob("*")):
-        if not path.is_file() or path.name == ".lock":
-            continue
-        relative = path.relative_to(root)
-        if relative.parts[0] in _RUNTIME_DIRS:
-            continue
-        digest[str(relative)] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digest
+# Subprocess campaigns import the package from this checkout.
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _unit_digest(store: ArtifactStore, key: str) -> dict[str, str]:
@@ -159,7 +141,7 @@ class TestSequentialSupervision:
         return CampaignSpec(name="solo", base=tiny_spec)
 
     def test_crash_once_retries_to_byte_identical_store(
-        self, tmp_path, tiny_spec: RunSpec, fast_supervision
+        self, tmp_path, tiny_spec: RunSpec, fast_supervision, store_digest
     ) -> None:
         campaign = self._solo(tiny_spec)
         chaos = ChaosPlan.build({"K2-E2": Saboteur(kind="crash", times=1)})
@@ -180,12 +162,12 @@ class TestSequentialSupervision:
 
         reference = ArtifactStore(tmp_path / "reference")
         CampaignRunner(campaign, reference).run()
-        assert _artifact_digest(store.root) == _artifact_digest(
+        assert store_digest(store.root) == store_digest(
             reference.root
         )
 
     def test_unrecoverable_crash_is_quarantined_then_healable(
-        self, tmp_path, tiny_spec: RunSpec, fast_supervision
+        self, tmp_path, tiny_spec: RunSpec, fast_supervision, store_digest
     ) -> None:
         campaign = self._solo(tiny_spec)
         chaos = ChaosPlan.build({"solo": Saboteur(kind="crash", times=-1)})
@@ -212,14 +194,14 @@ class TestSequentialSupervision:
         assert healed.executed == 1 and not healed.degraded
         reference = ArtifactStore(tmp_path / "reference")
         CampaignRunner(campaign, reference).run()
-        assert _artifact_digest(store.root) == _artifact_digest(
+        assert store_digest(store.root) == store_digest(
             reference.root
         )
 
 
 class TestKillAndResumeDeterminism:
     def test_sigkill_mid_retry_resumes_to_identical_bytes_and_attempts(
-        self, tmp_path, tiny_spec: RunSpec
+        self, tmp_path, tiny_spec: RunSpec, store_digest
     ) -> None:
         # A crash-twice saboteur under a ~30s backoff gives the parent a
         # wide window: wait for the first durable failure record, then
@@ -259,7 +241,7 @@ class TestKillAndResumeDeterminism:
         )
         script_path = tmp_path / "campaign_script.py"
         script_path.write_text(script)
-        env = {**os.environ, "PYTHONPATH": "/root/repo/src"}
+        env = {**os.environ, "PYTHONPATH": _SRC}
         process = subprocess.Popen(
             [sys.executable, str(script_path), str(killed_root)], env=env
         )
@@ -302,7 +284,7 @@ class TestKillAndResumeDeterminism:
         CampaignRunner(campaign, reference, chaos=chaos).run(
             supervision=supervision
         )
-        assert _artifact_digest(killed_root) == _artifact_digest(
+        assert store_digest(killed_root) == store_digest(
             reference_root
         )
         # Identical durable attempt trails: same record files, same
@@ -319,7 +301,7 @@ class TestKillAndResumeDeterminism:
 
 class TestSigtermDrain:
     def test_sigterm_checkpoints_like_ctrl_c_and_resumes_cleanly(
-        self, tmp_path, tiny_spec: RunSpec
+        self, tmp_path, tiny_spec: RunSpec, store_digest
     ) -> None:
         # A campaign process that SIGTERMs itself as soon as the first
         # unit lands: the handler must convert the signal into the
@@ -372,7 +354,7 @@ class TestSigtermDrain:
         )
         script_path = tmp_path / "drain_script.py"
         script_path.write_text(script)
-        env = {**os.environ, "PYTHONPATH": "/root/repo/src"}
+        env = {**os.environ, "PYTHONPATH": _SRC}
         completed = subprocess.run(
             [sys.executable, str(script_path), str(store_root)],
             env=env,
@@ -397,7 +379,7 @@ class TestSigtermDrain:
 
         reference = ArtifactStore(tmp_path / "reference")
         CampaignRunner(campaign, reference).run()
-        assert _artifact_digest(store_root) == _artifact_digest(
+        assert store_digest(store_root) == store_digest(
             reference.root
         )
 

@@ -35,9 +35,8 @@ def _store_digest(root: Path) -> dict[str, str]:
 
     The lock file is excluded, and the index file is compared through
     ``index_digest()`` (the canonical key-sorted document) rather than
-    raw bytes: a JSON manifest is byte-deterministic, but SQLite page
-    layout varies with insertion order even when the indexed content is
-    identical — logical identity is the invariant both backends share.
+    raw bytes: SQLite page layout varies with insertion order even when
+    the indexed content is identical.
     """
     store = ArtifactStore(root)
     skip = {".lock", store.index_filename}

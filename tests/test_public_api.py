@@ -92,11 +92,6 @@ def test_repository_surface_exported() -> None:
         open_store,
     )
 
-    from repro.campaign import JsonArtifactStore, SqliteArtifactStore
-
-    assert issubclass(JsonArtifactStore, repro.ArtifactStore)
-    assert issubclass(SqliteArtifactStore, repro.ArtifactStore)
-
 
 @pytest.mark.parametrize(
     "name", ["ExperimentScale", "FederatedConfig", "ResilienceConfig"]
