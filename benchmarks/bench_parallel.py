@@ -12,7 +12,10 @@ the timings:
   hash identically and the index digests must be equal);
 * **paper shape** — pool vs sequential at the paper's full data shape
   (3 000 samples per server, K=20, E=16, 784x10), the row behind the
-  decision to keep the pool engine;
+  decision to keep the pool engine; and population vs sequential on
+  the same data, in lock-step rounds, the row behind ``auto``'s pick
+  of the population engine at this shape (max |dparam| <= 1e-10 and
+  at most 1.05x sequential's seconds per round);
 * **break-even sweep** — pool speedup across model sizes and epoch
   counts, reporting the measured (K, E, model) crossover where the pool
   starts to pay and its ``K * E * d`` work, which is the
@@ -76,6 +79,11 @@ PAPER_SAMPLES_PER_SERVER = 100
 # Paper shape: the prototype's 60k samples over 20 servers.
 PAPER_SHAPE_SAMPLES_PER_SERVER = 3_000
 PAPER_SHAPE_ROUNDS = 3
+# Population vs sequential: rounds alternate between the two trainers,
+# so host drift hits both sides alike; the medians are compared.
+PAPER_SHAPE_PAIRED_ROUNDS = 5
+ACCEPT_POPULATION_ROUND_RATIO = 1.05  # population / sequential s/round
+ACCEPT_POPULATION_ATOL = 1e-10
 
 # Campaign-level: the same 8-unit demo grid bench_campaign.py uses.
 CAMPAIGN_N_SERVERS = 8
@@ -128,6 +136,30 @@ def _make_data(model: LogisticRegressionConfig, samples_per_server: int):
     return train, test, partitions
 
 
+def _trainer(
+    backend: str,
+    model: LogisticRegressionConfig,
+    data,
+    participants: int,
+    epochs: int,
+    n_rounds: int,
+) -> FederatedTrainer:
+    train, test, partitions = data
+    return FederatedTrainer(
+        clients=build_clients(partitions, model),
+        config=FederatedConfig(
+            n_rounds=n_rounds,
+            participants_per_round=participants,
+            local_epochs=epochs,
+            sgd=SGDConfig(learning_rate=0.1, decay=0.995),
+            seed=SEED,
+            backend=backend,
+        ),
+        train_eval=train,
+        test_eval=test,
+    )
+
+
 def _timed_run(
     backend: str,
     model: LogisticRegressionConfig,
@@ -137,19 +169,8 @@ def _timed_run(
     rounds: int,
     warmup_rounds: int = WARMUP_ROUNDS,
 ) -> tuple[float, np.ndarray]:
-    train, test, partitions = data
-    trainer = FederatedTrainer(
-        clients=build_clients(partitions, model),
-        config=FederatedConfig(
-            n_rounds=warmup_rounds + rounds,
-            participants_per_round=participants,
-            local_epochs=epochs,
-            sgd=SGDConfig(learning_rate=0.1, decay=0.995),
-            seed=SEED,
-            backend=backend,
-        ),
-        train_eval=train,
-        test_eval=test,
+    trainer = _trainer(
+        backend, model, data, participants, epochs, warmup_rounds + rounds
     )
     try:
         for _ in range(warmup_rounds):
@@ -191,8 +212,44 @@ def run_engine_level() -> dict:
     return row
 
 
+def _lockstep_rounds(
+    backends: tuple[str, str], data, rounds: int
+) -> dict[str, tuple[list[float], np.ndarray]]:
+    """Per-round seconds and final parameters of two trainers in turn.
+
+    After one warm-up round each, the two trainers alternate rounds,
+    and the one that goes first swaps every round.
+    """
+    trainers = {
+        backend: _trainer(
+            backend, PAPER_MODEL, data, HEADLINE_K, HEADLINE_E, rounds + 1
+        )
+        for backend in backends
+    }
+    seconds: dict[str, list[float]] = {backend: [] for backend in backends}
+    try:
+        for trainer in trainers.values():
+            trainer.run_round()
+        for round_index in range(rounds):
+            order = backends if round_index % 2 == 0 else backends[::-1]
+            for backend in order:
+                started = time.perf_counter()
+                trainers[backend].run_round()
+                seconds[backend].append(time.perf_counter() - started)
+        return {
+            backend: (
+                seconds[backend],
+                trainer.coordinator.global_parameters.copy(),
+            )
+            for backend, trainer in trainers.items()
+        }
+    finally:
+        for trainer in trainers.values():
+            trainer.close()
+
+
 def run_paper_shape() -> dict:
-    """Pool vs sequential at the paper's full data shape, one warm-up."""
+    """Pool and population vs sequential at the paper's full data shape."""
     train, test, partitions = _make_data(
         PAPER_MODEL, PAPER_SHAPE_SAMPLES_PER_SERVER
     )
@@ -206,6 +263,11 @@ def run_paper_shape() -> dict:
             backend, PAPER_MODEL, data, HEADLINE_K, HEADLINE_E,
             PAPER_SHAPE_ROUNDS, warmup_rounds=1,
         )
+    paired = _lockstep_rounds(
+        ("sequential", "population"), data, PAPER_SHAPE_PAIRED_ROUNDS
+    )
+    seq_rounds, seq_params = paired["sequential"]
+    pop_rounds, pop_params = paired["population"]
     row = {
         "participants": HEADLINE_K,
         "epochs": HEADLINE_E,
@@ -219,7 +281,21 @@ def run_paper_shape() -> dict:
         "max_abs_param_diff": float(
             np.max(np.abs(params["pool"] - params["sequential"]))
         ),
+        "population": {
+            "paired_rounds": PAPER_SHAPE_PAIRED_ROUNDS,
+            "round_seconds_sequential": seq_rounds,
+            "round_seconds_population": pop_rounds,
+            "seconds_per_round_sequential": float(np.median(seq_rounds)),
+            "seconds_per_round_population": float(np.median(pop_rounds)),
+            "ratio_vs_sequential": float(
+                np.median(pop_rounds) / np.median(seq_rounds)
+            ),
+            "max_abs_param_diff": float(
+                np.max(np.abs(pop_params - seq_params))
+            ),
+        },
     }
+    population = row["population"]
     print(
         f"paper shape ({PAPER_SHAPE_SAMPLES_PER_SERVER} samples/server, "
         f"K={HEADLINE_K}, E={HEADLINE_E}, 784x10): "
@@ -227,6 +303,13 @@ def run_paper_shape() -> dict:
         f"pool {row['seconds_per_round_pool']:.2f} s/round, "
         f"{row['speedup_pool']:.2f}x, "
         f"max|dparam| {row['max_abs_param_diff']:.1e}"
+    )
+    print(
+        f"paper shape, lock-step rounds: sequential "
+        f"{population['seconds_per_round_sequential']:.2f} s/round, "
+        f"population {population['seconds_per_round_population']:.2f} "
+        f"s/round, {population['ratio_vs_sequential']:.2f}x sequential, "
+        f"max|dparam| {population['max_abs_param_diff']:.1e}"
     )
     return row
 
@@ -382,6 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         "thresholds": {
             "accept_pool_speedup": ACCEPT_POOL_SPEEDUP,
             "accept_parallel_speedup": ACCEPT_PARALLEL_SPEEDUP,
+            "accept_population_round_ratio": ACCEPT_POPULATION_ROUND_RATIO,
+            "accept_population_atol": ACCEPT_POPULATION_ATOL,
             "min_bounded_speedup": MIN_BOUNDED_SPEEDUP,
             "pool_cpu_floor": POOL_CPU_FLOOR,
             "campaign_jobs": CAMPAIGN_JOBS,
@@ -398,6 +483,19 @@ def main(argv: list[str] | None = None) -> int:
                 f"pool backend diverged from sequential at the {label} "
                 f"(max|dparam| = {row['max_abs_param_diff']:.2e}, must be 0)"
             )
+    population = paper_shape["population"]
+    if population["max_abs_param_diff"] > ACCEPT_POPULATION_ATOL:
+        failures.append(
+            "population backend diverged from sequential at the paper "
+            f"shape (max|dparam| = {population['max_abs_param_diff']:.2e}, "
+            f"must be <= {ACCEPT_POPULATION_ATOL:.0e})"
+        )
+    if population["ratio_vs_sequential"] > ACCEPT_POPULATION_ROUND_RATIO:
+        failures.append(
+            f"population takes {population['ratio_vs_sequential']:.2f}x "
+            "sequential's seconds per round at the paper shape (ceiling "
+            f"{ACCEPT_POPULATION_ROUND_RATIO:.2f}x)"
+        )
     if not campaign["stores_byte_identical"]:
         failures.append(
             "parallel campaign store is not byte-identical to sequential"

@@ -25,8 +25,3 @@ def pytest_configure(config: pytest.Config) -> None:
 def system() -> CalibratedSystem:
     """The calibrated testbed all energy benchmarks share."""
     return calibrate_system(TEST_SCALE)
-
-
-def emit(report: str) -> None:
-    """Print a paper-comparison report block (visible with ``-s``)."""
-    print("\n" + report + "\n")

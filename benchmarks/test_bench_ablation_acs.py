@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.core.acs import ACSSolver
 from repro.core.baselines import grid_search, random_search
 from repro.core.convergence import ConvergenceBound

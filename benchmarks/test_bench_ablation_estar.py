@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.core.closed_form import e_star
 from repro.core.convergence import ConvergenceBound
 from repro.core.energy_model import EnergyParams

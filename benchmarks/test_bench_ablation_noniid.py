@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.data.synthetic_mnist import load_synthetic_mnist
 from repro.experiments.report import render_table
 from repro.fl.partition import partition_by_shards, partition_iid

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.core.convergence import ConvergenceBound
 from repro.core.energy_model import EnergyParams
 from repro.core.objective import EnergyObjective

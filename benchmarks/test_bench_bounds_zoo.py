@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.core.bounds_zoo import ALL_MODEL_FAMILIES, fit_model
 from repro.core.calibration import GapObservation
 from repro.experiments.calibrate import CalibratedSystem

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.core.acs import ACSSolver
 from repro.core.convergence import ConvergenceBound
 from repro.core.deadline import solve_with_deadline

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.experiments.fig3 import run_fig3
 from repro.hardware.power_model import RoundPhase
+
+pytestmark = pytest.mark.paper_smoke
 
 
 @pytest.mark.paper

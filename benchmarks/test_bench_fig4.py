@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.experiments.calibrate import CalibratedSystem
 from repro.experiments.fig4 import run_fig4
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.experiments.calibrate import CalibratedSystem
 from repro.experiments.fig5 import run_fig5
+
+pytestmark = pytest.mark.paper_smoke
 
 K_VALUES = (1, 2, 4, 8, 12, 16, 20)
 FIXED_E = 20

@@ -11,9 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.experiments.calibrate import CalibratedSystem
 from repro.experiments.fig6 import run_fig6
+
+pytestmark = pytest.mark.paper_smoke
 
 E_VALUES = (1, 2, 5, 10, 20, 40, 60, 100)
 FIXED_K = 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.core.calibration import GapObservation, fit_convergence_constants
 from repro.core.objective import EnergyObjective
 from repro.core.planner import EnergyPlanner

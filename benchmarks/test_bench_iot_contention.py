@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.experiments.report import render_table
 from repro.iot.collision import SlottedAlohaModel
 from repro.iot.device import IoTDevice

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.data.synthetic_mnist import load_synthetic_mnist
 from repro.experiments.stats import repeat_over_seeds, summarize
 from repro.hardware.prototype import HardwarePrototype, PrototypeConfig
+
+pytestmark = pytest.mark.paper_smoke
 
 N_SERVERS = 10
 TARGET = 0.78

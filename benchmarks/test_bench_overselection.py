@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.data.synthetic_mnist import load_synthetic_mnist
 from repro.experiments.report import render_table
 from repro.hardware.prototype import HardwarePrototype, PrototypeConfig

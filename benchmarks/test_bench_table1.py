@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import emit
+from paper_report import emit
 from repro.core import constants
 from repro.core.calibration import fit_training_energy
 from repro.experiments.table1 import run_table1
 from repro.hardware.raspberry_pi import RaspberryPiEdgeServer
+
+pytestmark = pytest.mark.paper_smoke
 
 
 @pytest.mark.paper

@@ -120,8 +120,8 @@ class RunSpec:
             folds match the flat mean to ``~1e-12``, not bit-for-bit,
             so a non-zero value changes the unit's identity key.
         population_dtype: compute dtype for the ``population`` backend
-            (``float64`` default; ``float32`` halves memory at a
-            documented accuracy delta and changes the identity key).
+            (``float64`` default; ``float32`` computes at a documented
+            accuracy delta and changes the identity key).
         telemetry: attach an :class:`~repro.obs.Observer` to the run and
             persist its event log next to the run's artifacts.
         fault_plan: optional declarative fault plan injected into the

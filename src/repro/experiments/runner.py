@@ -358,8 +358,8 @@ def common_options() -> argparse.ArgumentParser:
         help=(
             "compute dtype for the 'population' backend: 'float64' "
             "(default, matches the reference bit-for-bit at equal op "
-            "order) or 'float32' (half the memory at a ~1e-6 relative "
-            "parameter delta).  For "
+            "order) or 'float32' (at a ~1e-6 relative parameter "
+            "delta).  For "
             "'campaign run' this overrides every unit's dtype"
         ),
     )

@@ -56,7 +56,9 @@ class EdgeServerClient:
 
     The client is stateless between rounds apart from its dataset: at
     every round it re-initialises its model from the received global
-    parameters, exactly as FedAvg prescribes.
+    parameters, exactly as FedAvg prescribes.  The model itself is
+    built on first use, so a client an engine never trains through (the
+    population engine reads only its dataset) holds no parameters.
     """
 
     def __init__(
@@ -77,10 +79,20 @@ class EdgeServerClient:
         self.dataset = dataset
         self.model_config = model_config
         self._rng = rng or np.random.default_rng(client_id)
-        # Any config exposing the model-factory protocol works here —
-        # LogisticRegressionConfig (the paper's model) or MLPConfig (the
-        # non-convex extension).
-        self._model = model_config.build()
+        self._built_model = None
+
+    @property
+    def _model(self):
+        """The working model, built on first use.
+
+        Any config exposing the model-factory protocol works here —
+        LogisticRegressionConfig (the paper's model) or MLPConfig (the
+        non-convex extension).  Every method sets its parameters before
+        reading it, so when it is built does not matter.
+        """
+        if self._built_model is None:
+            self._built_model = self.model_config.build()
+        return self._built_model
 
     @property
     def n_samples(self) -> int:

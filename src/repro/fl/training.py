@@ -99,10 +99,11 @@ class FederatedConfig:
             See :mod:`repro.fl.engine`.
         pool_workers: worker-process count for the ``"pool"`` backend
             (ignored by the other backends).
-        population_dtype: array dtype for the ``"population"``
-            backend's stacks — ``"float64"`` (default, equivalence-
-            tested) or ``"float32"`` (half the memory; accuracy delta
-            measured by ``benchmarks/bench_population.py``).
+        population_dtype: compute dtype of the ``"population"``
+            backend — ``"float64"`` (default, equivalence-tested) or
+            ``"float32"`` (accuracy delta measured by
+            ``benchmarks/bench_population.py``).  Its stacks keep the
+            partitions' stored dtype either way.
     """
 
     n_rounds: int

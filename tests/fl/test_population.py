@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import builtins
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -288,6 +289,116 @@ class TestTrainCohort:
                 actual.parameters, expected.parameters, rtol=0, atol=1e-10
             )
             assert actual.n_samples == expected.n_samples
+
+
+_PAPER_MODEL = LogisticRegressionConfig(n_features=784, n_classes=10)
+
+
+def _float32_partitions(n_clients: int, n: int) -> list[Dataset]:
+    rng = np.random.default_rng(n)
+    return [
+        Dataset(
+            rng.random((n, 784), dtype=np.float32),
+            rng.integers(0, 10, size=n),
+            10,
+        )
+        for _ in range(n_clients)
+    ]
+
+
+class TestLaneBlocks:
+    """Lane blocks and stored-dtype stacks never change a bit."""
+
+    _COHORT = [5, 0, 3, 8, 1, 2, 7, 6, 4]
+
+    def _train(self, state, monkeypatch, budget):
+        monkeypatch.setattr(
+            "repro.fl.population._LANE_BLOCK_BYTES", budget
+        )
+        anchor = np.random.default_rng(3).normal(
+            scale=0.01, size=_PAPER_MODEL.n_parameters
+        )
+        updates = train_cohort(
+            state,
+            self._COHORT,
+            anchor,
+            epochs=3,
+            learning_rate=0.3,
+            proximal_mu=0.1,
+        )
+        return (
+            np.stack([u.parameters for u in updates]),
+            np.array([u.final_local_loss for u in updates]),
+        )
+
+    # n=4 runs every GEMM below the small-matrix cutoff, n=130 above it.
+    @pytest.mark.parametrize("n", [4, 130])
+    def test_block_size_invariant(self, n: int, monkeypatch):
+        state = PopulationState.from_datasets(
+            _float32_partitions(len(self._COHORT), n), _PAPER_MODEL
+        )
+        lane_bytes = n * 784 * 8
+        one_lane, whole = (
+            self._train(state, monkeypatch, budget)
+            for budget in (1, 1 << 40)
+        )
+        # 4 lanes per block: 9 members split 4 + 4 + 1.
+        uneven = self._train(state, monkeypatch, 4 * lane_bytes)
+        for candidate in (whole, uneven):
+            np.testing.assert_array_equal(candidate[0], one_lane[0])
+            np.testing.assert_array_equal(candidate[1], one_lane[1])
+
+    @pytest.mark.parametrize("n", [4, 130])
+    def test_float32_stack_matches_float64_stack(self, n: int, monkeypatch):
+        partitions = _float32_partitions(len(self._COHORT), n)
+        stored32 = PopulationState.from_datasets(partitions, _PAPER_MODEL)
+        stored64 = PopulationState.from_datasets(
+            [
+                Dataset(p.features.astype(np.float64), p.labels, 10)
+                for p in partitions
+            ],
+            _PAPER_MODEL,
+        )
+        assert stored32.groups[n].features.dtype == np.float32
+        assert stored32.dtype == stored64.dtype == np.float64
+        budget = 4 * n * 784 * 8
+        for actual, expected in zip(
+            self._train(stored32, monkeypatch, budget),
+            self._train(stored64, monkeypatch, budget),
+        ):
+            np.testing.assert_array_equal(actual, expected)
+        assert stored32.nbytes == pytest.approx(
+            stored64.nbytes / 2, rel=0.01
+        )
+
+
+def _record_builds(monkeypatch) -> list[str]:
+    """The calling module of every ``model_config.build()`` from now on."""
+    callers: list[str] = []
+    build = LogisticRegressionConfig.build
+
+    def recording_build(self):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return build(self)
+
+    monkeypatch.setattr(LogisticRegressionConfig, "build", recording_build)
+    return callers
+
+
+class TestNoUnusedModel:
+    def test_build_clients_builds_no_model(self, monkeypatch):
+        callers = _record_builds(monkeypatch)
+        clients = build_clients(_PARTITIONS, _CONFIG)
+        assert len(clients) == _N_CLIENTS
+        assert callers == []
+
+    def test_population_run_builds_no_client_model(self, monkeypatch):
+        callers = _record_builds(monkeypatch)
+        _run("population")
+        assert "repro.fl.client" not in callers
+        # The recorder does see clients that train themselves.
+        _run("sequential")
+        assert "repro.fl.client" in callers
 
 
 class TestAggregationTree:
