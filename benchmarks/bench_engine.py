@@ -29,10 +29,15 @@ fails if the parameters differ by a bit or the model's epochs take more
 than ``MAX_GEMM_ORIENTATION_RATIO`` of the naive ones.
 
 The paper-sized contrast row also times the persistent-worker pool
-backend.  Its guard is CPU-aware: with multiple cores the pool must
-beat sequential by the acceptance margin; on a single-core container
-(where a speedup is physically impossible) the guard degrades to a
-bounded-overhead floor and the row records ``cpu_limited: true``.
+backend against sequential in lock-step: both trainers stay alive, each
+repeat times ``GRID_ROUNDS`` rounds of one and then of the other, the
+first mover swaps every repeat, and the guard reads the median of the
+per-repeat speedups (one round is only ~0.05 s of work, too little for a
+single back-to-back ratio to be stable).  The guard is CPU-aware: with
+multiple cores the pool must beat sequential by the acceptance margin;
+on a single-core container (where a speedup is physically impossible)
+the guard degrades to a bounded-overhead floor and the row records
+``cpu_limited: true``.
 ``benchmarks/bench_parallel.py`` owns the full two-level parallel
 acceptance run.
 
@@ -101,6 +106,7 @@ PAPER_SAMPLES_PER_SERVER = 100
 ACCEPT_POOL_SPEEDUP = 1.5
 MIN_BOUNDED_POOL_SPEEDUP = 0.5
 POOL_CPU_FLOOR = 2
+POOL_REPEATS = 7
 
 # Dtype-contract guard (paper row): float32-stored features may cost at
 # most this much more per round than float64 ones.  Timed at 1 000
@@ -350,6 +356,47 @@ def run_grid(data, model: LogisticRegressionConfig) -> list[dict]:
     return rows
 
 
+def run_pool_lockstep(
+    data, model: LogisticRegressionConfig
+) -> tuple[dict[str, list[float]], dict[str, np.ndarray]]:
+    """Seconds per round of sequential and pool, repeat by repeat.
+
+    Both trainers warm up, then each repeat times ``GRID_ROUNDS`` rounds
+    of one backend and then of the other; which goes first swaps every
+    repeat.  Returns the per-repeat seconds per round and the final
+    parameters of each backend.
+    """
+    backends = ("sequential", "pool")
+    rounds = WARMUP_ROUNDS + POOL_REPEATS * GRID_ROUNDS
+    trainers = {
+        backend: _trainer(
+            backend, model, data, HEADLINE_K, HEADLINE_E, rounds
+        )
+        for backend in backends
+    }
+    seconds: dict[str, list[float]] = {backend: [] for backend in backends}
+    try:
+        for trainer in trainers.values():
+            for _ in range(WARMUP_ROUNDS):
+                trainer.run_round()
+        for repeat in range(POOL_REPEATS):
+            order = backends if repeat % 2 == 0 else backends[::-1]
+            for backend in order:
+                started = time.perf_counter()
+                for _ in range(GRID_ROUNDS):
+                    trainers[backend].run_round()
+                seconds[backend].append(
+                    (time.perf_counter() - started) / GRID_ROUNDS
+                )
+        return seconds, {
+            backend: trainer.coordinator.global_parameters.copy()
+            for backend, trainer in trainers.items()
+        }
+    finally:
+        for trainer in trainers.values():
+            trainer.close()
+
+
 def run_headline(data, model: LogisticRegressionConfig) -> dict:
     """The acceptance cell: K=20, E=16, 50 timed rounds, best of N reps."""
     times: dict[str, list[float]] = {b: [] for b in BACKENDS}
@@ -402,21 +449,29 @@ def main(argv: list[str] | None = None) -> int:
 
     cpus = _available_cpus()
     paper_data = _make_data(PAPER_MODEL, PAPER_SAMPLES_PER_SERVER)
-    paper_times = {}
-    paper_params = {}
-    for backend in BACKENDS:
-        elapsed, final = _timed_run(
-            backend, PAPER_MODEL, paper_data, HEADLINE_K, HEADLINE_E, GRID_ROUNDS
-        )
-        paper_times[backend] = elapsed / GRID_ROUNDS
-        paper_params[backend] = final
+    elapsed, _ = _timed_run(
+        "batched", PAPER_MODEL, paper_data, HEADLINE_K, HEADLINE_E, GRID_ROUNDS
+    )
+    repeats, paper_params = run_pool_lockstep(paper_data, PAPER_MODEL)
+    paper_times = {
+        "sequential": statistics.median(repeats["sequential"]),
+        "batched": elapsed / GRID_ROUNDS,
+        "pool": statistics.median(repeats["pool"]),
+    }
+    pool_speedups = [
+        sequential / pool
+        for sequential, pool in zip(repeats["sequential"], repeats["pool"])
+    ]
     paper_row = {
         "participants": HEADLINE_K,
         "epochs": HEADLINE_E,
         "rounds": GRID_ROUNDS,
         "seconds_per_round": paper_times,
         "speedup_batched": paper_times["sequential"] / paper_times["batched"],
-        "speedup_pool": paper_times["sequential"] / paper_times["pool"],
+        "pool_repeats": POOL_REPEATS,
+        "seconds_per_round_repeats": repeats,
+        "speedup_pool_repeats": pool_speedups,
+        "speedup_pool": statistics.median(pool_speedups),
         "max_abs_param_diff_pool": float(
             np.max(np.abs(paper_params["pool"] - paper_params["sequential"]))
         ),
@@ -465,6 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         "headline": headline,
         "paper_model_contrast": paper_row,
         "pool_thresholds": {
+            "repeats": POOL_REPEATS,
             "accept_pool_speedup": ACCEPT_POOL_SPEEDUP,
             "min_bounded_pool_speedup": MIN_BOUNDED_POOL_SPEEDUP,
             "pool_cpu_floor": POOL_CPU_FLOOR,
@@ -492,8 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     if paper_row["speedup_pool"] < pool_threshold:
         failures.append(
-            f"pool speedup {paper_row['speedup_pool']:.2f}x at paper scale "
-            f"below {pool_threshold:.2f}x threshold ({cpus} cpus)"
+            f"median pool speedup {paper_row['speedup_pool']:.2f}x over "
+            f"{POOL_REPEATS} lock-step repeats at paper scale below "
+            f"{pool_threshold:.2f}x threshold ({cpus} cpus)"
         )
     dtype_ratio = paper_row["dtype_contract"]["float32_over_float64"]
     if dtype_ratio > MAX_FLOAT32_RATIO:

@@ -1,9 +1,8 @@
 """Telemetry-overhead benchmark: events+metrics on vs off, spool vs in-process.
 
 Observability must be cheap enough to leave on: the campaign runner now
-attaches a :class:`~repro.obs.sink.SpoolObserver` to every unit, and the
-pool engine streams per-chunk telemetry from its workers, so any real
-per-event cost is paid on every round of every unit.  This benchmark
+attaches a :class:`~repro.obs.sink.SpoolObserver` to every unit, so any
+real per-event cost is paid on every round of every unit.  This benchmark
 times the K=20, E=16 headline cell (the same one ``bench_engine.py``
 guards) in three telemetry modes:
 
@@ -14,9 +13,10 @@ guards) in three telemetry modes:
   an append-only JSONL spool file, one flushed line per event — the
   cross-process transport the campaign runner uses.
 
-for both the ``sequential`` and ``pool`` execution backends (the pool
-run also sets the spool context, so engine workers stream their
-per-chunk spools exactly as they do under a campaign).
+for both the ``sequential`` and ``pool`` execution backends.  As under a
+campaign, the unit spool is the only one: the pool engine's chunk
+workers keep no telemetry, and the engine counts their work in the
+unit's observer.
 
 Guards (per backend, median of paired per-rep ratios):
 
@@ -59,7 +59,6 @@ from repro.fl.partition import partition_iid
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
 from repro.obs import Observer, SpoolObserver, TelemetrySpool
-from repro.obs.sink import clear_spool_context, set_spool_context
 
 N_SERVERS = 20
 SEED = 0
@@ -116,9 +115,7 @@ def _make_observer(mode: str, scratch: Path) -> Observer | None:
         return None
     if mode == "inproc":
         return Observer()
-    spool = TelemetrySpool(
-        scratch / "bench-unit.jsonl", unit="bench", role="unit"
-    )
+    spool = TelemetrySpool(scratch / "bench-unit.jsonl", unit="bench")
     return SpoolObserver(spool)
 
 
@@ -126,10 +123,6 @@ def _timed_run(backend: str, mode: str, data, scratch: Path) -> dict:
     """One training run; returns timing plus telemetry volume."""
     train, test, partitions = data
     observer = _make_observer(mode, scratch)
-    if mode == "spool":
-        # What the campaign runner does before executing a unit: nested
-        # pool-engine workers discover the directory and spool too.
-        set_spool_context(scratch, "bench")
     trainer = FederatedTrainer(
         clients=build_clients(partitions, IOT_MODEL),
         config=FederatedConfig(
@@ -153,7 +146,6 @@ def _timed_run(backend: str, mode: str, data, scratch: Path) -> dict:
         elapsed = time.perf_counter() - started
     finally:
         trainer.close()
-        clear_spool_context()
         if isinstance(observer, SpoolObserver):
             observer.finalize()
     row = {"elapsed_s": elapsed}

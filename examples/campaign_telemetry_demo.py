@@ -1,8 +1,7 @@
 """Cross-process campaign telemetry: spools, live status, exact totals.
 
-A ``--jobs N`` campaign scatters training over scheduler subprocesses
-(and, with the ``pool`` backend, over nested engine workers), so no
-single process's :class:`repro.Observer` sees the whole run.  This demo
+A ``--jobs N`` campaign scatters training over scheduler subprocesses,
+so no single process's :class:`repro.Observer` sees the whole run.  This demo
 shows the pipeline that reunifies them:
 
 1. run a small parallel ``(K, E)`` campaign with telemetry on — every

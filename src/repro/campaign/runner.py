@@ -53,9 +53,7 @@ from repro.obs.sink import (
     SpoolObserver,
     TelemetryCollector,
     TelemetrySpool,
-    clear_spool_context,
     read_spool_tail,
-    set_spool_context,
 )
 from repro.perf.cancel import CancelToken, interruptible
 from repro.perf.scheduler import (
@@ -233,14 +231,12 @@ def _unit_spool_observer(spec: RunSpec, spool_dir: str) -> SpoolObserver:
 
     The spool file is named by the unit's content key (unique within a
     campaign, filesystem-safe) and labelled with the unit's readable
-    name; the spool *context* is set so nested worker tiers — the pool
-    engine forked inside this process — stream their own telemetry into
-    the same directory under the same unit label.
+    name.  It is the unit's only spool: a pool engine counts its chunk
+    workers' work in this observer.
     """
     spool = TelemetrySpool(
-        Path(spool_dir) / f"{spec.key()}.jsonl", unit=spec.name, role="unit"
+        Path(spool_dir) / f"{spec.key()}.jsonl", unit=spec.name
     )
-    set_spool_context(spool_dir, spec.name)
     return SpoolObserver(spool)
 
 
@@ -399,8 +395,6 @@ def _execute_and_record(unit: UnitPayload) -> dict:
         if isinstance(observer, SpoolObserver):
             observer.finalize(status="error")
         raise
-    finally:
-        clear_spool_context()
     if unit.heartbeat:
         _clear_heartbeat(store, key)
     if isinstance(observer, SpoolObserver):

@@ -17,18 +17,24 @@ semantics:
   the sequential path (batched ``matmul`` is per-slice gemm), so
   float64 results agree to ``atol=1e-10``.  :class:`BatchedEngine` is
   its deprecated ``"batched"`` spelling, pinned to float64.
-* :class:`PoolEngine` — a persistent-worker ``multiprocessing`` runtime.
-  Workers initialize exactly once per training run: client datasets ship
-  via shared memory (:mod:`repro.perf.shared_data`), the static training
-  configuration (epochs, SGD, FedProx mu, seed) rides in the pool
-  initializer, and per-client model/client objects stay resident in the
-  worker between rounds.  Each round is one *chunked cohort submission*:
-  the cohort is split into at most ``pool_workers`` contiguous chunks
-  and each chunk is a single task carrying only client ids, the round
-  index, and the learning rate — the global parameter vector is
-  broadcast through a :class:`~repro.perf.shared_data.SharedParameterBlock`
-  rewritten by the parent before submission, so per-round IPC is a few
-  tiny pickles instead of ``K`` dataset/config/parameter copies.  Every
+* :class:`PoolEngine` — persistent worker processes started through
+  :func:`repro.perf.scheduler.process_executor`, the seam the campaign
+  scheduler's units use, so signals reach them as cancel requests and a
+  forced teardown goes through
+  :func:`~repro.perf.scheduler.terminate_workers`.  Workers initialize
+  exactly once per training run: client datasets ship via shared memory
+  (:mod:`repro.perf.shared_data`), the static training configuration
+  (epochs, SGD, FedProx mu, seed) rides in the worker initializer, and
+  per-client model/client objects stay resident in the worker between
+  rounds.  Workers keep no telemetry: the engine counts chunks and
+  clients in its own observer.  Each round is one *chunked cohort
+  submission*: the cohort is split into at most ``pool_workers``
+  contiguous chunks and each chunk is a single task carrying only
+  client ids, the round index, and the learning rate — the global
+  parameter vector is broadcast through a
+  :class:`~repro.perf.shared_data.SharedParameterBlock` rewritten by
+  the parent before submission, so per-round IPC is a few tiny pickles
+  instead of ``K`` dataset/config/parameter copies.  Every
   chunk replays the exact sequential client code path with mini-batch
   shuffles drawn from a per-``(seed, client, round)`` named substream,
   so results are bit-identical regardless of worker count (and chunk
@@ -40,12 +46,10 @@ relies on for dropout draws, compression, and upload simulation.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import re
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -54,8 +58,8 @@ from repro.faults.models import substream
 from repro.fl.client import EdgeServerClient, LocalUpdate
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.population import PopulationState, train_cohort
-from repro.obs.sink import TelemetrySpool, get_spool_context
-from repro.perf.cancel import check_cancelled
+from repro.perf.cancel import check_cancelled, interruptible
+from repro.perf.scheduler import process_executor, terminate_workers
 from repro.perf.shared_data import (
     SharedDatasetStore,
     SharedParameterBlock,
@@ -261,9 +265,14 @@ class BatchedEngine(PopulationEngine):
 
 # ----------------------------------------------------------------------
 # Pool backend: worker-side state and task function.  Module-level so
-# they are picklable under both fork and spawn start methods.
+# they are picklable under any start method.
 # ----------------------------------------------------------------------
 _POOL_STATE: dict = {}
+
+# How long a forced teardown waits for chunk workers to unwind before
+# SIGKILL.  They own nothing to release (the parent unlinks the shared
+# blocks), so the wait only has to cover the current numpy call.
+_KILL_GRACE_S = 1.0
 
 
 def _pool_initializer(
@@ -275,20 +284,12 @@ def _pool_initializer(
     epochs,
     sgd,
     mu,
-    spool_context=None,
 ) -> None:
     """One-time worker setup: attach shared data, pin the static config.
 
     Everything that is constant for the lifetime of a training run —
     datasets, model config, seed, epochs, SGD config, FedProx mu — lands
     here exactly once, so per-round tasks never re-pickle any of it.
-
-    ``spool_context`` is the parent's active ``(spool_dir, unit)`` (see
-    :mod:`repro.obs.sink`), present only when the training run has
-    telemetry enabled: the worker then opens its own engine-role spool
-    in the same directory, so even this innermost worker tier streams
-    into the campaign-wide telemetry merge.  Spool failures never break
-    training — telemetry is strictly best-effort here.
     """
     datasets, handles = attach_datasets(spec)
     params, param_handle = attach_parameters(param_name, n_parameters)
@@ -302,20 +303,6 @@ def _pool_initializer(
     _POOL_STATE["sgd"] = sgd
     _POOL_STATE["mu"] = mu
     _POOL_STATE["clients"] = {}
-    _POOL_STATE["spool"] = None
-    _POOL_STATE["spool_epoch"] = time.perf_counter()
-    _POOL_STATE["spool_seq"] = 0
-    if spool_context is not None:
-        directory, unit = spool_context
-        safe_unit = re.sub(r"[^A-Za-z0-9._-]", "_", str(unit)) or "unit"
-        try:
-            _POOL_STATE["spool"] = TelemetrySpool(
-                Path(directory) / f"{safe_unit}.w{os.getpid()}.jsonl",
-                unit=unit,
-                role="engine",
-            )
-        except OSError:
-            _POOL_STATE["spool"] = None
 
 
 def _pool_train_chunk(task):
@@ -357,62 +344,23 @@ def _pool_train_chunk(task):
             rng=rng,
         )
         results.append((update, time.perf_counter() - started))
-    _spool_chunk_telemetry(chunk, round_index, results)
     return results
 
 
-def _spool_chunk_telemetry(chunk, round_index, results) -> None:
-    """Stream one trained chunk's telemetry to this worker's spool.
-
-    One ``engine.chunk`` event plus one metrics *delta* record per
-    chunk: counters in the delta merge by addition at the collector, so
-    per-chunk dumps aggregate to the worker's true totals without the
-    worker retaining cumulative registries.
-    """
-    spool = _POOL_STATE.get("spool")
-    if spool is None or spool.closed:
-        return
-    from repro.obs.metrics import MetricsRegistry
-
-    train_s = sum(duration for _, duration in results)
-    _POOL_STATE["spool_seq"] += 1
-    try:
-        # The event line rides the buffer; the metrics record right
-        # behind it flushes both with one syscall.  Pool shutdown is a
-        # SIGTERM (no interpreter cleanup), so anything less than a
-        # per-chunk flush could silently drop the tail of the deltas.
-        spool.append(
-            "event",
-            flush=False,
-            event={
-                "seq": _POOL_STATE["spool_seq"],
-                "category": "engine.chunk",
-                "wall_s": time.perf_counter() - _POOL_STATE["spool_epoch"],
-                "sim_s": None,
-                "fields": {
-                    "round": int(round_index),
-                    "clients": len(chunk),
-                    "train_s": train_s,
-                },
-            },
-        )
-        delta = MetricsRegistry()
-        delta.counter("engine.pool_clients_trained").inc(len(chunk))
-        delta.counter("engine.pool_chunks_trained").inc()
-        delta.counter("engine.pool_train_s").inc(train_s)
-        spool.append("metrics", flush=True, records=delta.to_records())
-    except (OSError, ValueError):
-        # A torn spool must never fail training; drop the sink instead.
-        spool.close()
-        _POOL_STATE["spool"] = None
-
-
-def _shutdown_pool(
-    pool, store: SharedDatasetStore, params: SharedParameterBlock
+def _close_runtime(
+    executor, store: SharedDatasetStore, params: SharedParameterBlock
 ) -> None:
+    """Stop the chunk workers, then unlink the shared blocks.
+
+    Idle workers leave on the executor's shutdown sentinel; a hard
+    cancel during that wait ends them through :func:`terminate_workers`.
+    """
     try:
-        pool.terminate()
-        pool.join()
+        with interruptible():
+            executor.shutdown(wait=True, cancel_futures=True)
+    except KeyboardInterrupt:
+        terminate_workers(executor, _KILL_GRACE_S)
+        raise
     finally:
         try:
             store.close()
@@ -434,7 +382,7 @@ def _chunk_evenly(items: list, n_chunks: int) -> list[list]:
 
 
 class PoolEngine(ExecutionEngine):
-    """Persistent-worker process pool over shared-memory client datasets.
+    """Persistent worker processes over shared-memory client datasets.
 
     Workers initialize once per training run (datasets via shared
     memory, static training config via the initializer) and keep their
@@ -443,12 +391,14 @@ class PoolEngine(ExecutionEngine):
     broadcast through a shared block.  Workers run the *same*
     :meth:`EdgeServerClient.train` code path as the sequential engine
     (with the same per-``(seed, client, round)`` mini-batch substreams),
-    and ``Pool.map`` preserves chunk order, so results are deterministic
+    and results are gathered in chunk order, so they are deterministic
     and bit-identical to sequential execution for any worker count.  The
-    pool and the shared blocks are created lazily on the first round and
-    released by :meth:`close` (or at garbage collection via a
-    finalizer); a failure while the runtime is being brought up rolls
-    back every partially created resource before propagating.
+    workers come from :func:`~repro.perf.scheduler.process_executor`, the
+    seam the campaign scheduler's units use too.  The executor and the
+    shared blocks are created lazily on the first round and released by
+    :meth:`close` (or at garbage collection via a finalizer); a failure
+    while the runtime is being brought up rolls back every partially
+    created resource before propagating.
     """
 
     name = "pool"
@@ -462,35 +412,28 @@ class PoolEngine(ExecutionEngine):
         self._clients = clients
         self._config = config
         self._observer = observer
-        self._pool = None
+        self._executor = None
         self._store: SharedDatasetStore | None = None
         self._params: SharedParameterBlock | None = None
         self._finalizer = None
 
     def _ensure_pool(self, n_parameters: int) -> None:
-        if self._pool is not None:
+        if self._executor is not None:
             return
         import weakref
 
         store = None
         params = None
-        pool = None
         try:
             store = SharedDatasetStore(
                 [client.dataset for client in self._clients]
             )
             params = SharedParameterBlock(n_parameters)
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-            context = multiprocessing.get_context(method)
             config = self._config
-            pool = context.Pool(
-                processes=config.pool_workers,
-                initializer=_pool_initializer,
-                initargs=(
+            executor = process_executor(
+                config.pool_workers,
+                _pool_initializer,
+                (
                     store.spec,
                     params.name,
                     params.n_parameters,
@@ -499,20 +442,12 @@ class PoolEngine(ExecutionEngine):
                     config.local_epochs,
                     config.sgd,
                     config.proximal_mu,
-                    # Propagate the campaign's spool context (if any)
-                    # explicitly rather than relying on fork inheriting
-                    # module state, so the spawn start method telemetry
-                    # behaves identically.
-                    get_spool_context(),
                 ),
             )
         except BaseException:
             # Roll back partial construction: without this, a failure
-            # between shm creation and pool start would leak segments
-            # that no finalizer knows about yet.
-            if pool is not None:
-                pool.terminate()
-                pool.join()
+            # between shm creation and the executor's start would leak
+            # segments that no finalizer knows about yet.
             if params is not None:
                 params.close()
             if store is not None:
@@ -520,9 +455,9 @@ class PoolEngine(ExecutionEngine):
             raise
         self._store = store
         self._params = params
-        self._pool = pool
+        self._executor = executor
         self._finalizer = weakref.finalize(
-            self, _shutdown_pool, pool, store, params
+            self, _close_runtime, executor, store, params
         )
 
     def train_round(
@@ -536,37 +471,38 @@ class PoolEngine(ExecutionEngine):
             return []
         broadcast = np.ascontiguousarray(global_parameters, dtype=np.float64)
         self._ensure_pool(broadcast.size)
-        # Publish the round's model once; Pool.map is a full barrier, so
-        # no worker can still be reading when the next round rewrites it.
+        # Publish the round's model once; the round waits for every
+        # chunk, so no worker can still be reading when the next round
+        # rewrites it.
         self._params.write(broadcast)
         chunks = _chunk_evenly(list(participants), self._config.pool_workers)
-        tasks = [
-            (tuple(chunk), round_index, learning_rate) for chunk in chunks
+        futures = [
+            self._executor.submit(
+                _pool_train_chunk, (tuple(chunk), round_index, learning_rate)
+            )
+            for chunk in chunks
         ]
-        pending = self._pool.map_async(_pool_train_chunk, tasks)
-        while not pending.ready():
-            # A signal that cancels the pass may also have ended the
-            # workers, whose chunks would then never arrive.
-            pending.wait(0.2)
+        while wait(futures, timeout=0.2).not_done:
+            # A cancelled pass stops waiting here; close() then lets the
+            # running chunks finish before the workers leave.
             check_cancelled()
-        chunk_results = pending.get()
         if self._observer is not None:
-            self._observer.counter("engine.pool_chunks").inc(len(tasks))
+            self._observer.counter("engine.pool_chunks").inc(len(chunks))
             self._observer.counter("engine.pool_tasks").inc(
                 len(participants)
             )
         return [
             ClientTrainResult(update, duration)
-            for chunk in chunk_results
-            for update, duration in chunk
+            for future in futures
+            for update, duration in future.result()
         ]
 
     def close(self) -> None:
         if self._finalizer is not None:
-            self._finalizer()  # runs _shutdown_pool at most once
-            self._pool = None
+            self._executor = None
             self._store = None
             self._params = None
+            self._finalizer()  # runs _close_runtime at most once
 
 
 # ----------------------------------------------------------------------

@@ -62,11 +62,8 @@ from repro.obs.sink import (
     SpoolObserver,
     TelemetryCollector,
     TelemetrySpool,
-    clear_spool_context,
-    get_spool_context,
     read_spool_records,
     read_spool_tail,
-    set_spool_context,
 )
 from repro.obs.tracing import NullTracer, Span, Tracer
 
@@ -91,14 +88,11 @@ __all__ = [
     "Tracer",
     "UnitTelemetry",
     "active_or_none",
-    "clear_spool_context",
-    "get_spool_context",
     "merge_metric_records",
     "parse_metric_name",
     "read_spool_records",
     "read_spool_tail",
     "records_from_snapshot",
-    "set_spool_context",
     "to_chrome_trace",
     "to_openmetrics",
     "write_chrome_trace",

@@ -1,9 +1,10 @@
 """Cross-process telemetry: worker spools and the parent-side collector.
 
-Since the two-level parallel runtime (pool engine workers inside
-scheduler subprocesses) the telemetry of one campaign is scattered over
-many processes, each with its own :class:`~repro.obs.observer.Observer`.
-This module is the transport that reunifies them:
+The telemetry of one campaign is scattered over the scheduler's worker
+processes, each with its own :class:`~repro.obs.observer.Observer` and
+one spool per unit.  A pool engine's chunk workers keep no telemetry of
+their own: the engine counts their chunks and clients in its unit's
+observer.  This module is the transport that reunifies the units:
 
 * :class:`TelemetrySpool` — a worker-side sink that streams telemetry
   records (events, metric records, span trees, lifecycle markers) to an
@@ -20,16 +21,9 @@ This module is the transport that reunifies them:
   — is left for a later poll or ignored forever), and folds the records
   into one parent observer with ``unit``/``worker`` labels attached.
 
-The spool *context* (:func:`set_spool_context`) is how nested worker
-tiers find the spool directory without threading a path through every
-constructor: the campaign scheduler worker sets it before executing a
-unit, and the pool engine — two layers down — reads it when it forks
-its own workers, so even per-chunk engine telemetry lands in the same
-directory and carries the same unit label.
-
 Spool record kinds (one JSON object per line)::
 
-    {"kind": "meta",    "unit": ..., "worker": ..., "role": "unit"|"engine"}
+    {"kind": "meta",    "unit": ..., "worker": ..., "role": "unit"}
     {"kind": "event",   "event": {...ObsEvent.to_dict()...}}
     {"kind": "events",  "events": [{...}, ...]}        # batched bulk events
     {"kind": "metrics", "records": [...MetricsRegistry.to_records()...]}
@@ -59,37 +53,7 @@ __all__ = [
     "TelemetryCollector",
     "read_spool_records",
     "read_spool_tail",
-    "set_spool_context",
-    "get_spool_context",
-    "clear_spool_context",
 ]
-
-
-# ----------------------------------------------------------------------
-# Worker spool context.  Module-level (per-process) so nested worker
-# tiers — the pool engine inside a scheduler subprocess — can discover
-# the active spool directory and unit label without plumbing either
-# through engine constructors that predate campaigns.
-# ----------------------------------------------------------------------
-_SPOOL_CONTEXT: dict[str, Any] = {}
-
-
-def set_spool_context(directory: str | Path, unit: str) -> None:
-    """Declare the active spool directory and unit label in this process."""
-    _SPOOL_CONTEXT["directory"] = str(directory)
-    _SPOOL_CONTEXT["unit"] = str(unit)
-
-
-def get_spool_context() -> tuple[str, str] | None:
-    """The ``(directory, unit)`` set by :func:`set_spool_context`, if any."""
-    if "directory" not in _SPOOL_CONTEXT:
-        return None
-    return _SPOOL_CONTEXT["directory"], _SPOOL_CONTEXT["unit"]
-
-
-def clear_spool_context() -> None:
-    """Forget the active spool context (unit finished or failed)."""
-    _SPOOL_CONTEXT.clear()
 
 
 class TelemetrySpool:
@@ -103,9 +67,6 @@ class TelemetrySpool:
         unit: unit label stamped into the ``meta`` line (and by the
             collector onto every merged record).
         worker: worker label; defaults to this process's pid.
-        role: ``"unit"`` for the per-unit observer spool, ``"engine"``
-            for nested pool-engine worker spools.  Status rendering
-            reads only ``"unit"`` spools; the collector merges both.
     """
 
     def __init__(
@@ -113,17 +74,13 @@ class TelemetrySpool:
         path: str | Path,
         unit: str = "",
         worker: int | str | None = None,
-        role: str = "unit",
     ) -> None:
         self.path = Path(path)
         self.unit = str(unit)
         self.worker = os.getpid() if worker is None else worker
-        self.role = role
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "w", encoding="utf-8")
-        self.append(
-            "meta", unit=self.unit, worker=self.worker, role=self.role
-        )
+        self.append("meta", unit=self.unit, worker=self.worker, role="unit")
 
     @property
     def closed(self) -> bool:

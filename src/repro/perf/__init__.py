@@ -14,7 +14,10 @@ Helpers behind the pluggable execution engine
 * :class:`ParallelUnitScheduler` / :func:`estimate_unit_cost` /
   :func:`order_longest_first` — the longest-job-first supervision loop
   every campaign ``--jobs`` value runs through (inline or across
-  processes), cancelled cooperatively through :mod:`repro.perf.cancel`.
+  processes), cancelled cooperatively through :mod:`repro.perf.cancel`;
+  its :func:`~repro.perf.scheduler.process_executor` and
+  :func:`~repro.perf.scheduler.terminate_workers` start and force-stop
+  every worker process, the pool engine's included.
 """
 
 from repro.perf.cache import EvalCache

@@ -15,13 +15,15 @@ training).
 
 Signal dispositions are process-wide, so the token a handler drives is
 too: :func:`activate` names the token that units running in this process
-poll.  A process forked while a token handler is installed (a pool-engine
-worker) is not the token's owner: it starts with SIGINT ignored — the
-owner finishes or discards the unit — and SIGTERM at its default, which
-is what ``Pool.terminate`` relies on.  A Python-level handler there can
-miss a signal that lands just before the worker blocks on a queue lock,
-and ``Pool.join`` then waits forever.  Both signals stay blocked across
-the fork until the child's dispositions are in place.
+poll.  A process forked while a token handler is installed is not the
+token's owner, and the handler it inherits would count requests on a
+copy of the owner's token that nothing in the child polls.  So the child
+starts with SIGINT ignored — the owner finishes or discards the unit —
+and SIGTERM at its default, so that a child with no token of its own yet
+still ends on it.  Both signals stay blocked across the fork until those
+dispositions are in place.  Worker processes started through
+:func:`repro.perf.scheduler.process_executor` then install their own
+token (:func:`install_in_worker`) before they take any task.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ scheduling half of that story:
   the wide/short mix a (K, E) grid produces.
 * a **supervision loop** (:meth:`ParallelUnitScheduler.run`), the one
   loop every ``--jobs`` value goes through.  An executor seam runs
-  units inline for ``jobs=1`` and over a ``ProcessPoolExecutor`` above.
+  units inline for ``jobs=1`` and over :func:`process_executor` above.
   Per-unit bounded retries use deterministic capped-exponential-jitter
   backoff; units whose retry budget is exhausted are quarantined, so the
   batch completes degraded instead of aborting.  Process pools add a
@@ -25,6 +25,10 @@ scheduling half of that story:
 * **cooperative cancellation** (:mod:`repro.perf.cancel`): the loop
   checks a token between units; once cancelled nothing new starts and
   in-flight units are awaited, so a drain never tears a store write.
+* the **process seam** every worker process of the package comes
+  from: :func:`process_executor` starts workers whose signals count on
+  a cancel token, and :func:`terminate_workers` is the one forced
+  teardown.  The pool engine's chunk workers use both too.
 
 Determinism is the caller's contract: each worker must derive all
 randomness from its own unit's seed, and all result recording must be
@@ -80,6 +84,8 @@ __all__ = [
     "ParallelUnitScheduler",
     "estimate_unit_cost",
     "order_longest_first",
+    "process_executor",
+    "terminate_workers",
 ]
 
 
@@ -305,6 +311,80 @@ def _format_remote_traceback(error: BaseException) -> str:
     )
 
 
+def _init_worker(
+    initializer: Callable | None, initargs: tuple
+) -> None:  # pragma: no cover - runs in workers
+    install_in_worker()
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def process_executor(
+    max_workers: int,
+    initializer: Callable | None = None,
+    initargs: tuple = (),
+) -> ProcessPoolExecutor:
+    """The one way this package starts worker processes.
+
+    Each worker first routes SIGINT/SIGTERM to a cancel token of its own
+    (:func:`~repro.perf.cancel.install_in_worker`), then runs the
+    caller's ``initializer``.  A signal sent to the whole process group
+    therefore does not kill a started worker: it finishes or discards
+    its task, and the owner shuts the executor down with
+    ``shutdown(wait=True)``.  Scheduler units and pool-engine chunks
+    both run here.
+    """
+    return ProcessPoolExecutor(
+        max_workers=max_workers,
+        initializer=_init_worker,
+        initargs=(initializer, tuple(initargs)),
+    )
+
+
+def terminate_workers(executor, grace_s: float = 5.0) -> None:
+    """The one forced teardown: end an executor's workers now.
+
+    Every worker gets SIGINT and SIGTERM together.  Two distinct signals
+    cannot coalesce into one handler call, so the worker's token sees a
+    second request and unwinds its task through its ``finally`` blocks
+    (see :func:`~repro.perf.cancel.install_in_worker`): engines tear
+    down, shared-memory segments are released.  SIGKILL follows for
+    whatever is still alive after ``grace_s``.
+    """
+    # Snapshot the worker processes *before* shutdown: the executor
+    # drops its _processes reference (sets it to None) as part of
+    # shutting down, even with wait=False.
+    processes = [
+        proc
+        for proc in (getattr(executor, "_processes", None) or {}).values()
+        if proc is not None
+    ]
+    try:
+        executor.shutdown(wait=False, cancel_futures=True)
+    except Exception:  # pragma: no cover - defensive
+        pass
+    for proc in processes:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                if proc.is_alive():
+                    os.kill(proc.pid, signum)
+            except OSError:  # pragma: no cover - racing process death
+                pass
+    deadline = time.monotonic() + grace_s
+    for proc in processes:
+        try:
+            proc.join(max(0.0, deadline - time.monotonic()))
+        except Exception:  # pragma: no cover - racing process death
+            pass
+    for proc in processes:
+        try:
+            if proc.is_alive():
+                proc.kill()
+                proc.join(1.0)
+        except Exception:  # pragma: no cover - racing process death
+            pass
+
+
 class _InlineExecutor:
     """The ``jobs=1`` side of the executor seam: units run in this process.
 
@@ -338,7 +418,7 @@ class ParallelUnitScheduler:
     their own results (e.g. through the campaign repository API); the
     scheduler only tracks outcomes, so a killed run loses nothing that
     completed.  ``jobs=1`` runs units inline in this process, ``jobs>1``
-    over a ``ProcessPoolExecutor``; both go through the one loop in
+    over :func:`process_executor`; both go through the one loop in
     :meth:`run`.
     """
 
@@ -353,52 +433,7 @@ class ParallelUnitScheduler:
     def _new_executor(self) -> ProcessPoolExecutor | _InlineExecutor:
         if self.jobs == 1:
             return _InlineExecutor()
-        return ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=install_in_worker
-        )
-
-    def _hard_cancel(self, executor, grace_s: float = 5.0) -> None:
-        """Terminate the pool now instead of waiting for in-flight units.
-
-        Every worker gets SIGINT and SIGTERM together.  Two distinct
-        signals cannot coalesce into one handler call, so the worker's
-        token sees a second request and unwinds the unit through its
-        ``finally`` blocks (see :func:`~repro.perf.cancel.install_in_worker`):
-        engines tear down, shared-memory segments are released.  SIGKILL
-        follows for whatever is still alive after the grace period.
-        """
-        # Snapshot the worker processes *before* shutdown: the executor
-        # drops its _processes reference (sets it to None) as part of
-        # shutting down, even with wait=False.
-        processes = [
-            proc
-            for proc in (getattr(executor, "_processes", None) or {}).values()
-            if proc is not None
-        ]
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - defensive
-            pass
-        for proc in processes:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    if proc.is_alive():
-                        os.kill(proc.pid, signum)
-                except OSError:  # pragma: no cover - racing process death
-                    pass
-        deadline = time.monotonic() + grace_s
-        for proc in processes:
-            try:
-                proc.join(max(0.0, deadline - time.monotonic()))
-            except Exception:  # pragma: no cover - racing process death
-                pass
-        for proc in processes:
-            try:
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(1.0)
-            except Exception:  # pragma: no cover - racing process death
-                pass
+        return process_executor(self.jobs)
 
     def run(
         self,
@@ -898,7 +933,7 @@ class _Batch:
         except KeyboardInterrupt:
             self.outcome.hard_cancelled = True
             self._count("scheduler.hard_cancels")
-            self.scheduler._hard_cancel(
+            terminate_workers(
                 self.executor,
                 self.supervision.kill_grace_s if self.supervision else 5.0,
             )

@@ -1,10 +1,9 @@
 """End-to-end cross-process campaign telemetry.
 
 The pipeline under test: workers stream telemetry to per-unit spools,
-nested pool-engine workers stream to their own spools, the parent
-collector tails and merges everything live, and the campaign reducer
-folds the stored per-unit snapshots into exact campaign totals.  The
-acceptance bar is the determinism satellite: the summed worker-spool
+the parent collector tails and merges everything live, and the campaign
+reducer folds the stored per-unit snapshots into exact campaign totals.
+The acceptance bar is the determinism satellite: the summed worker-spool
 energy of a ``--jobs 4`` run and of a ``pool``-backend run must equal
 the sequential run **bit for bit**, because unit training is
 deterministic and the reducer folds in sorted-key order with exact
@@ -92,11 +91,9 @@ class TestBitForBitTotals:
         assert campaign_telemetry(seq_store).sum_over_units(
             "energy.joules"
         ) == campaign_telemetry(pool_store).sum_over_units("energy.joules")
-        # The nested engine workers spooled too: their per-chunk counters
-        # reached the parent observer via the collector.
-        assert pool_obs.metrics.sum_values("engine.pool_clients_trained") > 0
-        engine_spools = list(pool_store.spool_dir.glob("*.w*.jsonl"))
-        assert engine_spools, "pool workers must leave engine spools"
+        # The engine's chunk counters rode the unit spools to the parent
+        # observer via the collector.
+        assert pool_obs.metrics.sum_values("engine.pool_tasks") > 0
 
     def test_parent_observer_merge_matches_stored_fold(
         self, tmp_path, telemetry_campaign

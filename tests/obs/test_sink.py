@@ -19,10 +19,7 @@ from repro.obs import (
     SpoolObserver,
     TelemetryCollector,
     TelemetrySpool,
-    clear_spool_context,
-    get_spool_context,
     read_spool_records,
-    set_spool_context,
 )
 
 pytestmark = pytest.mark.telemetry_smoke
@@ -183,12 +180,3 @@ class TestTelemetryCollector:
         collector = TelemetryCollector(tmp_path / "nope", observer=Observer())
         assert collector.poll() == 0
 
-
-class TestSpoolContext:
-    def test_set_get_clear_roundtrip(self, tmp_path):
-        clear_spool_context()
-        assert get_spool_context() is None
-        set_spool_context(tmp_path, "unit-x")
-        assert get_spool_context() == (str(tmp_path), "unit-x")
-        clear_spool_context()
-        assert get_spool_context() is None

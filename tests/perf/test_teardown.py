@@ -268,22 +268,14 @@ class TestPartialConstructionRollback:
         engine = create_engine("pool", clients, config)
         assert isinstance(engine, PoolEngine)
 
-        real_mp = engine_module.multiprocessing
+        real_process_executor = engine_module.process_executor
 
-        class _ExplodingContext:
-            def Pool(self, *args, **kwargs):
-                raise RuntimeError("injected pool-start failure")
+        def _exploding_process_executor(*args, **kwargs):
+            raise RuntimeError("injected pool-start failure")
 
-        class _SabotagedMp:
-            @staticmethod
-            def get_all_start_methods():
-                return real_mp.get_all_start_methods()
-
-            @staticmethod
-            def get_context(method):
-                return _ExplodingContext()
-
-        monkeypatch.setattr(engine_module, "multiprocessing", _SabotagedMp())
+        monkeypatch.setattr(
+            engine_module, "process_executor", _exploding_process_executor
+        )
 
         shm_before = _shm_entries()
         params = np.zeros(model.n_parameters, dtype=np.float64)
@@ -292,7 +284,9 @@ class TestPartialConstructionRollback:
 
         assert _shm_entries() - shm_before == set()
         # The engine is still usable once the fault clears.
-        monkeypatch.setattr(engine_module, "multiprocessing", real_mp)
+        monkeypatch.setattr(
+            engine_module, "process_executor", real_process_executor
+        )
         results = engine.train_round(
             [0, 1], params, round_index=0, learning_rate=0.1
         )
