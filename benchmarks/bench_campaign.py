@@ -7,7 +7,10 @@ the subsystem exists for:
 * **orchestration overhead** — campaign wall-clock vs a bare loop over
   the same units calling ``run_unit`` directly (no store, no manifest,
   no checksums).  Checkpointing must cost a bounded fraction of the
-  training it protects.
+  training it protects.  One pass of either takes only 0.3–0.5 s, so a
+  single ratio swings with host noise: the guard reads the median of
+  ``OVERHEAD_REPEATS`` per-repeat ratios, each repeat timing both
+  passes into fresh stores, the first mover swapped every repeat.
 * **resume no-op** — a second runner pass over the completed store must
   skip every unit by content key in a small fraction of the initial
   run's time (this is what makes kill-and-resume cheap).
@@ -46,6 +49,7 @@ import hashlib
 import json
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -71,6 +75,7 @@ SEED = 0
 MAX_OVERHEAD_FRACTION = 0.50  # store+manifest cost vs bare training
 MAX_RESUME_FRACTION = 0.20  # resume-noop time vs initial run
 MAX_REPORT_FRACTION = 0.20  # report time vs initial run
+OVERHEAD_REPEATS = 5  # alternated campaign/bare-loop pairs
 
 # Parallel-mode guards: acceptance thresholds when the cores exist,
 # bounded-overhead floor always.
@@ -144,6 +149,34 @@ def _timed_bare_loop(campaign: CampaignSpec, root: Path) -> float:
     return time.perf_counter() - started
 
 
+def _timed_overhead(
+    campaign: CampaignSpec, workdir: Path
+) -> tuple[list[float], list[float]]:
+    """Campaign and bare-loop seconds over alternated repeats.
+
+    Every pass gets a fresh store; the first mover swaps each repeat so
+    drift in the host's speed hits both alike.  The first campaign pass
+    writes ``workdir / "sequential"``, which the later phases read.
+    """
+    campaign_runs: list[float] = []
+    bare_runs: list[float] = []
+    for repeat in range(OVERHEAD_REPEATS):
+        root = "sequential" if repeat == 0 else f"campaign-{repeat}"
+
+        def campaign_pass(root: str = root) -> None:
+            campaign_runs.append(_timed_campaign(campaign, workdir / root)[0])
+
+        def bare_pass(repeat: int = repeat) -> None:
+            bare_runs.append(
+                _timed_bare_loop(campaign, workdir / f"bare-{repeat}")
+            )
+
+        passes = (campaign_pass, bare_pass)
+        for timed in passes if repeat % 2 == 0 else passes[::-1]:
+            timed()
+    return campaign_runs, bare_runs
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     out_path = Path(args[0]) if args else Path("BENCH_campaign.json")
@@ -154,13 +187,20 @@ def main(argv: list[str] | None = None) -> int:
         warm = CampaignRunner(campaign, ArtifactStore(workdir / "warm"))
         warm.run_unit(warm.units[0])
 
-        campaign_s, _ = _timed_campaign(campaign, workdir / "sequential")
-        bare_s = _timed_bare_loop(campaign, workdir / "bare")
-        overhead = campaign_s / bare_s - 1.0
+        campaign_runs, bare_runs = _timed_overhead(campaign, workdir)
+        campaign_s = statistics.median(campaign_runs)
+        bare_s = statistics.median(bare_runs)
+        overhead_repeats = [
+            c / b - 1.0 for c, b in zip(campaign_runs, bare_runs)
+        ]
+        overhead = statistics.median(overhead_repeats)
         print(
             f"campaign ({len(campaign)} units): {campaign_s:.3f}s; "
-            f"bare unit loop: {bare_s:.3f}s; "
-            f"orchestration overhead {100 * overhead:+.1f}%"
+            f"bare unit loop: {bare_s:.3f}s (medians of "
+            f"{OVERHEAD_REPEATS}); orchestration overhead "
+            f"{100 * overhead:+.1f}% (median; repeats "
+            + ", ".join(f"{100 * o:+.1f}%" for o in overhead_repeats)
+            + ")"
         )
 
         store = ArtifactStore(workdir / "sequential")
@@ -227,6 +267,12 @@ def main(argv: list[str] | None = None) -> int:
             "campaign_pooled": pool_s,
             "campaign_parallel": parallel_s,
         },
+        "overhead_repeats": OVERHEAD_REPEATS,
+        "seconds_repeats": {
+            "campaign_sequential": campaign_runs,
+            "bare_unit_loop": bare_runs,
+        },
+        "orchestration_overhead_fraction_repeats": overhead_repeats,
         "orchestration_overhead_fraction": overhead,
         "resume_fraction_of_run": resume_s / campaign_s,
         "report_fraction_of_run": report_s / campaign_s,

@@ -17,6 +17,14 @@ Three questions, one artifact (``BENCH_population.json``):
   sequential reference (max |dparam| <= 1e-10), and the float32 opt-in
   must stay within 1e-3 of float64 (the measured delta is recorded
   either way).
+* **Population round** — the whole prototype round at the e2e
+  ``population-10k`` shape, from real :func:`load_synthetic_mnist`
+  partitions (10^4 devices, K=10^3, E=1, 10 rounds, population
+  backend): the median seconds per round, split into local training,
+  evaluation, aggregation and the energy ledger, plus the population
+  stacks' ``state_nbytes``.  The split comes from timing wrappers on
+  public entry points only, so the row runs unchanged against older
+  sources.  Two repeats must give identical energy and history.
 
 Exits non-zero if any guard fails.  Not a pytest benchmark (no
 ``test_`` prefix — the timings are a tracking artifact).
@@ -26,17 +34,26 @@ Run:  python benchmarks/bench_population.py [output.json]
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
 import json
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.campaign import RunSpec
+from repro.campaign.runner import execute_unit
 from repro.core.energy_model import cloud_fan_in
 from repro.data.dataset import Dataset
-from repro.fl.model import LogisticRegressionConfig
+from repro.data.synthetic_mnist import load_synthetic_mnist
+from repro.fl.engine import PopulationEngine
+from repro.fl.history_io import history_to_json
+from repro.fl.model import LogisticRegressionConfig, LogisticRegressionModel
 from repro.fl.partition import partition_iid
 from repro.fl.population import (
     AggregationTree,
@@ -44,8 +61,10 @@ from repro.fl.population import (
     train_cohort,
 )
 from repro.fl.sampling import FloydSampler
+from repro.fl.server import Coordinator
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
+from repro.sim.engine import Simulator
 
 SEED = 0
 POPULATION_SIZES = (1_000, 10_000, 100_000, 1_000_000)
@@ -67,6 +86,21 @@ ACCEPT_TIER_MESSAGE_RATIO = 0.01
 # A vectorized round must process clients faster than this, or the
 # struct-of-arrays layout has regressed to per-client dispatch.
 MIN_CLIENTS_PER_SECOND = 10_000
+
+# The population round row: the e2e population-10k operation.
+ROUND_SPEC = RunSpec(
+    name="population-10k",
+    n_train=40_000,
+    n_test=2_000,
+    n_servers=10_000,
+    participants=1_000,
+    epochs=1,
+    max_rounds=10,
+    train_to_target=False,
+    backend="population",
+    seed=SEED,
+)
+ROUND_REPEATS = 2
 
 
 def _peak_rss_bytes() -> int:
@@ -97,7 +131,7 @@ def run_scale_row(n_clients: int) -> dict:
         updates = train_cohort(
             state, cohort, params, epochs=1, learning_rate=0.1
         )
-        stacked = np.stack([u.parameters for u in updates])
+        stacked = updates.parameters
         params = stacked.mean(axis=0)
         round_seconds.append(time.perf_counter() - started)
         if round_index == SCALE_ROUNDS - 1:
@@ -207,6 +241,151 @@ def run_equivalence() -> dict:
     return row
 
 
+@contextlib.contextmanager
+def _timed_layers():
+    """Record the calls of a prototype run's layers, then unwrap them.
+
+    Yields ``calls``: layer name -> list of ``(start, end)`` per call,
+    plus ``"engine"``, the population engines built.
+    """
+    calls: dict[str, list] = {"engine": []}
+    wrapped = [
+        (FederatedTrainer, "run_round", "round"),
+        (PopulationEngine, "train_round", "train"),
+        (LogisticRegressionModel, "loss", "eval"),
+        (LogisticRegressionModel, "accuracy", "eval"),
+        (Coordinator, "aggregate", "aggregate"),
+        (Simulator, "run", "simulation"),
+    ]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in wrapped]
+    for (owner, name, layer), (_, _, original) in zip(wrapped, originals):
+
+        @functools.wraps(original)
+        def timed(*args, _original=original, _layer=layer, **kwargs):
+            start = time.perf_counter()
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                calls.setdefault(_layer, []).append(
+                    (start, time.perf_counter())
+                )
+
+        setattr(owner, name, timed)
+    engine_init = PopulationEngine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        engine_init(self, *args, **kwargs)
+        calls["engine"].append(self)
+
+    PopulationEngine.__init__ = recording_init
+    try:
+        yield calls
+    finally:
+        PopulationEngine.__init__ = engine_init
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
+def _per_round(calls: list, rounds: list) -> list[float]:
+    """Seconds of ``calls`` that fall inside each round's interval."""
+    return [
+        sum(end - start for start, end in calls if lo <= start and end <= hi)
+        for lo, hi in rounds
+    ]
+
+
+def run_population_round_row() -> dict:
+    """The population-10k prototype round, split into its layers."""
+    spec = ROUND_SPEC
+    repeats = []
+    for _ in range(ROUND_REPEATS):
+        datasets = load_synthetic_mnist(
+            n_train=spec.n_train,
+            n_test=spec.n_test,
+            seed=spec.seed,
+            noise_std=spec.noise_std,
+        )
+        with _timed_layers() as calls:
+            result = execute_unit(spec, datasets=datasets)
+        # A round runs from its run_round start to the next one's (the
+        # last to the end of the simulation): the prototype prices the
+        # round's energy and duration after run_round returns.
+        starts = [start for start, _ in calls["round"]]
+        ends = starts[1:] + [calls["simulation"][-1][1]]
+        rounds = list(zip(starts, ends))
+        round_s = [hi - lo for lo, hi in rounds]
+        layers = {
+            layer: _per_round(calls.get(layer, []), rounds)
+            for layer in ("train", "eval", "aggregate")
+        }
+        layers["ledger"] = [
+            total - (end - start)
+            for total, (start, end) in zip(round_s, calls["round"])
+        ]
+        repeats.append(
+            {
+                "round_s": round_s,
+                "layers": layers,
+                "state_nbytes": int(calls["engine"][0].state.nbytes),
+                "total_energy_j": result.total_energy_j,
+                "energy_digest": hashlib.sha256(
+                    np.asarray(result.energy_per_round_j).tobytes()
+                ).hexdigest(),
+                "history_digest": hashlib.sha256(
+                    history_to_json(result.history).encode()
+                ).hexdigest(),
+            }
+        )
+    first = repeats[0]
+    row = {
+        "spec": {
+            "n_servers": spec.n_servers,
+            "participants": spec.participants,
+            "epochs": spec.epochs,
+            "rounds": spec.max_rounds,
+            "n_train": spec.n_train,
+            "n_test": spec.n_test,
+            "backend": spec.backend,
+            "data": "load_synthetic_mnist partitions (float32)",
+        },
+        "repeats": ROUND_REPEATS,
+        "seconds_per_round_median": statistics.median(
+            s for r in repeats for s in r["round_s"]
+        ),
+        "layer_seconds_per_round_median": {
+            layer: statistics.median(
+                s for r in repeats for s in r["layers"][layer]
+            )
+            for layer in first["layers"]
+        },
+        "state_nbytes": first["state_nbytes"],
+        "total_energy_j": first["total_energy_j"],
+        "energy_digest": first["energy_digest"],
+        "history_digest": first["history_digest"],
+        "repeats_identical": all(
+            r[key] == first[key]
+            for r in repeats
+            for key in ("total_energy_j", "energy_digest", "history_digest")
+        ),
+        "peak_rss_bytes": _peak_rss_bytes(),
+        "layer_note": (
+            "ledger = a round's wall time after run_round returns, until "
+            "the next round starts: energy and duration pricing plus the "
+            "simulator's bookkeeping"
+        ),
+    }
+    split = row["layer_seconds_per_round_median"]
+    print(
+        f"population round (N={spec.n_servers:,d}, K={spec.participants:,d}, "
+        f"E={spec.epochs}, real partitions): "
+        f"{row['seconds_per_round_median'] * 1000:.1f} ms/round median; "
+        + ", ".join(f"{k} {v * 1000:.1f} ms" for k, v in split.items())
+        + f"; state {row['state_nbytes'] / 2**20:,.0f} MiB; "
+        f"repeats identical: {row['repeats_identical']}"
+    )
+    return row
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     out_path = Path(args[0]) if args else Path("BENCH_population.json")
@@ -214,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     print("scale (struct-of-arrays, float32, E=1):")
     scale_rows = [run_scale_row(n) for n in POPULATION_SIZES]
     equivalence = run_equivalence()
+    population = run_population_round_row()
 
     payload = {
         "benchmark": "population",
@@ -230,6 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "scale": scale_rows,
         "equivalence": equivalence,
+        "population": population,
         "thresholds": {
             "min_scale_demonstrated": MIN_SCALE_DEMONSTRATED,
             "accept_equivalence_atol": ACCEPT_EQUIVALENCE_ATOL,
@@ -279,6 +460,10 @@ def main(argv: list[str] | None = None) -> int:
             "float32 population drifted beyond the documented tolerance "
             f"({equivalence['float32_max_abs_param_diff']:.2e} > "
             f"{ACCEPT_FLOAT32_ATOL})"
+        )
+    if not population["repeats_identical"]:
+        failures.append(
+            "two population-10k repeats gave different energy or history"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -6,7 +6,7 @@ from repro.fl.async_training import (
     AsyncResult,
     AsyncUpdateRecord,
 )
-from repro.fl.client import EdgeServerClient, LocalUpdate
+from repro.fl.client import CohortUpdates, EdgeServerClient, LocalUpdate
 from repro.fl.compression import (
     CompressedUpdate,
     Compressor,
@@ -61,6 +61,7 @@ __all__ = [
     "AsyncFederatedTrainer",
     "AsyncResult",
     "AsyncUpdateRecord",
+    "CohortUpdates",
     "EdgeServerClient",
     "LocalUpdate",
     "CompressedUpdate",

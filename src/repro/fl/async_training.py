@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.fl.client import EdgeServerClient
+from repro.fl.model import evaluation_rows
 from repro.fl.sgd import SGDConfig
 from repro.sim.engine import Simulator
 
@@ -164,11 +165,20 @@ class AsyncFederatedTrainer:
         )
 
     def _evaluate(self) -> tuple[float, float]:
-        # Float64 copies, built at the first evaluation and then held.
+        # Float64 evaluation rows, built at the first evaluation and then
+        # held (see repro.fl.model.evaluation_rows).
         if self._eval_sets is None:
-            self._eval_sets = (
-                self.train_eval.widened(),
-                self.test_eval.widened(),
+            self._eval_sets = tuple(
+                Dataset(
+                    evaluation_rows(
+                        data.features,
+                        self._model_config,
+                        self.config.max_updates // self.config.eval_every + 1,
+                    ),
+                    data.labels,
+                    data.n_classes,
+                )
+                for data in (self.train_eval, self.test_eval)
             )
         train_eval, test_eval = self._eval_sets
         model = self._model_config.build()

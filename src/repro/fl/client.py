@@ -8,7 +8,8 @@ updated parameter vector for uploading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.fl.model import (
 )
 from repro.fl.sgd import SGDConfig
 
-__all__ = ["LocalUpdate", "EdgeServerClient"]
+__all__ = ["CohortUpdates", "LocalUpdate", "EdgeServerClient"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,92 @@ class LocalUpdate:
     epochs: int
     gradient_steps: int
     final_local_loss: float
+
+
+@dataclass(frozen=True, eq=False)
+class CohortUpdates:
+    """One round's local updates as arrays: row ``i`` is ``client_ids[i]``'s.
+
+    What every execution engine returns and what aggregation consumes.
+    The population kernel hands over the ``(K, P)`` matrix it trained
+    into; the per-client engines stack their ``K`` rows once.  Indexing
+    or iterating builds :class:`LocalUpdate` objects on demand (the row
+    is a view), so a round that never asks for one builds none.
+
+    Attributes:
+        client_ids: ``(K,)`` client ids, in participant order.
+        parameters: ``(K, P)`` float64 parameter rows (the uploads).
+        n_samples: ``(K,)`` local dataset sizes ``n_k``.
+        losses: ``(K,)`` final local losses (``final_local_loss``).
+        gradient_steps: ``(K,)`` SGD steps each client took.
+        epochs: ``(K,)`` local epochs each client ran.
+        durations_s: ``(K,)`` measured training seconds per client.
+    """
+
+    client_ids: np.ndarray
+    parameters: np.ndarray
+    n_samples: np.ndarray
+    losses: np.ndarray
+    gradient_steps: np.ndarray
+    epochs: np.ndarray
+    durations_s: np.ndarray
+
+    @classmethod
+    def from_updates(
+        cls,
+        updates: "CohortUpdates | Sequence[LocalUpdate]",
+        durations_s: Sequence[float] | None = None,
+    ) -> "CohortUpdates":
+        """Wrap a list of updates (stacked once); a carrier passes through."""
+        if isinstance(updates, CohortUpdates):
+            return updates
+        k = len(updates)
+        return cls(
+            client_ids=np.array([u.client_id for u in updates], dtype=np.int64),
+            parameters=(
+                np.stack([u.parameters for u in updates])
+                if k
+                else np.empty((0, 0))
+            ),
+            n_samples=np.array([u.n_samples for u in updates], dtype=np.int64),
+            losses=np.array([u.final_local_loss for u in updates], dtype=float),
+            gradient_steps=np.array(
+                [u.gradient_steps for u in updates], dtype=np.int64
+            ),
+            epochs=np.array([u.epochs for u in updates], dtype=np.int64),
+            durations_s=(
+                np.zeros(k)
+                if durations_s is None
+                else np.asarray(durations_s, dtype=float)
+            ),
+        )
+
+    def __len__(self) -> int:
+        return int(self.client_ids.shape[0])
+
+    def __getitem__(self, row: int) -> LocalUpdate:
+        return LocalUpdate(
+            client_id=int(self.client_ids[row]),
+            parameters=self.parameters[row],
+            n_samples=int(self.n_samples[row]),
+            epochs=int(self.epochs[row]),
+            gradient_steps=int(self.gradient_steps[row]),
+            final_local_loss=float(self.losses[row]),
+        )
+
+    def __iter__(self) -> Iterator[LocalUpdate]:
+        return (self[row] for row in range(len(self)))
+
+    def take(self, rows: Sequence[int]) -> "CohortUpdates":
+        """The updates at ``rows``, in that order (``self`` if all, in order)."""
+        if len(rows) == len(self) and all(
+            row == i for i, row in enumerate(rows)
+        ):
+            return self
+        index = np.asarray(rows, dtype=np.int64)
+        return CohortUpdates(
+            *(getattr(self, f.name)[index] for f in fields(self))
+        )
 
 
 class EdgeServerClient:

@@ -40,8 +40,12 @@ semantics:
   so results are bit-identical regardless of worker count (and chunk
   count) and identical to sequential execution.
 
-All engines return updates in participant order, which the trainer
-relies on for dropout draws, compression, and upload simulation.
+All engines return the round as one
+:class:`~repro.fl.client.CohortUpdates`, rows in participant order,
+which the trainer relies on for dropout draws, compression, upload
+simulation and aggregation.  The population engine hands over the
+matrix its kernel trained into; the per-client engines stack their
+``K`` rows once.
 """
 
 from __future__ import annotations
@@ -49,13 +53,13 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import wait
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.faults.models import substream
-from repro.fl.client import EdgeServerClient, LocalUpdate
+from repro.fl.client import CohortUpdates, EdgeServerClient
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.population import PopulationState, train_cohort
 from repro.perf.cancel import check_cancelled, interruptible
@@ -74,7 +78,6 @@ if TYPE_CHECKING:
 __all__ = [
     "AUTO_BACKEND",
     "BACKENDS",
-    "ClientTrainResult",
     "ExecutionEngine",
     "SequentialEngine",
     "BatchedEngine",
@@ -94,14 +97,6 @@ BACKENDS = ("sequential", "batched", "pool", "population")
 AUTO_BACKEND = "auto"
 
 
-@dataclass(frozen=True)
-class ClientTrainResult:
-    """One client's training outcome plus its measured duration."""
-
-    update: LocalUpdate
-    duration_s: float
-
-
 class ExecutionEngine:
     """Interface every backend implements."""
 
@@ -113,7 +108,7 @@ class ExecutionEngine:
         global_parameters: np.ndarray,
         round_index: int,
         learning_rate: float,
-    ) -> list[ClientTrainResult]:
+    ) -> CohortUpdates:
         """Train every participant from ``global_parameters``, in order."""
         raise NotImplementedError
 
@@ -156,23 +151,23 @@ class SequentialEngine(ExecutionEngine):
         global_parameters: np.ndarray,
         round_index: int,
         learning_rate: float,
-    ) -> list[ClientTrainResult]:
+    ) -> CohortUpdates:
         config = self._config
-        results: list[ClientTrainResult] = []
+        updates, durations = [], []
         for client_id in participants:
             started = time.perf_counter()
-            update = self._clients[client_id].train(
-                global_parameters,
-                epochs=config.local_epochs,
-                learning_rate=learning_rate,
-                sgd=config.sgd,
-                proximal_mu=config.proximal_mu,
-                rng=_batch_rng(config, client_id, round_index),
+            updates.append(
+                self._clients[client_id].train(
+                    global_parameters,
+                    epochs=config.local_epochs,
+                    learning_rate=learning_rate,
+                    sgd=config.sgd,
+                    proximal_mu=config.proximal_mu,
+                    rng=_batch_rng(config, client_id, round_index),
+                )
             )
-            results.append(
-                ClientTrainResult(update, time.perf_counter() - started)
-            )
-        return results
+            durations.append(time.perf_counter() - started)
+        return CohortUpdates.from_updates(updates, durations)
 
 
 def vectorizable(
@@ -229,12 +224,10 @@ class PopulationEngine(ExecutionEngine):
         global_parameters: np.ndarray,
         round_index: int,
         learning_rate: float,
-    ) -> list[ClientTrainResult]:
-        if not participants:
-            return []
+    ) -> CohortUpdates:
         started = time.perf_counter()
         config = self._config
-        updates = train_cohort(
+        cohort = train_cohort(
             self.state,
             participants,
             global_parameters,
@@ -249,7 +242,9 @@ class PopulationEngine(ExecutionEngine):
                 len(participants)
             )
         per_client = elapsed / max(1, len(participants))
-        return [ClientTrainResult(update, per_client) for update in updates]
+        return replace(
+            cohort, durations_s=np.full(len(participants), per_client)
+        )
 
 
 class BatchedEngine(PopulationEngine):
@@ -466,9 +461,9 @@ class PoolEngine(ExecutionEngine):
         global_parameters: np.ndarray,
         round_index: int,
         learning_rate: float,
-    ) -> list[ClientTrainResult]:
+    ) -> CohortUpdates:
         if not participants:
-            return []
+            return CohortUpdates.from_updates([])
         broadcast = np.ascontiguousarray(global_parameters, dtype=np.float64)
         self._ensure_pool(broadcast.size)
         # Publish the round's model once; the round waits for every
@@ -491,11 +486,11 @@ class PoolEngine(ExecutionEngine):
             self._observer.counter("engine.pool_tasks").inc(
                 len(participants)
             )
-        return [
-            ClientTrainResult(update, duration)
-            for future in futures
-            for update, duration in future.result()
-        ]
+        results = [pair for future in futures for pair in future.result()]
+        return CohortUpdates.from_updates(
+            [update for update, _ in results],
+            [duration for _, duration in results],
+        )
 
     def close(self) -> None:
         if self._finalizer is not None:

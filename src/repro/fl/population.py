@@ -25,7 +25,9 @@ population as a handful of stacked tensors instead:
   per block, so a block stays in cache from its forward pass to its
   backward pass and its temporaries stay small enough for malloc to
   reuse.  Each lane is an independent GEMM chain, so the block size
-  never changes a bit.
+  never changes a bit.  It returns the cohort as one
+  :class:`~repro.fl.client.CohortUpdates`: the ``(K, P)`` matrix the
+  lane blocks wrote into, which aggregation reduces as it is.
 * **Hierarchical aggregation** — :class:`AggregationTree` folds a
   round's updates through ``fog`` tier nodes before the cloud combines
   the tier partials (Al-Abiad et al., arXiv:2107.03520): the cloud's
@@ -46,7 +48,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.fl.client import EdgeServerClient, LocalUpdate
+from repro.fl.client import CohortUpdates, EdgeServerClient, LocalUpdate
 from repro.fl.model import (
     LogisticRegressionConfig,
     _cols_matmul,
@@ -331,7 +333,7 @@ def train_cohort(
     epochs: int,
     learning_rate: float,
     proximal_mu: float = 0.0,
-) -> list[LocalUpdate]:
+) -> CohortUpdates:
     """Train one round's cohort from the population stacks.
 
     Cohort members are grouped by ``n_k``, and each group trains in
@@ -340,11 +342,14 @@ def train_cohort(
     are gathered from the stack and cast to ``state.dtype``; all
     ``E`` epochs run on the block before the next one is gathered.  On
     a float32 population the arithmetic runs in float32 and the
-    returned parameter vectors are cast back to float64, keeping
-    aggregation dtype-stable.
+    parameter rows are cast back to float64, keeping aggregation
+    dtype-stable.
 
-    Updates are returned in ``client_ids`` order (the trainer's
-    participant-order contract).
+    Returns the cohort as :class:`~repro.fl.client.CohortUpdates`, rows
+    in ``client_ids`` order (the trainer's participant-order contract).
+    A group whose lanes sit in consecutive rows of that order (a sorted
+    single-size cohort) trains straight into the returned matrix; any
+    other group trains into its own and is scattered once.
     """
     ids = np.asarray(client_ids, dtype=np.int64)
     model_config = state.model_config
@@ -356,19 +361,27 @@ def train_cohort(
     weights_global = anchor[:split].reshape(d, n_classes)
     bias_global = anchor[split:]
 
-    updates: dict[int, LocalUpdate] = {}
+    parameters = np.empty((len(ids), anchor.shape[0]))
+    losses = np.empty(len(ids))
     sizes = state.n_samples[ids]
     for n in np.unique(sizes):
-        members = np.sort(ids[sizes == n])
+        positions = np.flatnonzero(sizes == n)
+        positions = positions[np.argsort(ids[positions], kind="stable")]
         group = state.groups[int(n)]
-        rows = state.rows_of(members)
-        flat = np.empty((len(members), anchor.shape[0]))
-        losses64 = np.empty(len(members))
+        rows = state.rows_of(ids[positions])
+        first, count = int(positions[0]), len(positions)
+        in_place = bool(np.all(positions == np.arange(first, first + count)))
+        flat = (
+            parameters[first : first + count]
+            if in_place
+            else np.empty((count, anchor.shape[0]))
+        )
+        group_losses = np.empty(count)
         lane_bytes = int(n) * d * state.dtype.itemsize
         lanes = max(1, _LANE_BLOCK_BYTES // lane_bytes)
-        for start in range(0, len(members), lanes):
+        for start in range(0, count, lanes):
             block = slice(start, start + lanes)
-            _, _, losses64[block] = fullbatch_gd_stack(
+            _, _, group_losses[block] = fullbatch_gd_stack(
                 group.features[rows[block]].astype(state.dtype, copy=False),
                 group.labels[rows[block]],
                 weights_global,
@@ -380,16 +393,18 @@ def train_cohort(
                 proximal_mu=proximal_mu,
                 out=flat[block],
             )
-        for g, client_id in enumerate(members):
-            updates[int(client_id)] = LocalUpdate(
-                client_id=int(client_id),
-                parameters=flat[g],
-                n_samples=int(n),
-                epochs=epochs,
-                gradient_steps=epochs,
-                final_local_loss=float(losses64[g]),
-            )
-    return [updates[int(client_id)] for client_id in ids]
+        if not in_place:
+            parameters[positions] = flat
+        losses[positions] = group_losses
+    return CohortUpdates(
+        client_ids=ids,
+        parameters=parameters,
+        n_samples=sizes,
+        losses=losses,
+        gradient_steps=np.full(len(ids), epochs, dtype=np.int64),
+        epochs=np.full(len(ids), epochs, dtype=np.int64),
+        durations_s=np.zeros(len(ids)),
+    )
 
 
 @dataclass(frozen=True)
@@ -436,9 +451,12 @@ class AggregationTree:
         counts = np.asarray(sizes, dtype=np.float64) / float(k)
         return (partials * counts[:, None]).sum(axis=0)
 
-    def fold_updates(self, updates: Sequence[LocalUpdate]) -> np.ndarray:
+    def fold_updates(
+        self, updates: CohortUpdates | Sequence[LocalUpdate]
+    ) -> np.ndarray:
         """Tree-fold a round's updates (tiered form of ``aggregate_mean``)."""
-        if not updates:
+        cohort = CohortUpdates.from_updates(updates)
+        if not len(cohort):
             raise ValueError("cannot aggregate an empty list of updates")
-        return self.fold(np.stack([u.parameters for u in updates]))
+        return self.fold(cohort.parameters)
 

@@ -11,11 +11,11 @@ for the heterogeneous-size extension.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.fl.client import LocalUpdate
+from repro.fl.client import CohortUpdates, LocalUpdate
 from repro.fl.model import LogisticRegressionConfig, LogisticRegressionModel
 from repro.obs.observer import active_or_none
 
@@ -47,24 +47,29 @@ class NonFiniteUpdateError(ValueError):
         self.client_ids = tuple(client_ids)
 
 
-def aggregate_mean(updates: list[LocalUpdate]) -> np.ndarray:
-    """Unweighted average of local parameter vectors — eq. (2) of the paper."""
-    if not updates:
+def aggregate_mean(updates: CohortUpdates | Sequence[LocalUpdate]) -> np.ndarray:
+    """Unweighted average of local parameter vectors — eq. (2) of the paper.
+
+    An axis-0 mean over the cohort's ``(K, P)`` rows, in row order.
+    """
+    cohort = CohortUpdates.from_updates(updates)
+    if not len(cohort):
         raise ValueError("cannot aggregate an empty list of updates")
-    stacked = np.stack([u.parameters for u in updates])
-    return stacked.mean(axis=0)
+    return cohort.parameters.mean(axis=0)
 
 
-def aggregate_weighted(updates: list[LocalUpdate]) -> np.ndarray:
+def aggregate_weighted(
+    updates: CohortUpdates | Sequence[LocalUpdate],
+) -> np.ndarray:
     """Sample-count-weighted average (classic FedAvg aggregation)."""
-    if not updates:
+    cohort = CohortUpdates.from_updates(updates)
+    if not len(cohort):
         raise ValueError("cannot aggregate an empty list of updates")
-    weights = np.array([u.n_samples for u in updates], dtype=float)
+    weights = cohort.n_samples.astype(float)
     total = weights.sum()
     if total <= 0:
         raise ValueError("total sample count across updates must be positive")
-    stacked = np.stack([u.parameters for u in updates])
-    return (weights[:, None] * stacked).sum(axis=0) / total
+    return (weights[:, None] * cohort.parameters).sum(axis=0) / total
 
 
 class Coordinator:
@@ -158,10 +163,21 @@ class Coordinator:
             )
         return self.global_parameters
 
-    def aggregate(self, updates: list[LocalUpdate]) -> np.ndarray:
+    def aggregate(
+        self, updates: CohortUpdates | Sequence[LocalUpdate]
+    ) -> np.ndarray:
         """Apply the aggregation rule and advance to round ``t + 1``.
 
-        Returns the new global parameter vector ``omega_{t+1}``.
+        Takes the round's :class:`~repro.fl.client.CohortUpdates` (a
+        list of :class:`LocalUpdate` is wrapped once).  Returns the new
+        global parameter vector ``omega_{t+1}``.
+
+        The finite check reads the ``(P,)`` aggregate, not the ``(K, P)``
+        matrix: a NaN or infinity in any row makes its column of the
+        mean, weighted sum or tier fold non-finite, so a finite
+        aggregate proves every row finite.  Only a non-finite aggregate
+        pays a pass over the rows to name the offenders (none when
+        finite rows overflowed, which is accepted as before).
 
         Raises:
             NonFiniteUpdateError: when any update carries NaN/Inf
@@ -169,28 +185,29 @@ class Coordinator:
                 global model.
         """
         started = time.perf_counter()
-        poisoned = [
-            int(u.client_id)
-            for u in updates
-            if not np.all(np.isfinite(u.parameters))
-        ]
-        if poisoned:
-            if self._observer is not None:
-                self._observer.counter("fl.nonfinite_rejected").inc(
-                    len(poisoned)
-                )
-                self._observer.emit(
-                    "server.reject_nonfinite",
-                    round=self.rounds_completed,
-                    clients=poisoned,
-                )
-            raise NonFiniteUpdateError(poisoned)
-        if self.aggregation_tree is not None:
-            self._parameters = self.aggregation_tree.fold_updates(updates)
-        elif self.aggregation == "mean":
-            self._parameters = aggregate_mean(updates)
-        else:
-            self._parameters = aggregate_weighted(updates)
+        cohort = CohortUpdates.from_updates(updates)
+        with np.errstate(invalid="ignore"):
+            if self.aggregation_tree is not None:
+                parameters = self.aggregation_tree.fold_updates(cohort)
+            elif self.aggregation == "mean":
+                parameters = aggregate_mean(cohort)
+            else:
+                parameters = aggregate_weighted(cohort)
+        if not np.isfinite(parameters).all():
+            rows = np.flatnonzero(~np.isfinite(cohort.parameters).all(axis=1))
+            poisoned = [int(c) for c in cohort.client_ids[rows]]
+            if poisoned:
+                if self._observer is not None:
+                    self._observer.counter("fl.nonfinite_rejected").inc(
+                        len(poisoned)
+                    )
+                    self._observer.emit(
+                        "server.reject_nonfinite",
+                        round=self.rounds_completed,
+                        clients=poisoned,
+                    )
+                raise NonFiniteUpdateError(poisoned)
+        self._parameters = parameters
         self.rounds_completed += 1
         self.parameters_version += 1
         if self._observer is not None:
@@ -198,7 +215,7 @@ class Coordinator:
             if self.aggregation_tree is not None:
                 self._observer.counter("fl.tree_aggregations").inc()
                 self._observer.counter("fl.tree_fan_in").inc(
-                    self.aggregation_tree.fan_in(len(updates))
+                    self.aggregation_tree.fan_in(len(cohort))
                 )
             self._observer.profiler.observe(
                 "profile.aggregate_s", time.perf_counter() - started
@@ -206,7 +223,7 @@ class Coordinator:
             self._observer.emit(
                 "server.aggregate",
                 round=self.rounds_completed - 1,
-                n_updates=len(updates),
+                n_updates=len(cohort),
                 aggregation=self.aggregation,
             )
         return self.global_parameters

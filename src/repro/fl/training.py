@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -44,11 +44,11 @@ from repro.faults.policies import (
     RoundResilienceReport,
     simulate_upload,
 )
-from repro.fl.client import EdgeServerClient, LocalUpdate
+from repro.fl.client import EdgeServerClient
 from repro.fl.compression import ErrorFeedback
 from repro.fl.engine import AUTO_BACKEND, BACKENDS, create_engine
 from repro.fl.metrics import RoundRecord, TrainingHistory
-from repro.fl.model import LogisticRegressionConfig
+from repro.fl.model import LogisticRegressionConfig, evaluation_rows
 from repro.fl.sampling import ClientSampler, UniformSampler
 from repro.fl.server import Coordinator
 from repro.fl.sgd import LearningRateSchedule, SGDConfig
@@ -268,42 +268,64 @@ class FederatedTrainer:
         """Number of edge servers ``N`` in the system."""
         return len(self.clients)
 
-    def _widened_eval_sets(self) -> tuple[Dataset, Dataset]:
-        """``(train_eval, test_eval)`` with float64 features.
+    def _evaluation_sets(self) -> tuple[Dataset, Dataset]:
+        """``(train_eval, test_eval)`` as float64 evaluation rows.
 
-        Built at the first evaluation rather than in ``__init__``, so
-        set-up time does not move, and then held: widening on every
-        call would cost as much as the matmul it saves.
+        See :func:`~repro.fl.model.evaluation_rows`: the logistic
+        head's large sets are held transposed when the run has rounds
+        enough to repay the build, the rest widened.  Built at the first
+        evaluation rather than in ``__init__``, so set-up time does not
+        move, and then held: rebuilding on every call would cost as
+        much as the matmul it saves.
         """
         if self._eval_sets is None:
-            self._eval_sets = (
-                self.train_eval.widened(),
-                self.test_eval.widened(),
+            model_config = self.clients[0].model_config
+            self._eval_sets = tuple(
+                Dataset(
+                    evaluation_rows(
+                        data.features, model_config, self.config.n_rounds
+                    ),
+                    data.labels,
+                    data.n_classes,
+                )
+                for data in (self.train_eval, self.test_eval)
             )
         return self._eval_sets
 
     def _apply_compression(
         self,
         client_id: int,
-        update: LocalUpdate,
+        parameters: np.ndarray,
         global_params: np.ndarray,
-    ) -> LocalUpdate:
+    ) -> np.ndarray:
         """Compress the uploaded *delta* and account for the wire bytes.
 
-        The server reconstructs ``global + decompressed_delta``; without a
-        compressor the full-precision parameters are counted at dense
-        float32 size.
+        Returns what the server reconstructs, ``global +
+        decompressed_delta``; without a compressor ``parameters`` itself,
+        counted at dense float32 size.
         """
         if self.update_compressor is None:
-            self.total_upload_bytes += update.parameters.size * 4
-            return update
-        delta = update.parameters - global_params
+            self.total_upload_bytes += parameters.size * 4
+            return parameters
+        delta = parameters - global_params
         if isinstance(self.update_compressor, ErrorFeedback):
             compressed = self.update_compressor.compress(client_id, delta)
         else:
             compressed = self.update_compressor.compress(delta)
         self.total_upload_bytes += compressed.payload_bytes
-        return replace(update, parameters=global_params + compressed.dense)
+        return global_params + compressed.dense
+
+    def _draw_dropouts(self, k: int) -> np.ndarray:
+        """Which of the round's ``k`` participants fail to upload.
+
+        One ``random(k)`` vector: it consumes the dropout stream exactly
+        as ``k`` scalar ``random()`` calls do, one per participant in
+        order.  Nothing is drawn when dropout is off.
+        """
+        probability = self.config.dropout_probability
+        if probability <= 0:
+            return np.zeros(k, dtype=bool)
+        return self._dropout_rng.random(k) < probability
 
     def _select_participants(
         self, selected: list[int], round_index: int
@@ -320,16 +342,18 @@ class FederatedTrainer:
         if injector is None:
             return list(selected), [], []
         alive = [c for c in selected if not injector.crashed(c, round_index)]
-        crashed = [c for c in selected if c not in alive]
+        alive_set = set(alive)
+        crashed = [c for c in selected if c not in alive_set]
         replacements: list[int] = []
         resample = (
             self.resilience.resample_crashed if self.resilience is not None else True
         )
         if crashed and resample:
+            taken = set(selected)
             pool = [
                 c
                 for c in range(self.n_clients)
-                if c not in selected and injector.available(c, round_index)
+                if c not in taken and injector.available(c, round_index)
             ]
             n_replace = min(len(crashed), len(pool))
             if n_replace > 0:
@@ -411,62 +435,60 @@ class FederatedTrainer:
             round_span.__enter__()
 
         try:
-            updates: dict[int, LocalUpdate] = {}
             slowdowns: dict[int, float] = {}
             upload_attempts: dict[int, int] = {}
             backoff_log: dict[int, float] = {}
             failed: list[int] = []
             corrupted_ids: list[int] = []
             late: list[int] = []
-            results = self._engine.train_round(
+            cohort = self._engine.train_round(
                 participants, global_params, round_index, learning_rate
             )
-            for client_id, result in zip(participants, results):
-                update = result.update
-                if obs is not None:
-                    obs.profiler.observe(
-                        "profile.client_train_s", result.duration_s
-                    )
-                self.total_gradient_steps += update.gradient_steps
+            dropped = self._draw_dropouts(len(cohort))
+            self.total_gradient_steps += int(cohort.gradient_steps.sum())
+            # Rows whose upload reached the server, in participant order.
+            # A payload the server receives altered (compressed or
+            # corrupted) is written into its row of the cohort matrix.
+            delivered: list[int] = []
+            for row, client_id in enumerate(participants):
                 slowdown = 1.0
                 if injector is not None:
                     injector.note_participation(client_id, round_index)
                     slowdown = injector.slowdown(client_id, round_index)
                     if slowdown > 1.0:
                         slowdowns[client_id] = slowdown
-                dropped = (
-                    self.config.dropout_probability > 0
-                    and self._dropout_rng.random() < self.config.dropout_probability
-                )
                 if obs is not None:
-                    obs.counter("fl.gradient_steps").inc(update.gradient_steps)
+                    steps = int(cohort.gradient_steps[row])
+                    duration_s = float(cohort.durations_s[row])
+                    obs.profiler.observe("profile.client_train_s", duration_s)
+                    obs.counter("fl.gradient_steps").inc(steps)
                     obs.emit(
                         "client.train",
                         round=round_index,
                         client=int(client_id),
-                        gradient_steps=update.gradient_steps,
-                        epochs=update.epochs,
-                        final_local_loss=update.final_local_loss,
-                        duration_s=result.duration_s,
-                        dropped=dropped,
+                        gradient_steps=steps,
+                        epochs=int(cohort.epochs[row]),
+                        final_local_loss=float(cohort.losses[row]),
+                        duration_s=duration_s,
+                        dropped=bool(dropped[row]),
                     )
-                if dropped:
+                if dropped[row]:
                     continue
+                trained = cohort.parameters[row]
                 bytes_before = self.total_upload_bytes
-                update = self._apply_compression(
-                    client_id, update, global_params
+                parameters = self._apply_compression(
+                    client_id, trained, global_params
                 )
                 upload_bytes = self.total_upload_bytes - bytes_before
                 if injector is not None:
                     corruption = injector.corrupts(client_id, round_index)
                     if corruption is not None:
-                        update = replace(
-                            update,
-                            parameters=injector.corrupt_payload(
-                                update.parameters, corruption
-                            ),
+                        parameters = injector.corrupt_payload(
+                            parameters, corruption
                         )
                         corrupted_ids.append(client_id)
+                if parameters is not trained:
+                    trained[:] = parameters
                 if resilience is not None:
                     outcome = self._simulate_resilient_upload(
                         client_id, round_index, upload_bytes
@@ -514,7 +536,7 @@ class FederatedTrainer:
                                     deadline_s=resilience.round_deadline_s,
                                 )
                             continue
-                updates[client_id] = update
+                delivered.append(row)
                 self.total_uploads += 1
                 if obs is not None:
                     obs.counter("fl.uploads").inc()
@@ -527,32 +549,35 @@ class FederatedTrainer:
                     )
 
             # Over-selection: keep only the first K arrivals among survivors.
-            if self.completion_ranker is not None:
-                arrival_order = self.completion_ranker(
-                    round_index, list(participants)
-                )
+            if self.completion_ranker is None:
+                arrivals = delivered
             else:
-                arrival_order = list(participants)
-            kept_ids = [
-                cid for cid in arrival_order if cid in updates
-            ][: self.config.participants_per_round]
+                row_of = {cid: row for row, cid in enumerate(participants)}
+                reached = set(delivered)
+                arrivals = [
+                    row_of[cid]
+                    for cid in self.completion_ranker(
+                        round_index, list(participants)
+                    )
+                    if row_of[cid] in reached
+                ]
+            kept = cohort.take(arrivals[: self.config.participants_per_round])
             if resilience is not None and resilience.reject_nonfinite:
-                finite_ids = []
-                for cid in kept_ids:
-                    if np.all(np.isfinite(updates[cid].parameters)):
-                        finite_ids.append(cid)
-                    elif obs is not None:
-                        obs.counter("fl.nonfinite_rejected").inc()
-                        obs.emit(
-                            "client.reject_nonfinite",
-                            round=round_index,
-                            client=int(cid),
-                        )
-                kept_ids = finite_ids
-            kept_updates = [updates[cid] for cid in kept_ids]
+                finite = np.isfinite(kept.parameters).all(axis=1)
+                if not finite.all():
+                    if obs is not None:
+                        for client_id in kept.client_ids[~finite]:
+                            obs.counter("fl.nonfinite_rejected").inc()
+                            obs.emit(
+                                "client.reject_nonfinite",
+                                round=round_index,
+                                client=int(client_id),
+                            )
+                    kept = kept.take(np.flatnonzero(finite))
+            kept_ids = kept.client_ids.tolist()
 
             quorum = resilience.min_quorum if resilience is not None else 1
-            degraded = len(kept_updates) < max(1, quorum)
+            degraded = len(kept) < max(1, quorum)
             if degraded:
                 # Graceful degradation: too few survivors — carry the
                 # last good model forward and mark the round degraded.
@@ -563,11 +588,11 @@ class FederatedTrainer:
                     obs.emit(
                         "round.degraded",
                         round=round_index,
-                        survivors=len(kept_updates),
+                        survivors=len(kept),
                         quorum=quorum,
                     )
             else:
-                self.coordinator.aggregate(kept_updates)
+                self.coordinator.aggregate(kept)
             self._schedule.advance()
 
             # Evaluation is cached on the coordinator's parameter
@@ -577,7 +602,7 @@ class FederatedTrainer:
             evaluation = self._eval_cache.lookup(version)
             if evaluation is None:
                 model = self.coordinator.global_model(copy=False)
-                train_eval, test_eval = self._widened_eval_sets()
+                train_eval, test_eval = self._evaluation_sets()
                 evaluation = (
                     model.loss(train_eval.features, train_eval.labels),
                     model.accuracy(test_eval.features, test_eval.labels),

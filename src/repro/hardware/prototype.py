@@ -20,6 +20,7 @@ The "real measurement traces" of Figs. 5-6 are produced by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -154,6 +155,121 @@ class PrototypeResult:
         if self.total_energy_j <= 0:
             return 0.0
         return self.wasted_energy_j / self.total_energy_j
+
+
+class _RunLedger:
+    """Per-device round energy and duration of one ``run()``, as vectors.
+
+    A device without timing jitter prices every round of a run the
+    same, so its round is priced once, by its own
+    :meth:`~RaspberryPiEdgeServer.round_timing` and
+    :meth:`~RaspberryPiEdgeServer.phase_energies`, and shared by every
+    device with the same timing, powers, channel and ``n_k``.  A round
+    then gathers its participants' rows.  A device whose jitter draws
+    from its RNG keeps the per-call path, so its draws happen exactly
+    as before.
+    """
+
+    def __init__(
+        self,
+        prototype: "HardwarePrototype",
+        epochs: int,
+        upload: ModelMessage,
+    ) -> None:
+        self._prototype = prototype
+        self._epochs = epochs
+        self._upload = upload
+        devices = prototype.devices
+        self._n_samples = [len(part) for part in prototype._partitions]
+        self.per_call = np.zeros(len(devices), dtype=bool)
+        self._phase_names: list[str] = []
+        # Per device: (energy, duration, e_k^U, *phase joules); None for
+        # the per-call devices.
+        priced: dict[tuple, tuple[float, ...]] = {}
+        rows: list[tuple[float, ...] | None] = []
+        for server_id, device in enumerate(devices):
+            if device.timing.jitter_fraction > 0 or device.channel.lossy:
+                self.per_call[server_id] = True
+                rows.append(None)
+                continue
+            n_k = self._n_samples[server_id]
+            key = (device.timing, device.powers, device.channel.config, n_k)
+            if key not in priced:
+                timing = device.round_timing(
+                    epochs, n_k, prototype._download, upload
+                )
+                phases = device.phase_energies(
+                    timing, include_waiting=prototype.config.include_waiting
+                )
+                self._phase_names = list(phases)
+                priced[key] = (
+                    sum(phases.values()),
+                    timing.total_s,
+                    device.upload_energy(upload),
+                    *phases.values(),
+                )
+            rows.append(priced[key])
+        width = 3 + len(self._phase_names)
+        table = np.array(
+            [row or (0.0,) * width for row in rows], dtype=float
+        ).reshape(len(devices), width)
+        self._energy, self._duration = table[:, 0], table[:, 1]
+        self.upload_j, self._phase_j = table[:, 2].copy(), table[:, 3:]
+        for server_id in np.flatnonzero(self.per_call):
+            self.upload_j[server_id] = devices[server_id].upload_energy(upload)
+        self._collect = None
+        if prototype.config.include_iot:
+            self._collect = np.array(
+                [
+                    prototype.iot_network.cluster(k).collection_energy(n_k)
+                    for k, n_k in enumerate(self._n_samples)
+                ]
+            )
+            self._energy = self._energy + self._collect
+
+    def energies(self, server_ids: Sequence[int]) -> np.ndarray:
+        """Each participant's round energy, feeding ``energy.joules``."""
+        ids = np.asarray(server_ids, dtype=np.int64)
+        energies = self._energy[ids]
+        per_call = self.per_call[ids]
+        observer = self._prototype._observer
+        if observer is not None and len(ids):
+            priced = ids[~per_call]
+            for column, phase in enumerate(self._phase_names):
+                observer.counter("energy.joules", phase=phase).inc(
+                    sum(self._phase_j[priced, column].tolist())
+                )
+            if self._collect is not None:
+                observer.counter("energy.joules", phase="collect").inc(
+                    sum(self._collect[priced].tolist())
+                )
+        for row in np.flatnonzero(per_call):
+            server_id = int(ids[row])
+            energies[row] = self._prototype._round_energy(
+                server_id,
+                self._epochs,
+                self._n_samples[server_id],
+                upload=self._upload,
+            )
+        return energies
+
+    def durations(self, server_ids: Sequence[int]) -> np.ndarray:
+        """Each participant's round duration (``RoundTiming.total_s``)."""
+        ids = np.asarray(server_ids, dtype=np.int64)
+        durations = self._duration[ids]
+        for row in np.flatnonzero(self.per_call[ids]):
+            server_id = int(ids[row])
+            durations[row] = (
+                self._prototype.devices[server_id]
+                .round_timing(
+                    self._epochs,
+                    self._n_samples[server_id],
+                    self._prototype._download,
+                    self._upload,
+                )
+                .total_s
+            )
+        return durations
 
 
 class HardwarePrototype:
@@ -455,20 +571,11 @@ class HardwarePrototype:
                 "upload",
                 compressor.compressed_bytes(self.config.model.n_parameters),
             )
+        ledger = _RunLedger(self, epochs, upload_message)
         round_timings: dict[int, dict[int, float]] = {}
 
         def ranker(round_index: int, selected: list[int]) -> list[int]:
-            timings = {
-                cid: self.devices[cid]
-                .round_timing(
-                    epochs,
-                    len(self._partitions[cid]),
-                    self._download,
-                    upload_message,
-                )
-                .total_s
-                for cid in selected
-            }
+            timings = dict(zip(selected, ledger.durations(selected).tolist()))
             round_timings[round_index] = timings
             return sorted(selected, key=lambda cid: timings[cid])
 
@@ -499,9 +606,7 @@ class HardwarePrototype:
         # it does).  Fog tiers shrink the per-round message count from K
         # to min(tiers, K); fog-side reception is the fog nodes' budget,
         # not the cloud's, so it is deliberately not charged here.
-        e_receive = float(
-            np.mean([d.upload_energy(upload_message) for d in self.devices])
-        )
+        e_receive = float(np.mean(ledger.upload_j))
         aggregation_messages = {"total": 0}
         iot_energy = 0.0
         state = {"stop": False}
@@ -510,17 +615,11 @@ class HardwarePrototype:
             # A cancelled campaign pass stops here, between rounds.
             check_cancelled()
             record = trainer.run_round()
-            round_energy = 0.0
-            round_duration = 0.0
             timings = round_timings.get(record.round_index)
-            per_client_energy: dict[int, float] = {}
-            for server_id in record.participants:
-                n_k = len(self._partitions[server_id])
-                client_energy = self._round_energy(
-                    server_id, epochs, n_k, upload=upload_message
-                )
-                per_client_energy[server_id] = client_energy
-                round_energy += client_energy
+            client_energies = ledger.energies(record.participants).tolist()
+            # Summed in participant order, as one += per client.
+            round_energy = sum(client_energies, 0.0)
+            per_client_energy = dict(zip(record.participants, client_energies))
             report = trainer.last_resilience_report
             if report is not None and report.round_index != record.round_index:
                 report = None
@@ -575,18 +674,13 @@ class HardwarePrototype:
                     len(record.aggregated), self.config.aggregation_tiers
                 )
             awaited = record.aggregated or record.participants
-            for server_id in awaited:
-                if timings is not None:
-                    duration = timings[server_id]
-                else:
-                    duration = self.devices[server_id].round_timing(
-                        epochs,
-                        len(self._partitions[server_id]),
-                        self._download,
-                        upload_message,
-                    ).total_s
-                duration += retry_overhead.get(server_id, 0.0)
-                round_duration = max(round_duration, duration)
+            if timings is not None:
+                durations = np.array([timings[sid] for sid in awaited])
+            else:
+                durations = ledger.durations(awaited)
+            if retry_overhead:
+                durations += [retry_overhead.get(sid, 0.0) for sid in awaited]
+            round_duration = float(durations.max(initial=0.0))
             if (
                 resilience is not None
                 and resilience.round_deadline_s is not None
