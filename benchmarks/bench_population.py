@@ -24,7 +24,20 @@ Three questions, one artifact (``BENCH_population.json``):
   evaluation, aggregation and the energy ledger, plus the population
   stacks' ``state_nbytes``.  The split comes from timing wrappers on
   public entry points only, so the row runs unchanged against older
-  sources.  Two repeats must give identical energy and history.
+  sources.  Two repeats must give identical energy and history.  The
+  row also counts what set-up and the rounds build per device:
+  ``EdgeServerClient``s, ``RaspberryPiEdgeServer``s and
+  ``Dataset.subset`` copies, guarded at 0, and ``np.random.default_rng``
+  streams, guarded below ``MAX_RUN_STREAMS`` whatever N is.
+* **Fleet** — ``RunSpec`` to ``PrototypeResult`` at 10^5 and 10^6
+  devices (population backend, K = 10 % of N, E=1, 3 rounds), each in
+  a fresh process: data-generation and set-up seconds (set-up runs from
+  ``execute_unit`` to the first round), median round seconds, peak RSS.
+  A row's memory budget is computed first from the bytes every
+  training sample and every participant's update cost
+  (``BYTES_PER_SAMPLE``, ``BYTES_PER_PARTICIPANT``), and the row runs only
+  if the budget fits under ``MEMORY_CAP_BYTES``; otherwise the row
+  records the budget and why it was not run.
 
 Exits non-zero if any guard fails.  Not a pytest benchmark (no
 ``test_`` prefix — the timings are a tracking artifact).
@@ -40,6 +53,7 @@ import hashlib
 import json
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -51,6 +65,7 @@ from repro.campaign.runner import execute_unit
 from repro.core.energy_model import cloud_fan_in
 from repro.data.dataset import Dataset
 from repro.data.synthetic_mnist import load_synthetic_mnist
+from repro.fl.client import EdgeServerClient
 from repro.fl.engine import PopulationEngine
 from repro.fl.history_io import history_to_json
 from repro.fl.model import LogisticRegressionConfig, LogisticRegressionModel
@@ -64,6 +79,7 @@ from repro.fl.sampling import FloydSampler
 from repro.fl.server import Coordinator
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
+from repro.hardware.raspberry_pi import RaspberryPiEdgeServer
 from repro.sim.engine import Simulator
 
 SEED = 0
@@ -101,6 +117,28 @@ ROUND_SPEC = RunSpec(
     seed=SEED,
 )
 ROUND_REPEATS = 2
+# Generators one execute_unit draws from whatever N is: the split, the
+# sampler, and the dropout and resilience streams.
+MAX_RUN_STREAMS = 8
+
+# The fleet rows: (devices, samples per device).  The ROADMAP's ask is
+# 4 samples per device; 1 is the most a 10^5 fleet can hold here.
+FLEET_ROWS = ((100_000, 4), (100_000, 1), (1_000_000, 4))
+FLEET_ROUNDS = 3
+FLEET_N_TEST = 2_000
+# What one 784-feature training sample holds while the rounds run:
+# float32 features (4 B each) in the dataset and in the population
+# stacks, and the float64 (8 B) evaluation rows the trainer keeps for
+# its training loss.
+BYTES_PER_SAMPLE = 784 * (4 + 4 + 8)
+# A round's (K, P) float64 update matrix, per participant: the 784 x 10
+# model's 7 850 parameters.
+BYTES_PER_PARTICIPANT = 7_850 * 8
+# Interpreter, numpy, the test set and data-generation slack: the
+# population-10k peak RSS (682 MiB) less its samples' and updates' budget.
+BASE_BYTES = 200 * 2**20
+# A run must leave most of this 7 GiB host, which others share, free.
+MEMORY_CAP_BYTES = 3 * 2**30
 
 
 def _peak_rss_bytes() -> int:
@@ -286,6 +324,40 @@ def _timed_layers():
             setattr(owner, name, original)
 
 
+@contextlib.contextmanager
+def _object_counts():
+    """Count per-device objects and RNG streams built, then unwrap."""
+    counts = {
+        "EdgeServerClient": 0,
+        "RaspberryPiEdgeServer": 0,
+        "Dataset.subset": 0,
+        "default_rng": 0,
+    }
+
+    def counting(key, original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    patched = [
+        (EdgeServerClient, "__init__", "EdgeServerClient"),
+        (RaspberryPiEdgeServer, "__init__", "RaspberryPiEdgeServer"),
+        (Dataset, "subset", "Dataset.subset"),
+        (np.random, "default_rng", "default_rng"),
+    ]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patched]
+    for owner, name, key in patched:
+        setattr(owner, name, counting(key, getattr(owner, name)))
+    try:
+        yield counts
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
 def _per_round(calls: list, rounds: list) -> list[float]:
     """Seconds of ``calls`` that fall inside each round's interval."""
     return [
@@ -305,7 +377,7 @@ def run_population_round_row() -> dict:
             seed=spec.seed,
             noise_std=spec.noise_std,
         )
-        with _timed_layers() as calls:
+        with _timed_layers() as calls, _object_counts() as built:
             result = execute_unit(spec, datasets=datasets)
         # A round runs from its run_round start to the next one's (the
         # last to the end of the simulation): the prototype prices the
@@ -327,6 +399,7 @@ def run_population_round_row() -> dict:
                 "round_s": round_s,
                 "layers": layers,
                 "state_nbytes": int(calls["engine"][0].state.nbytes),
+                "built": dict(built),
                 "total_energy_j": result.total_energy_j,
                 "energy_digest": hashlib.sha256(
                     np.asarray(result.energy_per_round_j).tobytes()
@@ -359,13 +432,19 @@ def run_population_round_row() -> dict:
             for layer in first["layers"]
         },
         "state_nbytes": first["state_nbytes"],
+        "built_per_run": first["built"],
         "total_energy_j": first["total_energy_j"],
         "energy_digest": first["energy_digest"],
         "history_digest": first["history_digest"],
         "repeats_identical": all(
             r[key] == first[key]
             for r in repeats
-            for key in ("total_energy_j", "energy_digest", "history_digest")
+            for key in (
+                "total_energy_j",
+                "energy_digest",
+                "history_digest",
+                "built",
+            )
         ),
         "peak_rss_bytes": _peak_rss_bytes(),
         "layer_note": (
@@ -381,19 +460,124 @@ def run_population_round_row() -> dict:
         f"{row['seconds_per_round_median'] * 1000:.1f} ms/round median; "
         + ", ".join(f"{k} {v * 1000:.1f} ms" for k, v in split.items())
         + f"; state {row['state_nbytes'] / 2**20:,.0f} MiB; "
-        f"repeats identical: {row['repeats_identical']}"
+        f"repeats identical: {row['repeats_identical']}; "
+        f"built per run: {row['built_per_run']}"
     )
     return row
 
 
+def _fleet_spec(n_devices: int, samples: int) -> RunSpec:
+    return RunSpec(
+        name=f"fleet-{n_devices}x{samples}",
+        n_train=n_devices * samples,
+        n_test=FLEET_N_TEST,
+        n_servers=n_devices,
+        participants=n_devices // 10,
+        epochs=1,
+        max_rounds=FLEET_ROUNDS,
+        train_to_target=False,
+        backend="population",
+        seed=SEED,
+    )
+
+
+def fleet_child(n_devices: int, samples: int) -> dict:
+    """One fleet row, run in this (fresh) process: its peak RSS is the
+    row's own."""
+    spec = _fleet_spec(n_devices, samples)
+    started = time.perf_counter()
+    datasets = load_synthetic_mnist(
+        n_train=spec.n_train,
+        n_test=spec.n_test,
+        seed=spec.seed,
+        noise_std=spec.noise_std,
+    )
+    starts: list[float] = []
+    run_round = FederatedTrainer.run_round
+
+    def timed_round(trainer):
+        starts.append(time.perf_counter())
+        return run_round(trainer)
+
+    FederatedTrainer.run_round = timed_round
+    data_s = time.perf_counter() - started
+    started = time.perf_counter()
+    result = execute_unit(spec, datasets=datasets)
+    ended = time.perf_counter()
+    FederatedTrainer.run_round = run_round
+    bounds = starts + [ended]
+    return {
+        "data_s": data_s,
+        "setup_s": starts[0] - started,
+        "round_s_median": statistics.median(
+            hi - lo for lo, hi in zip(bounds, bounds[1:])
+        ),
+        "rounds": result.rounds,
+        "total_energy_j": result.total_energy_j,
+        "peak_rss_bytes": _peak_rss_bytes(),
+    }
+
+
+def run_fleet_rows() -> list[dict]:
+    """The fleet rows whose memory budget fits, each in a child process."""
+    rows = []
+    for n_devices, samples in FLEET_ROWS:
+        spec = _fleet_spec(n_devices, samples)
+        budget = (
+            BASE_BYTES
+            + BYTES_PER_SAMPLE * spec.n_train
+            + BYTES_PER_PARTICIPANT * spec.participants
+        )
+        row = {
+            "spec": {
+                "n_servers": n_devices,
+                "samples_per_device": samples,
+                "participants": spec.participants,
+                "epochs": spec.epochs,
+                "rounds": spec.max_rounds,
+                "n_test": spec.n_test,
+                "backend": spec.backend,
+            },
+            "memory_budget_bytes": budget,
+        }
+        if budget > MEMORY_CAP_BYTES:
+            row["skipped"] = (
+                f"memory budget {budget / 2**30:.1f} GiB exceeds the "
+                f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB cap"
+            )
+            print(f"fleet {n_devices:,d} x {samples}: {row['skipped']}")
+            rows.append(row)
+            continue
+        child = subprocess.run(
+            [sys.executable, __file__, "--fleet-row", str(n_devices), str(samples)],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        row.update(json.loads(child.stdout.splitlines()[-1]))
+        print(
+            f"fleet {n_devices:,d} x {samples}: data {row['data_s']:.2f} s, "
+            f"set-up {row['setup_s']:.2f} s, "
+            f"{row['round_s_median'] * 1000:.0f} ms/round median, peak RSS "
+            f"{row['peak_rss_bytes'] / 2**20:,.0f} MiB "
+            f"(budget {budget / 2**20:,.0f} MiB)"
+        )
+        rows.append(row)
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--fleet-row"]:
+        print(json.dumps(fleet_child(int(args[1]), int(args[2]))))
+        return 0
     out_path = Path(args[0]) if args else Path("BENCH_population.json")
 
     print("scale (struct-of-arrays, float32, E=1):")
     scale_rows = [run_scale_row(n) for n in POPULATION_SIZES]
     equivalence = run_equivalence()
     population = run_population_round_row()
+    fleet = run_fleet_rows()
 
     payload = {
         "benchmark": "population",
@@ -411,12 +595,15 @@ def main(argv: list[str] | None = None) -> int:
         "scale": scale_rows,
         "equivalence": equivalence,
         "population": population,
+        "fleet": fleet,
         "thresholds": {
             "min_scale_demonstrated": MIN_SCALE_DEMONSTRATED,
             "accept_equivalence_atol": ACCEPT_EQUIVALENCE_ATOL,
             "accept_float32_atol": ACCEPT_FLOAT32_ATOL,
             "accept_tier_message_ratio": ACCEPT_TIER_MESSAGE_RATIO,
             "min_clients_per_second": MIN_CLIENTS_PER_SECOND,
+            "max_run_streams": MAX_RUN_STREAMS,
+            "memory_cap_bytes": MEMORY_CAP_BYTES,
         },
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -465,6 +652,17 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             "two population-10k repeats gave different energy or history"
         )
+    built = population["built_per_run"]
+    objects = {k: v for k, v in built.items() if k != "default_rng"}
+    if any(objects.values()):
+        failures.append(f"population-10k built per-device objects: {objects}")
+    if built["default_rng"] > MAX_RUN_STREAMS:
+        failures.append(
+            f"population-10k made {built['default_rng']} RNG streams "
+            f"(cap {MAX_RUN_STREAMS}, whatever N is)"
+        )
+    if not any("skipped" not in row for row in fleet):
+        failures.append("no fleet row fitted its memory budget")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

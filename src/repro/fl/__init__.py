@@ -6,7 +6,12 @@ from repro.fl.async_training import (
     AsyncResult,
     AsyncUpdateRecord,
 )
-from repro.fl.client import CohortUpdates, EdgeServerClient, LocalUpdate
+from repro.fl.client import (
+    ClientFleet,
+    CohortUpdates,
+    EdgeServerClient,
+    LocalUpdate,
+)
 from repro.fl.compression import (
     CompressedUpdate,
     Compressor,
@@ -29,6 +34,8 @@ from repro.fl.model import (
     softmax,
 )
 from repro.fl.partition import (
+    Partitions,
+    iid_partitions,
     partition_by_shards,
     partition_dirichlet,
     partition_iid,
@@ -61,6 +68,7 @@ __all__ = [
     "AsyncFederatedTrainer",
     "AsyncResult",
     "AsyncUpdateRecord",
+    "ClientFleet",
     "CohortUpdates",
     "EdgeServerClient",
     "LocalUpdate",
@@ -81,6 +89,8 @@ __all__ = [
     "LogisticRegressionConfig",
     "LogisticRegressionModel",
     "softmax",
+    "Partitions",
+    "iid_partitions",
     "partition_by_shards",
     "partition_dirichlet",
     "partition_iid",

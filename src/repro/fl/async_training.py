@@ -21,12 +21,12 @@ translate directly into update interleavings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.fl.client import EdgeServerClient
+from repro.fl.client import EdgeServerClient, shared_model_config
 from repro.fl.model import evaluation_rows
 from repro.fl.sgd import SGDConfig
 from repro.sim.engine import Simulator
@@ -138,7 +138,7 @@ class AsyncFederatedTrainer:
 
     def __init__(
         self,
-        clients: list[EdgeServerClient],
+        clients: Sequence[EdgeServerClient],
         config: AsyncConfig,
         train_eval: Dataset,
         test_eval: Dataset,
@@ -151,7 +151,7 @@ class AsyncFederatedTrainer:
         self.train_eval = train_eval
         self.test_eval = test_eval
         self.duration_fn = duration_fn
-        model_config = clients[0].model_config
+        model_config = shared_model_config(clients)
         self._global = model_config.build().get_parameters()
         self._model_config = model_config
         self._version = 0

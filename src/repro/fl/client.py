@@ -4,6 +4,11 @@ Each edge server holds a local dataset uploaded by its IoT devices,
 receives the global model from the coordinator, performs ``E`` epochs of
 local SGD (full-batch by default, as in the paper), and returns the
 updated parameter vector for uploading.
+
+:class:`ClientFleet` is the population of clients over one
+:class:`~repro.fl.partition.Partitions` table: it builds a client only
+when something asks for it, so an engine that trains from the table's
+arrays builds none.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.fl.partition import Partitions
 from repro.fl.model import (
     LogisticRegressionConfig,
     LogisticRegressionModel,
@@ -21,7 +27,13 @@ from repro.fl.model import (
 )
 from repro.fl.sgd import SGDConfig
 
-__all__ = ["CohortUpdates", "LocalUpdate", "EdgeServerClient"]
+__all__ = [
+    "ClientFleet",
+    "CohortUpdates",
+    "LocalUpdate",
+    "EdgeServerClient",
+    "shared_model_config",
+]
 
 
 @dataclass(frozen=True)
@@ -309,3 +321,58 @@ class EdgeServerClient:
             gradient_steps=steps,
             final_local_loss=final_loss,
         )
+
+
+class ClientFleet(Sequence[EdgeServerClient]):
+    """One :class:`EdgeServerClient` per partition, built on first access.
+
+    Client ``i`` trains on partition ``i`` with
+    ``np.random.default_rng((seed, i))`` as its own generator, as
+    :func:`~repro.fl.training.build_clients` has always built it; it is
+    built the first time it is indexed and then kept.  The fleet checks
+    every partition's size and width up front, so a client never fails
+    to build later.
+    """
+
+    def __init__(
+        self,
+        partitions: Partitions,
+        model_config: LogisticRegressionConfig,
+        seed: int = 0,
+    ) -> None:
+        empty = np.flatnonzero(partitions.sizes == 0)
+        if empty.size:
+            raise ValueError(f"client {empty[0]} received an empty dataset")
+        if partitions.dataset.n_features != model_config.n_features:
+            raise ValueError(
+                f"dataset has {partitions.dataset.n_features} features but "
+                f"the model expects {model_config.n_features}"
+            )
+        self.partitions = partitions
+        self.model_config = model_config
+        self._seed = seed
+        self._built: dict[int, EdgeServerClient] = {}
+
+    def __len__(self) -> int:
+        return len(self.partitions)
+
+    def __getitem__(self, client_id: int) -> EdgeServerClient:
+        if not -len(self) <= client_id < len(self):
+            raise IndexError(f"client {client_id} out of range")
+        client_id = int(client_id) % len(self)
+        client = self._built.get(client_id)
+        if client is None:
+            client = self._built[client_id] = EdgeServerClient(
+                client_id,
+                self.partitions[client_id],
+                self.model_config,
+                rng=np.random.default_rng((self._seed, client_id)),
+            )
+        return client
+
+
+def shared_model_config(clients: Sequence[EdgeServerClient]):
+    """The model config every client shares (a fleet's, without a build)."""
+    if isinstance(clients, ClientFleet):
+        return clients.model_config
+    return clients[0].model_config

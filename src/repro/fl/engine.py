@@ -7,10 +7,11 @@ semantics:
 
 * :class:`SequentialEngine` — the reference path: one
   :meth:`EdgeServerClient.train` call per participant, in order.
-* :class:`PopulationEngine` — the one vectorized engine.  It adopts the
-  client datasets into struct-of-arrays group stacks once and trains
-  each cohort's full-batch gradient descent as batched matmul kernels
-  over ``(G, n, d)`` / ``(G, d, C)`` tensors.  Only valid for the
+* :class:`PopulationEngine` — the one vectorized engine.  It stacks the
+  clients' partitions into struct-of-arrays group stacks once (from a
+  :class:`~repro.fl.client.ClientFleet`'s table, building no client)
+  and trains each cohort's full-batch gradient descent as batched
+  matmul kernels over ``(G, n, d)`` / ``(G, d, C)`` tensors.  Only valid for the
   paper's setting (logistic regression, ``batch_size=None``, see
   :func:`vectorizable`); :func:`create_engine` hands anything else a
   :class:`SequentialEngine`.  Per-client order of operations matches
@@ -59,7 +60,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.faults.models import substream
-from repro.fl.client import CohortUpdates, EdgeServerClient
+from repro.fl.client import CohortUpdates, EdgeServerClient, shared_model_config
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.population import PopulationState, train_cohort
 from repro.perf.cancel import check_cancelled, interruptible
@@ -137,11 +138,12 @@ class SequentialEngine(ExecutionEngine):
 
     def __init__(
         self,
-        clients: list[EdgeServerClient],
+        clients: Sequence[EdgeServerClient],
         config: "FederatedConfig",
         observer: "Observer | None" = None,
     ) -> None:
-        self._clients = clients
+        # Every client is built here, at set-up, never inside a round.
+        self._clients = list(clients)
         self._config = config
         self._observer = observer
 
@@ -181,7 +183,7 @@ def vectorizable(
     decide with this one predicate.
     """
     return (
-        isinstance(clients[0].model_config, LogisticRegressionConfig)
+        isinstance(shared_model_config(clients), LogisticRegressionConfig)
         and config.sgd.batch_size is None
     )
 
@@ -203,7 +205,7 @@ class PopulationEngine(ExecutionEngine):
 
     def __init__(
         self,
-        clients: list[EdgeServerClient],
+        clients: Sequence[EdgeServerClient],
         config: "FederatedConfig",
         observer: "Observer | None" = None,
         *,
@@ -400,11 +402,12 @@ class PoolEngine(ExecutionEngine):
 
     def __init__(
         self,
-        clients: list[EdgeServerClient],
+        clients: Sequence[EdgeServerClient],
         config: "FederatedConfig",
         observer: "Observer | None" = None,
     ) -> None:
-        self._clients = clients
+        # Built at set-up; the workers start on the first round.
+        self._clients = list(clients)
         self._config = config
         self._observer = observer
         self._executor = None
@@ -531,7 +534,7 @@ def _available_cpus() -> int:
 
 def resolve_backend(
     backend: str,
-    clients: list[EdgeServerClient],
+    clients: Sequence[EdgeServerClient],
     config: "FederatedConfig",
     *,
     available_cpus: int | None = None,
@@ -551,7 +554,7 @@ def resolve_backend(
     work = (
         config.participants_per_round
         * config.local_epochs
-        * clients[0].model_config.n_features
+        * shared_model_config(clients).n_features
     )
     if cpus >= POOL_MIN_CPUS and work >= POOL_MIN_WORK:
         return "pool"
@@ -560,7 +563,7 @@ def resolve_backend(
 
 def create_engine(
     backend: str,
-    clients: list[EdgeServerClient],
+    clients: Sequence[EdgeServerClient],
     config: "FederatedConfig",
     observer: "Observer | None" = None,
 ) -> ExecutionEngine:

@@ -7,15 +7,97 @@ The non-iid partitioners (:func:`partition_by_shards`,
 ``benchmarks/test_bench_ablation_noniid.py``: the paper observes that the
 optimal ``K* = 1`` hinges on the i.i.d. assumption, and these partitioners
 let us probe what happens when it is violated.
+
+:class:`Partitions` is the one form the testbed holds a split in: the
+pooled dataset plus an index array per partition.  :func:`iid_partitions`
+builds it without copying a row; a list of partition datasets becomes
+one by :meth:`Partitions.from_datasets`.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 
-__all__ = ["partition_iid", "partition_by_shards", "partition_dirichlet"]
+__all__ = [
+    "Partitions",
+    "iid_partitions",
+    "partition_iid",
+    "partition_by_shards",
+    "partition_dirichlet",
+]
+
+
+class Partitions(Sequence[Dataset]):
+    """``N`` partitions of one dataset, held as index arrays.
+
+    Partition ``k`` is the rows ``order[bounds[k]:bounds[k + 1]]`` of
+    ``dataset``; with ``order=None`` it is the rows
+    ``bounds[k]:bounds[k + 1]`` themselves, as in a concatenation of
+    partition datasets.  No row is copied until a partition is asked
+    for: indexing builds that partition's :class:`Dataset` (a view when
+    ``order`` is ``None``), and :meth:`gather` stacks equal-size
+    partitions with one fancy-indexed read.
+    """
+
+    def __init__(
+        self,
+        dataset: Dataset,
+        bounds: np.ndarray,
+        order: np.ndarray | None = None,
+    ) -> None:
+        self.dataset = dataset
+        self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.order = order
+        self.sizes = np.diff(self.bounds)
+
+    @classmethod
+    def from_datasets(
+        cls, datasets: "Sequence[Dataset] | Partitions"
+    ) -> "Partitions":
+        """One concatenated dataset with contiguous partitions (a table
+        passes through).  The datasets must agree on ``n_classes``."""
+        if isinstance(datasets, Partitions):
+            return datasets
+        if not datasets:
+            raise ValueError("need at least one partition")
+        n_classes = datasets[0].n_classes
+        if any(d.n_classes != n_classes for d in datasets):
+            raise ValueError("all partitions must share n_classes")
+        bounds = np.zeros(len(datasets) + 1, dtype=np.int64)
+        np.cumsum([len(d) for d in datasets], out=bounds[1:])
+        pooled = Dataset(
+            np.concatenate([d.features for d in datasets]),
+            np.concatenate([d.labels for d in datasets]),
+            n_classes,
+        )
+        return cls(pooled, bounds)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, k: int) -> Dataset:
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"partition {k} out of range for {len(self)}")
+        k %= len(self)
+        rows = slice(self.bounds[k], self.bounds[k + 1])
+        if self.order is not None:
+            return self.dataset.subset(self.order[rows])
+        data = self.dataset
+        return Dataset(data.features[rows], data.labels[rows], data.n_classes)
+
+    def gather(
+        self, partition_ids: np.ndarray, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(G, n, d)`` features and ``(G, n)`` labels of partitions of
+        size ``n``, in ``partition_ids`` order, in one read each."""
+        index = self.bounds[partition_ids][:, None] + np.arange(n)
+        if self.order is not None:
+            index = self.order[index]
+        return self.dataset.features[index], self.dataset.labels[index]
 
 
 def _validate(dataset: Dataset, n_partitions: int) -> None:
@@ -27,6 +109,19 @@ def _validate(dataset: Dataset, n_partitions: int) -> None:
         )
 
 
+def iid_partitions(
+    dataset: Dataset, n_partitions: int, rng: np.random.Generator
+) -> Partitions:
+    """:func:`partition_iid` as index arrays: one permutation, no copies."""
+    _validate(dataset, n_partitions)
+    perm = rng.permutation(len(dataset))
+    # np.array_split's sizes: the first ``extra`` shards get one more.
+    base, extra = divmod(len(dataset), n_partitions)
+    bounds = np.zeros(n_partitions + 1, dtype=np.int64)
+    np.cumsum(base + (np.arange(n_partitions) < extra), out=bounds[1:])
+    return Partitions(dataset, bounds, perm)
+
+
 def partition_iid(
     dataset: Dataset, n_partitions: int, rng: np.random.Generator
 ) -> list[Dataset]:
@@ -35,9 +130,7 @@ def partition_iid(
     Sizes differ by at most one sample.  Every sample is assigned to
     exactly one partition.
     """
-    _validate(dataset, n_partitions)
-    perm = rng.permutation(len(dataset))
-    return [dataset.subset(chunk) for chunk in np.array_split(perm, n_partitions)]
+    return list(iid_partitions(dataset, n_partitions, rng))
 
 
 def partition_by_shards(

@@ -37,7 +37,7 @@ population as a handful of stacked tensors instead:
   floating-point summation order differs, so equality holds to
   ``~1e-12``, not bit-for-bit (the tree is therefore opt-in).
 
-The module is deliberately import-light (client/model only) so the
+The module is deliberately import-light (client/model/partition) so the
 engine layer can build on it without cycles.
 """
 
@@ -48,13 +48,19 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.fl.client import CohortUpdates, EdgeServerClient, LocalUpdate
+from repro.fl.client import (
+    ClientFleet,
+    CohortUpdates,
+    EdgeServerClient,
+    LocalUpdate,
+)
 from repro.fl.model import (
     LogisticRegressionConfig,
     _cols_matmul,
     _rows_matmul,
     _sigmoid,
 )
+from repro.fl.partition import Partitions
 
 if TYPE_CHECKING:
     from repro.data.dataset import Dataset
@@ -232,6 +238,29 @@ class PopulationState:
     # -- construction --------------------------------------------------
 
     @classmethod
+    def from_partitions(
+        cls,
+        partitions: Partitions,
+        model_config: LogisticRegressionConfig,
+        *,
+        dtype: np.dtype | str = np.float64,
+    ) -> "PopulationState":
+        """Stack a partition table (index == client id) into groups.
+
+        Each ``n_k`` group is one gather from the pooled dataset, with
+        no per-client dataset in between.  Features are stacked in their
+        stored dtype, not ``dtype``: float32 partitions make a float32
+        stack, half the bytes of the float64 one, and train on it with
+        the same bits.
+        """
+        groups: dict[int, PopulationGroup] = {}
+        for n in np.unique(partitions.sizes):
+            ids = np.flatnonzero(partitions.sizes == n)
+            features, labels = partitions.gather(ids, int(n))
+            groups[int(n)] = PopulationGroup(ids, features, labels)
+        return cls(groups, model_config, dtype=dtype)
+
+    @classmethod
     def from_datasets(
         cls,
         datasets: Sequence["Dataset"],
@@ -239,24 +268,10 @@ class PopulationState:
         *,
         dtype: np.dtype | str = np.float64,
     ) -> "PopulationState":
-        """Stack per-client datasets (index == client id) into groups.
-
-        Features are stacked in their stored dtype, not ``dtype``:
-        float32 partitions make a float32 stack, half the bytes of the
-        float64 one, and train on it with the same bits.
-        """
-        by_size: dict[int, list[int]] = {}
-        for client_id, dataset in enumerate(datasets):
-            by_size.setdefault(len(dataset.labels), []).append(client_id)
-        groups: dict[int, PopulationGroup] = {}
-        for n, ids in by_size.items():
-            id_array = np.asarray(sorted(ids), dtype=np.int64)
-            features = np.stack([datasets[c].features for c in id_array])
-            labels = np.stack(
-                [np.asarray(datasets[c].labels, dtype=np.int64) for c in id_array]
-            )
-            groups[n] = PopulationGroup(id_array, features, labels)
-        return cls(groups, model_config, dtype=dtype)
+        """Stack per-client datasets (index == client id) into groups."""
+        return cls.from_partitions(
+            Partitions.from_datasets(datasets), model_config, dtype=dtype
+        )
 
     @classmethod
     def from_clients(
@@ -265,9 +280,17 @@ class PopulationState:
         *,
         dtype: np.dtype | str = np.float64,
     ) -> "PopulationState":
-        """Adopt an existing per-object client list (ids must be 0..N-1)."""
+        """Adopt a client population (ids must be 0..N-1).
+
+        A :class:`~repro.fl.client.ClientFleet` is stacked from its
+        partition table, so no client is built.
+        """
         if not clients:
             raise ValueError("population must contain at least one client")
+        if isinstance(clients, ClientFleet):
+            return cls.from_partitions(
+                clients.partitions, clients.model_config, dtype=dtype
+            )
         return cls.from_datasets(
             [client.dataset for client in clients],
             clients[0].model_config,

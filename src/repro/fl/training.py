@@ -33,7 +33,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -44,11 +44,12 @@ from repro.faults.policies import (
     RoundResilienceReport,
     simulate_upload,
 )
-from repro.fl.client import EdgeServerClient
+from repro.fl.client import ClientFleet, EdgeServerClient, shared_model_config
 from repro.fl.compression import ErrorFeedback
 from repro.fl.engine import AUTO_BACKEND, BACKENDS, create_engine
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.model import LogisticRegressionConfig, evaluation_rows
+from repro.fl.partition import Partitions
 from repro.fl.sampling import ClientSampler, UniformSampler
 from repro.fl.server import Coordinator
 from repro.fl.sgd import LearningRateSchedule, SGDConfig
@@ -162,20 +163,17 @@ class FederatedConfig:
 
 
 def build_clients(
-    partitions: list[Dataset],
+    partitions: "Partitions | list[Dataset]",
     model_config: LogisticRegressionConfig,
     seed: int = 0,
-) -> list[EdgeServerClient]:
-    """Construct one :class:`EdgeServerClient` per dataset partition."""
-    return [
-        EdgeServerClient(
-            client_id=i,
-            dataset=part,
-            model_config=model_config,
-            rng=np.random.default_rng((seed, i)),
-        )
-        for i, part in enumerate(partitions)
-    ]
+) -> ClientFleet:
+    """One :class:`EdgeServerClient` per partition, each built on first use.
+
+    A list of partition datasets is pooled into one
+    :class:`~repro.fl.partition.Partitions` table first, so every
+    caller takes the same path.
+    """
+    return ClientFleet(Partitions.from_datasets(partitions), model_config, seed)
 
 
 class FederatedTrainer:
@@ -183,7 +181,7 @@ class FederatedTrainer:
 
     def __init__(
         self,
-        clients: list[EdgeServerClient],
+        clients: Sequence[EdgeServerClient],
         config: FederatedConfig,
         train_eval: Dataset,
         test_eval: Dataset,
@@ -205,11 +203,8 @@ class FederatedTrainer:
                 f"K + overselection = {selected_per_round} exceeds the "
                 f"number of edge servers N = {len(clients)}"
             )
-        model_config = clients[0].model_config
-        for client in clients:
-            if client.model_config != model_config:
-                raise ValueError("all clients must share the same model config")
         self.clients = clients
+        self.model_config = shared_model_config(clients)
         self.config = config
         self.train_eval = train_eval
         self.test_eval = test_eval
@@ -235,7 +230,7 @@ class FederatedTrainer:
             )
         self._observer = active_or_none(observer)
         self.coordinator = coordinator or Coordinator(
-            model_config, observer=observer
+            self.model_config, observer=observer
         )
         self.completion_ranker = completion_ranker
         self.update_compressor = update_compressor
@@ -279,11 +274,10 @@ class FederatedTrainer:
         much as the matmul it saves.
         """
         if self._eval_sets is None:
-            model_config = self.clients[0].model_config
             self._eval_sets = tuple(
                 Dataset(
                     evaluation_rows(
-                        data.features, model_config, self.config.n_rounds
+                        data.features, self.model_config, self.config.n_rounds
                     ),
                     data.labels,
                     data.n_classes,

@@ -6,6 +6,7 @@ from repro.hardware.analysis import (
     TraceAnalysis,
     analyze_trace,
 )
+from repro.hardware.fleet import DeviceFleet
 from repro.hardware.power_meter import MeterConfig, PowerMeter
 from repro.hardware.power_model import RoundPhase, StepPowers
 from repro.hardware.prototype import (
@@ -31,6 +32,7 @@ __all__ = [
     "RoundEstimate",
     "TraceAnalysis",
     "analyze_trace",
+    "DeviceFleet",
     "MeterConfig",
     "PowerMeter",
     "RoundPhase",

@@ -19,7 +19,7 @@ The "real measurement traces" of Figs. 5-6 are produced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,15 +30,16 @@ from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultPlan
 from repro.faults.policies import ResilienceConfig
 from repro.fl.model import LogisticRegressionConfig
-from repro.fl.partition import partition_iid
+from repro.fl.partition import Partitions, iid_partitions
 from repro.fl.population import AggregationTree
 from repro.fl.server import Coordinator
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
 from repro.fl.metrics import TrainingHistory
+from repro.hardware.fleet import DeviceFleet
 from repro.hardware.power_meter import MeterConfig, PowerMeter
-from repro.hardware.power_model import StepPowers
-from repro.hardware.raspberry_pi import PiTimingConfig, RaspberryPiEdgeServer
+from repro.hardware.power_model import RoundPhase, StepPowers
+from repro.hardware.raspberry_pi import PiTimingConfig, RoundTiming
 from repro.hardware.trace import PowerTrace
 from repro.iot.network import IoTNetwork
 from repro.net.channel import ChannelConfig, WirelessChannel
@@ -158,16 +159,18 @@ class PrototypeResult:
 
 
 class _RunLedger:
-    """Per-device round energy and duration of one ``run()``, as vectors.
+    """Per-device round energy and duration of one ``run()``, as columns.
 
-    A device without timing jitter prices every round of a run the
-    same, so its round is priced once, by its own
-    :meth:`~RaspberryPiEdgeServer.round_timing` and
-    :meth:`~RaspberryPiEdgeServer.phase_energies`, and shared by every
-    device with the same timing, powers, channel and ``n_k``.  A round
-    then gathers its participants' rows.  A device whose jitter draws
-    from its RNG keeps the per-call path, so its draws happen exactly
-    as before.
+    Every price is one :class:`~repro.hardware.raspberry_pi.RoundTiming`
+    times the fleet's phase powers: the energy charged, the duration
+    the round waits for and the ``energy.joules{phase}`` increments of
+    one participant in one round all come from the same timing.
+    Without jitter that timing is the fleet's jitter-free columns,
+    priced once per run.  With jitter each participant draws one timing
+    per round from its own device (built on first use), the first time
+    the round asks for it (the over-selection ranker or the energy
+    bill), and every later question about that round reuses it.
+    :meth:`job` prices an asynchronous job from a fresh draw.
     """
 
     def __init__(
@@ -176,100 +179,128 @@ class _RunLedger:
         epochs: int,
         upload: ModelMessage,
     ) -> None:
-        self._prototype = prototype
+        fleet = prototype.devices
+        self._fleet = fleet
+        self._observer = prototype._observer
+        self._include_waiting = prototype.config.include_waiting
         self._epochs = epochs
-        self._upload = upload
-        devices = prototype.devices
-        self._n_samples = [len(part) for part in prototype._partitions]
-        self.per_call = np.zeros(len(devices), dtype=bool)
-        self._phase_names: list[str] = []
-        # Per device: (energy, duration, e_k^U, *phase joules); None for
-        # the per-call devices.
-        priced: dict[tuple, tuple[float, ...]] = {}
-        rows: list[tuple[float, ...] | None] = []
-        for server_id, device in enumerate(devices):
-            if device.timing.jitter_fraction > 0 or device.channel.lossy:
-                self.per_call[server_id] = True
-                rows.append(None)
-                continue
-            n_k = self._n_samples[server_id]
-            key = (device.timing, device.powers, device.channel.config, n_k)
-            if key not in priced:
-                timing = device.round_timing(
-                    epochs, n_k, prototype._download, upload
-                )
-                phases = device.phase_energies(
-                    timing, include_waiting=prototype.config.include_waiting
-                )
-                self._phase_names = list(phases)
-                priced[key] = (
-                    sum(phases.values()),
-                    timing.total_s,
-                    device.upload_energy(upload),
-                    *phases.values(),
-                )
-            rows.append(priced[key])
-        width = 3 + len(self._phase_names)
-        table = np.array(
-            [row or (0.0,) * width for row in rows], dtype=float
-        ).reshape(len(devices), width)
-        self._energy, self._duration = table[:, 0], table[:, 1]
-        self.upload_j, self._phase_j = table[:, 2].copy(), table[:, 3:]
-        for server_id in np.flatnonzero(self.per_call):
-            self.upload_j[server_id] = devices[server_id].upload_energy(upload)
+        self._messages = (prototype._download, upload)
         self._collect = None
         if prototype.config.include_iot:
             self._collect = np.array(
                 [
-                    prototype.iot_network.cluster(k).collection_energy(n_k)
-                    for k, n_k in enumerate(self._n_samples)
+                    prototype.iot_network.cluster(k).collection_energy(int(n_k))
+                    for k, n_k in enumerate(fleet.n_samples)
                 ]
             )
-            self._energy = self._energy + self._collect
+        nominal = fleet.nominal_timing(
+            epochs, prototype._download.total_bytes, upload.total_bytes
+        )
+        self._waiting_s = nominal.waiting_s
+        self._energy, self._duration, self._phase_j = self._price(
+            nominal, slice(None)
+        )
+        phases = self._phase_j
+        self.upload_j = phases[RoundPhase.UPLOADING.value]
+        # The full active energy of a futile round, summed in the order
+        # train, download, upload: the price of failed work.
+        self.nominal_active_j = (
+            phases[RoundPhase.TRAINING.value]
+            + phases[RoundPhase.DOWNLOADING.value]
+            + phases[RoundPhase.UPLOADING.value]
+        )
+        self._round_index: int | None = None
+        self._drawn: dict[int, RoundTiming] = {}
 
-    def energies(self, server_ids: Sequence[int]) -> np.ndarray:
+    def _price(self, timing: RoundTiming, rows) -> tuple:
+        """``(energy, duration, phase joules)`` of ``timing`` at ``rows``."""
+        phases = self._fleet.phase_energies(
+            timing, rows, include_waiting=self._include_waiting
+        )
+        # Summed from 0 in phase order, as sum() over one device's dict.
+        energy = sum(phases.values())
+        if self._collect is not None:
+            energy = energy + self._collect[rows]
+        return energy, timing.total_s, phases
+
+    def _draw(self, ids: np.ndarray, drawn: dict[int, RoundTiming]) -> RoundTiming:
+        """The devices' timings in ``drawn``, drawing any missing one, as
+        columns."""
+        download, upload = self._messages
+        timings = []
+        for server_id in ids.tolist():
+            timing = drawn.get(server_id)
+            if timing is None:
+                timing = drawn[server_id] = self._fleet[server_id].round_timing(
+                    self._epochs,
+                    int(self._fleet.n_samples[server_id]),
+                    download,
+                    upload,
+                )
+            timings.append(timing)
+        return RoundTiming(
+            *(
+                np.array([getattr(t, f.name) for t in timings], dtype=float)
+                for f in fields(RoundTiming)
+            )
+        )
+
+    def _round(self, round_index: int, ids: np.ndarray) -> tuple:
+        if not self._fleet.jittered:
+            return (
+                self._energy[ids],
+                self._duration[ids],
+                {name: joules[ids] for name, joules in self._phase_j.items()},
+            )
+        if round_index != self._round_index:
+            self._round_index, self._drawn = round_index, {}
+        return self._price(self._draw(ids, self._drawn), ids)
+
+    def _charge(self, phases: dict, ids: np.ndarray) -> None:
+        """Feed ``energy.joules{phase}``, one increment per phase."""
+        observer = self._observer
+        if observer is None or not len(ids):
+            return
+        for phase, joules in phases.items():
+            observer.counter("energy.joules", phase=phase).inc(
+                sum(joules.tolist())
+            )
+        if self._collect is not None:
+            observer.counter("energy.joules", phase="collect").inc(
+                sum(self._collect[ids].tolist())
+            )
+
+    def energies(
+        self, round_index: int, server_ids: Sequence[int]
+    ) -> np.ndarray:
         """Each participant's round energy, feeding ``energy.joules``."""
         ids = np.asarray(server_ids, dtype=np.int64)
-        energies = self._energy[ids]
-        per_call = self.per_call[ids]
-        observer = self._prototype._observer
-        if observer is not None and len(ids):
-            priced = ids[~per_call]
-            for column, phase in enumerate(self._phase_names):
-                observer.counter("energy.joules", phase=phase).inc(
-                    sum(self._phase_j[priced, column].tolist())
-                )
-            if self._collect is not None:
-                observer.counter("energy.joules", phase="collect").inc(
-                    sum(self._collect[priced].tolist())
-                )
-        for row in np.flatnonzero(per_call):
-            server_id = int(ids[row])
-            energies[row] = self._prototype._round_energy(
-                server_id,
-                self._epochs,
-                self._n_samples[server_id],
-                upload=self._upload,
-            )
-        return energies
+        energy, _, phases = self._round(round_index, ids)
+        self._charge(phases, ids)
+        return energy
 
-    def durations(self, server_ids: Sequence[int]) -> np.ndarray:
+    def durations(
+        self, round_index: int, server_ids: Sequence[int]
+    ) -> np.ndarray:
         """Each participant's round duration (``RoundTiming.total_s``)."""
-        ids = np.asarray(server_ids, dtype=np.int64)
-        durations = self._duration[ids]
-        for row in np.flatnonzero(self.per_call[ids]):
-            server_id = int(ids[row])
-            durations[row] = (
-                self._prototype.devices[server_id]
-                .round_timing(
-                    self._epochs,
-                    self._n_samples[server_id],
-                    self._prototype._download,
-                    self._upload,
-                )
-                .total_s
-            )
-        return durations
+        return self._round(round_index, np.asarray(server_ids, dtype=np.int64))[1]
+
+    def job(self, server_id: int) -> tuple[float, float]:
+        """``(energy, active seconds)`` of one asynchronous local job.
+
+        A job has no round barrier, so its length leaves the waiting
+        phase out.  With jitter every job is a fresh draw.
+        """
+        ids = np.array([server_id], dtype=np.int64)
+        if self._fleet.jittered:
+            timing = self._draw(ids, {})
+            energy, duration, phases = self._price(timing, ids)
+            waiting_s = timing.waiting_s
+        else:
+            energy, duration, phases = self._round(0, ids)
+            waiting_s = self._waiting_s
+        self._charge(phases, ids)
+        return float(energy[0]), float((duration - waiting_s)[0])
 
 
 class HardwarePrototype:
@@ -306,61 +337,39 @@ class HardwarePrototype:
         self.train = train
         self.test = test
         self.iot_network = iot_network
-        rng = np.random.default_rng(self.config.seed)
         if partitions is None:
             # The paper's allocation: uniform iid split over the servers.
-            partitions = partition_iid(train, self.config.n_servers, rng)
+            self._partitions = iid_partitions(
+                train,
+                self.config.n_servers,
+                np.random.default_rng(self.config.seed),
+            )
         elif len(partitions) != self.config.n_servers:
             raise ValueError(
                 f"got {len(partitions)} partitions for "
                 f"{self.config.n_servers} servers"
             )
-        self._partitions = partitions
+        else:
+            self._partitions = Partitions.from_datasets(partitions)
         # Heterogeneous testbeds (config.heterogeneity > 0) draw a
-        # per-device hardware factor: a faster, hungrier box has both
-        # shorter epochs (timing / factor would be *speed*; here the
-        # factor scales power and training time together as different
-        # SoC bins do) — we scale powers up and timing independently so
-        # per-round energies genuinely differ across devices.
-        factor_rng = np.random.default_rng([self.config.seed, 0x4A4D])
-        self.devices = []
-        for i in range(self.config.n_servers):
-            timing = self.config.timing
-            powers = self.config.powers
-            if self.config.heterogeneity > 0:
-                power_factor = float(
-                    np.clip(
-                        factor_rng.normal(1.0, self.config.heterogeneity), 0.2, 3.0
-                    )
-                )
-                speed_factor = float(
-                    np.clip(
-                        factor_rng.normal(1.0, self.config.heterogeneity), 0.2, 3.0
-                    )
-                )
-                powers = powers.scaled(power_factor)
-                timing = PiTimingConfig(
-                    tau0=timing.tau0 * speed_factor,
-                    tau1=timing.tau1 * speed_factor,
-                    waiting_s=timing.waiting_s,
-                    jitter_fraction=timing.jitter_fraction,
-                )
-            self.devices.append(
-                RaspberryPiEdgeServer(
-                    server_id=i,
-                    timing=timing,
-                    powers=powers,
-                    channel=WirelessChannel(self.config.channel),
-                    rng=np.random.default_rng((self.config.seed, i)),
-                )
-            )
+        # per-device hardware factor for power and one for speed, as
+        # different SoC bins do, so per-round energies genuinely differ
+        # across devices.
+        self.devices = DeviceFleet(
+            self._partitions.sizes,
+            self.config.timing,
+            self.config.powers,
+            self.config.channel,
+            heterogeneity=self.config.heterogeneity,
+            seed=self.config.seed,
+        )
         self._download = model_download_message(self.config.model)
         self._upload = model_upload_message(self.config.model)
 
     @property
     def samples_per_server(self) -> int:
         """``n_k`` of the first server (uniform partition sizes +-1)."""
-        return len(self._partitions[0])
+        return int(self.devices.n_samples[0])
 
     def heterogeneous_energy_params(
         self, rho_values: dict[int, float] | None = None
@@ -380,20 +389,13 @@ class HardwarePrototype:
         elif self.iot_network is not None:
             for server_id, value in self.iot_network.rho_values().items():
                 rho[server_id] = value
-        c0 = np.array(
-            [d.timing.tau0 * d.powers.training_w for d in self.devices]
-        )
-        c1 = np.array(
-            [d.timing.tau1 * d.powers.training_w for d in self.devices]
-        )
-        e_upload = np.array(
-            [d.upload_energy(self._upload) for d in self.devices]
-        )
+        fleet = self.devices
         return HeterogeneousEnergyParams(
             rho=rho,
-            c0=c0,
-            c1=c1,
-            e_upload=e_upload,
+            c0=fleet.tau0 * fleet.training_w,
+            c1=fleet.tau1 * fleet.training_w,
+            e_upload=fleet.transfer_s(self._upload.total_bytes)
+            * fleet.uploading_w,
             n_samples=self.samples_per_server,
         )
 
@@ -438,10 +440,10 @@ class HardwarePrototype:
         if resilience is not None:
             # Deadline checks use the measured timing law (jitter-free,
             # so the check itself consumes no device randomness).
+            training_s = self.devices.training_durations(epochs)
+
             def client_time_fn(client_id: int, round_index: int) -> float:
-                return self.devices[client_id].training_duration(
-                    epochs, len(self._partitions[client_id])
-                )
+                return float(training_s[client_id])
 
         return FederatedTrainer(
             clients=clients,
@@ -456,56 +458,6 @@ class HardwarePrototype:
             resilience=resilience,
             upload_channel=WirelessChannel(self.config.channel),
             client_time_fn=client_time_fn,
-        )
-
-    def _round_energy(
-        self,
-        server_id: int,
-        epochs: int,
-        n_samples: int,
-        upload: ModelMessage | None = None,
-    ) -> float:
-        device = self.devices[server_id]
-        timing = device.round_timing(
-            epochs, n_samples, self._download, upload or self._upload
-        )
-        phases = device.phase_energies(
-            timing, include_waiting=self.config.include_waiting
-        )
-        energy = sum(phases.values())
-        if self._observer is not None:
-            for phase, joules in phases.items():
-                self._observer.counter("energy.joules", phase=phase).inc(joules)
-        if self.config.include_iot:
-            assert self.iot_network is not None
-            collected = self.iot_network.cluster(server_id).collection_energy(
-                n_samples
-            )
-            energy += collected
-            if self._observer is not None:
-                self._observer.counter("energy.joules", phase="collect").inc(
-                    collected
-                )
-        return energy
-
-    def _nominal_round_energy(
-        self, server_id: int, epochs: int, upload: ModelMessage
-    ) -> float:
-        """Jitter-free active energy of one round at one device.
-
-        Used to price the *futile* work of clients whose round failed
-        (upload lost, deadline missed, payload rejected) into the
-        ``energy.wasted_j`` counter without consuming any device
-        randomness or double-counting telemetry.
-        """
-        device = self.devices[server_id]
-        n_k = len(self._partitions[server_id])
-        return (
-            device.training_duration(epochs, n_k) * device.powers.training_w
-            + device.channel.attempt_duration(self._download.total_bytes)
-            * device.powers.downloading_w
-            + device.channel.attempt_duration(upload.total_bytes)
-            * device.powers.uploading_w
         )
 
     def run(
@@ -572,11 +524,10 @@ class HardwarePrototype:
                 compressor.compressed_bytes(self.config.model.n_parameters),
             )
         ledger = _RunLedger(self, epochs, upload_message)
-        round_timings: dict[int, dict[int, float]] = {}
 
         def ranker(round_index: int, selected: list[int]) -> list[int]:
-            timings = dict(zip(selected, ledger.durations(selected).tolist()))
-            round_timings[round_index] = timings
+            durations = ledger.durations(round_index, selected).tolist()
+            timings = dict(zip(selected, durations))
             return sorted(selected, key=lambda cid: timings[cid])
 
         injector = (
@@ -615,8 +566,9 @@ class HardwarePrototype:
             # A cancelled campaign pass stops here, between rounds.
             check_cancelled()
             record = trainer.run_round()
-            timings = round_timings.get(record.round_index)
-            client_energies = ledger.energies(record.participants).tolist()
+            client_energies = ledger.energies(
+                record.round_index, record.participants
+            ).tolist()
             # Summed in participant order, as one += per client.
             round_energy = sum(client_energies, 0.0)
             per_client_energy = dict(zip(record.participants, client_energies))
@@ -629,18 +581,17 @@ class HardwarePrototype:
                 # Price the failure cost at the measured step powers:
                 # retry transmissions at 5.015 W upload power, backoff
                 # waits at 3.600 W waiting power, futile rounds in full.
+                attempt_s = self.devices.channel.attempt_duration(
+                    upload_message.total_bytes
+                )
                 for server_id, attempts in report.upload_attempts.items():
-                    device = self.devices[server_id]
-                    attempt_s = device.channel.attempt_duration(
-                        upload_message.total_bytes
-                    )
                     backoff_s = report.backoff_s.get(server_id, 0.0)
                     retry_j = (
                         max(0, attempts - 1)
                         * attempt_s
-                        * device.powers.uploading_w
+                        * float(self.devices.uploading_w[server_id])
                     )
-                    wait_j = backoff_s * device.powers.waiting_w
+                    wait_j = backoff_s * float(self.devices.waiting_w[server_id])
                     if retry_j or wait_j:
                         round_energy += retry_j + wait_j
                         round_wasted += retry_j + wait_j
@@ -655,9 +606,7 @@ class HardwarePrototype:
                 futile = set(report.failed_uploads) | set(report.late)
                 futile |= set(report.corrupted)
                 for server_id in futile:
-                    round_wasted += self._nominal_round_energy(
-                        server_id, epochs, upload_message
-                    )
+                    round_wasted += float(ledger.nominal_active_j[server_id])
                 wasted_energy["total"] += round_wasted
                 if self._observer is not None and round_wasted > 0:
                     self._observer.counter("energy.wasted_j").inc(round_wasted)
@@ -674,10 +623,7 @@ class HardwarePrototype:
                     len(record.aggregated), self.config.aggregation_tiers
                 )
             awaited = record.aggregated or record.participants
-            if timings is not None:
-                durations = np.array([timings[sid] for sid in awaited])
-            else:
-                durations = ledger.durations(awaited)
+            durations = ledger.durations(record.round_index, awaited)
             if retry_overhead:
                 durations += [retry_overhead.get(sid, 0.0) for sid in awaited]
             round_duration = float(durations.max(initial=0.0))
@@ -734,7 +680,7 @@ class HardwarePrototype:
             assert self.iot_network is not None
             for record in trainer.history.records:
                 for server_id in record.participants:
-                    n_k = len(self._partitions[server_id])
+                    n_k = int(self.devices.n_samples[server_id])
                     iot_energy += self.iot_network.cluster(
                         server_id
                     ).collection_energy(n_k)
@@ -775,19 +721,18 @@ class HardwarePrototype:
         barrier to wait at); the coordinator merges each arriving update
         with a staleness-discounted weight.  Returns
         ``(AsyncResult, total_energy_j)``: energy is the active energy of
-        every completed local job, merged or not.
+        every completed local job, merged or not, priced from the same
+        draw as the job's length.
         """
         from repro.fl.async_training import AsyncConfig, AsyncFederatedTrainer
 
+        ledger = _RunLedger(self, epochs, self._upload)
         energy_counter = {"total": 0.0}
 
         def duration(client_id: int) -> float:
-            n_k = len(self._partitions[client_id])
-            timing = self.devices[client_id].round_timing(
-                epochs, n_k, self._download, self._upload
-            )
-            energy_counter["total"] += self._round_energy(client_id, epochs, n_k)
-            return timing.total_s - timing.waiting_s
+            energy, active_s = ledger.job(client_id)
+            energy_counter["total"] += energy
+            return active_s
 
         clients = build_clients(
             self._partitions, self.config.model, seed=self.config.seed
@@ -828,7 +773,7 @@ class HardwarePrototype:
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1; got {n_rounds}")
         device = self.devices[server_id]
-        n_k = len(self._partitions[server_id])
+        n_k = int(self.devices.n_samples[server_id])
         process = StepProcess()
         for _ in range(n_rounds):
             timing = device.round_timing(epochs, n_k, self._download, self._upload)

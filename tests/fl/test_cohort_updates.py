@@ -336,12 +336,14 @@ def test_crash_resampling_at_population_scale():
 
 
 class TestLedgerBits:
-    """The per-run device vectors price rounds to the per-call bits.
+    """The fleet's columns price rounds to the per-call bits.
 
-    Digests recorded when every round called each participant's
-    ``round_timing`` and ``phase_energies``.  Heterogeneous devices
-    each get their own priced row; jittered devices keep the per-call
-    path, whose draws the over-selection ranker interleaves.
+    The heterogeneous digest was recorded when every round called each
+    participant's ``round_timing`` and ``phase_energies``; the columns
+    reproduce it.  The jitter digest was re-recorded when a jittered
+    round came to draw one timing per participant, shared by the
+    over-selection ranker, the energy bill and the round's duration
+    (it used to draw once for the ranker and again for the bill).
     """
 
     CASES = {
@@ -353,7 +355,7 @@ class TestLedgerBits:
         "jitter-overselection": (
             {"timing": PiTimingConfig(jitter_fraction=0.1)},
             {"overselection": 3},
-            "f640c26c51eeef6027c20e25632e7ce1bce177fd094bb90044ca3cdd34d54acb",
+            "879a320581ca526db14f254459711f719170040e5ece8512235ec289744b7c6d",
         ),
     }
 

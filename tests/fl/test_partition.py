@@ -7,6 +7,8 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.fl.partition import (
+    Partitions,
+    iid_partitions,
     partition_by_shards,
     partition_dirichlet,
     partition_iid,
@@ -57,6 +59,47 @@ class TestIID:
     def test_rejects_nonpositive_partitions(self) -> None:
         with pytest.raises(ValueError, match="n_partitions"):
             partition_iid(_dataset(), 0, np.random.default_rng(0))
+
+
+class TestPartitionTable:
+    def test_iid_table_keeps_array_split_rows(self) -> None:
+        dataset = _dataset(205)
+        table = iid_partitions(dataset, 7, np.random.default_rng(4))
+        perm = np.random.default_rng(4).permutation(205)
+        for part, chunk in zip(table, np.array_split(perm, 7)):
+            np.testing.assert_array_equal(
+                part.features, dataset.features[chunk]
+            )
+        assert table.sizes.tolist() == [len(c) for c in np.array_split(perm, 7)]
+
+    def test_gather_stacks_equal_size_partitions(self) -> None:
+        table = iid_partitions(_dataset(200), 7, np.random.default_rng(1))
+        ids = np.flatnonzero(table.sizes == table.sizes.min())
+        features, labels = table.gather(ids, int(table.sizes.min()))
+        np.testing.assert_array_equal(
+            features, np.stack([table[k].features for k in ids])
+        )
+        np.testing.assert_array_equal(
+            labels, np.stack([table[k].labels for k in ids])
+        )
+
+    def test_dataset_list_becomes_one_pooled_table(self) -> None:
+        parts = partition_by_shards(_dataset(200), 4, 2, np.random.default_rng(2))
+        table = Partitions.from_datasets(parts)
+        assert Partitions.from_datasets(table) is table
+        assert len(table) == 4 and table.order is None
+        for k, part in enumerate(parts):
+            view = table[k]
+            assert np.shares_memory(view.features, table.dataset.features)
+            np.testing.assert_array_equal(view.features, part.features)
+            np.testing.assert_array_equal(view.labels, part.labels)
+        with pytest.raises(IndexError):
+            table[4]
+
+    def test_rejects_mixed_class_counts(self) -> None:
+        parts = [_dataset(20, 5), _dataset(20, 4)]
+        with pytest.raises(ValueError, match="n_classes"):
+            Partitions.from_datasets(parts)
 
 
 class TestShards:
