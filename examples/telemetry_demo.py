@@ -6,7 +6,7 @@ testbed, and then inspects everything the observability layer captured:
 
 * the structured event log (``round.start``, ``client.train``,
   ``client.upload``, ``server.aggregate``, ``round.end``,
-  ``prototype.round``, ``sim.event``),
+  ``prototype.round``),
 * the metrics registry (gradient-step / upload counters, per-phase
   energy counters mirroring the paper's Fig. 3 breakdown, round-duration
   histograms),

@@ -56,6 +56,7 @@ from repro.fl.sgd import LearningRateSchedule, SGDConfig
 from repro.net.channel import ChannelConfig, WirelessChannel
 from repro.obs.observer import active_or_none
 from repro.perf.cache import EvalCache
+from repro.perf.cancel import check_cancelled
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
@@ -653,10 +654,20 @@ class FederatedTrainer:
             obs.emit("round.end", duration_s=duration_s, **record.to_dict())
         return record
 
-    def run(self) -> TrainingHistory:
-        """Run rounds until ``n_rounds`` or the target accuracy is reached."""
+    def run(
+        self, on_round: Callable[[RoundRecord], None] | None = None
+    ) -> TrainingHistory:
+        """Run rounds until ``n_rounds`` or the target accuracy is reached.
+
+        A cancelled campaign pass stops the loop between rounds.
+        ``on_round``, when given, is called with each finished round's
+        record (the hardware prototype prices the round there).
+        """
         for _ in range(self.config.n_rounds):
+            check_cancelled()
             record = self.run_round()
+            if on_round is not None:
+                on_round(record)
             if (
                 self.config.target_accuracy is not None
                 and record.test_accuracy >= self.config.target_accuracy

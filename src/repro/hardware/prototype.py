@@ -7,10 +7,10 @@ couples three substrates:
   round counts ``T`` come from real convergence behaviour, not from the
   bound),
 * the **hardware substrate** prices every round in joules and seconds
-  using the measured RPi 4B constants,
-* the **discrete-event engine** advances a shared wall clock so rounds
-  are synchronised the way the coordinator synchronised the physical
-  testbed (a round ends when its slowest participant uploads).
+  using the measured RPi 4B constants, and advances a shared wall
+  clock so rounds are synchronised the way the coordinator
+  synchronised the physical testbed (a round ends when its slowest
+  participant uploads).
 
 The "real measurement traces" of Figs. 5-6 are produced by
 :meth:`HardwarePrototype.run`: train to the target accuracy with a given
@@ -19,7 +19,7 @@ The "real measurement traces" of Figs. 5-6 are produced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,15 +27,15 @@ import numpy as np
 from repro.core.energy_model import HeterogeneousEnergyParams, cloud_fan_in
 from repro.data.dataset import Dataset
 from repro.faults.injector import FaultInjector
-from repro.faults.models import FaultPlan
-from repro.faults.policies import ResilienceConfig
+from repro.faults.models import BatteryFault, FaultPlan
+from repro.faults.policies import ResilienceConfig, RoundResilienceReport
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.partition import Partitions, iid_partitions
 from repro.fl.population import AggregationTree
 from repro.fl.server import Coordinator
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
-from repro.fl.metrics import TrainingHistory
+from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.hardware.fleet import DeviceFleet
 from repro.hardware.power_meter import MeterConfig, PowerMeter
 from repro.hardware.power_model import RoundPhase, StepPowers
@@ -49,8 +49,6 @@ from repro.net.messages import (
     model_upload_message,
 )
 from repro.obs.observer import active_or_none
-from repro.perf.cancel import check_cancelled
-from repro.sim.engine import Simulator
 from repro.sim.processes import StepProcess
 
 from typing import TYPE_CHECKING
@@ -170,7 +168,9 @@ class _RunLedger:
     per round from its own device (built on first use), the first time
     the round asks for it (the over-selection ranker or the energy
     bill), and every later question about that round reuses it.
-    :meth:`job` prices an asynchronous job from a fresh draw.
+    :meth:`settle` prices a finished synchronous round and keeps the
+    run's totals; :meth:`job` prices an asynchronous job from a fresh
+    draw.
     """
 
     def __init__(
@@ -178,12 +178,21 @@ class _RunLedger:
         prototype: "HardwarePrototype",
         epochs: int,
         upload: ModelMessage,
+        injector: FaultInjector | None = None,
+        resilience: ResilienceConfig | None = None,
     ) -> None:
         fleet = prototype.devices
         self._fleet = fleet
         self._observer = prototype._observer
         self._include_waiting = prototype.config.include_waiting
         self._epochs = epochs
+        self._injector = injector
+        self._deadline_s = resilience.round_deadline_s if resilience else None
+        self._tiers = prototype.config.aggregation_tiers
+        # A fully-crashed (empty) round still takes the coordinator's
+        # waiting period of wall-clock time.
+        self._idle_s = prototype.config.timing.waiting_s or 1.0
+        self._attempt_s = fleet.channel.attempt_duration(upload.total_bytes)
         self._messages = (prototype._download, upload)
         self._collect = None
         if prototype.config.include_iot:
@@ -211,6 +220,12 @@ class _RunLedger:
         )
         self._round_index: int | None = None
         self._drawn: dict[int, RoundTiming] = {}
+        # The run's totals, kept by settle().
+        self.energy_per_round: list[float] = []
+        self.wasted_j = 0.0
+        self.iot_j = 0.0
+        self.cloud_messages = 0
+        self.clock_s = 0.0
 
     def _price(self, timing: RoundTiming, rows) -> tuple:
         """``(energy, duration, phase joules)`` of ``timing`` at ``rows``."""
@@ -270,14 +285,107 @@ class _RunLedger:
                 sum(self._collect[ids].tolist())
             )
 
-    def energies(
-        self, round_index: int, server_ids: Sequence[int]
-    ) -> np.ndarray:
-        """Each participant's round energy, feeding ``energy.joules``."""
-        ids = np.asarray(server_ids, dtype=np.int64)
+    def settle(
+        self, record: RoundRecord, report: RoundResilienceReport | None
+    ) -> None:
+        """Price one finished synchronous round and advance the clock.
+
+        A participant's round energy is its base price plus, from the
+        round's resilience ``report``, its retry transmissions at upload
+        power and its backoff waits at waiting power; the full active
+        energy of futile work (failed, late or corrupted uploads) is
+        counted as wasted.  Each declared battery drains by its
+        client's round energy.  The round lasts as long as its slowest
+        awaited participant (all selected with plain FedAvg, the kept
+        ones with over-selection), capped at the round deadline.
+        """
+        round_index = record.round_index
+        observer = self._observer
+        ids = np.asarray(record.participants, dtype=np.int64)
         energy, _, phases = self._round(round_index, ids)
         self._charge(phases, ids)
-        return energy
+        client_energies = energy.tolist()
+        # Summed in participant order, as one += per client.
+        round_energy = sum(client_energies, 0.0)
+        per_client_energy = dict(zip(record.participants, client_energies))
+        retry_overhead: dict[int, float] = {}
+        round_wasted = 0.0
+        if report is not None:
+            retry_j = wait_j = 0.0
+            for server_id, attempts in report.upload_attempts.items():
+                backoff_s = report.backoff_s.get(server_id, 0.0)
+                client_retry_j = (
+                    max(0, attempts - 1)
+                    * self._attempt_s
+                    * float(self._fleet.uploading_w[server_id])
+                )
+                client_wait_j = backoff_s * float(
+                    self._fleet.waiting_w[server_id]
+                )
+                if client_retry_j or client_wait_j:
+                    round_energy += client_retry_j + client_wait_j
+                    round_wasted += client_retry_j + client_wait_j
+                    per_client_energy[server_id] = (
+                        per_client_energy.get(server_id, 0.0)
+                        + client_retry_j
+                        + client_wait_j
+                    )
+                    retry_overhead[server_id] = (
+                        max(0, attempts - 1) * self._attempt_s + backoff_s
+                    )
+                    retry_j += client_retry_j
+                    wait_j += client_wait_j
+            futile = set(report.failed_uploads) | set(report.late)
+            futile |= set(report.corrupted)
+            for server_id in futile:
+                round_wasted += float(self.nominal_active_j[server_id])
+            self.wasted_j += round_wasted
+            if observer is not None:
+                # Retries are upload time, backoff is waiting time.
+                if retry_j:
+                    observer.counter("energy.joules", phase="uploading").inc(
+                        retry_j
+                    )
+                if wait_j:
+                    observer.counter("energy.joules", phase="waiting").inc(wait_j)
+                if round_wasted > 0:
+                    observer.counter("energy.wasted_j").inc(round_wasted)
+        if self._injector is not None:
+            for server_id, client_energy in per_client_energy.items():
+                self._injector.note_participation(
+                    server_id, round_index, energy_j=client_energy
+                )
+        if self._collect is not None:
+            for joules in self._collect[ids].tolist():
+                self.iot_j += joules
+        if record.aggregated:
+            self.cloud_messages += cloud_fan_in(
+                len(record.aggregated), self._tiers
+            )
+        awaited = record.aggregated or record.participants
+        durations = self.durations(round_index, awaited)
+        if retry_overhead:
+            durations += [retry_overhead.get(sid, 0.0) for sid in awaited]
+        duration = float(durations.max(initial=0.0))
+        if self._deadline_s is not None:
+            # The coordinator moves on at the deadline.
+            duration = min(duration, self._deadline_s)
+        if duration <= 0.0:
+            duration = self._idle_s
+        self.energy_per_round.append(round_energy)
+        if observer is not None:
+            observer.histogram("sim.round_duration_s").observe(duration)
+            observer.emit(
+                "prototype.round",
+                sim_time=self.clock_s,
+                round=round_index,
+                energy_j=round_energy,
+                duration_s=duration,
+                participants=len(record.participants),
+                wasted_j=round_wasted,
+                degraded=record.degraded,
+            )
+        self.clock_s += duration
 
     def durations(
         self, round_index: int, server_ids: Sequence[int]
@@ -315,10 +423,11 @@ class HardwarePrototype:
             ``config.include_iot`` is set, providing the per-server
             ``rho_k`` constants for the data-collection energy.
         observer: optional telemetry sink, threaded through every layer
-            the testbed drives: the FL trainer (round/client events), the
-            DES engine (``sim.event`` records on the simulated clock),
-            and the energy accounting (``energy.joules{phase=...}``
-            counters split download/train/upload/wait/collect).
+            the testbed drives: the FL trainer (round/client events),
+            the round ledger (``prototype.round`` records on the
+            simulated clock) and the energy accounting
+            (``energy.joules{phase=...}`` counters split
+            download/train/upload/wait/collect).
     """
 
     def __init__(
@@ -401,33 +510,14 @@ class HardwarePrototype:
 
     def _make_trainer(
         self,
-        participants: int,
-        epochs: int,
-        n_rounds: int,
-        target_accuracy: float | None,
-        overselection: int = 0,
+        config: FederatedConfig,
         completion_ranker=None,
         update_compressor=None,
         fault_injector: FaultInjector | None = None,
         resilience: ResilienceConfig | None = None,
-        federated_config: FederatedConfig | None = None,
     ) -> FederatedTrainer:
         clients = build_clients(
             self._partitions, self.config.model, seed=self.config.seed
-        )
-        # A caller-supplied config (e.g. a RunSpec projection) is used
-        # verbatim so every training knob it declares — dropout,
-        # proximal mu, pool workers — is honored; otherwise one is
-        # assembled from the loop arguments and the testbed defaults.
-        fed_config = federated_config or FederatedConfig(
-            n_rounds=n_rounds,
-            participants_per_round=participants,
-            local_epochs=epochs,
-            sgd=self.config.sgd,
-            target_accuracy=target_accuracy,
-            overselection=overselection,
-            seed=self.config.seed,
-            backend=self.config.backend,
         )
         coordinator = None
         if self.config.aggregation_tiers > 0:
@@ -440,14 +530,14 @@ class HardwarePrototype:
         if resilience is not None:
             # Deadline checks use the measured timing law (jitter-free,
             # so the check itself consumes no device randomness).
-            training_s = self.devices.training_durations(epochs)
+            training_s = self.devices.training_durations(config.local_epochs)
 
             def client_time_fn(client_id: int, round_index: int) -> float:
                 return float(training_s[client_id])
 
         return FederatedTrainer(
             clients=clients,
-            config=fed_config,
+            config=config,
             train_eval=self.train,
             test_eval=self.test,
             coordinator=coordinator,
@@ -503,19 +593,27 @@ class HardwarePrototype:
         backoff waits at waiting power, and the full active energy of a
         client whose round was futile (upload failed, deadline missed,
         update rejected) is charged to the ``energy.wasted_j`` counter
-        on top of appearing in the round totals.
+        on top of appearing in the round totals.  Declared batteries
+        drain by the measured round energy alone: a plan's nominal
+        ``per_round_j`` is not drawn on this testbed.
         """
-        if federated_config is not None:
-            participants = federated_config.participants_per_round
-            epochs = federated_config.local_epochs
-            n_rounds = federated_config.n_rounds
-            target_accuracy = federated_config.target_accuracy
-            overselection = federated_config.overselection
-        elif participants is None or epochs is None:
-            raise ValueError(
-                "run() requires either federated_config or both "
-                "participants and epochs"
+        if federated_config is None:
+            if participants is None or epochs is None:
+                raise ValueError(
+                    "run() requires either federated_config or both "
+                    "participants and epochs"
+                )
+            federated_config = FederatedConfig(
+                n_rounds=n_rounds,
+                participants_per_round=participants,
+                local_epochs=epochs,
+                sgd=self.config.sgd,
+                target_accuracy=target_accuracy,
+                overselection=overselection,
+                seed=self.config.seed,
+                backend=self.config.backend,
             )
+        config = federated_config
         upload_message = self._upload
         if update_compressor is not None:
             compressor = getattr(update_compressor, "compressor", update_compressor)
@@ -523,186 +621,66 @@ class HardwarePrototype:
                 "upload",
                 compressor.compressed_bytes(self.config.model.n_parameters),
             )
-        ledger = _RunLedger(self, epochs, upload_message)
+        injector = None
+        if fault_plan is not None:
+            # The ledger drains batteries by the measured joules, so the
+            # nominal per-round figure must not drain them as well.
+            faults = [
+                replace(f, per_round_j=None) if isinstance(f, BatteryFault) else f
+                for f in fault_plan
+            ]
+            injector = FaultInjector(
+                FaultPlan(fault_plan.seed, faults),
+                self.config.n_servers,
+                observer=self._observer,
+            )
+        ledger = _RunLedger(
+            self, config.local_epochs, upload_message, injector, resilience
+        )
 
         def ranker(round_index: int, selected: list[int]) -> list[int]:
             durations = ledger.durations(round_index, selected).tolist()
             timings = dict(zip(selected, durations))
             return sorted(selected, key=lambda cid: timings[cid])
 
-        injector = (
-            FaultInjector(
-                fault_plan, self.config.n_servers, observer=self._observer
-            )
-            if fault_plan is not None
-            else None
-        )
         trainer = self._make_trainer(
-            participants,
-            epochs,
-            n_rounds,
-            target_accuracy,
-            overselection=overselection,
-            completion_ranker=ranker if overselection > 0 else None,
+            config,
+            completion_ranker=ranker if config.overselection > 0 else None,
             update_compressor=update_compressor,
             fault_injector=injector,
             resilience=resilience,
-            federated_config=federated_config,
         )
-        simulator = Simulator(observer=self._observer)
-        energy_per_round: list[float] = []
-        wasted_energy = {"total": 0.0}
+        try:
+            history = trainer.run(
+                lambda record: ledger.settle(
+                    record, trainer.last_resilience_report
+                )
+            )
+        finally:
+            trainer.close()
         # One combined message at the cloud is priced at the mean upload
         # energy (symmetric link: receiving a model costs what sending
         # it does).  Fog tiers shrink the per-round message count from K
         # to min(tiers, K); fog-side reception is the fog nodes' budget,
         # not the cloud's, so it is deliberately not charged here.
         e_receive = float(np.mean(ledger.upload_j))
-        aggregation_messages = {"total": 0}
-        iot_energy = 0.0
-        state = {"stop": False}
-
-        def run_round(sim: Simulator) -> None:
-            # A cancelled campaign pass stops here, between rounds.
-            check_cancelled()
-            record = trainer.run_round()
-            client_energies = ledger.energies(
-                record.round_index, record.participants
-            ).tolist()
-            # Summed in participant order, as one += per client.
-            round_energy = sum(client_energies, 0.0)
-            per_client_energy = dict(zip(record.participants, client_energies))
-            report = trainer.last_resilience_report
-            if report is not None and report.round_index != record.round_index:
-                report = None
-            retry_overhead: dict[int, float] = {}
-            round_wasted = 0.0
-            if report is not None:
-                # Price the failure cost at the measured step powers:
-                # retry transmissions at 5.015 W upload power, backoff
-                # waits at 3.600 W waiting power, futile rounds in full.
-                attempt_s = self.devices.channel.attempt_duration(
-                    upload_message.total_bytes
-                )
-                for server_id, attempts in report.upload_attempts.items():
-                    backoff_s = report.backoff_s.get(server_id, 0.0)
-                    retry_j = (
-                        max(0, attempts - 1)
-                        * attempt_s
-                        * float(self.devices.uploading_w[server_id])
-                    )
-                    wait_j = backoff_s * float(self.devices.waiting_w[server_id])
-                    if retry_j or wait_j:
-                        round_energy += retry_j + wait_j
-                        round_wasted += retry_j + wait_j
-                        per_client_energy[server_id] = (
-                            per_client_energy.get(server_id, 0.0)
-                            + retry_j
-                            + wait_j
-                        )
-                        retry_overhead[server_id] = (
-                            max(0, attempts - 1) * attempt_s + backoff_s
-                        )
-                futile = set(report.failed_uploads) | set(report.late)
-                futile |= set(report.corrupted)
-                for server_id in futile:
-                    round_wasted += float(ledger.nominal_active_j[server_id])
-                wasted_energy["total"] += round_wasted
-                if self._observer is not None and round_wasted > 0:
-                    self._observer.counter("energy.wasted_j").inc(round_wasted)
-            if injector is not None:
-                # Drain the declared batteries by the energy actually
-                # measured this round (depleted devices crash from the
-                # next round onward).
-                for server_id, client_energy in per_client_energy.items():
-                    injector.note_participation(
-                        server_id, record.round_index, energy_j=client_energy
-                    )
-            if record.aggregated:
-                aggregation_messages["total"] += cloud_fan_in(
-                    len(record.aggregated), self.config.aggregation_tiers
-                )
-            awaited = record.aggregated or record.participants
-            durations = ledger.durations(record.round_index, awaited)
-            if retry_overhead:
-                durations += [retry_overhead.get(sid, 0.0) for sid in awaited]
-            round_duration = float(durations.max(initial=0.0))
-            if (
-                resilience is not None
-                and resilience.round_deadline_s is not None
-            ):
-                # The coordinator moves on at the deadline.
-                round_duration = min(
-                    round_duration, resilience.round_deadline_s
-                )
-            if round_duration <= 0.0:
-                # A fully-crashed (empty) round still takes the
-                # coordinator's waiting period of wall-clock time.
-                round_duration = self.config.timing.waiting_s or 1.0
-            energy_per_round.append(round_energy)
-            if self._observer is not None:
-                self._observer.histogram("sim.round_duration_s").observe(
-                    round_duration
-                )
-                self._observer.emit(
-                    "prototype.round",
-                    sim_time=sim.now,
-                    round=record.round_index,
-                    energy_j=round_energy,
-                    duration_s=round_duration,
-                    participants=len(record.participants),
-                    wasted_j=round_wasted,
-                    degraded=record.degraded,
-                )
-            done = len(energy_per_round) >= n_rounds or (
-                target_accuracy is not None
-                and record.test_accuracy >= target_accuracy
-            )
-            if done:
-                state["stop"] = True
-                # Advance the clock over the final round without
-                # scheduling another one.
-                sim.schedule(round_duration, lambda s: None, label="final-upload")
-            else:
-                sim.schedule(round_duration, run_round, label="round-start")
-
-        simulator.schedule(0.0, run_round, label="round-start")
-        try:
-            simulator.run()
-        finally:
-            trainer.close()
-            # ``run_round`` schedules itself, so it reaches itself through
-            # its closure; break the cycle so the trainer, clients and
-            # devices it captures are freed without waiting for the GC.
-            del run_round
-
-        if self.config.include_iot:
-            assert self.iot_network is not None
-            for record in trainer.history.records:
-                for server_id in record.participants:
-                    n_k = int(self.devices.n_samples[server_id])
-                    iot_energy += self.iot_network.cluster(
-                        server_id
-                    ).collection_energy(n_k)
-
-        history = trainer.history
         reached = (
-            target_accuracy is not None
-            and history.final_accuracy() >= target_accuracy
+            config.target_accuracy is not None
+            and history.final_accuracy() >= config.target_accuracy
         )
         return PrototypeResult(
             history=history,
             rounds=len(history),
-            total_energy_j=float(np.sum(energy_per_round)),
-            energy_per_round_j=np.array(energy_per_round),
-            iot_energy_j=iot_energy,
-            wall_clock_s=simulator.now,
+            total_energy_j=float(np.sum(ledger.energy_per_round)),
+            energy_per_round_j=np.array(ledger.energy_per_round),
+            iot_energy_j=ledger.iot_j,
+            wall_clock_s=ledger.clock_s,
             reached_target=reached,
-            participants=participants,
-            epochs=epochs,
-            wasted_energy_j=wasted_energy["total"],
+            participants=config.participants_per_round,
+            epochs=config.local_epochs,
+            wasted_energy_j=ledger.wasted_j,
             degraded_rounds=history.degraded_round_count(),
-            aggregation_energy_j=aggregation_messages["total"] * e_receive,
+            aggregation_energy_j=ledger.cloud_messages * e_receive,
         )
 
     def run_async(

@@ -3,9 +3,9 @@
 SIGINT and SIGTERM never raise at whatever bytecode happens to be
 running.  They only count a request on a :class:`CancelToken`, and code
 polls the token where stopping is safe: the supervision loop between
-units, the prototype between rounds (:func:`check_cancelled`).  A store
-write, its verify-after-write and the outcome bookkeeping around it
-therefore always run to completion.
+units, the federated round loop between rounds
+(:func:`check_cancelled`).  A store write, its verify-after-write and
+the outcome bookkeeping around it therefore always run to completion.
 
 The first request drains.  The second is a *hard* cancel, and it is the
 only request a handler turns into :class:`KeyboardInterrupt` — and only

@@ -126,9 +126,10 @@ class SharedParameterBlock:
     The persistent-worker pool re-reads the global model every round;
     shipping it through the task pickle would copy it once per chunk.
     Instead the parent rewrites this block before each round's
-    submission (``Pool.map`` is a full barrier, so workers never observe
-    a partial write) and the chunk tasks carry only client ids, the
-    round index, and the learning rate.
+    submission (the round waits for every chunk it submitted, so no
+    worker is still reading when the next round writes) and the chunk
+    tasks carry only client ids, the round index, and the learning
+    rate.
     """
 
     def __init__(self, n_parameters: int) -> None:

@@ -27,6 +27,8 @@ from repro.campaign import (
     campaign_telemetry,
 )
 from repro.experiments.runner import main
+from repro.faults.models import make_demo_plan
+from repro.faults.policies import ResilienceConfig, RetryPolicy
 from repro.obs import Observer, TelemetrySpool
 
 pytestmark = pytest.mark.telemetry_smoke
@@ -111,6 +113,27 @@ class TestBitForBitTotals:
     ) -> None:
         store = _run(telemetry_campaign, tmp_path / "s", jobs=2)
         assert campaign_telemetry(store).reconcile() == []
+
+
+class TestFaultedReconciliation:
+    def test_resilient_faulted_unit_reconciles(self, tmp_path, tiny_spec) -> None:
+        # Retries and backoff waits are priced into the unit's total, so
+        # its energy.joules counters must carry them as well.
+        base = dataclasses.replace(
+            tiny_spec,
+            n_train=400,
+            n_servers=20,
+            participants=10,
+            epochs=1,
+            max_rounds=10,
+            telemetry=True,
+            fault_plan=make_demo_plan(20),
+            resilience=ResilienceConfig(retry=RetryPolicy(max_retries=3)),
+        )
+        store = _run(CampaignSpec(name="faulted", base=base), tmp_path / "s")
+        telemetry = campaign_telemetry(store)
+        assert telemetry.sum_over_units("fl.retries") > 0
+        assert telemetry.reconcile() == []
 
 
 class TestKilledWorker:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.faults.models import (
+    BatteryFault,
     BurstLossFault,
     CrashFault,
     FaultPlan,
@@ -115,6 +116,11 @@ class TestAcceptance:
             result.wasted_energy_j
         )
         assert 0 < result.wasted_fraction < 1
+        # Retries and backoff are in the total, so the phase counters
+        # carry them too (under uploading and waiting).
+        assert observer.metrics.sum_values("energy.joules") == pytest.approx(
+            result.total_energy_j, rel=1e-12
+        )
 
     def test_bit_identical_across_runs(self, faulted_run) -> None:
         first, _ = faulted_run
@@ -123,3 +129,32 @@ class TestAcceptance:
         assert first.total_energy_j == second.total_energy_j
         assert first.wasted_energy_j == second.wasted_energy_j
         assert first.wall_clock_s == second.wall_clock_s
+
+
+class TestBatteryDrain:
+    """A declared battery drains once per round, by the measured energy."""
+
+    def test_nominal_per_round_figure_is_not_drawn_as_well(self) -> None:
+        train = generate_synthetic_mnist(400, seed=0)
+        test = generate_synthetic_mnist(100, seed=1)
+        prototype = HardwarePrototype(train, test, PrototypeConfig(n_servers=4))
+        clean = prototype.run(participants=4, epochs=1, n_rounds=1)
+        # Four equal partitions: every client spends a quarter.
+        round_j = clean.energy_per_round_j[0] / 4
+        plan = FaultPlan(
+            faults=(
+                BatteryFault(client_id=0, capacity_j=2.5 * round_j, per_round_j=5.0),
+            )
+        )
+        result = prototype.run(
+            participants=4, epochs=1, n_rounds=5, fault_plan=plan
+        )
+        # Two rounds leave half a round's energy; the third round's
+        # draw empties the battery, so client 0 is down from round 3.
+        assert [0 in r.participants for r in result.history.records] == [
+            True,
+            True,
+            True,
+            False,
+            False,
+        ]

@@ -19,8 +19,10 @@ import pytest
 from repro.data.dataset import Dataset
 from repro.data.synthetic_mnist import load_synthetic_mnist
 from repro.faults.injector import FaultInjector
-from repro.faults.models import make_demo_plan, substream
+from repro.faults.models import CorruptionFault, FaultPlan, make_demo_plan, substream
+from repro.faults.policies import ResilienceConfig, RetryPolicy
 from repro.fl.client import CohortUpdates, LocalUpdate
+from repro.fl.compression import TopKCompressor
 from repro.fl.history_io import history_to_json
 from repro.fl.mlp import MLPConfig
 from repro.fl.model import LogisticRegressionConfig, evaluation_rows
@@ -36,6 +38,7 @@ from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
 from repro.hardware.prototype import HardwarePrototype, PrototypeConfig
 from repro.hardware.raspberry_pi import PiTimingConfig
+from repro.iot.network import IoTNetwork
 
 pytestmark = pytest.mark.population_smoke
 
@@ -344,6 +347,10 @@ class TestLedgerBits:
     round came to draw one timing per participant, shared by the
     over-selection ranker, the energy bill and the round's duration
     (it used to draw once for the ranker and again for the bill).
+    The fault, deadline, IoT, fog-tier and compressor digests were
+    recorded while the prototype still drove its rounds through the
+    discrete-event simulator and priced retries, backoff and IoT
+    collection outside the ledger.
     """
 
     CASES = {
@@ -357,6 +364,63 @@ class TestLedgerBits:
             {"overselection": 3},
             "879a320581ca526db14f254459711f719170040e5ece8512235ec289744b7c6d",
         ),
+        # Retries with backoff, crash resampling, failed uploads and
+        # rejected corrupt payloads: every futile-work price.
+        "faults-resilience": (
+            {},
+            {
+                "fault_plan": FaultPlan(
+                    seed=3,
+                    faults=make_demo_plan(
+                        30,
+                        3,
+                        crash_fraction=0.2,
+                        straggler_fraction=0.2,
+                        loss_fraction=0.4,
+                        horizon=4,
+                    ).faults
+                    + tuple(
+                        CorruptionFault(client_id=c, probability=0.5)
+                        for c in range(0, 30, 7)
+                    ),
+                ),
+                "resilience": ResilienceConfig(
+                    retry=RetryPolicy(max_retries=1), upload_timeout_s=30.0
+                ),
+            },
+            (
+                "ba095502d9507385991e2eeb6cc138cd"
+                "1637b0c872ec45c52999f0fa7d73c04b"
+            ),
+        ),
+        # Slowed stragglers miss the deadline, which also caps each
+        # round's duration.
+        "round-deadline": (
+            {},
+            {
+                "fault_plan": make_demo_plan(30, 1, horizon=4, slowdown=30.0),
+                "resilience": ResilienceConfig(round_deadline_s=0.1),
+            },
+            (
+                "8cc75dad1edb5856f225d8de36754f39"
+                "073f5284406271237ef43acfc140cbfe"
+            ),
+        ),
+        "iot": (
+            {"include_iot": True},
+            {},
+            "e28c3a536dac36140729de68e8847ffd90381a2f3e9be2ef28b4893bad66ce2a",
+        ),
+        "aggregation-tiers": (
+            {"aggregation_tiers": 2},
+            {},
+            "b585009c602146cea6a976d9e03e416152cdd5df0c4e1001c0136285cf526321",
+        ),
+        "compressor": (
+            {},
+            {"update_compressor": TopKCompressor(0.1)},
+            "5279dbfc8e926efdaf1359b7167ae318c9650de7926902bb891f990a0a13914a",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -367,6 +431,7 @@ class TestLedgerBits:
             train,
             test,
             PrototypeConfig(n_servers=30, backend="population", **config),
+            iot_network=IoTNetwork.homogeneous(30, devices_per_cluster=3),
         )
         result = prototype.run(participants=10, epochs=2, n_rounds=4, **run)
         digest = hashlib.sha256()

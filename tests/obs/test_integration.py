@@ -198,8 +198,18 @@ class TestPrototypeTelemetry:
         categories = observer.events.categories()
         assert categories["round.start"] == result.rounds
         assert categories["prototype.round"] == result.rounds
-        assert categories["sim.event"] == result.rounds + 1  # + final-upload
         assert categories["client.train"] == 2 * result.rounds
+        # Each round starts at the simulated clock so far; the last one
+        # ends at the reported wall clock.
+        rounds = observer.events.filter("prototype.round")
+        clock = 0.0
+        for event in rounds:
+            assert event.sim_time_s == clock
+            clock += event.fields["duration_s"]
+        last = rounds[-1]
+        assert (
+            last.sim_time_s + last.fields["duration_s"] == result.wall_clock_s
+        )
 
     def test_per_round_energy_in_events(self, observed_run) -> None:
         observer, _, result = observed_run
