@@ -28,6 +28,16 @@ same epochs written inline as the naive two matmuls, alternated.  It
 fails if the parameters differ by a bit or the model's epochs take more
 than ``MAX_GEMM_ORIENTATION_RATIO`` of the naive ones.
 
+The ``evaluation`` row times one training-loss evaluation of a float32
+evaluation set (``EVALUATION_ROWS`` x 784, build included) in the three
+layouts :func:`repro.fl.model.evaluation_rows` chooses between: the
+stored rows streamed through ``loss`` in widened row blocks, the held
+transpose, and one widened float64 copy.  Each layout's peak-RSS growth
+is measured in a fresh child process.  It fails if the layouts' losses
+or accuracies differ by a bit, or if a streamed evaluation takes longer
+than a widened one; it records from which evaluation the held
+transpose's build pays for itself (``_HELD_TRANSPOSE_MIN_EVALUATIONS``).
+
 The paper-sized contrast row also times the persistent-worker pool
 backend against sequential in lock-step: both trainers stay alive, each
 repeat times ``GRID_ROUNDS`` rounds of one and then of the other, the
@@ -58,7 +68,9 @@ for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREAD
     os.environ.setdefault(_blas_threads, "1")
 
 import json
+import math
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -67,7 +79,9 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.fl.model import (
+    _HELD_TRANSPOSE_MIN_EVALUATIONS,
     LogisticRegressionConfig,
+    evaluation_rows,
     softmax,
     transpose_for_backward,
 )
@@ -127,6 +141,12 @@ GEMM_ROWS = 3_000
 GEMM_EPOCHS = 16
 GEMM_PAIRS = 10
 GEMM_LEARNING_RATE = 0.01
+
+# Evaluation-layout row: one loss evaluation of a float32 set of each
+# size, alternated over the layouts for EVALUATION_PAIRS rounds.
+EVALUATION_ROWS = (20_000, 40_000, 60_000)
+EVALUATION_PAIRS = 5
+EVALUATION_LAYOUTS = ("streamed", "held", "widened")
 
 
 def _available_cpus() -> int:
@@ -278,6 +298,116 @@ def run_gemm_orientation(model: LogisticRegressionConfig) -> dict:
             np.array_equal(params["model"], params["naive"])
         ),
     }
+
+
+def _evaluation_set(n: int, model: LogisticRegressionConfig):
+    rng = np.random.default_rng(n)
+    features = rng.random((n, model.n_features), dtype=np.float32)
+    labels = rng.integers(0, model.n_classes, size=n)
+    kernel = model.build()
+    kernel.set_parameters(rng.normal(scale=0.05, size=model.n_parameters))
+    return kernel, features, labels
+
+
+def _evaluation_layout(
+    layout: str, features: np.ndarray, model: LogisticRegressionConfig
+) -> np.ndarray:
+    """The rows one evaluation scores: ``evaluation_rows``'s layout for a
+    run too short to hold a transpose ("streamed") or long enough
+    ("held"), or one widened float64 copy ("widened")."""
+    if layout == "widened":
+        return features.astype(np.float64)
+    held = layout == "held"
+    return evaluation_rows(
+        features, model, _HELD_TRANSPOSE_MIN_EVALUATIONS if held else 1
+    )
+
+
+def _rss_high_water_bytes() -> int:
+    """This process's peak RSS: Linux's ``VmHWM``, which, unlike
+    ``ru_maxrss``, does not start from the parent's RSS at ``fork``."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+    raise RuntimeError("no VmHWM line in /proc/self/status")
+
+
+def evaluation_child(n: int, layout: str) -> dict:
+    """One evaluation in this (fresh) process: its peak-RSS growth."""
+    kernel, features, labels = _evaluation_set(n, PAPER_MODEL)
+    before = _rss_high_water_bytes()
+    kernel.loss(_evaluation_layout(layout, features, PAPER_MODEL), labels)
+    return {"rss_growth_bytes": _rss_high_water_bytes() - before}
+
+
+def run_evaluation_layouts(model: LogisticRegressionConfig) -> list[dict]:
+    """Per size: seconds per one-shot evaluation of each layout, build
+    included, and of an evaluation on held rows already built."""
+    rows = []
+    for n in EVALUATION_ROWS:
+        kernel, features, labels = _evaluation_set(n, model)
+        times: dict[str, list[float]] = {
+            name: [] for name in (*EVALUATION_LAYOUTS, "held_built")
+        }
+        results = {}
+        for pair in range(EVALUATION_PAIRS):
+            order = EVALUATION_LAYOUTS[:: 1 if pair % 2 else -1]
+            for layout in order:
+                started = time.perf_counter()
+                evaluated = _evaluation_layout(layout, features, model)
+                loss = kernel.loss(evaluated, labels)
+                times[layout].append(time.perf_counter() - started)
+                if layout == "held":
+                    started = time.perf_counter()
+                    kernel.loss(evaluated, labels)
+                    times["held_built"].append(time.perf_counter() - started)
+                results[layout] = (loss, kernel.accuracy(evaluated, labels))
+                del evaluated
+        seconds = {name: statistics.median(v) for name, v in times.items()}
+        # Held rows pay from the evaluation at which their build plus
+        # each evaluation on them costs no more than streaming every one.
+        build = seconds["held"] - seconds["held_built"]
+        saved = seconds["streamed"] - seconds["held_built"]
+        growth = {}
+        for layout in EVALUATION_LAYOUTS:
+            child = subprocess.run(
+                [sys.executable, __file__, "--evaluation-child", str(n), layout],
+                check=True,
+                capture_output=True,
+                text=True,
+            )
+            growth[layout] = json.loads(child.stdout.splitlines()[-1])[
+                "rss_growth_bytes"
+            ]
+        row = {
+            "rows": n,
+            "pairs": EVALUATION_PAIRS,
+            "seconds_median": seconds,
+            "rss_growth_bytes": growth,
+            "streamed_over_widened": statistics.median(
+                s / w for s, w in zip(times["streamed"], times["widened"])
+            ),
+            "held_pays_from_evaluations": (
+                math.ceil(build / saved) if saved > 0 else None
+            ),
+            "identical_results": len(set(results.values())) == 1,
+        }
+        print(
+            f"  {n:,d} rows: "
+            + ", ".join(
+                f"{name} {value * 1000:.0f} ms"
+                for name, value in seconds.items()
+            )
+            + "; RSS growth "
+            + ", ".join(
+                f"{name} {value / 2**20:.0f} MiB"
+                for name, value in growth.items()
+            )
+            + f"; held pays from evaluation {row['held_pays_from_evaluations']}"
+        )
+        rows.append(row)
+    return rows
 
 
 def _trainer(
@@ -434,6 +564,9 @@ def run_headline(data, model: LogisticRegressionConfig) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--evaluation-child"]:
+        print(json.dumps(evaluation_child(int(args[1]), args[2])))
+        return 0
     out_path = Path(args[0]) if args else Path("BENCH_engine.json")
 
     data = _make_data(IOT_MODEL, IOT_SAMPLES_PER_SERVER)
@@ -496,6 +629,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{paper_row['gemm_orientation']['model_over_naive']:.2f}x"
     )
 
+    print("evaluation layouts (784x10, float32 rows, one evaluation):")
+    evaluation = run_evaluation_layouts(PAPER_MODEL)
+
     payload = {
         "benchmark": "engine",
         "config": {
@@ -519,6 +655,10 @@ def main(argv: list[str] | None = None) -> int:
         "grid": grid,
         "headline": headline,
         "paper_model_contrast": paper_row,
+        "evaluation": {
+            "rows": evaluation,
+            "held_transpose_min_evaluations": _HELD_TRANSPOSE_MIN_EVALUATIONS,
+        },
         "pool_thresholds": {
             "repeats": POOL_REPEATS,
             "accept_pool_speedup": ACCEPT_POOL_SPEEDUP,
@@ -572,6 +712,17 @@ def main(argv: list[str] | None = None) -> int:
             f"the naive two-matmul epochs at paper shape (limit "
             f"{MAX_GEMM_ORIENTATION_RATIO:.2f}x)"
         )
+    for row in evaluation:
+        if not row["identical_results"]:
+            failures.append(
+                f"evaluation layouts disagree at {row['rows']:,d} rows: the "
+                "streamed, held and widened rows must give the same bits"
+            )
+        if row["streamed_over_widened"] > 1.0:
+            failures.append(
+                f"a streamed evaluation of {row['rows']:,d} float32 rows takes "
+                f"{row['streamed_over_widened']:.2f}x a widened one"
+            )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

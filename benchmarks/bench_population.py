@@ -35,7 +35,7 @@ Three questions, one artifact (``BENCH_population.json``):
   ``execute_unit`` to the first round), median round seconds, peak RSS.
   A row's memory budget is computed first from the bytes every
   training sample and every participant's update cost
-  (``BYTES_PER_SAMPLE``, ``BYTES_PER_PARTICIPANT``), and the row runs only
+  (``_bytes_per_sample``, ``BYTES_PER_PARTICIPANT``), and the row runs only
   if the budget fits under ``MEMORY_CAP_BYTES``; otherwise the row
   records the budget and why it was not run.
 
@@ -68,7 +68,11 @@ from repro.data.synthetic_mnist import load_synthetic_mnist
 from repro.fl.client import EdgeServerClient
 from repro.fl.engine import PopulationEngine
 from repro.fl.history_io import history_to_json
-from repro.fl.model import LogisticRegressionConfig, LogisticRegressionModel
+from repro.fl.model import (
+    _HELD_TRANSPOSE_MIN_EVALUATIONS,
+    LogisticRegressionConfig,
+    LogisticRegressionModel,
+)
 from repro.fl.partition import partition_iid
 from repro.fl.population import (
     AggregationTree,
@@ -80,7 +84,6 @@ from repro.fl.server import Coordinator
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
 from repro.hardware.raspberry_pi import RaspberryPiEdgeServer
-from repro.sim.engine import Simulator
 
 SEED = 0
 POPULATION_SIZES = (1_000, 10_000, 100_000, 1_000_000)
@@ -126,11 +129,7 @@ MAX_RUN_STREAMS = 8
 FLEET_ROWS = ((100_000, 4), (100_000, 1), (1_000_000, 4))
 FLEET_ROUNDS = 3
 FLEET_N_TEST = 2_000
-# What one 784-feature training sample holds while the rounds run:
-# float32 features (4 B each) in the dataset and in the population
-# stacks, and the float64 (8 B) evaluation rows the trainer keeps for
-# its training loss.
-BYTES_PER_SAMPLE = 784 * (4 + 4 + 8)
+
 # A round's (K, P) float64 update matrix, per participant: the 784 x 10
 # model's 7 850 parameters.
 BYTES_PER_PARTICIPANT = 7_850 * 8
@@ -139,6 +138,16 @@ BYTES_PER_PARTICIPANT = 7_850 * 8
 BASE_BYTES = 200 * 2**20
 # A run must leave most of this 7 GiB host, which others share, free.
 MEMORY_CAP_BYTES = 3 * 2**30
+
+
+def _bytes_per_sample(rounds: int) -> int:
+    """What one 784-feature training sample holds while the rounds run:
+    float32 features (4 B each) in the dataset and in the population
+    stacks and, in a run long enough for the trainer to hold them
+    (``evaluation_rows``), float64 (8 B) training-loss evaluation rows;
+    shorter runs score the stored rows."""
+    held = rounds >= _HELD_TRANSPOSE_MIN_EVALUATIONS
+    return 784 * (4 + 4 + (8 if held else 0))
 
 
 def _peak_rss_bytes() -> int:
@@ -293,7 +302,7 @@ def _timed_layers():
         (LogisticRegressionModel, "loss", "eval"),
         (LogisticRegressionModel, "accuracy", "eval"),
         (Coordinator, "aggregate", "aggregate"),
-        (Simulator, "run", "simulation"),
+        (FederatedTrainer, "run", "training"),
     ]
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in wrapped]
     for (owner, name, layer), (_, _, original) in zip(wrapped, originals):
@@ -380,10 +389,10 @@ def run_population_round_row() -> dict:
         with _timed_layers() as calls, _object_counts() as built:
             result = execute_unit(spec, datasets=datasets)
         # A round runs from its run_round start to the next one's (the
-        # last to the end of the simulation): the prototype prices the
-        # round's energy and duration after run_round returns.
+        # last to the end of FederatedTrainer.run): the prototype prices
+        # the round's energy and duration after run_round returns.
         starts = [start for start, _ in calls["round"]]
-        ends = starts[1:] + [calls["simulation"][-1][1]]
+        ends = starts[1:] + [calls["training"][-1][1]]
         rounds = list(zip(starts, ends))
         round_s = [hi - lo for lo, hi in rounds]
         layers = {
@@ -449,8 +458,8 @@ def run_population_round_row() -> dict:
         "peak_rss_bytes": _peak_rss_bytes(),
         "layer_note": (
             "ledger = a round's wall time after run_round returns, until "
-            "the next round starts: energy and duration pricing plus the "
-            "simulator's bookkeeping"
+            "the next round starts: the prototype's energy and duration "
+            "pricing"
         ),
     }
     split = row["layer_seconds_per_round_median"]
@@ -525,7 +534,7 @@ def run_fleet_rows() -> list[dict]:
         spec = _fleet_spec(n_devices, samples)
         budget = (
             BASE_BYTES
-            + BYTES_PER_SAMPLE * spec.n_train
+            + _bytes_per_sample(spec.max_rounds) * spec.n_train
             + BYTES_PER_PARTICIPANT * spec.participants
         )
         row = {

@@ -165,8 +165,8 @@ class AsyncFederatedTrainer:
         )
 
     def _evaluate(self) -> tuple[float, float]:
-        # Float64 evaluation rows, built at the first evaluation and then
-        # held (see repro.fl.model.evaluation_rows).
+        # Evaluation rows, built at the first evaluation and then held
+        # (see repro.fl.model.evaluation_rows).
         if self._eval_sets is None:
             self._eval_sets = tuple(
                 Dataset(

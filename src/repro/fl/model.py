@@ -16,6 +16,7 @@ update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -118,34 +119,68 @@ def _cols_matmul(
     return np.ascontiguousarray(_swap(_swap(probs) @ features))
 
 
-# Building the held transpose of float32 features costs about 1.5
-# widenings (measured at 40 000 and 60 000 x 784), and each evaluation
-# on it saves about a quarter of the forward GEMM, so it pays from about
-# the fourth evaluation of the set.
-_HELD_TRANSPOSE_MIN_EVALUATIONS = 4
+# An owner holds the transpose of a float32 set it evaluates at least
+# this often.  Measured on one BLAS thread at 20 000 to 60 000 x 784
+# (BENCH_engine.json's evaluation row, four runs), its build costs 3.3 to
+# 4.3 times what each evaluation on it saves against scoring the stored
+# rows: at four evaluations the held float64 copy buys at most a few
+# milliseconds for its memory, and it repays its time from the fifth.
+_HELD_TRANSPOSE_MIN_EVALUATIONS = 5
+
+# Rows of float32 features widened at a time when a float32 set is
+# scored (:func:`_widened_row_blocks`): 6.3 MB at 784 features.  On one
+# BLAS thread, 1 024-row blocks scored 60 000 x 784 rows in 121 ms,
+# 4 096-row blocks in 141 ms and one widened copy in 363 ms.
+_EVAL_BLOCK_ROWS = 1024
+
+
+def _widened_row_blocks(
+    features: np.ndarray, width: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``features`` as float64 row blocks whose ``(d, width)`` forward
+    keeps the bits of the whole one: ``(rows, block)`` pairs.
+
+    One block of all rows for float64 features, or when the whole
+    forward is not swapped (:func:`_swaps_forward`): a GEMM that is not
+    swapped can sum a row differently at another row count.  Otherwise
+    blocks of ``_EVAL_BLOCK_ROWS`` rows, a tail too small to be swapped
+    joining the block before it, so every block's product is swapped as
+    the whole one is, and the swapped product gives each row the same
+    bits whatever the rows beside it (tests/fl/test_cohort_updates.py).
+    """
+    n, d = features.shape
+    if features.dtype == np.float64 or not _swaps_forward(n, d, width):
+        yield slice(0, n), features.astype(np.float64, copy=False)
+        return
+    min_rows = _SMALL_GEMM_MNK // (d * width) + 1
+    starts = list(range(0, n - min_rows + 1, max(_EVAL_BLOCK_ROWS, min_rows)))
+    for rows in map(slice, starts, [*starts[1:], n]):
+        yield rows, features[rows].astype(np.float64)
 
 
 def evaluation_rows(
     features: np.ndarray, model_config: object, evaluations: int
 ) -> np.ndarray:
-    """An evaluation set's ``features`` as float64 rows, laid out for speed.
+    """An evaluation set's ``features``, laid out for its evaluations.
 
     ``evaluations`` is how many times the owner may evaluate the set.
-    When that is at least ``_HELD_TRANSPOSE_MIN_EVALUATIONS`` and
-    :func:`_rows_matmul` swaps the logistic-regression forward (above
-    the small-GEMM cutoff), this is the ``.T`` view of
+    Below ``_HELD_TRANSPOSE_MIN_EVALUATIONS`` the logistic-regression
+    head gets the rows as stored: its ``loss`` and ``accuracy`` widen
+    float32 rows a block at a time, so no float64 copy of the set is
+    made.  From there on, where :func:`_rows_matmul` swaps the forward
+    (above the small-GEMM cutoff), this is the ``.T`` view of
     :func:`transpose_for_backward`: the swapped product then reads a
     C-ordered operand, BLAS's fast orientation, instead of a transposed
     view of row-major rows, with the same bits.  Otherwise, and for any
-    other model (the MLP), the rows are widened as they are.
+    other model (the MLP, whose forward changes bits under row blocks),
+    the rows are widened as they are.
     """
-    n, d = features.shape
-    if (
-        evaluations >= _HELD_TRANSPOSE_MIN_EVALUATIONS
-        and isinstance(model_config, LogisticRegressionConfig)
-        and _swaps_forward(n, d, model_config.n_classes)
-    ):
-        return transpose_for_backward(features).T
+    if isinstance(model_config, LogisticRegressionConfig):
+        if evaluations < _HELD_TRANSPOSE_MIN_EVALUATIONS:
+            return features
+        n, d = features.shape
+        if _swaps_forward(n, d, model_config.n_classes):
+            return transpose_for_backward(features).T
     return features.astype(np.float64, copy=False)
 
 
@@ -301,14 +336,34 @@ class LogisticRegressionModel:
         return probs / np.maximum(total, 1e-12)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Hard class predictions (argmax of the logits)."""
-        return np.argmax(self.logits(features), axis=-1)
+        """Hard class predictions (argmax of the logits).
+
+        Float32 ``features`` are widened a row block at a time.
+        """
+        predicted = np.empty(features.shape[0], np.intp)
+        for rows, block in _widened_row_blocks(features, self.config.n_classes):
+            predicted[rows] = np.argmax(self.logits(block), axis=-1)
+        return predicted
+
+    def _picked_proba(self, block: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` at each row's label, dividing only those."""
+        scores = self.logits(block)
+        if self.config.activation == "softmax":
+            unnormalised = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            total = unnormalised.sum(axis=-1)
+        else:
+            unnormalised = _sigmoid(scores)
+            total = np.maximum(unnormalised.sum(axis=-1), 1e-12)
+        return unnormalised[np.arange(block.shape[0]), labels] / total
 
     def loss(self, features: np.ndarray, labels: np.ndarray) -> float:
-        """Mean cross-entropy loss over the batch, eq. (1) of the paper."""
-        probs = self.predict_proba(features)
-        n = features.shape[0]
-        picked = probs[np.arange(n), labels]
+        """Mean cross-entropy loss over the batch, eq. (1) of the paper.
+
+        Float32 ``features`` are widened a row block at a time.
+        """
+        picked = np.empty(features.shape[0])
+        for rows, block in _widened_row_blocks(features, self.config.n_classes):
+            picked[rows] = self._picked_proba(block, labels[rows])
         data_loss = float(-np.mean(np.log(np.maximum(picked, 1e-12))))
         if self.config.l2:
             data_loss += 0.5 * self.config.l2 * float(np.sum(self.weights**2))
@@ -370,8 +425,8 @@ class LogisticRegressionModel:
             picked = probs[np.arange(n), labels]
         else:
             probs = _sigmoid(self.logits(features, features_t))
-            total = probs.sum(axis=-1, keepdims=True)
-            picked = (probs / np.maximum(total, 1e-12))[np.arange(n), labels]
+            total = np.maximum(probs.sum(axis=-1), 1e-12)
+            picked = probs[np.arange(n), labels] / total
         loss = float(-np.mean(np.log(np.maximum(picked, 1e-12))))
         if self.config.l2:
             loss += 0.5 * self.config.l2 * float(np.sum(self.weights**2))
@@ -383,7 +438,7 @@ class LogisticRegressionModel:
         return loss, np.concatenate([grad_w.ravel(), grad_b])
 
     def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
-        """Fraction of correctly classified samples."""
+        """Fraction of correctly classified samples (see :meth:`predict`)."""
         return float(np.mean(self.predict(features) == labels))
 
     def sgd_step(

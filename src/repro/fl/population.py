@@ -21,10 +21,10 @@ population as a handful of stacked tensors instead:
   per-client path's operation order.  With float64 inputs its results
   agree with the sequential client path to ``atol=1e-10``.
   :func:`train_cohort` runs it over lane blocks of about
-  ``_LANE_BLOCK_BYTES`` of compute-dtype features, all ``E`` epochs
-  per block, so a block stays in cache from its forward pass to its
-  backward pass and its temporaries stay small enough for malloc to
-  reuse.  Each lane is an independent GEMM chain, so the block size
+  ``_LANE_BLOCK_BYTES`` of compute-dtype features and weight-sized
+  arrays, all ``E`` epochs per block, so a block stays in cache from
+  its forward pass to its backward pass and its temporaries stay small
+  enough for malloc to reuse.  Each lane is an independent GEMM chain, so the block size
   never changes a bit.  It returns the cohort as one
   :class:`~repro.fl.client.CohortUpdates`: the ``(K, P)`` matrix the
   lane blocks wrote into, which aggregation reduces as it is.
@@ -74,10 +74,15 @@ __all__ = [
 ]
 
 
-# Compute-dtype feature bytes of one lane block in train_cohort.  At the
-# paper's shape (3 000 x 784 float64 per lane) a block is one lane; at
-# 4 x 784 it is 41.  1 MiB and 4 MiB measured the same.
-_LANE_BLOCK_BYTES = 1 << 20
+# Compute-dtype bytes one lane block of train_cohort works in: per
+# lane, its features and _LANE_WEIGHT_ARRAYS (d, C) arrays (the weights,
+# their gradient and the updated weights).  At the paper's shape (3 000
+# x 784 float64 per lane) a block is one lane; at 784 x 10 it is 21
+# lanes of 1 sample and 19 of 4.  On one BLAS thread, 10^4 lanes of 1
+# sample took 0.98 s a round in blocks of 21 lanes and 1.31 s in blocks
+# of 167, the block that counting only features gave.
+_LANE_BLOCK_BYTES = 4 << 20
+_LANE_WEIGHT_ARRAYS = 3
 
 
 def _even_split_sizes(total: int, parts: int) -> list[int]:
@@ -400,7 +405,9 @@ def train_cohort(
             else np.empty((count, anchor.shape[0]))
         )
         group_losses = np.empty(count)
-        lane_bytes = int(n) * d * state.dtype.itemsize
+        lane_bytes = (
+            (int(n) + _LANE_WEIGHT_ARRAYS * n_classes) * d * state.dtype.itemsize
+        )
         lanes = max(1, _LANE_BLOCK_BYTES // lane_bytes)
         for start in range(0, count, lanes):
             block = slice(start, start + lanes)

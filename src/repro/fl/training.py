@@ -265,14 +265,15 @@ class FederatedTrainer:
         return len(self.clients)
 
     def _evaluation_sets(self) -> tuple[Dataset, Dataset]:
-        """``(train_eval, test_eval)`` as float64 evaluation rows.
+        """``(train_eval, test_eval)`` as evaluation rows.
 
         See :func:`~repro.fl.model.evaluation_rows`: the logistic
         head's large sets are held transposed when the run has rounds
-        enough to repay the build, the rest widened.  Built at the first
-        evaluation rather than in ``__init__``, so set-up time does not
-        move, and then held: rebuilding on every call would cost as
-        much as the matmul it saves.
+        enough to repay the build, and otherwise scored from their
+        stored rows, widened a block at a time; the MLP's are widened.
+        Built at the first evaluation rather than in ``__init__``, so
+        set-up time does not move, and then held: rebuilding on every
+        call would cost as much as the matmul it saves.
         """
         if self._eval_sets is None:
             self._eval_sets = tuple(

@@ -7,6 +7,9 @@ fixture state (datasets are immutable; trainers are built per test).
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -27,6 +30,32 @@ from repro.core.objective import EnergyObjective
 from repro.data.dataset import Dataset
 from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.fl.model import LogisticRegressionConfig
+
+
+def _openblas_threads() -> str:
+    """The thread count of numpy's bundled OpenBLAS, or ``"unknown"``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for library in sorted(libs.glob("*openblas*")):
+        try:
+            threads = ctypes.CDLL(str(library)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        threads.restype = ctypes.c_int
+        return str(threads())
+    return "unknown"
+
+
+def pytest_report_header(config: pytest.Config) -> str:
+    # The float32 golden digests (tests/fl/test_dtype_contract.py) move
+    # with the BLAS thread count: they pass at 2 threads and fail at 1.
+    return f"OpenBLAS threads: {_openblas_threads()}"
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus: int) -> None:
+    # -q (the configured default) hides the header; a failed run still
+    # says how many threads its digests were computed with.
+    if exitstatus and terminalreporter.verbosity < 0:
+        terminalreporter.write_line(pytest_report_header(terminalreporter.config))
 
 
 @pytest.fixture(scope="session")

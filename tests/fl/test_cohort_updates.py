@@ -4,7 +4,8 @@ Pins that :class:`~repro.fl.client.CohortUpdates` aggregates to the
 bits of the per-update list path it replaced, that the finite check
 names the same clients, that dropout drawn as one vector consumes the
 stream as per-client scalar draws did, that evaluation rows held
-transposed give the widened rows' bits, that crash resampling at
+transposed or scored from stored float32 blocks give the widened rows'
+bits, that short runs copy no evaluation set, that crash resampling at
 population scale keeps its draws, and that a fault-free population
 round stacks nothing and builds no :class:`LocalUpdate`.
 """
@@ -12,6 +13,7 @@ round stacks nothing and builds no :class:`LocalUpdate`.
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +23,20 @@ from repro.data.synthetic_mnist import load_synthetic_mnist
 from repro.faults.injector import FaultInjector
 from repro.faults.models import CorruptionFault, FaultPlan, make_demo_plan, substream
 from repro.faults.policies import ResilienceConfig, RetryPolicy
+from repro.fl.async_training import AsyncConfig, AsyncFederatedTrainer
 from repro.fl.client import CohortUpdates, LocalUpdate
 from repro.fl.compression import TopKCompressor
 from repro.fl.history_io import history_to_json
 from repro.fl.mlp import MLPConfig
-from repro.fl.model import LogisticRegressionConfig, evaluation_rows
+from repro.fl.model import (
+    _EVAL_BLOCK_ROWS,
+    _HELD_TRANSPOSE_MIN_EVALUATIONS,
+    LogisticRegressionConfig,
+    LogisticRegressionModel,
+    _swaps_forward,
+    _widened_row_blocks,
+    evaluation_rows,
+)
 from repro.fl.partition import partition_iid
 from repro.fl.population import AggregationTree, PopulationState, train_cohort
 from repro.fl.server import (
@@ -248,13 +259,35 @@ class TestDropoutVector:
 
 
 class TestEvaluationRows:
-    """Held-transposed evaluation rows give the widened rows' bits."""
+    """Held-transposed and stored float32 evaluation rows give the
+    widened rows' bits."""
 
-    # 784 x 10: 127 rows stay under the small-GEMM cutoff, 128 swap.
-    @pytest.mark.parametrize("n", [100, 127, 128, 129, 1000])
-    @pytest.mark.parametrize("activation", ["softmax", "sigmoid"])
-    def test_loss_and_accuracy_bits(self, n, activation):
-        config = LogisticRegressionConfig(activation=activation)
+    # 784 x 10: 127 rows stay under the small-GEMM cutoff, 128 swap;
+    # float32 rows are widened in blocks of _EVAL_BLOCK_ROWS, a tail
+    # under 128 rows joining the block before it.
+    @pytest.mark.parametrize(
+        "n",
+        [
+            100,
+            127,
+            128,
+            129,
+            1000,
+            _EVAL_BLOCK_ROWS + 1,
+            _EVAL_BLOCK_ROWS + 127,
+            _EVAL_BLOCK_ROWS + 128,
+            2 * _EVAL_BLOCK_ROWS + 5,
+        ],
+    )
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(LogisticRegressionConfig(), id="softmax"),
+            pytest.param(LogisticRegressionConfig(activation="sigmoid"), id="sigmoid"),
+            pytest.param(LogisticRegressionConfig(l2=0.1), id="softmax_l2"),
+        ],
+    )
+    def test_loss_and_accuracy_bits(self, n, config):
         rng = np.random.default_rng(n)
         features = rng.random((n, 784), dtype=np.float32)
         labels = rng.integers(0, 10, size=n)
@@ -266,22 +299,135 @@ class TestEvaluationRows:
         np.testing.assert_array_equal(rows, widened)
         # Held transposed exactly where the forward swaps.
         assert rows.T.flags.c_contiguous == (n >= 128)
-        assert model.loss(rows, labels) == model.loss(widened, labels)
-        assert model.accuracy(rows, labels) == model.accuracy(widened, labels)
-        np.testing.assert_array_equal(model.logits(rows), model.logits(widened))
+        # The loss as predict_proba over the whole widened matrix gives it.
+        picked = model.predict_proba(widened)[np.arange(n), labels]
+        expected = float(-np.mean(np.log(np.maximum(picked, 1e-12))))
+        if config.l2:
+            expected += 0.5 * config.l2 * float(np.sum(model.weights**2))
+        logits = model.logits(widened)
+        for layout in (rows, widened, features):
+            assert model.loss(layout, labels) == expected
+            assert model.accuracy(layout, labels) == float(
+                np.mean(np.argmax(logits, axis=-1) == labels)
+            )
+            np.testing.assert_array_equal(
+                model.predict(layout), np.argmax(logits, axis=-1)
+            )
 
-    @pytest.mark.parametrize("evaluations", [1, 3])
-    def test_few_evaluations_keep_widened_rows(self, evaluations):
+    # 32 x 5 swaps from 6 251 rows, more than one _EVAL_BLOCK_ROWS;
+    # 784 x 12 is too wide to swap, so it is never split.
+    @pytest.mark.parametrize(
+        "d, width, n, n_blocks",
+        [
+            (784, 10, 2 * _EVAL_BLOCK_ROWS + 5, 2),
+            (32, 5, 2 * 6251 + 5, 2),
+            (784, 12, 3000, 1),
+        ],
+    )
+    def test_row_blocks_swap_as_the_whole_forward_does(
+        self, d, width, n, n_blocks
+    ):
+        config = LogisticRegressionConfig(n_features=d, n_classes=width)
+        rng = np.random.default_rng(n)
+        features = rng.random((n, d), dtype=np.float32)
+        labels = rng.integers(0, width, size=n)
+        model = config.build()
+        model.set_parameters(rng.normal(scale=0.3, size=config.n_parameters))
+        blocks = [rows for rows, _ in _widened_row_blocks(features, width)]
+        assert len(blocks) == n_blocks
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n
+        for rows in blocks:
+            assert _swaps_forward(
+                rows.stop - rows.start, d, width
+            ) == _swaps_forward(n, d, width)
+        widened = features.astype(np.float64)
+        assert model.loss(features, labels) == model.loss(widened, labels)
+        np.testing.assert_array_equal(
+            model.predict(features), np.argmax(model.logits(widened), axis=-1)
+        )
+
+    @pytest.mark.parametrize(
+        "evaluations", [1, _HELD_TRANSPOSE_MIN_EVALUATIONS - 1]
+    )
+    def test_few_evaluations_keep_stored_rows(self, evaluations):
         features = np.random.default_rng(0).random((500, 784), dtype=np.float32)
         config = LogisticRegressionConfig()
-        assert evaluation_rows(features, config, 4).T.flags.c_contiguous
-        rows = evaluation_rows(features, config, evaluations)
-        assert rows.flags.c_contiguous and rows.dtype == np.float64
+        held = evaluation_rows(features, config, _HELD_TRANSPOSE_MIN_EVALUATIONS)
+        assert held.T.flags.c_contiguous
+        assert evaluation_rows(features, config, evaluations) is features
 
     def test_mlp_keeps_widened_rows(self):
         features = np.random.default_rng(0).random((500, 784), dtype=np.float32)
-        rows = evaluation_rows(features, MLPConfig(), evaluations=10)
-        assert rows.flags.c_contiguous and rows.dtype == np.float64
+        for evaluations in (1, 10):
+            rows = evaluation_rows(features, MLPConfig(), evaluations)
+            assert rows.flags.c_contiguous and rows.dtype == np.float64
+
+
+def _paper_task(n: int, seed: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    return Dataset(
+        rng.random((n, 784), dtype=np.float32), rng.integers(0, 10, size=n), 10
+    )
+
+
+class TestShortRunsCopyNoEvaluationSet:
+    """A run with too few evaluations to hold the training set
+    transposed scores it from its stored float32 rows: the traced peak
+    of the run stays under the stored set's own size, where a float64
+    copy of it alone would be twice that."""
+
+    _TRAIN = _paper_task(8_000, 1)
+    _TEST = _paper_task(1_000, 2)
+    _CLIENTS = partition_iid(_paper_task(240, 3), 4, np.random.default_rng(4))
+
+    def _traced_peak(self, run) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def _evaluated_rows(self, monkeypatch) -> list[int]:
+        rows: list[int] = []
+        original = LogisticRegressionModel.loss
+
+        def loss(model, features, labels):
+            rows.append(features.shape[0])
+            assert features.dtype == np.float32
+            return original(model, features, labels)
+
+        monkeypatch.setattr(LogisticRegressionModel, "loss", loss)
+        return rows
+
+    def test_one_round_trainer(self, monkeypatch):
+        trainer = FederatedTrainer(
+            clients=build_clients(self._CLIENTS, LogisticRegressionConfig()),
+            config=FederatedConfig(
+                n_rounds=1, participants_per_round=2, local_epochs=1
+            ),
+            train_eval=self._TRAIN,
+            test_eval=self._TEST,
+        )
+        rows = self._evaluated_rows(monkeypatch)
+        peak = self._traced_peak(trainer.run)
+        assert rows == [8_000]
+        assert peak < self._TRAIN.features.nbytes
+
+    def test_short_async_trainer(self, monkeypatch):
+        trainer = AsyncFederatedTrainer(
+            clients=build_clients(self._CLIENTS, LogisticRegressionConfig()),
+            config=AsyncConfig(max_updates=4, local_epochs=1, eval_every=2),
+            train_eval=self._TRAIN,
+            test_eval=self._TEST,
+            duration_fn=lambda client_id: 1.0 + client_id,
+        )
+        rows = self._evaluated_rows(monkeypatch)
+        peak = self._traced_peak(trainer.run)
+        assert rows and set(rows) == {8_000}
+        assert peak < self._TRAIN.features.nbytes
 
 
 def test_crash_resampling_at_population_scale():

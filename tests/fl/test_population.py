@@ -35,6 +35,7 @@ from repro.fl.engine import (
 from repro.fl.mlp import MLPConfig
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.partition import partition_iid
+from repro.fl import population
 from repro.fl.population import (
     AggregationTree,
     PopulationState,
@@ -337,7 +338,7 @@ class TestLaneBlocks:
         state = PopulationState.from_datasets(
             _float32_partitions(len(self._COHORT), n), _PAPER_MODEL
         )
-        lane_bytes = n * 784 * 8
+        lane_bytes = (n + population._LANE_WEIGHT_ARRAYS * 10) * 784 * 8
         one_lane, whole = (
             self._train(state, monkeypatch, budget)
             for budget in (1, 1 << 40)
