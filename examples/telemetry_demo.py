@@ -9,9 +9,9 @@ testbed, and then inspects everything the observability layer captured:
   ``prototype.round``),
 * the metrics registry (gradient-step / upload counters, per-phase
   energy counters mirroring the paper's Fig. 3 breakdown, round-duration
-  histograms),
-* the span tree built by the tracer, and
-* the hot-path timers (enabled via ``profile_hot_paths=True``).
+  histograms and the ``profile.*`` client-training / aggregation timing
+  histograms), and
+* the span tree built by the tracer.
 
 Finally the whole log is dumped to JSONL and re-loaded to show the
 offline-analysis round trip.
@@ -31,7 +31,7 @@ from repro.obs import EventLog, Observer
 # ----------------------------------------------------------------------
 # 1. Build an observed prototype and run a short schedule.
 # ----------------------------------------------------------------------
-observer = Observer(profile_hot_paths=True)
+observer = Observer()
 
 train = generate_synthetic_mnist(480, seed=7)
 test = generate_synthetic_mnist(120, seed=8)
@@ -82,7 +82,7 @@ print(
 )
 
 # ----------------------------------------------------------------------
-# 4. Spans and hot-path timers.
+# 4. Spans and timing histograms.
 # ----------------------------------------------------------------------
 print()
 print("Span tree (first two rounds):")

@@ -24,7 +24,7 @@ Public API highlights:
 * :mod:`repro.hardware` — simulated Raspberry-Pi prototype + power meter.
 * :mod:`repro.iot` / :mod:`repro.net` — uplink and coordination channels.
 * :mod:`repro.experiments` — regenerates every table/figure of §VI.
-* :mod:`repro.obs` — structured events, metrics, tracing, profiling;
+* :mod:`repro.obs` — structured events, metrics and tracing;
   attach an :class:`~repro.obs.Observer` to any execution layer.
 
 Deprecated (still importable from here, with a ``DeprecationWarning``):
@@ -60,7 +60,7 @@ from repro.core import (
     EnergyPlan,
     EnergyPlanner,
 )
-from repro.obs import NullObserver, Observer
+from repro.obs import Observer
 
 __version__ = "1.0.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "EnergyParams",
     "EnergyPlan",
     "EnergyPlanner",
-    "NullObserver",
     "Observer",
     "RunSpec",
     "StoreHealthReport",

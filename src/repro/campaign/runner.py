@@ -48,7 +48,7 @@ from repro.hardware.prototype import (
     PrototypeConfig,
     PrototypeResult,
 )
-from repro.obs.observer import Observer, active_or_none
+from repro.obs.observer import Observer
 from repro.obs.sink import (
     SpoolObserver,
     TelemetryCollector,
@@ -488,7 +488,7 @@ class CampaignRunner:
         population_dtype_override: str | None = None,
     ) -> None:
         self.store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
-        self._observer = active_or_none(observer)
+        self._observer = observer
         self._chaos = chaos
         # Overrides rewrite the campaign itself, and the unit list is
         # always the rewritten campaign's own expansion — so the stored

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.closed_form import e_star, k_star
 from repro.core.objective import EnergyObjective
-from repro.obs.observer import active_or_none
 
 if TYPE_CHECKING:
     from repro.obs.observer import Observer
@@ -101,7 +100,7 @@ class ACSSolver:
         self.objective = objective
         self.residual = residual
         self.max_iterations = max_iterations
-        self._observer = active_or_none(observer)
+        self._observer = observer
         # Integer-plan energies already evaluated by the plateau walks;
         # distinct (K, E) pairs recur heavily across the K scan.
         self._energy_cache: dict[tuple[int, int], float] = {}

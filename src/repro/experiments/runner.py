@@ -17,9 +17,8 @@ Every subcommand shares one set of cross-cutting flags (factored into a
 single parent parser): ``--telemetry out.jsonl`` attaches a
 :class:`repro.obs.Observer` to the whole pipeline and dumps its
 structured events (plus a trailing ``metrics.snapshot`` line) to the
-file; ``--profile`` additionally enables hot-path timers; ``--backend``
-selects the FL execution engine; ``--fault-plan`` and ``--quorum``
-configure fault injection and resilience.  The per-figure subcommands
+file; ``--backend`` selects the FL execution engine; ``--fault-plan``
+and ``--quorum`` configure fault injection and resilience.  The per-figure subcommands
 additionally take ``--scale`` (``tiny`` for smoke runs, ``test`` for
 benchmark scale, ``paper`` for the full 60 000-sample setup).
 
@@ -75,11 +74,11 @@ SCALES: dict[str, ExperimentScale] = {
     "paper": PAPER_SCALE,
 }
 
-_CALIBRATION_CACHE: dict[str, CalibratedSystem] = {}
+# Calibrated systems by scale/backend, each with the observer its
+# prototype reports to.
+_CALIBRATION_CACHE: dict[str, tuple[Observer | None, CalibratedSystem]] = {}
 
-# Observer used by _system for the *next* calibration; set by main().
-# Experiments sharing an already-calibrated system keep that system's
-# observer — calibration happens once per scale per process.
+# Observer of the current main() call; set by main().
 _ACTIVE_OBSERVER: Observer | None = None
 
 # Fault-plan path / quorum override for the resilience experiment; set
@@ -92,14 +91,22 @@ _BACKEND: str = "sequential"
 
 
 def _system(scale: ExperimentScale) -> CalibratedSystem:
-    """Calibrate once per scale per process (fig4/5/6 share the system)."""
+    """Calibrate once per scale, backend and observer (fig4/5/6 share it).
+
+    A cached system is reused only under the observer it was calibrated
+    with: its prototype reports to that observer, so a later call with a
+    new one (or none) must not send its telemetry to the old one.
+    """
     key = f"{scale.name}/{_BACKEND}"
-    if key not in _CALIBRATION_CACHE:
+    cached = _CALIBRATION_CACHE.get(key)
+    if cached is None or cached[0] is not _ACTIVE_OBSERVER:
         print(f"[calibrating at scale {scale.name!r} ...]", file=sys.stderr)
-        _CALIBRATION_CACHE[key] = calibrate_system(
-            scale, observer=_ACTIVE_OBSERVER, backend=_BACKEND
+        cached = (
+            _ACTIVE_OBSERVER,
+            calibrate_system(scale, observer=_ACTIVE_OBSERVER, backend=_BACKEND),
         )
-    return _CALIBRATION_CACHE[key]
+        _CALIBRATION_CACHE[key] = cached
+    return cached[1]
 
 
 def _run_table1(scale: ExperimentScale) -> str:
@@ -298,7 +305,7 @@ def common_options() -> argparse.ArgumentParser:
     """The shared parent parser: flags every subcommand accepts.
 
     This is the single definition of the cross-cutting
-    ``--telemetry/--profile/--backend/--fault-plan/--quorum`` surface;
+    ``--telemetry/--backend/--fault-plan/--quorum`` surface;
     subcommands inherit it via ``parents=[...]`` instead of each
     re-declaring (and drifting from) its own copies.
     """
@@ -311,11 +318,6 @@ def common_options() -> argparse.ArgumentParser:
             "dump structured telemetry (JSONL events + metrics snapshot) "
             "of the whole run to PATH"
         ),
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="with --telemetry: also enable hot-path timers",
     )
     parser.add_argument(
         "--metrics-out",
@@ -728,11 +730,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    observer = (
-        Observer(profile_hot_paths=args.profile)
-        if _wants_observer(args)
-        else None
-    )
+    observer = Observer() if _wants_observer(args) else None
     fault_plan = (
         FaultPlan.load(args.fault_plan) if args.fault_plan is not None else None
     )
@@ -823,11 +821,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "campaign":
         return _run_campaign(args)
     scale = SCALES[args.scale]
-    observer = (
-        Observer(profile_hot_paths=args.profile)
-        if _wants_observer(args)
-        else None
-    )
+    observer = Observer() if _wants_observer(args) else None
     _ACTIVE_OBSERVER = observer
     _FAULT_PLAN_PATH = args.fault_plan
     _BACKEND = args.backend or "sequential"

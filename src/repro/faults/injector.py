@@ -32,7 +32,6 @@ from repro.faults.models import (
     substream,
 )
 from repro.iot.battery import Battery, BatteryConfig
-from repro.obs.observer import active_or_none
 
 if TYPE_CHECKING:
     from repro.obs.observer import Observer
@@ -67,7 +66,7 @@ class FaultInjector:
             )
         self.plan = plan
         self.n_clients = n_clients
-        self._observer = active_or_none(observer)
+        self._observer = observer
         self._crashes: dict[int, list[CrashFault]] = {}
         self._stragglers: dict[int, list[StragglerFault]] = {}
         self._corruptions: dict[int, list[CorruptionFault]] = {}

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.fl.client import CohortUpdates, LocalUpdate
 from repro.fl.model import LogisticRegressionConfig, LogisticRegressionModel
-from repro.obs.observer import active_or_none
 
 if TYPE_CHECKING:
     from repro.fl.population import AggregationTree
@@ -99,7 +98,7 @@ class Coordinator:
         observer: Observer | None = None,
         aggregation_tree: "AggregationTree | None" = None,
     ) -> None:
-        self._observer = active_or_none(observer)
+        self._observer = observer
         if aggregation not in ("mean", "weighted"):
             raise ValueError(
                 f"aggregation must be 'mean' or 'weighted'; got {aggregation!r}"
@@ -217,8 +216,8 @@ class Coordinator:
                 self._observer.counter("fl.tree_fan_in").inc(
                     self.aggregation_tree.fan_in(len(cohort))
                 )
-            self._observer.profiler.observe(
-                "profile.aggregate_s", time.perf_counter() - started
+            self._observer.histogram("profile.aggregate_s").observe(
+                time.perf_counter() - started
             )
             self._observer.emit(
                 "server.aggregate",

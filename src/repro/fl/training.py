@@ -54,7 +54,6 @@ from repro.fl.sampling import ClientSampler, UniformSampler
 from repro.fl.server import Coordinator
 from repro.fl.sgd import LearningRateSchedule, SGDConfig
 from repro.net.channel import ChannelConfig, WirelessChannel
-from repro.obs.observer import active_or_none
 from repro.perf.cache import EvalCache
 from repro.perf.cancel import check_cancelled
 
@@ -229,7 +228,7 @@ class FederatedTrainer:
                 f"fault injector covers {fault_injector.n_clients} clients "
                 f"but the trainer has {len(clients)}"
             )
-        self._observer = active_or_none(observer)
+        self._observer = observer
         self.coordinator = coordinator or Coordinator(
             self.model_config, observer=observer
         )
@@ -456,7 +455,7 @@ class FederatedTrainer:
                 if obs is not None:
                     steps = int(cohort.gradient_steps[row])
                     duration_s = float(cohort.durations_s[row])
-                    obs.profiler.observe("profile.client_train_s", duration_s)
+                    obs.histogram("profile.client_train_s").observe(duration_s)
                     obs.counter("fl.gradient_steps").inc(steps)
                     obs.emit(
                         "client.train",

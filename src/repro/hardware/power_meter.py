@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.constants import POWER_SAMPLE_RATE_HZ
 from repro.hardware.trace import PowerTrace
-from repro.obs.observer import active_or_none
 from repro.sim.processes import StepProcess
 
 if TYPE_CHECKING:
@@ -77,7 +76,7 @@ class PowerMeter:
         if noisy and rng is None:
             raise ValueError("a noisy meter requires an rng")
         self._rng = rng
-        self._observer = active_or_none(observer)
+        self._observer = observer
 
     def record(self, process: StepProcess) -> PowerTrace:
         """Sample the full span of ``process`` at the configured rate.

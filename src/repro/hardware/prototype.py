@@ -20,7 +20,7 @@ The "real measurement traces" of Figs. 5-6 are produced by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -48,10 +48,7 @@ from repro.net.messages import (
     model_download_message,
     model_upload_message,
 )
-from repro.obs.observer import active_or_none
 from repro.sim.processes import StepProcess
-
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.obs.observer import Observer
@@ -440,7 +437,7 @@ class HardwarePrototype:
         observer: "Observer | None" = None,
     ) -> None:
         self.config = config or PrototypeConfig()
-        self._observer = active_or_none(observer)
+        self._observer = observer
         if self.config.include_iot and iot_network is None:
             raise ValueError("include_iot=True requires an iot_network")
         self.train = train

@@ -1,4 +1,4 @@
-"""Observability: structured events, metrics, tracing, and profiling.
+"""Observability: structured events, metrics and tracing.
 
 The paper's argument is built on *measurement* — POWER-Z traces at 1 kHz
 feeding the ``(c0, c1)`` fit, per-round energy and timing behind every
@@ -6,7 +6,7 @@ figure.  This package gives the reproduction the same visibility at
 runtime:
 
 * :mod:`repro.obs.events` — an append-only structured event log
-  (``round.start``, ``client.train``, ``sim.event``, ...) with both
+  (``round.start``, ``client.train``, ``acs.iteration``, ...) with both
   monotonic wall time and simulation time, exportable as JSONL;
 * :mod:`repro.obs.metrics` — process-local counters, gauges, and
   fixed-bucket histograms (``fl.gradient_steps``,
@@ -14,10 +14,8 @@ runtime:
   text renderer;
 * :mod:`repro.obs.tracing` — a lightweight span API producing a
   parent/child tree with durations;
-* :mod:`repro.obs.profiling` — opt-in hot-path timers that aggregate
-  ``perf_counter`` deltas into histogram metrics;
 * :mod:`repro.obs.observer` — the :class:`Observer` facade bundling all
-  four, plus the :data:`NULL_OBSERVER` no-op backend;
+  three;
 * :mod:`repro.obs.sink` — cross-process transport: worker-side
   :class:`TelemetrySpool` files (append-only JSONL, crash-safe readable
   prefix) and the parent-side :class:`TelemetryCollector` that tails
@@ -29,10 +27,10 @@ runtime:
   Prometheus text and Chrome trace-event JSON.
 
 Every instrumented component (:class:`~repro.fl.training.FederatedTrainer`,
-:class:`~repro.sim.engine.Simulator`, :class:`~repro.core.acs.ACSSolver`,
+:class:`~repro.core.acs.ACSSolver`,
 :class:`~repro.hardware.prototype.HardwarePrototype`, ...) takes an
 optional ``observer`` and behaves identically — at negligible overhead —
-when none is attached.
+when it is ``None``, the one way to run without telemetry.
 """
 
 from repro.obs.aggregate import (
@@ -56,8 +54,7 @@ from repro.obs.metrics import (
     DEFAULT_DURATION_BUCKETS_S,
     parse_metric_name,
 )
-from repro.obs.observer import NULL_OBSERVER, NullObserver, Observer, active_or_none
-from repro.obs.profiling import HotPathProfiler
+from repro.obs.observer import Observer
 from repro.obs.sink import (
     SpoolObserver,
     TelemetryCollector,
@@ -65,7 +62,7 @@ from repro.obs.sink import (
     read_spool_records,
     read_spool_tail,
 )
-from repro.obs.tracing import NullTracer, Span, Tracer
+from repro.obs.tracing import Span, Tracer
 
 __all__ = [
     "CampaignTelemetry",
@@ -74,11 +71,7 @@ __all__ = [
     "EventLog",
     "Gauge",
     "Histogram",
-    "HotPathProfiler",
     "MetricsRegistry",
-    "NULL_OBSERVER",
-    "NullObserver",
-    "NullTracer",
     "ObsEvent",
     "Observer",
     "Span",
@@ -87,7 +80,6 @@ __all__ = [
     "TelemetrySpool",
     "Tracer",
     "UnitTelemetry",
-    "active_or_none",
     "merge_metric_records",
     "parse_metric_name",
     "read_spool_records",

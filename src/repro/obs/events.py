@@ -2,7 +2,7 @@
 
 Every instrumented component appends :class:`ObsEvent` records to an
 :class:`EventLog`.  An event carries a dotted *category*
-(``round.start``, ``client.train``, ``sim.event``, ``acs.iteration``),
+(``round.start``, ``client.train``, ``acs.iteration``),
 a monotonic wall-clock timestamp relative to the log's creation, an
 optional *simulation* timestamp (the two clocks deliberately coexist:
 a 280-round FedAvg run takes seconds of wall time but hours of simulated

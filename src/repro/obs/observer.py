@@ -1,10 +1,10 @@
-"""The :class:`Observer` facade: one handle bundling all four substrates.
+"""The :class:`Observer` facade: one handle bundling all three substrates.
 
 Instrumented components accept ``observer: Observer | None = None`` and
-do nothing when it is ``None`` (or a :class:`NullObserver`).  The
-convention for call sites::
+do nothing when it is ``None``, the one way to run without telemetry.
+The convention for call sites::
 
-    self._observer = active_or_none(observer)
+    self._observer = observer
     ...
     if self._observer is not None:
         self._observer.emit("round.start", round=t)
@@ -12,10 +12,6 @@ convention for call sites::
 so that disabled observability costs exactly one ``is not None`` check
 per instrumentation point — no event dict construction, no metric
 lookups, no clock reads.
-
-:data:`NULL_OBSERVER` is the module-level no-op backend: it satisfies
-the full :class:`Observer` API (so code holding an observer
-unconditionally still works) while recording nothing.
 """
 
 from __future__ import annotations
@@ -26,36 +22,23 @@ from typing import Any, Callable
 
 from repro.obs.events import EventLog, ObsEvent
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiling import HotPathProfiler
-from repro.obs.tracing import NullTracer, Tracer
+from repro.obs.tracing import Tracer
 
-__all__ = ["Observer", "NullObserver", "NULL_OBSERVER", "active_or_none"]
+__all__ = ["Observer"]
 
 
 class Observer:
-    """Bundle of event log + metrics registry + tracer + profiler.
+    """Bundle of event log + metrics registry + tracer.
 
     Args:
-        profile_hot_paths: enable the per-iteration hot-path timers
-            (off by default — events/metrics/spans are cheap, inner-loop
-            clock reads are not).
-        clock: shared monotonic time source for events, spans, and
-            profiler timers (injectable for deterministic tests).
+        clock: shared monotonic time source for events and spans
+            (injectable for deterministic tests).
     """
 
-    enabled = True
-
-    def __init__(
-        self,
-        profile_hot_paths: bool = False,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.events = EventLog(clock=clock)
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=clock)
-        self.profiler = HotPathProfiler(
-            self.metrics, enabled=profile_hot_paths, clock=clock
-        )
 
     # ------------------------------------------------------------------
     # Convenience pass-throughs (the facade most call sites use).
@@ -115,81 +98,3 @@ class Observer:
             f"--- metrics ---\n{self.metrics.render_text()}\n"
             f"--- spans ---\n{self.tracer.render_text()}"
         )
-
-
-class _NullEventLog(EventLog):
-    """Event log that drops everything."""
-
-    def emit(
-        self, category: str, sim_time: float | None = None, **fields: Any
-    ) -> None:  # type: ignore[override]
-        return None
-
-
-class _NullInstrument(Counter, Gauge):  # type: ignore[misc]
-    """A metric accepting every write and retaining nothing."""
-
-    def __init__(self) -> None:
-        Counter.__init__(self, "null", ())
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class _NullRegistry(MetricsRegistry):
-    """Registry handing out the shared write-only null instrument."""
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self, name: str, buckets: tuple[float, ...] | None = None, **labels: Any
-    ) -> Histogram:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-
-class NullObserver(Observer):
-    """No-op backend: full API, zero recording, negligible overhead."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.events = _NullEventLog()
-        self.metrics = _NullRegistry()
-        self.tracer = NullTracer()
-        self.profiler = HotPathProfiler(self.metrics, enabled=False)
-
-    def emit(
-        self, category: str, sim_time: float | None = None, **fields: Any
-    ) -> None:  # type: ignore[override]
-        return None
-
-
-NULL_OBSERVER = NullObserver()
-
-
-def active_or_none(observer: Observer | None) -> Observer | None:
-    """Normalise an optional observer for instrumented components.
-
-    Returns ``None`` for both ``None`` and disabled (null) observers, so
-    call sites guard every instrumentation point with a single
-    ``is not None`` check.
-    """
-    if observer is None or not observer.enabled:
-        return None
-    return observer

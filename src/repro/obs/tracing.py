@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_SPAN"]
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -156,40 +156,3 @@ class Tracer:
         for root in self.roots:
             walk(root, 0)
         return "\n".join(lines) if lines else "(no spans recorded)"
-
-
-class _NullSpanContext:
-    """Reusable no-op context manager yielding the shared null span."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> Span:
-        return NULL_SPAN
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-class _NullSpan(Span):
-    """Shared, permanently-finished span handed out by :class:`NullTracer`."""
-
-    __slots__ = ()
-
-    def set_attribute(self, key: str, value: Any) -> None:
-        return None
-
-
-NULL_SPAN = _NullSpan("null", {}, 0.0)
-NULL_SPAN.end_s = 0.0
-
-_NULL_CONTEXT = _NullSpanContext()
-
-
-class NullTracer(Tracer):
-    """Tracer that records nothing; ``span`` costs one attribute lookup."""
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def span(self, name: str, **attributes: Any) -> _NullSpanContext:  # type: ignore[override]
-        return _NULL_CONTEXT

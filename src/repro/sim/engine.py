@@ -1,9 +1,9 @@
 """A small discrete-event simulation engine.
 
-The hardware-prototype substrate replays the FEI round structure
-(waiting → download → train → upload) as timed events on a shared clock
-so that per-device power traces line up the way they did on the paper's
-physical testbed (20 Raspberry Pis synchronised by the coordinator).
+:class:`~repro.fl.async_training.AsyncFederatedTrainer` runs on it: each
+client job's completion is a timed event on a shared clock, so the
+server merges updates in simulated-time order.  The synchronous
+prototype prices its rounds directly and does not use it.
 
 The engine is deliberately generic: events are ``(time, priority, seq,
 action)`` tuples on a heap; actions are callables receiving the
@@ -16,12 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
-
-from repro.obs.observer import active_or_none
-
-if TYPE_CHECKING:
-    from repro.obs.observer import Observer
+from typing import Callable
 
 __all__ = ["Event", "Simulator"]
 
@@ -38,23 +33,14 @@ class Event:
 
 
 class Simulator:
-    """Deterministic event-driven simulator with a floating-point clock.
+    """Deterministic event-driven simulator with a floating-point clock."""
 
-    Args:
-        observer: optional telemetry sink.  When attached, every executed
-            event increments the ``sim.events_processed`` counter and
-            every *labelled* event is bridged into the structured event
-            log as a ``sim.event`` record carrying the simulation time —
-            the same information as :attr:`trace`, in the shared format.
-    """
-
-    def __init__(self, observer: "Observer | None" = None) -> None:
+    def __init__(self) -> None:
         self._queue: list[Event] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._processed = 0
         self._trace: list[tuple[float, str]] = []
-        self._observer = active_or_none(observer)
 
     @property
     def now(self) -> float:
@@ -143,15 +129,6 @@ class Simulator:
             self._trace.append((event.time, event.label))
         event.action(self)
         self._processed += 1
-        if self._observer is not None:
-            self._observer.counter("sim.events_processed").inc()
-            if event.label:
-                self._observer.emit(
-                    "sim.event",
-                    sim_time=event.time,
-                    label=event.label,
-                    priority=event.priority,
-                )
         return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:

@@ -114,6 +114,26 @@ class TestBitForBitTotals:
         store = _run(telemetry_campaign, tmp_path / "s", jobs=2)
         assert campaign_telemetry(store).reconcile() == []
 
+    def test_timing_histograms_survive_the_cross_process_fold(
+        self, tmp_path, tiny_spec
+    ) -> None:
+        campaign = CampaignSpec(
+            name="timed",
+            base=dataclasses.replace(tiny_spec, telemetry=True),
+            participants=(1, 2),
+        )
+        telemetry = campaign_telemetry(_run(campaign, tmp_path / "s", jobs=2))
+        assert len(telemetry) == 2
+        trained = sum(
+            u.reported["participants"] * u.reported["rounds"]
+            for u in telemetry.units
+        )
+        rounds = sum(u.reported["rounds"] for u in telemetry.units)
+        totals = telemetry.totals()
+        assert totals.histogram("profile.client_train_s").count == trained
+        assert totals.histogram("profile.aggregate_s").count == rounds
+        assert telemetry.reconcile() == []
+
 
 class TestFaultedReconciliation:
     def test_resilient_faulted_unit_reconciles(self, tmp_path, tiny_spec) -> None:

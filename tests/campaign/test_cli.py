@@ -18,11 +18,10 @@ class TestSharedFlags:
         self, command: str
     ) -> None:
         args = build_parser().parse_args(
-            [command, "--backend", "pool", "--quorum", "2", "--profile"]
+            [command, "--backend", "pool", "--quorum", "2"]
         )
         assert args.backend == "pool"
         assert args.quorum == 2
-        assert args.profile is True
         assert args.scale == "tiny"
 
     def test_campaign_accepts_common_flags(self, tmp_path) -> None:

@@ -77,13 +77,12 @@ class TestMain:
     def test_calibration_cached_across_invocations(
         self, capsys: pytest.CaptureFixture
     ) -> None:
-        # The previous test calibrated 'tiny'; a second plan run must
-        # reuse the cache (same object identity).
-        before = runner._CALIBRATION_CACHE.get("tiny")
+        # A second plan run without telemetry must reuse the calibrated
+        # system (same object identity).
         assert main(["plan", "--scale", "tiny"]) == 0
-        after = runner._CALIBRATION_CACHE.get("tiny")
-        if before is not None:
-            assert after is before
+        before = runner._CALIBRATION_CACHE["tiny/sequential"]
+        assert main(["plan", "--scale", "tiny"]) == 0
+        assert runner._CALIBRATION_CACHE["tiny/sequential"] is before
 
 
 @pytest.mark.telemetry_smoke
@@ -108,6 +107,23 @@ class TestTelemetry:
         end = log.filter("experiment.end")[0]
         assert end.fields["experiment"] == "fig3"
         assert end.fields["duration_s"] > 0
+
+    def test_telemetry_after_a_cached_calibration(
+        self, tmp_path, monkeypatch: pytest.MonkeyPatch, capsys
+    ) -> None:
+        # A system calibrated without telemetry must not be reused by a
+        # later --telemetry call: its prototype would report to no one.
+        from repro.obs import EventLog
+
+        monkeypatch.setattr(
+            runner, "_CALIBRATION_CACHE", dict(runner._CALIBRATION_CACHE)
+        )
+        assert main(["plan", "--scale", "tiny"]) == 0
+        out = tmp_path / "telemetry.jsonl"
+        assert main(["plan", "--scale", "tiny", "--telemetry", str(out)]) == 0
+        categories = EventLog.load_jsonl(out).categories()
+        assert categories.get("round.end", 0) > 0
+        assert categories.get("prototype.round", 0) == categories["round.end"]
 
     def test_no_telemetry_leaves_observer_unset(self) -> None:
         assert main(["table1"]) == 0

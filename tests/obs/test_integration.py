@@ -1,11 +1,10 @@
 """End-to-end observability: instrumented runs reconcile with ground truth.
 
 These are the acceptance tests of the ``repro.obs`` subsystem: a
-:class:`FederatedTrainer` run, a :class:`Simulator` run, and a full
-:class:`HardwarePrototype` run each produce an event log and a metrics
-snapshot whose counters match the quantities the code under test reports
-itself — and with no observer attached, every public API behaves
-unchanged.
+:class:`FederatedTrainer` run and a full :class:`HardwarePrototype` run
+each produce an event log and a metrics snapshot whose counters match
+the quantities the code under test reports itself — and with no observer
+attached, every public API behaves unchanged.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.fl.partition import partition_iid
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
 from repro.hardware.prototype import HardwarePrototype, PrototypeConfig
-from repro.obs import NULL_OBSERVER, EventLog, NullObserver, Observer
+from repro.obs import EventLog, Observer
 from repro.sim.engine import Simulator
 
 _CONFIG = LogisticRegressionConfig(n_features=8, n_classes=3)
@@ -121,55 +120,45 @@ class TestTrainerTelemetry:
         assert len(uploads) == len(trains) - dropped
         assert observer.metrics.value("fl.uploads") == trainer.total_uploads
 
-    def test_profiling_opt_in(self) -> None:
-        plain = Observer()
-        _observed_trainer(plain, n_rounds=2).run()
-        assert "profile.client_train_s" not in plain.metrics.snapshot()
-
-        profiled = Observer(profile_hot_paths=True)
-        trainer = _observed_trainer(profiled, n_rounds=2)
+    def test_timing_histograms_recorded(self) -> None:
+        observer = Observer()
+        trainer = _observed_trainer(observer, n_rounds=2)
         trainer.run()
-        histogram = profiled.metrics.histogram("profile.client_train_s")
+        histogram = observer.metrics.histogram("profile.client_train_s")
         assert histogram.count == 2 * trainer.config.participants_per_round
-        assert profiled.metrics.histogram("profile.aggregate_s").count == 2
+        assert histogram.count == len(observer.events.filter("client.train"))
+        assert observer.metrics.histogram("profile.aggregate_s").count == 2
+
 
 
 @pytest.mark.telemetry_smoke
 class TestSimulatorTelemetry:
+    """The Simulator keeps its own telemetry: ``trace`` and ``events_processed``."""
+
     def test_events_processed_counter_reconciles(self) -> None:
-        observer = Observer()
-        sim = Simulator(observer=observer)
+        sim = Simulator()
         for delay in (1.0, 2.0, 3.0):
             sim.schedule(delay, lambda s: None, label="tick")
         sim.run()
-        assert observer.metrics.value("sim.events_processed") == 3
         assert sim.events_processed == 3
+        assert len(sim.trace) == 3
 
     def test_trace_labels_bridged_with_sim_time(self) -> None:
-        observer = Observer()
-        sim = Simulator(observer=observer)
+        sim = Simulator()
         sim.schedule(1.5, lambda s: None, label="round-start")
-        sim.schedule(2.0, lambda s: None)  # unlabelled: counted, not logged
+        sim.schedule(2.0, lambda s: None)  # unlabelled: counted, not traced
         sim.run()
-        bridged = observer.events.filter("sim.event")
-        assert [(e.sim_time_s, e.fields["label"]) for e in bridged] == [
-            (1.5, "round-start")
-        ]
-        assert observer.metrics.value("sim.events_processed") == 2
+        assert sim.events_processed == 2
         assert sim.trace == [(1.5, "round-start")]
 
     def test_cancelled_events_not_counted(self) -> None:
-        observer = Observer()
-        sim = Simulator(observer=observer)
-        keep = sim.schedule(1.0, lambda s: None, label="keep")
+        sim = Simulator()
+        sim.schedule(1.0, lambda s: None, label="keep")
         drop = sim.schedule(0.5, lambda s: None, label="drop")
         sim.cancel(drop)
         sim.run()
-        assert observer.metrics.value("sim.events_processed") == 1
-        assert [e.fields["label"] for e in observer.events.filter("sim.event")] == [
-            "keep"
-        ]
-
+        assert sim.events_processed == 1
+        assert sim.trace == [(1.0, "keep")]
 
 @pytest.mark.telemetry_smoke
 class TestPrototypeTelemetry:
@@ -249,9 +238,9 @@ class TestACSTelemetry:
 
 
 class TestDisabledObservability:
-    """With no observer (or a null one) every public API works unchanged."""
+    """With no observer every public API works unchanged."""
 
-    @pytest.mark.parametrize("observer", [None, NULL_OBSERVER, NullObserver()])
+    @pytest.mark.parametrize("observer", [None])
     def test_trainer_identical_without_observer(self, observer) -> None:
         baseline = _observed_trainer(None, n_rounds=3).run()
         observed = _observed_trainer(observer, n_rounds=3).run()
@@ -262,14 +251,6 @@ class TestDisabledObservability:
         baseline = _observed_trainer(None, n_rounds=3).run()
         observed = _observed_trainer(Observer(), n_rounds=3).run()
         np.testing.assert_array_equal(baseline.losses, observed.losses)
-
-    def test_null_observer_records_nothing(self) -> None:
-        observer = NullObserver()
-        trainer = _observed_trainer(observer, n_rounds=2)
-        trainer.run()
-        assert len(observer.events) == 0
-        assert len(observer.metrics) == 0
-        assert observer.tracer.roots == []
 
     def test_observed_prototype_energy_identical(self) -> None:
         train = generate_synthetic_mnist(160, seed=3)

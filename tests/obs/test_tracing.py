@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.tracing import NULL_SPAN, NullTracer, Tracer
+from repro.obs.tracing import Tracer
 
 
 def _ticking_clock(step: float = 1.0):
@@ -118,17 +118,3 @@ class TestExport:
         assert "round" in text
         assert "  inner" in text
         assert "(no spans" in Tracer().render_text()
-
-
-class TestNullTracer:
-    def test_records_nothing(self) -> None:
-        tracer = NullTracer()
-        with tracer.span("round", round=0) as span:
-            assert span is NULL_SPAN
-            with tracer.span("inner"):
-                pass
-        assert tracer.roots == []
-
-    def test_null_span_is_safe(self) -> None:
-        NULL_SPAN.set_attribute("ignored", 1)
-        assert NULL_SPAN.duration_s == 0.0
