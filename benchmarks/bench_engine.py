@@ -32,8 +32,9 @@ The ``evaluation`` row times one training-loss evaluation of a float32
 evaluation set (``EVALUATION_ROWS`` x 784, build included) in the three
 layouts :func:`repro.fl.model.evaluation_rows` chooses between: the
 stored rows streamed through ``loss`` in widened row blocks, the held
-transpose, and one widened float64 copy.  Each layout's peak-RSS growth
-is measured in a fresh child process.  It fails if the layouts' losses
+transpose, and one widened float64 copy, at a CPU budget of 1 and of 2
+(:mod:`repro.perf.cpu`, forced through its private BLAS-thread reader).
+Each layout's peak-RSS growth is measured in a fresh child process.  It fails if the layouts' losses
 or accuracies differ by a bit, or if a streamed evaluation takes longer
 than a widened one; it records from which evaluation the held
 transpose's build pays for itself (``_HELD_TRANSPOSE_MIN_EVALUATIONS``).
@@ -67,6 +68,7 @@ import os
 for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_blas_threads, "1")
 
+import contextlib
 import json
 import math
 import statistics
@@ -88,6 +90,7 @@ from repro.fl.model import (
 from repro.fl.partition import partition_iid
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
+from repro.perf import cpu
 
 N_SERVERS = 20
 SEED = 0
@@ -147,6 +150,7 @@ GEMM_LEARNING_RATE = 0.01
 EVALUATION_ROWS = (20_000, 40_000, 60_000)
 EVALUATION_PAIRS = 5
 EVALUATION_LAYOUTS = ("streamed", "held", "widened")
+EVALUATION_BUDGETS = (1, 2)
 
 
 def _available_cpus() -> int:
@@ -333,81 +337,116 @@ def _rss_high_water_bytes() -> int:
     raise RuntimeError("no VmHWM line in /proc/self/status")
 
 
-def evaluation_child(n: int, layout: str) -> dict:
+@contextlib.contextmanager
+def _cpu_budget(budget: int):
+    """Run at CPU budget ``budget`` by what the BLAS reader reports:
+    ``None`` (unknown) gives 1, a ``1/budget`` share of the CPUs gives
+    ``budget`` on a mask of ``budget`` CPUs."""
+    reader = cpu._blas_threads
+    cpu._blas_threads = (
+        (lambda: None) if budget == 1 else (lambda: cpu.cpu_share() // budget)
+    )
+    try:
+        yield cpu.cpu_budget()
+    finally:
+        cpu._blas_threads = reader
+
+
+def evaluation_child(n: int, layout: str, budget: int) -> dict:
     """One evaluation in this (fresh) process: its peak-RSS growth."""
     kernel, features, labels = _evaluation_set(n, PAPER_MODEL)
     before = _rss_high_water_bytes()
-    kernel.loss(_evaluation_layout(layout, features, PAPER_MODEL), labels)
+    with _cpu_budget(budget):
+        kernel.loss(_evaluation_layout(layout, features, PAPER_MODEL), labels)
     return {"rss_growth_bytes": _rss_high_water_bytes() - before}
 
 
 def run_evaluation_layouts(model: LogisticRegressionConfig) -> list[dict]:
-    """Per size: seconds per one-shot evaluation of each layout, build
-    included, and of an evaluation on held rows already built."""
+    """Per CPU budget and size: seconds per one-shot evaluation of each
+    layout, build included, and of an evaluation on held rows already
+    built."""
     rows = []
-    for n in EVALUATION_ROWS:
-        kernel, features, labels = _evaluation_set(n, model)
-        times: dict[str, list[float]] = {
-            name: [] for name in (*EVALUATION_LAYOUTS, "held_built")
-        }
-        results = {}
-        for pair in range(EVALUATION_PAIRS):
-            order = EVALUATION_LAYOUTS[:: 1 if pair % 2 else -1]
-            for layout in order:
-                started = time.perf_counter()
-                evaluated = _evaluation_layout(layout, features, model)
-                loss = kernel.loss(evaluated, labels)
-                times[layout].append(time.perf_counter() - started)
-                if layout == "held":
-                    started = time.perf_counter()
-                    kernel.loss(evaluated, labels)
-                    times["held_built"].append(time.perf_counter() - started)
-                results[layout] = (loss, kernel.accuracy(evaluated, labels))
-                del evaluated
-        seconds = {name: statistics.median(v) for name, v in times.items()}
-        # Held rows pay from the evaluation at which their build plus
-        # each evaluation on them costs no more than streaming every one.
-        build = seconds["held"] - seconds["held_built"]
-        saved = seconds["streamed"] - seconds["held_built"]
-        growth = {}
-        for layout in EVALUATION_LAYOUTS:
-            child = subprocess.run(
-                [sys.executable, __file__, "--evaluation-child", str(n), layout],
-                check=True,
-                capture_output=True,
-                text=True,
-            )
-            growth[layout] = json.loads(child.stdout.splitlines()[-1])[
-                "rss_growth_bytes"
-            ]
-        row = {
-            "rows": n,
-            "pairs": EVALUATION_PAIRS,
-            "seconds_median": seconds,
-            "rss_growth_bytes": growth,
-            "streamed_over_widened": statistics.median(
-                s / w for s, w in zip(times["streamed"], times["widened"])
-            ),
-            "held_pays_from_evaluations": (
-                math.ceil(build / saved) if saved > 0 else None
-            ),
-            "identical_results": len(set(results.values())) == 1,
-        }
-        print(
-            f"  {n:,d} rows: "
-            + ", ".join(
-                f"{name} {value * 1000:.0f} ms"
-                for name, value in seconds.items()
-            )
-            + "; RSS growth "
-            + ", ".join(
-                f"{name} {value / 2**20:.0f} MiB"
-                for name, value in growth.items()
-            )
-            + f"; held pays from evaluation {row['held_pays_from_evaluations']}"
-        )
-        rows.append(row)
+    for budget in EVALUATION_BUDGETS:
+        for n in EVALUATION_ROWS:
+            with _cpu_budget(budget) as actual:
+                row = _evaluation_row(model, n, budget)
+            row["cpu_budget"] = actual
+            rows.append(row)
     return rows
+
+
+def _evaluation_row(
+    model: LogisticRegressionConfig, n: int, budget: int
+) -> dict:
+    kernel, features, labels = _evaluation_set(n, model)
+    times: dict[str, list[float]] = {
+        name: [] for name in (*EVALUATION_LAYOUTS, "held_built")
+    }
+    results = {}
+    for pair in range(EVALUATION_PAIRS):
+        order = EVALUATION_LAYOUTS[:: 1 if pair % 2 else -1]
+        for layout in order:
+            started = time.perf_counter()
+            evaluated = _evaluation_layout(layout, features, model)
+            loss = kernel.loss(evaluated, labels)
+            times[layout].append(time.perf_counter() - started)
+            if layout == "held":
+                started = time.perf_counter()
+                kernel.loss(evaluated, labels)
+                times["held_built"].append(time.perf_counter() - started)
+            results[layout] = (loss, kernel.accuracy(evaluated, labels))
+            del evaluated
+    seconds = {name: statistics.median(v) for name, v in times.items()}
+    # Held rows pay from the evaluation at which their build plus
+    # each evaluation on them costs no more than streaming every one.
+    build = seconds["held"] - seconds["held_built"]
+    saved = seconds["streamed"] - seconds["held_built"]
+    growth = {}
+    for layout in EVALUATION_LAYOUTS:
+        child = subprocess.run(
+            [
+                sys.executable,
+                __file__,
+                "--evaluation-child",
+                str(n),
+                layout,
+                str(budget),
+            ],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        growth[layout] = json.loads(child.stdout.splitlines()[-1])[
+            "rss_growth_bytes"
+        ]
+    row = {
+        "rows": n,
+        "pairs": EVALUATION_PAIRS,
+        "seconds_median": seconds,
+        "rss_growth_bytes": growth,
+        "streamed_over_widened": statistics.median(
+            s / w for s, w in zip(times["streamed"], times["widened"])
+        ),
+        "held_pays_from_evaluations": (
+            math.ceil(build / saved) if saved > 0 else None
+        ),
+        "identical_results": len(set(results.values())) == 1,
+        "loss_accuracy": list(results["held"]),
+    }
+    print(
+        f"  budget {budget}, {n:,d} rows: "
+        + ", ".join(
+            f"{name} {value * 1000:.0f} ms"
+            for name, value in seconds.items()
+        )
+        + "; RSS growth "
+        + ", ".join(
+            f"{name} {value / 2**20:.0f} MiB"
+            for name, value in growth.items()
+        )
+        + f"; held pays from evaluation {row['held_pays_from_evaluations']}"
+    )
+    return row
 
 
 def _trainer(
@@ -565,7 +604,7 @@ def run_headline(data, model: LogisticRegressionConfig) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if args[:1] == ["--evaluation-child"]:
-        print(json.dumps(evaluation_child(int(args[1]), args[2])))
+        print(json.dumps(evaluation_child(int(args[1]), args[2], int(args[3]))))
         return 0
     out_path = Path(args[0]) if args else Path("BENCH_engine.json")
 
@@ -715,13 +754,20 @@ def main(argv: list[str] | None = None) -> int:
     for row in evaluation:
         if not row["identical_results"]:
             failures.append(
-                f"evaluation layouts disagree at {row['rows']:,d} rows: the "
+                f"evaluation layouts disagree at {row['rows']:,d} rows "
+                f"(budget {row['cpu_budget']}): the "
                 "streamed, held and widened rows must give the same bits"
             )
         if row["streamed_over_widened"] > 1.0:
             failures.append(
                 f"a streamed evaluation of {row['rows']:,d} float32 rows takes "
-                f"{row['streamed_over_widened']:.2f}x a widened one"
+                f"{row['streamed_over_widened']:.2f}x a widened one "
+                f"(budget {row['cpu_budget']})"
+            )
+    for n in EVALUATION_ROWS:
+        if len({tuple(r["loss_accuracy"]) for r in evaluation if r["rows"] == n}) > 1:
+            failures.append(
+                f"CPU budgets 1 and 2 gave different evaluations at {n:,d} rows"
             )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

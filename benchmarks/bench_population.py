@@ -29,6 +29,16 @@ Three questions, one artifact (``BENCH_population.json``):
   ``EdgeServerClient``s, ``RaspberryPiEdgeServer``s and
   ``Dataset.subset`` copies, guarded at 0, and ``np.random.default_rng``
   streams, guarded below ``MAX_RUN_STREAMS`` whatever N is.
+* **CPU budget** — two rounds timed at a CPU budget of 1 and of 2
+  (:mod:`repro.perf.cpu`), in alternated pairs, in a child process with
+  one BLAS thread (as ``benchmarks/e2e`` runs; at OpenBLAS's default of
+  2 threads on 2 vCPUs the budget is 1 and nothing is threaded): a
+  ``population-10k``-shaped round (``train_cohort`` over 1 000
+  four-sample lanes, then a loss evaluation of 40 000 held rows and an
+  accuracy of 2 000) and a paper-shaped population round (20 lanes of
+  3 000 samples, E=16, then 60 000 + 10 000 held rows).  The budget is
+  forced through the module's private BLAS-thread reader.  Both budgets
+  must give identical bits, and budget 2 may take no longer than 1.
 * **Fleet** — ``RunSpec`` to ``PrototypeResult`` at 10^5 and 10^6
   devices (population backend, K = 10 % of N, E=1, 3 rounds), each in
   a fresh process: data-generation and set-up seconds (set-up runs from
@@ -51,6 +61,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -72,8 +83,9 @@ from repro.fl.model import (
     _HELD_TRANSPOSE_MIN_EVALUATIONS,
     LogisticRegressionConfig,
     LogisticRegressionModel,
+    evaluation_rows,
 )
-from repro.fl.partition import partition_iid
+from repro.fl.partition import iid_partitions, partition_iid
 from repro.fl.population import (
     AggregationTree,
     PopulationState,
@@ -84,6 +96,7 @@ from repro.fl.server import Coordinator
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
 from repro.hardware.raspberry_pi import RaspberryPiEdgeServer
+from repro.perf import cpu
 
 SEED = 0
 POPULATION_SIZES = (1_000, 10_000, 100_000, 1_000_000)
@@ -123,6 +136,20 @@ ROUND_REPEATS = 2
 # Generators one execute_unit draws from whatever N is: the split, the
 # sampler, and the dropout and resilience streams.
 MAX_RUN_STREAMS = 8
+
+# The CPU-budget row: (name, train rows, test rows, clients, cohort,
+# epochs); every client holds train rows / clients samples.
+BUDGET_ROUNDS = (
+    ("population-10k", 40_000, 2_000, 10_000, 1_000, 1),
+    ("paper", 60_000, 10_000, 20, 20, 16),
+)
+BUDGET_PAIRS = 5
+BUDGETS = (1, 2)
+BUDGET_CHILD_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
 
 # The fleet rows: (devices, samples per device).  The ROADMAP's ask is
 # 4 samples per device; 1 is the most a 10^5 fleet can hold here.
@@ -475,6 +502,117 @@ def run_population_round_row() -> dict:
     return row
 
 
+@contextlib.contextmanager
+def _cpu_budget(budget: int):
+    """Run at CPU budget ``budget`` by what the BLAS reader reports:
+    ``None`` (unknown) gives 1, a ``1/budget`` share of the CPUs gives
+    ``budget`` on a mask of ``budget`` CPUs."""
+    reader = cpu._blas_threads
+    cpu._blas_threads = (
+        (lambda: None) if budget == 1 else (lambda: cpu.cpu_share() // budget)
+    )
+    try:
+        yield cpu.cpu_budget()
+    finally:
+        cpu._blas_threads = reader
+
+
+def budget_child() -> dict:
+    """The CPU-budget rounds, in this process (run with one BLAS thread)."""
+    rounds = []
+    for name, n_train, n_test, clients, cohort, epochs in BUDGET_ROUNDS:
+        train, test = load_synthetic_mnist(
+            n_train=n_train, n_test=n_test, seed=SEED
+        )
+        model_config = LogisticRegressionConfig()
+        state = PopulationState.from_partitions(
+            iid_partitions(train, clients, np.random.default_rng(SEED)),
+            model_config,
+        )
+        ids = np.sort(
+            np.random.default_rng(SEED).choice(clients, cohort, replace=False)
+        )
+        params = np.random.default_rng(SEED + 1).normal(
+            scale=0.01, size=model_config.n_parameters
+        )
+        model = model_config.build()
+        model.set_parameters(params)
+        held_train = evaluation_rows(train.features, model_config, 10)
+        held_test = evaluation_rows(test.features, model_config, 10)
+
+        def one_round():
+            started = time.perf_counter()
+            updates = train_cohort(
+                state, ids, params, epochs=epochs, learning_rate=0.01
+            )
+            trained = time.perf_counter()
+            loss = model.loss(held_train, train.labels)
+            accuracy = model.accuracy(held_test, test.labels)
+            ended = time.perf_counter()
+            digest = hashlib.sha256(updates.parameters.tobytes())
+            digest.update(updates.losses.tobytes())
+            digest.update(repr((loss, accuracy)).encode())
+            return ended - started, trained - started, digest.hexdigest()
+
+        times: dict[int, list] = {budget: [] for budget in BUDGETS}
+        digests = set()
+        budgets_seen = dict.fromkeys(BUDGETS)
+        one_round()  # warm the allocator and the caches
+        for pair in range(BUDGET_PAIRS):
+            for budget in BUDGETS[:: 1 if pair % 2 else -1]:
+                with _cpu_budget(budget) as actual:
+                    round_s, train_s, digest = one_round()
+                budgets_seen[budget] = actual
+                times[budget].append((round_s, train_s))
+                digests.add(digest)
+        rounds.append(
+            {
+                "name": name,
+                "cohort": cohort,
+                "samples_per_lane": n_train // clients,
+                "epochs": epochs,
+                "evaluated_rows": [n_train, n_test],
+                "pairs": BUDGET_PAIRS,
+                "budgets": budgets_seen,
+                "round_s_median": {
+                    str(b): statistics.median(r for r, _ in v)
+                    for b, v in times.items()
+                },
+                "train_s_median": {
+                    str(b): statistics.median(t for _, t in v)
+                    for b, v in times.items()
+                },
+                "identical_bits": len(digests) == 1,
+            }
+        )
+        del state, held_train, held_test, train, test
+    return {"blas_threads": cpu._blas_threads(), "rounds": rounds}
+
+
+def run_cpu_budget_row() -> dict:
+    """The CPU-budget rounds, in a child process with one BLAS thread."""
+    child = subprocess.run(
+        [sys.executable, __file__, "--budget-row"],
+        check=True,
+        capture_output=True,
+        text=True,
+        env={**os.environ, **BUDGET_CHILD_ENV},
+    )
+    row = json.loads(child.stdout.splitlines()[-1])
+    for shape in row["rounds"]:
+        one, two = (shape["round_s_median"][str(b)] for b in BUDGETS)
+        train_one, train_two = (shape["train_s_median"][str(b)] for b in BUDGETS)
+        shape["round_ratio"] = two / one
+        print(
+            f"cpu budget, {shape['name']} round: {one * 1000:.0f} ms at "
+            f"budget 1, {two * 1000:.0f} ms at budget "
+            f"{shape['budgets'][str(BUDGETS[1])]} ({two / one:.2f}x); "
+            f"training {train_one * 1000:.0f} -> {train_two * 1000:.0f} ms; "
+            f"identical bits: {shape['identical_bits']}"
+        )
+    return row
+
+
 def _fleet_spec(n_devices: int, samples: int) -> RunSpec:
     return RunSpec(
         name=f"fleet-{n_devices}x{samples}",
@@ -580,12 +718,16 @@ def main(argv: list[str] | None = None) -> int:
     if args[:1] == ["--fleet-row"]:
         print(json.dumps(fleet_child(int(args[1]), int(args[2]))))
         return 0
+    if args[:1] == ["--budget-row"]:
+        print(json.dumps(budget_child()))
+        return 0
     out_path = Path(args[0]) if args else Path("BENCH_population.json")
 
     print("scale (struct-of-arrays, float32, E=1):")
     scale_rows = [run_scale_row(n) for n in POPULATION_SIZES]
     equivalence = run_equivalence()
     population = run_population_round_row()
+    cpu_budget = run_cpu_budget_row()
     fleet = run_fleet_rows()
 
     payload = {
@@ -604,6 +746,7 @@ def main(argv: list[str] | None = None) -> int:
         "scale": scale_rows,
         "equivalence": equivalence,
         "population": population,
+        "cpu_budget": cpu_budget,
         "fleet": fleet,
         "thresholds": {
             "min_scale_demonstrated": MIN_SCALE_DEMONSTRATED,
@@ -670,6 +813,16 @@ def main(argv: list[str] | None = None) -> int:
             f"population-10k made {built['default_rng']} RNG streams "
             f"(cap {MAX_RUN_STREAMS}, whatever N is)"
         )
+    for shape in cpu_budget["rounds"]:
+        if not shape["identical_bits"]:
+            failures.append(
+                f"{shape['name']} round: budgets 1 and 2 gave different bits"
+            )
+        if shape["budgets"][str(BUDGETS[1])] > 1 and shape["round_ratio"] > 1.0:
+            failures.append(
+                f"{shape['name']} round: budget 2 took "
+                f"{shape['round_ratio']:.2f}x budget 1's time"
+            )
     if not any("skipped" not in row for row in fleet):
         failures.append("no fleet row fitted its memory budget")
     for failure in failures:

@@ -51,7 +51,6 @@ matrix its kernel trained into; the per-client engines stack their
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import wait
 from dataclasses import replace
@@ -64,6 +63,7 @@ from repro.fl.client import CohortUpdates, EdgeServerClient, shared_model_config
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.population import PopulationState, train_cohort
 from repro.perf.cancel import check_cancelled, interruptible
+from repro.perf.cpu import cpu_share
 from repro.perf.scheduler import process_executor, terminate_workers
 from repro.perf.shared_data import (
     SharedDatasetStore,
@@ -505,7 +505,7 @@ class PoolEngine(ExecutionEngine):
 
 # ----------------------------------------------------------------------
 # Backend selection (``--backend auto``): a pure function of the spec
-# and the host's CPU count.  The CPU count only ever chooses between
+# and the process's CPU share.  The CPU share only ever chooses between
 # pool and sequential, whose results are bit-identical, so it can never
 # change a stored byte.
 # ----------------------------------------------------------------------
@@ -525,13 +525,6 @@ POOL_MIN_WORK = 62_720
 _AUTO_FLOAT32_MIN_CLIENTS = 256
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def resolve_backend(
     backend: str,
     clients: Sequence[EdgeServerClient],
@@ -542,15 +535,17 @@ def resolve_backend(
     """Resolve ``"auto"`` to a concrete backend; pass others through.
 
     A :func:`vectorizable` spec resolves to ``"population"``.  Anything
-    else takes the pool when the host has at least
+    else takes the pool when this process's CPU share
+    (:func:`~repro.perf.cpu.cpu_share`) has at least
     :data:`POOL_MIN_CPUS` cores and the round's ``K * E * d`` reaches
-    :data:`POOL_MIN_WORK`, and runs sequentially otherwise.
+    :data:`POOL_MIN_WORK`, and runs sequentially otherwise: a campaign
+    worker sharing the mask with its siblings starts no pool of its own.
     """
     if backend != AUTO_BACKEND:
         return backend
     if vectorizable(clients, config):
         return "population"
-    cpus = available_cpus if available_cpus is not None else _available_cpus()
+    cpus = available_cpus if available_cpus is not None else cpu_share()
     work = (
         config.participants_per_round
         * config.local_epochs

@@ -16,9 +16,11 @@ update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
+
+from repro.perf.cpu import cpu_budget, ordered_map
 
 __all__ = [
     "LogisticRegressionConfig",
@@ -133,29 +135,55 @@ _HELD_TRANSPOSE_MIN_EVALUATIONS = 5
 # 4 096-row blocks in 141 ms and one widened copy in 363 ms.
 _EVAL_BLOCK_ROWS = 1024
 
+# Rows each thread of a threaded evaluation scores at least.  With one
+# BLAS thread on 2 vCPUs, two threads scored 784-feature held rows in
+# 1.74x the time of one at 1 000 rows, 1.08x at 2 000, 0.74x at 4 096
+# and 0.61x at 12 000 (stored float32 rows: 1.03x, 0.79x, 0.76x, 0.60x):
+# on a few thousand rows, starting threads and sharing the caches cost
+# about what the second thread saves.
+_EVAL_THREAD_MIN_ROWS = 2048
+
 
 def _widened_row_blocks(
-    features: np.ndarray, width: int
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """``features`` as float64 row blocks whose ``(d, width)`` forward
-    keeps the bits of the whole one: ``(rows, block)`` pairs.
+    features: np.ndarray,
+    width: int,
+    score: Callable[[slice, np.ndarray], object],
+) -> list:
+    """``score(rows, block)`` for float64 row blocks of ``features`` whose
+    ``(d, width)`` forwards keep the bits of the whole one, run on the
+    process's CPU budget (:func:`~repro.perf.cpu.ordered_map`); the
+    results in row order.
 
-    One block of all rows for float64 features, or when the whole
-    forward is not swapped (:func:`_swaps_forward`): a GEMM that is not
-    swapped can sum a row differently at another row count.  Otherwise
-    blocks of ``_EVAL_BLOCK_ROWS`` rows, a tail too small to be swapped
-    joining the block before it, so every block's product is swapped as
-    the whole one is, and the swapped product gives each row the same
-    bits whatever the rows beside it (tests/fl/test_cohort_updates.py).
+    One block of all rows when the whole forward is not swapped
+    (:func:`_swaps_forward`): a GEMM that is not swapped can sum a row
+    differently at another row count.  Otherwise float32 rows are
+    widened a block of ``_EVAL_BLOCK_ROWS`` rows at a time, a tail too
+    small to be swapped joining the block before it; float64 rows (a
+    held transpose's ``.T`` view among them) are one block at budget 1
+    and above it as many near-even slices as the budget allows, each of
+    at least ``_EVAL_THREAD_MIN_ROWS`` rows and large enough to be
+    swapped.  Every block's product is then swapped
+    as the whole one is, and the swapped product gives each row the
+    same bits whatever the rows beside it (tests/fl/test_cohort_updates.py).
     """
     n, d = features.shape
-    if features.dtype == np.float64 or not _swaps_forward(n, d, width):
-        yield slice(0, n), features.astype(np.float64, copy=False)
-        return
-    min_rows = _SMALL_GEMM_MNK // (d * width) + 1
-    starts = list(range(0, n - min_rows + 1, max(_EVAL_BLOCK_ROWS, min_rows)))
-    for rows in map(slice, starts, [*starts[1:], n]):
-        yield rows, features[rows].astype(np.float64)
+    max_threads = n // _EVAL_THREAD_MIN_ROWS
+    if not _swaps_forward(n, d, width):
+        slices = [slice(0, n)]
+    else:
+        min_rows = _SMALL_GEMM_MNK // (d * width) + 1
+        if features.dtype == np.float64:
+            parts = max(1, min(cpu_budget(), max_threads, n // min_rows))
+            bounds = [n * part // parts for part in range(parts + 1)]
+        else:
+            step = max(_EVAL_BLOCK_ROWS, min_rows)
+            bounds = [*range(0, n - min_rows + 1, step), n]
+        slices = list(map(slice, bounds[:-1], bounds[1:]))
+    return ordered_map(
+        lambda rows: score(rows, features[rows].astype(np.float64, copy=False)),
+        slices,
+        max_threads,
+    )
 
 
 def evaluation_rows(
@@ -173,7 +201,10 @@ def evaluation_rows(
     C-ordered operand, BLAS's fast orientation, instead of a transposed
     view of row-major rows, with the same bits.  Otherwise, and for any
     other model (the MLP, whose forward changes bits under row blocks),
-    the rows are widened as they are.
+    the rows are widened as they are.  The logistic-regression head
+    scores stored rows and the held transpose alike in row blocks spread
+    over the process's CPU budget (:func:`_widened_row_blocks`), with
+    the same bits at any budget.
     """
     if isinstance(model_config, LogisticRegressionConfig):
         if evaluations < _HELD_TRANSPOSE_MIN_EVALUATIONS:
@@ -341,8 +372,11 @@ class LogisticRegressionModel:
         Float32 ``features`` are widened a row block at a time.
         """
         predicted = np.empty(features.shape[0], np.intp)
-        for rows, block in _widened_row_blocks(features, self.config.n_classes):
+
+        def score(rows: slice, block: np.ndarray) -> None:
             predicted[rows] = np.argmax(self.logits(block), axis=-1)
+
+        _widened_row_blocks(features, self.config.n_classes, score)
         return predicted
 
     def _picked_proba(self, block: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -362,8 +396,11 @@ class LogisticRegressionModel:
         Float32 ``features`` are widened a row block at a time.
         """
         picked = np.empty(features.shape[0])
-        for rows, block in _widened_row_blocks(features, self.config.n_classes):
+
+        def score(rows: slice, block: np.ndarray) -> None:
             picked[rows] = self._picked_proba(block, labels[rows])
+
+        _widened_row_blocks(features, self.config.n_classes, score)
         data_loss = float(-np.mean(np.log(np.maximum(picked, 1e-12))))
         if self.config.l2:
             data_loss += 0.5 * self.config.l2 * float(np.sum(self.weights**2))

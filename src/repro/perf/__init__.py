@@ -17,7 +17,10 @@ Helpers behind the pluggable execution engine
   processes), cancelled cooperatively through :mod:`repro.perf.cancel`;
   its :func:`~repro.perf.scheduler.process_executor` and
   :func:`~repro.perf.scheduler.terminate_workers` start and force-stop
-  every worker process, the pool engine's included.
+  every worker process, the pool engine's included;
+* :mod:`repro.perf.cpu` — how many CPUs this process may use beside
+  BLAS (:func:`~repro.perf.cpu.cpu_budget`), and the ordered map that
+  trains lane blocks and scores evaluation rows on them.
 """
 
 from repro.perf.cache import EvalCache

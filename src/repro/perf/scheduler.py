@@ -72,6 +72,7 @@ from repro.perf.cancel import (
     activate,
     install_in_worker,
 )
+from repro.perf.cpu import set_sibling_workers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observer import Observer
@@ -312,9 +313,10 @@ def _format_remote_traceback(error: BaseException) -> str:
 
 
 def _init_worker(
-    initializer: Callable | None, initargs: tuple
+    initializer: Callable | None, initargs: tuple, workers: int
 ) -> None:  # pragma: no cover - runs in workers
     install_in_worker()
+    set_sibling_workers(workers)
     if initializer is not None:
         initializer(*initargs)
 
@@ -331,13 +333,15 @@ def process_executor(
     caller's ``initializer``.  A signal sent to the whole process group
     therefore does not kill a started worker: it finishes or discards
     its task, and the owner shuts the executor down with
-    ``shutdown(wait=True)``.  Scheduler units and pool-engine chunks
-    both run here.
+    ``shutdown(wait=True)``.  Each worker also records its
+    ``max_workers`` siblings, so its :func:`~repro.perf.cpu.cpu_budget`
+    is its share of the mask, not the whole mask.  Scheduler units and
+    pool-engine chunks both run here.
     """
     return ProcessPoolExecutor(
         max_workers=max_workers,
         initializer=_init_worker,
-        initargs=(initializer, tuple(initargs)),
+        initargs=(initializer, tuple(initargs), max_workers),
     )
 
 

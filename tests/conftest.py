@@ -7,9 +7,6 @@ fixture state (datasets are immutable; trainers are built per test).
 
 from __future__ import annotations
 
-import ctypes
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -29,26 +26,26 @@ from repro.core.energy_model import EnergyParams
 from repro.core.objective import EnergyObjective
 from repro.data.dataset import Dataset
 from repro.data.synthetic_mnist import generate_synthetic_mnist
+from repro.fl import model as fl_model
+from repro.fl import population as fl_population
 from repro.fl.model import LogisticRegressionConfig
+from repro.perf import cpu
 
 
 def _openblas_threads() -> str:
     """The thread count of numpy's bundled OpenBLAS, or ``"unknown"``."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for library in sorted(libs.glob("*openblas*")):
-        try:
-            threads = ctypes.CDLL(str(library)).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        threads.restype = ctypes.c_int
-        return str(threads())
-    return "unknown"
+    threads = cpu._blas_threads()
+    return "unknown" if threads is None else str(threads)
 
 
 def pytest_report_header(config: pytest.Config) -> str:
     # The float32 golden digests (tests/fl/test_dtype_contract.py) move
     # with the BLAS thread count: they pass at 2 threads and fail at 1.
-    return f"OpenBLAS threads: {_openblas_threads()}"
+    # A budget above 1 means lane and evaluation blocks ran threaded.
+    return (
+        f"OpenBLAS threads: {_openblas_threads()}, "
+        f"CPU budget: {cpu.cpu_budget()}"
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus: int) -> None:
@@ -99,3 +96,34 @@ def default_objective(
     return EnergyObjective(
         bound=default_bound, energy=default_energy, epsilon=0.05, n_servers=20
     )
+
+
+@pytest.fixture()
+def forced_cpu_budget(monkeypatch) -> int:
+    """A CPU budget of at least 2 in this process, whatever BLAS runs.
+
+    Reports one BLAS thread, so the budget is the whole affinity mask;
+    OpenBLAS itself keeps its threads, so the GEMMs' bits do not move.
+    The block-epoch and row-count floors drop to 1, so every map of two
+    or more blocks runs threaded, however small.
+    """
+    monkeypatch.setattr(cpu, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(fl_population, "_MIN_BLOCK_EPOCHS_PER_THREAD", 1)
+    monkeypatch.setattr(fl_model, "_EVAL_THREAD_MIN_ROWS", 1)
+    budget = cpu.cpu_budget()
+    if budget < 2:
+        pytest.skip("a CPU budget of 2 needs two CPUs in the affinity mask")
+    return budget
+
+
+@pytest.fixture()
+def at_budgets(monkeypatch, forced_cpu_budget):
+    """``run(fn)`` -> ``(fn() at budget 1, fn() at the forced budget)``."""
+
+    def run(fn):
+        with monkeypatch.context() as single:
+            single.setattr(cpu, "_blas_threads", lambda: None)
+            at_one = fn()
+        return at_one, fn()
+
+    return run

@@ -333,7 +333,7 @@ class TestEvaluationRows:
         labels = rng.integers(0, width, size=n)
         model = config.build()
         model.set_parameters(rng.normal(scale=0.3, size=config.n_parameters))
-        blocks = [rows for rows, _ in _widened_row_blocks(features, width)]
+        blocks = _widened_row_blocks(features, width, lambda rows, _: rows)
         assert len(blocks) == n_blocks
         assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
         assert blocks[-1].stop == n
@@ -346,6 +346,29 @@ class TestEvaluationRows:
         np.testing.assert_array_equal(
             model.predict(features), np.argmax(model.logits(widened), axis=-1)
         )
+
+    @pytest.mark.parametrize("n", [127, 128, 1025, 1151, 2053, 40_000])
+    def test_cpu_budget_keeps_bits(self, n, at_budgets, forced_cpu_budget):
+        config = LogisticRegressionConfig()
+        rng = np.random.default_rng(n)
+        features = rng.random((n, 784), dtype=np.float32)
+        labels = rng.integers(0, 10, size=n)
+        model = config.build()
+        model.set_parameters(rng.normal(scale=0.05, size=config.n_parameters))
+        held = evaluation_rows(features, config, evaluations=10)
+        for rows in (held, features):
+            single, forced = at_budgets(
+                lambda: (
+                    model.loss(rows, labels),
+                    model.accuracy(rows, labels),
+                    model.predict(rows),
+                )
+            )
+            assert forced[:2] == single[:2]
+            np.testing.assert_array_equal(forced[2], single[2])
+        # The held transpose splits into near-even slices, each swapped.
+        slices = _widened_row_blocks(held, 10, lambda rows, _: rows)
+        assert len(slices) == max(1, min(forced_cpu_budget, n // 128))
 
     @pytest.mark.parametrize(
         "evaluations", [1, _HELD_TRANSPOSE_MIN_EVALUATIONS - 1]
@@ -596,6 +619,14 @@ class TestLedgerBits:
         )
         digest.update(history_to_json(result.history).encode())
         assert digest.hexdigest() == expected
+
+
+class TestLedgerBitsAtCpuBudget(TestLedgerBits):
+    """The ledger digests, unedited, with threaded lane and row blocks."""
+
+    @pytest.fixture(autouse=True)
+    def _threaded(self, forced_cpu_budget):
+        pass
 
 
 class TestNoPerClientObjects:

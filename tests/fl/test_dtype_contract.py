@@ -109,6 +109,14 @@ class TestFloat32GoldenDigests:
         )
 
 
+class TestFloat32GoldenDigestsAtCpuBudget(TestFloat32GoldenDigests):
+    """The golden digests, unedited, with threaded lane and row blocks."""
+
+    @pytest.fixture(autouse=True)
+    def _threaded(self, forced_cpu_budget):
+        pass
+
+
 def _run_async():
     trainer = AsyncFederatedTrainer(
         clients=build_clients(_PARTITIONS, _CONFIG),

@@ -373,6 +373,56 @@ class TestLaneBlocks:
         )
 
 
+class TestCpuBudgetBits:
+    """Lane blocks trained on the CPU budget's threads keep every bit."""
+
+    @staticmethod
+    def _train(state, cohort, epochs=2):
+        anchor = np.random.default_rng(3).normal(
+            scale=0.01, size=state.model_config.n_parameters
+        )
+        updates = train_cohort(
+            state, cohort, anchor, epochs=epochs, learning_rate=0.3
+        )
+        return updates.parameters, updates.losses
+
+    @pytest.mark.parametrize(
+        "n_clients, n, dtype, cohort",
+        [
+            # One- and four-sample lanes: 21 and 19 lanes a block.
+            (300, 1, np.float64, np.arange(0, 300, 2)),
+            (300, 4, np.float64, np.arange(300)[::-1]),
+            (300, 4, np.float32, np.arange(1, 300, 3)),
+            # Duplicate ids, unsorted, in one cohort.
+            (60, 4, np.float64, np.array([7, 3, 7, 59, 0, 3, 7] * 9)),
+        ],
+    )
+    def test_synthetic_lanes(self, at_budgets, n_clients, n, dtype, cohort):
+        state = PopulationState.synthesize(
+            n_clients,
+            n_features=784,
+            n_classes=10,
+            samples_per_client=n,
+            seed=n,
+            dtype=dtype,
+        )
+        single, forced = at_budgets(lambda: self._train(state, cohort))
+        for expected, actual in zip(single, forced):
+            np.testing.assert_array_equal(actual, expected)
+
+    def test_paper_shape_float32_stack(self, at_budgets):
+        # 3 000 x 784 float64 per lane: every block is one lane.
+        state = PopulationState.from_datasets(
+            _float32_partitions(4, 3000), _PAPER_MODEL
+        )
+        assert state.groups[3000].features.dtype == np.float32
+        single, forced = at_budgets(
+            lambda: self._train(state, [2, 0, 3, 1], epochs=3)
+        )
+        for expected, actual in zip(single, forced):
+            np.testing.assert_array_equal(actual, expected)
+
+
 def _record_builds(monkeypatch) -> list[str]:
     """The calling module of every ``model_config.build()`` from now on."""
     callers: list[str] = []
