@@ -22,9 +22,10 @@ Three questions, one artifact (``BENCH_population.json``):
   partitions (10^4 devices, K=10^3, E=1, 10 rounds, population
   backend): the median seconds per round, split into local training,
   evaluation, aggregation and the energy ledger, plus the population
-  stacks' ``state_nbytes``.  The split comes from timing wrappers on
-  public entry points only, so the row runs unchanged against older
-  sources.  Two repeats must give identical energy and history.  The
+  state's ``state_nbytes``: the pooled rows it shares with the trainer
+  and its row indexes, with no copy of a sample.  The split comes from
+  timing wrappers on public entry points only, so the row runs
+  unchanged against older sources.  Two repeats must give identical energy and history.  The
   row also counts what set-up and the rounds build per device:
   ``EdgeServerClient``s, ``RaspberryPiEdgeServer``s and
   ``Dataset.subset`` copies, guarded at 0, and ``np.random.default_rng``
@@ -43,11 +44,14 @@ Three questions, one artifact (``BENCH_population.json``):
   devices (population backend, K = 10 % of N, E=1, 3 rounds), each in
   a fresh process: data-generation and set-up seconds (set-up runs from
   ``execute_unit`` to the first round), median round seconds, peak RSS.
-  A row's memory budget is computed first from the bytes every
-  training sample and every participant's update cost
-  (``_bytes_per_sample``, ``BYTES_PER_PARTICIPANT``), and the row runs only
-  if the budget fits under ``MEMORY_CAP_BYTES``; otherwise the row
-  records the budget and why it was not run.
+  A row's memory budget is computed first (:func:`_fleet_budget`):
+  the larger of data generation's transient (two float32 copies of
+  every sample) and what the rounds hold (every training sample's
+  ``_bytes_per_sample`` and every participant's update,
+  ``BYTES_PER_PARTICIPANT``), over ``BASE_BYTES``.  The row runs only
+  if the budget fits under ``MEMORY_CAP_BYTES``, and its peak RSS must
+  then stay within the budget; otherwise the row records the budget
+  and names the parts that alone exceed the cap.
 
 Exits non-zero if any guard fails.  Not a pytest benchmark (no
 ``test_`` prefix — the timings are a tracking artifact).
@@ -152,7 +156,7 @@ BUDGET_CHILD_ENV = {
 }
 
 # The fleet rows: (devices, samples per device).  The ROADMAP's ask is
-# 4 samples per device; 1 is the most a 10^5 fleet can hold here.
+# 4 samples per device.
 FLEET_ROWS = ((100_000, 4), (100_000, 1), (1_000_000, 4))
 FLEET_ROUNDS = 3
 FLEET_N_TEST = 2_000
@@ -160,21 +164,46 @@ FLEET_N_TEST = 2_000
 # A round's (K, P) float64 update matrix, per participant: the 784 x 10
 # model's 7 850 parameters.
 BYTES_PER_PARTICIPANT = 7_850 * 8
-# Interpreter, numpy, the test set and data-generation slack: the
-# population-10k peak RSS (682 MiB) less its samples' and updates' budget.
-BASE_BYTES = 200 * 2**20
+# One 784-feature sample as load_synthetic_mnist stores it (float32).
+FLOAT32_SAMPLE_BYTES = 784 * 4
+# load_synthetic_mnist's final permutation gathers a second float32
+# copy of the training set while the first is still alive.
+DATA_GENERATION_COPIES = 2
+# Interpreter and numpy (39 MiB after import), the test set, evaluation
+# transients and allocator slack.  The population-10k peak RSS (502 MiB)
+# is 83 MiB over its samples' and updates' budget (419 MiB), and the
+# 10^5-device fleet rows peaked 53 and 77 MiB over theirs.
+BASE_BYTES = 128 * 2**20
 # A run must leave most of this 7 GiB host, which others share, free.
 MEMORY_CAP_BYTES = 3 * 2**30
 
 
 def _bytes_per_sample(rounds: int) -> int:
     """What one 784-feature training sample holds while the rounds run:
-    float32 features (4 B each) in the dataset and in the population
-    stacks and, in a run long enough for the trainer to hold them
-    (``evaluation_rows``), float64 (8 B) training-loss evaluation rows;
-    shorter runs score the stored rows."""
+    its one float32 copy, which the population state gathers from
+    without copying, and, in a run long enough for the trainer to hold
+    them (``evaluation_rows``), float64 (8 B) training-loss evaluation
+    rows; shorter runs score the stored rows."""
     held = rounds >= _HELD_TRANSPOSE_MIN_EVALUATIONS
-    return 784 * (4 + 4 + (8 if held else 0))
+    return FLOAT32_SAMPLE_BYTES + (784 * 8 if held else 0)
+
+
+def _fleet_budget(spec: RunSpec) -> tuple[int, dict[str, int]]:
+    """A fleet row's memory budget and the parts it is built from.
+
+    Data generation frees its transient before the rounds start, so the
+    budget is the larger of the two phases over ``BASE_BYTES``."""
+    parts = {
+        "data generation's float32 copies": DATA_GENERATION_COPIES
+        * FLOAT32_SAMPLE_BYTES
+        * spec.n_train,
+        "training samples": _bytes_per_sample(spec.max_rounds) * spec.n_train,
+        "(K, P) float64 update matrix": BYTES_PER_PARTICIPANT
+        * spec.participants,
+    }
+    rounds = parts["training samples"] + parts["(K, P) float64 update matrix"]
+    budget = BASE_BYTES + max(parts["data generation's float32 copies"], rounds)
+    return budget, parts
 
 
 def _peak_rss_bytes() -> int:
@@ -670,11 +699,7 @@ def run_fleet_rows() -> list[dict]:
     rows = []
     for n_devices, samples in FLEET_ROWS:
         spec = _fleet_spec(n_devices, samples)
-        budget = (
-            BASE_BYTES
-            + _bytes_per_sample(spec.max_rounds) * spec.n_train
-            + BYTES_PER_PARTICIPANT * spec.participants
-        )
+        budget, parts = _fleet_budget(spec)
         row = {
             "spec": {
                 "n_servers": n_devices,
@@ -686,11 +711,18 @@ def run_fleet_rows() -> list[dict]:
                 "backend": spec.backend,
             },
             "memory_budget_bytes": budget,
+            "memory_budget_parts_bytes": parts,
         }
         if budget > MEMORY_CAP_BYTES:
+            blockers = ", ".join(
+                f"{name} ({size / 2**30:.1f} GiB)"
+                for name, size in parts.items()
+                if size > MEMORY_CAP_BYTES
+            )
             row["skipped"] = (
                 f"memory budget {budget / 2**30:.1f} GiB exceeds the "
-                f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB cap"
+                f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB cap; alone over it: "
+                f"{blockers}"
             )
             print(f"fleet {n_devices:,d} x {samples}: {row['skipped']}")
             rows.append(row)
@@ -825,6 +857,16 @@ def main(argv: list[str] | None = None) -> int:
             )
     if not any("skipped" not in row for row in fleet):
         failures.append("no fleet row fitted its memory budget")
+    for row in fleet:
+        if "skipped" not in row and (
+            row["peak_rss_bytes"] > row["memory_budget_bytes"]
+        ):
+            failures.append(
+                f"fleet {row['spec']['n_servers']:,d} x "
+                f"{row['spec']['samples_per_device']}: peak RSS "
+                f"{row['peak_rss_bytes'] / 2**20:,.0f} MiB over its "
+                f"{row['memory_budget_bytes'] / 2**20:,.0f} MiB budget"
+            )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.core.calibration import GapObservation
 from repro.core.convergence import ConvergenceBound
@@ -230,6 +229,8 @@ def fit_model(
             ``"absolute"`` — same semantics as
             :func:`repro.core.calibration.fit_convergence_constants`.
     """
+    from scipy.optimize import nnls
+
     if len(observations) < family.n_parameters():
         raise ValueError(
             f"need at least {family.n_parameters()} observations to fit "

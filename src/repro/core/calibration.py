@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.core.convergence import ConvergenceBound
 from repro.fl.metrics import TrainingHistory
@@ -152,6 +151,8 @@ def fit_convergence_constants(
             optimizer cares about the small late-training gaps where the
             accuracy target lives.  ``"absolute"`` is the plain fit.
     """
+    from scipy.optimize import nnls
+
     if len(observations) < 3:
         raise ValueError("need at least three observations to fit three constants")
     if weighting not in ("relative", "absolute"):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["SeedSummary", "summarize", "repeat_over_seeds"]
 
@@ -77,6 +76,8 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> SeedSummary:
             ci_high=mean,
             confidence=confidence,
         )
+    from scipy import stats as scipy_stats
+
     std = float(array.std(ddof=1))
     sem = std / np.sqrt(array.size)
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=array.size - 1))

@@ -42,7 +42,6 @@ from repro.fl.partition import (
 )
 from repro.fl.population import (
     AggregationTree,
-    PopulationGroup,
     PopulationState,
     fullbatch_gd_stack,
     train_cohort,
@@ -95,7 +94,6 @@ __all__ = [
     "partition_dirichlet",
     "partition_iid",
     "AggregationTree",
-    "PopulationGroup",
     "PopulationState",
     "fullbatch_gd_stack",
     "train_cohort",

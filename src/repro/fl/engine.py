@@ -7,11 +7,12 @@ semantics:
 
 * :class:`SequentialEngine` — the reference path: one
   :meth:`EdgeServerClient.train` call per participant, in order.
-* :class:`PopulationEngine` — the one vectorized engine.  It stacks the
-  clients' partitions into struct-of-arrays group stacks once (from a
-  :class:`~repro.fl.client.ClientFleet`'s table, building no client)
-  and trains each cohort's full-batch gradient descent as batched
-  matmul kernels over ``(G, n, d)`` / ``(G, d, C)`` tensors.  Only valid for the
+* :class:`PopulationEngine` — the one vectorized engine.  It adopts the
+  clients' partition table once (a
+  :class:`~repro.fl.client.ClientFleet`'s, building no client and
+  copying no row) and trains each cohort's full-batch gradient descent
+  as batched matmul kernels over ``(G, n, d)`` / ``(G, d, C)`` tensors
+  gathered from the pooled rows one lane block at a time.  Only valid for the
   paper's setting (logistic regression, ``batch_size=None``, see
   :func:`vectorizable`); :func:`create_engine` hands anything else a
   :class:`SequentialEngine`.  Per-client order of operations matches
@@ -191,14 +192,16 @@ def vectorizable(
 class PopulationEngine(ExecutionEngine):
     """Struct-of-arrays backend over a :class:`PopulationState`.
 
-    Adopts the *whole population* into group stacks once at
-    construction and trains every cohort by fancy-indexed gather + one
-    :func:`~repro.fl.population.fullbatch_gd_stack` call per ``n_k``
-    group — no per-client Python objects on the hot path, so N scales
-    to millions.  Requires a :func:`vectorizable` config.  In float64
-    the results agree with sequential to ``atol=1e-10``; ``dtype=
+    Adopts the *whole population's* partition table once at
+    construction, holding the pooled rows and a row index per ``n_k``
+    group but no copy of any sample, and trains every cohort by
+    fancy-indexed gathers from the pooled rows, one
+    :func:`~repro.fl.population.fullbatch_gd_stack` call per lane block
+    — no per-client Python objects on the hot path, so N scales to
+    millions.  Requires a :func:`vectorizable` config.  In float64 the
+    results agree with sequential to ``atol=1e-10``; ``dtype=
     "float32"`` computes in float32 instead, at a measured accuracy
-    delta.  The stacks keep the partitions' stored dtype either way.
+    delta.  The pooled rows keep their stored dtype either way.
     """
 
     name = "population"

@@ -39,8 +39,9 @@ class Partitions(Sequence[Dataset]):
     ``bounds[k]:bounds[k + 1]`` themselves, as in a concatenation of
     partition datasets.  No row is copied until a partition is asked
     for: indexing builds that partition's :class:`Dataset` (a view when
-    ``order`` is ``None``), and :meth:`gather` stacks equal-size
-    partitions with one fancy-indexed read.
+    ``order`` is ``None``), and :meth:`gather` gives the pooled-row
+    index of equal-size partitions, so one fancy-indexed read stacks
+    any subset of them.
     """
 
     def __init__(
@@ -89,15 +90,14 @@ class Partitions(Sequence[Dataset]):
         data = self.dataset
         return Dataset(data.features[rows], data.labels[rows], data.n_classes)
 
-    def gather(
-        self, partition_ids: np.ndarray, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(G, n, d)`` features and ``(G, n)`` labels of partitions of
-        size ``n``, in ``partition_ids`` order, in one read each."""
+    def gather(self, partition_ids: np.ndarray, n: int) -> np.ndarray:
+        """``(G, n)`` pooled-row index of partitions of size ``n``, in
+        ``partition_ids`` order: ``dataset.features[index]`` stacks
+        their rows."""
         index = self.bounds[partition_ids][:, None] + np.arange(n)
         if self.order is not None:
             index = self.order[index]
-        return self.dataset.features[index], self.dataset.labels[index]
+        return index
 
 
 def _validate(dataset: Dataset, n_partitions: int) -> None:

@@ -3,19 +3,21 @@
 The per-object ``EdgeServerClient`` path tops out at a few thousand
 simulated clients: a million tiny ``(n_k, d)`` arrays plus a model and a
 client object each is death by allocator, and every round pays Python
-dispatch per participant.  This module stores an entire client
-population as a handful of stacked tensors instead:
+dispatch per participant.  This module holds an entire client
+population as a handful of arrays instead:
 
-* **Group stacks** — clients sharing one local dataset size ``n`` live
-  in a single ``(G, n, d)`` feature tensor and ``(G, n)`` label matrix
-  (:class:`PopulationGroup`).  The iid partition produces at most two
-  sizes, so a million-client population is two contiguous allocations,
-  not a million.  Stacks keep the partitions' stored dtype (float32
-  for every real dataset); :attr:`PopulationState.dtype` is the
-  *compute* dtype, into which each lane block is cast when it trains.
-* **Scalar vectors** — per-client scalars (``n_k`` and the group-stack
-  row) are plain ``(N,)`` vectors on :class:`PopulationState`, indexed
-  by client id.
+* **Pooled rows** — the population is its
+  :class:`~repro.fl.partition.Partitions` table: the pooled dataset in
+  its stored dtype (float32 for every real dataset) and, per local
+  dataset size ``n``, one ``(G, n)`` index of pooled rows
+  (:attr:`PopulationState.index`).  The iid partition produces at most
+  two sizes, so a million-client population is the pooled rows plus two
+  index matrices, and no sample is held twice.
+  :attr:`PopulationState.dtype` is the *compute* dtype, into which each
+  lane block is cast when it is gathered to train.
+* **Scalar vectors** — per-client scalars (``n_k`` and the row in its
+  group's index) are plain ``(N,)`` vectors on
+  :class:`PopulationState`, indexed by client id.
 * **One kernel** — :func:`fullbatch_gd_stack` is the full-batch
   gradient-descent loop of the vectorized engine, mirroring the
   per-client path's operation order.  With float64 inputs its results
@@ -47,10 +49,11 @@ engine layer can build on it without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.data.dataset import Dataset
 from repro.fl.client import (
     ClientFleet,
     CohortUpdates,
@@ -66,12 +69,8 @@ from repro.fl.model import (
 from repro.fl.partition import Partitions
 from repro.perf.cpu import ordered_map
 
-if TYPE_CHECKING:
-    from repro.data.dataset import Dataset
-
 __all__ = [
     "AggregationTree",
-    "PopulationGroup",
     "PopulationState",
     "fullbatch_gd_stack",
     "train_cohort",
@@ -185,70 +184,40 @@ def fullbatch_gd_stack(
     return np.asarray(weights), np.asarray(bias), losses
 
 
-@dataclass(frozen=True)
-class PopulationGroup:
-    """All clients sharing one local dataset size, as stacked arrays."""
-
-    client_ids: np.ndarray  # (G,) int64, ascending
-    features: np.ndarray  # (G, n, d), the partitions' stored dtype
-    labels: np.ndarray  # (G, n) int64
-
-    @property
-    def n_clients(self) -> int:
-        return int(self.client_ids.shape[0])
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.labels.shape[1])
-
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.client_ids.nbytes + self.features.nbytes + self.labels.nbytes
-        )
-
-
 class PopulationState:
     """A whole client population as struct-of-arrays.
 
-    ``groups`` maps local dataset size ``n`` → :class:`PopulationGroup`
-    holding every client with that many samples; ``n_samples`` is the
-    ``(N,)`` vector of local dataset sizes ``n_k``, indexed by client id.
+    The state holds the population's :class:`~repro.fl.partition.Partitions`
+    table (client id == partition index) and no copy of its rows.  Per
+    local dataset size ``n`` it keeps ``index[n]``, the ``(G, n)``
+    pooled-row index of the ``G`` clients with ``n`` samples in
+    ascending id order; ``n_samples`` is the ``(N,)`` vector of local
+    dataset sizes ``n_k``, indexed by client id.
 
-    Client ids must be exactly ``0..N-1`` (the repo-wide convention:
-    client id == partition index).  ``dtype`` is the compute dtype of
-    :func:`train_cohort`; the group stacks keep the dtype they were
-    built from.
+    ``dtype`` is the compute dtype of :func:`train_cohort`; the pooled
+    features keep the dtype they are stored in.
     """
 
     def __init__(
         self,
-        groups: Mapping[int, PopulationGroup],
+        partitions: Partitions,
         model_config: LogisticRegressionConfig,
         *,
         dtype: np.dtype | str = np.float64,
     ) -> None:
+        if not len(partitions):
+            raise ValueError("population must contain at least one client")
+        self.partitions = partitions
         self.model_config = model_config
         self.dtype = np.dtype(dtype)
-        self.groups: dict[int, PopulationGroup] = {
-            int(n): group for n, group in sorted(groups.items())
-        }
-        n_clients = sum(g.n_clients for g in self.groups.values())
-        ids_seen = np.concatenate(
-            [g.client_ids for g in self.groups.values()]
-        ) if self.groups else np.empty(0, dtype=np.int64)
-        if n_clients == 0:
-            raise ValueError("population must contain at least one client")
-        if not np.array_equal(np.sort(ids_seen), np.arange(n_clients)):
-            raise ValueError("client ids must be exactly 0..N-1")
-        self.n_clients = n_clients
-        self.n_samples = np.zeros(n_clients, dtype=np.int64)
-        self._row = np.zeros(n_clients, dtype=np.int64)
-        for n, group in self.groups.items():
-            self.n_samples[group.client_ids] = n
-            self._row[group.client_ids] = np.arange(
-                group.n_clients, dtype=np.int64
-            )
+        self.n_clients = len(partitions)
+        self.n_samples = partitions.sizes
+        self.index: dict[int, np.ndarray] = {}
+        self._row = np.zeros(self.n_clients, dtype=np.int64)
+        for n in np.unique(self.n_samples):
+            ids = np.flatnonzero(self.n_samples == n)
+            self.index[int(n)] = partitions.gather(ids, int(n))
+            self._row[ids] = np.arange(len(ids), dtype=np.int64)
 
     # -- construction --------------------------------------------------
 
@@ -260,30 +229,25 @@ class PopulationState:
         *,
         dtype: np.dtype | str = np.float64,
     ) -> "PopulationState":
-        """Stack a partition table (index == client id) into groups.
+        """Adopt a partition table (index == client id) as it is.
 
-        Each ``n_k`` group is one gather from the pooled dataset, with
-        no per-client dataset in between.  Features are stacked in their
-        stored dtype, not ``dtype``: float32 partitions make a float32
-        stack, half the bytes of the float64 one, and train on it with
-        the same bits.
+        No row is copied: :func:`train_cohort` gathers each lane block
+        from the pooled dataset through the ``n_k`` group's row index.
+        Features stay in their stored dtype, not ``dtype``: float32
+        partitions are held at half the bytes of float64 ones and train
+        with the same bits.
         """
-        groups: dict[int, PopulationGroup] = {}
-        for n in np.unique(partitions.sizes):
-            ids = np.flatnonzero(partitions.sizes == n)
-            features, labels = partitions.gather(ids, int(n))
-            groups[int(n)] = PopulationGroup(ids, features, labels)
-        return cls(groups, model_config, dtype=dtype)
+        return cls(partitions, model_config, dtype=dtype)
 
     @classmethod
     def from_datasets(
         cls,
-        datasets: Sequence["Dataset"],
+        datasets: Sequence[Dataset],
         model_config: LogisticRegressionConfig,
         *,
         dtype: np.dtype | str = np.float64,
     ) -> "PopulationState":
-        """Stack per-client datasets (index == client id) into groups."""
+        """Pool per-client datasets (index == client id) into one table."""
         return cls.from_partitions(
             Partitions.from_datasets(datasets), model_config, dtype=dtype
         )
@@ -297,8 +261,8 @@ class PopulationState:
     ) -> "PopulationState":
         """Adopt a client population (ids must be 0..N-1).
 
-        A :class:`~repro.fl.client.ClientFleet` is stacked from its
-        partition table, so no client is built.
+        A :class:`~repro.fl.client.ClientFleet` lends its partition
+        table, so no client is built and no row is copied.
         """
         if not clients:
             raise ValueError("population must contain at least one client")
@@ -306,6 +270,8 @@ class PopulationState:
             return cls.from_partitions(
                 clients.partitions, clients.model_config, dtype=dtype
             )
+        if [client.client_id for client in clients] != list(range(len(clients))):
+            raise ValueError("client ids must be exactly 0..N-1")
         return cls.from_datasets(
             [client.dataset for client in clients],
             clients[0].model_config,
@@ -326,40 +292,51 @@ class PopulationState:
     ) -> "PopulationState":
         """Generate a uniform synthetic population in one allocation.
 
-        Every client gets the same ``n_k``, so the whole population is a
-        single ``(N, n, d)`` group stack — the shape the million-client
-        benchmark exercises.
+        Every client gets the same ``n_k``: the population is one pooled
+        ``(N * n, d)`` dataset cut into contiguous partitions, the shape
+        the million-client benchmark exercises.
         """
         if n_clients < 1:
             raise ValueError(f"n_clients must be positive; got {n_clients}")
         dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        shape = (n_clients, samples_per_client, n_features)
+        shape = (n_clients * samples_per_client, n_features)
         if dtype == np.float64 or dtype == np.float32:
             features = rng.standard_normal(shape, dtype=dtype)
         else:
             features = rng.standard_normal(shape).astype(dtype)
-        labels = rng.integers(
-            0, n_classes, size=(n_clients, samples_per_client), dtype=np.int64
-        )
-        group = PopulationGroup(
-            np.arange(n_clients, dtype=np.int64), features, labels
-        )
+        labels = rng.integers(0, n_classes, size=shape[0], dtype=np.int64)
+        bounds = np.arange(n_clients + 1, dtype=np.int64) * samples_per_client
         config = LogisticRegressionConfig(
             n_features=n_features, n_classes=n_classes, l2=l2
         )
-        return cls({samples_per_client: group}, config, dtype=dtype)
+        return cls(
+            Partitions(Dataset(features, labels, n_classes), bounds),
+            config,
+            dtype=dtype,
+        )
 
     # -- accessors ------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
-        """Total bytes held by the group stacks and scalar vectors."""
-        stacks = sum(g.nbytes for g in self.groups.values())
-        return int(stacks + self.n_samples.nbytes + self._row.nbytes)
+        """Bytes the state holds: the pooled rows, the partition table,
+        the group row indexes and the scalar vectors."""
+        table = self.partitions
+        held = [
+            table.dataset.features,
+            table.dataset.labels,
+            table.bounds,
+            self.n_samples,
+            self._row,
+            *self.index.values(),
+        ]
+        if table.order is not None:
+            held.append(table.order)
+        return int(sum(array.nbytes for array in held))
 
     def rows_of(self, client_ids: np.ndarray) -> np.ndarray:
-        """Group-stack row index of each client (all in one group)."""
+        """Row of each client in its group's index (all in one group)."""
         return self._row[client_ids]
 
 
@@ -372,12 +349,13 @@ def train_cohort(
     learning_rate: float,
     proximal_mu: float = 0.0,
 ) -> CohortUpdates:
-    """Train one round's cohort from the population stacks.
+    """Train one round's cohort from the population's pooled rows.
 
     Cohort members are grouped by ``n_k``, and each group trains in
     canonical (sorted-id) lane order, one :func:`fullbatch_gd_stack`
     call per lane block of about ``_LANE_BLOCK_BYTES``.  A block's rows
-    are gathered from the stack and cast to ``state.dtype``; all
+    are gathered from the pooled dataset through the group's row index
+    and cast to ``state.dtype``; all
     ``E`` epochs run on the block before the next one is gathered.
     Above a CPU budget of 1 (:func:`~repro.perf.cpu.cpu_budget`) the
     blocks of a group run on that many threads, each thread getting at
@@ -406,11 +384,11 @@ def train_cohort(
     parameters = np.empty((len(ids), anchor.shape[0]))
     losses = np.empty(len(ids))
     sizes = state.n_samples[ids]
+    pooled = state.partitions.dataset
     for n in np.unique(sizes):
         positions = np.flatnonzero(sizes == n)
         positions = positions[np.argsort(ids[positions], kind="stable")]
-        group = state.groups[int(n)]
-        rows = state.rows_of(ids[positions])
+        index = state.index[int(n)][state.rows_of(ids[positions])]
         first, count = int(positions[0]), len(positions)
         in_place = bool(np.all(positions == np.arange(first, first + count)))
         flat = (
@@ -426,8 +404,8 @@ def train_cohort(
 
         def train_block(block: slice) -> None:
             _, _, group_losses[block] = fullbatch_gd_stack(
-                group.features[rows[block]].astype(state.dtype, copy=False),
-                group.labels[rows[block]],
+                pooled.features[index[block]].astype(state.dtype, copy=False),
+                pooled.labels[index[block]],
                 weights_global,
                 bias_global,
                 epochs=epochs,

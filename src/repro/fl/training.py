@@ -103,8 +103,8 @@ class FederatedConfig:
         population_dtype: compute dtype of the ``"population"``
             backend — ``"float64"`` (default, equivalence-tested) or
             ``"float32"`` (accuracy delta measured by
-            ``benchmarks/bench_population.py``).  Its stacks keep the
-            partitions' stored dtype either way.
+            ``benchmarks/bench_population.py``).  The pooled rows keep
+            their stored dtype either way.
     """
 
     n_rounds: int

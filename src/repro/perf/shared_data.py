@@ -72,35 +72,34 @@ class SharedDatasetStore:
                 raise ValueError(
                     "all shared datasets must agree on n_features/n_classes"
                 )
-        features = np.ascontiguousarray(
-            np.concatenate([d.features for d in datasets]), dtype=np.float64
-        )
-        labels = np.ascontiguousarray(
-            np.concatenate([d.labels for d in datasets]), dtype=np.int64
-        )
         offsets: list[tuple[int, int]] = []
         start = 0
         for d in datasets:
             offsets.append((start, len(d)))
             start += len(d)
 
+        # Each dataset's rows are cast straight into the shared block:
+        # no concatenated or float64 copy is made in between.
+        features_dtype = np.dtype(np.float64)
+        labels_dtype = np.dtype(np.int64)
         self._features_shm = shared_memory.SharedMemory(
-            create=True, size=features.nbytes
+            create=True, size=start * n_features * features_dtype.itemsize
         )
         self._labels_shm = shared_memory.SharedMemory(
-            create=True, size=labels.nbytes
+            create=True, size=start * labels_dtype.itemsize
         )
-        np.ndarray(
-            features.shape, dtype=features.dtype, buffer=self._features_shm.buf
-        )[:] = features
-        np.ndarray(
-            labels.shape, dtype=labels.dtype, buffer=self._labels_shm.buf
-        )[:] = labels
+        features = np.ndarray(
+            (start, n_features), features_dtype, self._features_shm.buf
+        )
+        labels = np.ndarray((start,), labels_dtype, self._labels_shm.buf)
+        for d, (first, rows) in zip(datasets, offsets):
+            features[first : first + rows] = d.features
+            labels[first : first + rows] = d.labels
         self.spec = SharedDatasetSpec(
             features_name=self._features_shm.name,
             labels_name=self._labels_shm.name,
-            features_dtype=features.dtype.str,
-            labels_dtype=labels.dtype.str,
+            features_dtype=features_dtype.str,
+            labels_dtype=labels_dtype.str,
             n_features=n_features,
             n_classes=n_classes,
             row_offsets=tuple(offsets),

@@ -75,12 +75,14 @@ class TestPartitionTable:
     def test_gather_stacks_equal_size_partitions(self) -> None:
         table = iid_partitions(_dataset(200), 7, np.random.default_rng(1))
         ids = np.flatnonzero(table.sizes == table.sizes.min())
-        features, labels = table.gather(ids, int(table.sizes.min()))
+        index = table.gather(ids, int(table.sizes.min()))
         np.testing.assert_array_equal(
-            features, np.stack([table[k].features for k in ids])
+            table.dataset.features[index],
+            np.stack([table[k].features for k in ids]),
         )
         np.testing.assert_array_equal(
-            labels, np.stack([table[k].labels for k in ids])
+            table.dataset.labels[index],
+            np.stack([table[k].labels for k in ids]),
         )
 
     def test_dataset_list_becomes_one_pooled_table(self) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import builtins
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.data.dataset import Dataset
 from repro.faults.injector import FaultInjector
 from repro.faults.models import make_demo_plan
 from repro.faults.policies import ResilienceConfig, RetryPolicy
-from repro.fl.client import LocalUpdate
+from repro.fl.client import ClientFleet, EdgeServerClient, LocalUpdate
 from repro.fl.engine import (
     AUTO_BACKEND,
     POOL_MIN_WORK,
@@ -34,7 +35,7 @@ from repro.fl.engine import (
 )
 from repro.fl.mlp import MLPConfig
 from repro.fl.model import LogisticRegressionConfig
-from repro.fl.partition import partition_iid
+from repro.fl.partition import Partitions, iid_partitions, partition_iid
 from repro.fl import population
 from repro.fl.population import (
     AggregationTree,
@@ -218,13 +219,13 @@ class TestPopulationState:
         for client_id, dataset in enumerate(_PARTITIONS):
             n = len(dataset.labels)
             assert state.n_samples[client_id] == n
-            group = state.groups[n]
             (row,) = state.rows_of(np.array([client_id]))
-            assert group.client_ids[row] == client_id
+            index = state.index[n][row]
+            pooled = state.partitions.dataset
             np.testing.assert_array_equal(
-                group.features[row], dataset.features
+                pooled.features[index], dataset.features
             )
-            np.testing.assert_array_equal(group.labels[row], dataset.labels)
+            np.testing.assert_array_equal(pooled.labels[index], dataset.labels)
 
     def test_synthesize_shapes_and_dtype(self):
         state = PopulationState.synthesize(
@@ -238,20 +239,15 @@ class TestPopulationState:
         assert f32.dtype == np.float32
 
     def test_rejects_gapped_ids(self):
-        group_cls = type(
-            PopulationState.synthesize(2, seed=0).groups[
-                next(iter(PopulationState.synthesize(2, seed=0).groups))
+        def clients(first_id):
+            return [
+                EdgeServerClient(first_id + k, dataset, _CONFIG)
+                for k, dataset in enumerate(_PARTITIONS[:4])
             ]
-        )
-        good = PopulationState.synthesize(4, seed=0)
-        (n, group), = good.groups.items()
-        bad = group_cls(
-            client_ids=group.client_ids + 2,  # ids 2..5, not 0..3
-            features=group.features,
-            labels=group.labels,
-        )
+
+        assert PopulationState.from_clients(clients(0)).n_clients == 4
         with pytest.raises(ValueError):
-            PopulationState({n: bad}, good.model_config)
+            PopulationState.from_clients(clients(2))  # ids 2..5, not 0..3
 
 
 class TestTrainCohort:
@@ -360,7 +356,7 @@ class TestLaneBlocks:
             ],
             _PAPER_MODEL,
         )
-        assert stored32.groups[n].features.dtype == np.float32
+        assert stored32.partitions.dataset.features.dtype == np.float32
         assert stored32.dtype == stored64.dtype == np.float64
         budget = 4 * n * 784 * 8
         for actual, expected in zip(
@@ -415,12 +411,61 @@ class TestCpuBudgetBits:
         state = PopulationState.from_datasets(
             _float32_partitions(4, 3000), _PAPER_MODEL
         )
-        assert state.groups[3000].features.dtype == np.float32
+        assert state.partitions.dataset.features.dtype == np.float32
         single, forced = at_budgets(
             lambda: self._train(state, [2, 0, 3, 1], epochs=3)
         )
         for expected, actual in zip(single, forced):
             np.testing.assert_array_equal(actual, expected)
+
+    def test_ordered_table_matches_contiguous_table(self, at_budgets):
+        # 1 203 rows over 300 clients: groups of 5 and 4 samples, reached
+        # through the iid table's order or pooled contiguously.
+        rng = np.random.default_rng(5)
+        pooled = Dataset(
+            rng.random((1_203, 784), dtype=np.float32),
+            rng.integers(0, 10, size=1_203),
+            10,
+        )
+        ordered = iid_partitions(pooled, 300, np.random.default_rng(6))
+        contiguous = Partitions.from_datasets(list(ordered))
+        assert ordered.order is not None and contiguous.order is None
+        states = [
+            PopulationState.from_partitions(table, _PAPER_MODEL)
+            for table in (ordered, contiguous)
+        ]
+        cohort = np.arange(1, 300, 2)[::-1]
+        for from_ordered, from_contiguous in at_budgets(
+            lambda: [self._train(state, cohort) for state in states]
+        ):
+            for actual, expected in zip(from_ordered, from_contiguous):
+                np.testing.assert_array_equal(actual, expected)
+
+
+class TestHeldBytes:
+    def test_engine_holds_no_copy_of_the_rows(self):
+        # 10^4 clients of 4 float32 samples: 125 MB of pooled features.
+        rng = np.random.default_rng(0)
+        pooled = Dataset(
+            rng.random((40_000, 784), dtype=np.float32),
+            rng.integers(0, 10, size=40_000),
+            10,
+        )
+        fleet = ClientFleet(
+            iid_partitions(pooled, 10_000, rng), _PAPER_MODEL
+        )
+        config = FederatedConfig(
+            n_rounds=1, participants_per_round=10, local_epochs=1
+        )
+        tracemalloc.start()
+        try:
+            engine = PopulationEngine(fleet, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * pooled.features.nbytes
+        held = pooled.features.nbytes + pooled.labels.nbytes
+        assert held < engine.state.nbytes < 1.05 * held
 
 
 def _record_builds(monkeypatch) -> list[str]:

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -121,3 +125,23 @@ def test_version_is_semver_like() -> None:
     parts = repro.__version__.split(".")
     assert len(parts) == 3
     assert all(part.isdigit() for part in parts)
+
+
+def test_import_loads_no_scipy() -> None:
+    # scipy loads in the fits and intervals that call it: a run's
+    # process, and every campaign worker forked from it, never holds it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+    probe = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro, repro.campaign.runner; "
+            "print('scipy' in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == "False"
