@@ -23,24 +23,18 @@ semantics:
   :func:`repro.perf.scheduler.process_executor`, the seam the campaign
   scheduler's units use, so signals reach them as cancel requests and a
   forced teardown goes through
-  :func:`~repro.perf.scheduler.terminate_workers`.  Workers initialize
-  exactly once per training run: client datasets ship via shared memory
-  (:mod:`repro.perf.shared_data`), the static training configuration
-  (epochs, SGD, FedProx mu, seed) rides in the worker initializer, and
-  per-client model/client objects stay resident in the worker between
-  rounds.  Workers keep no telemetry: the engine counts chunks and
-  clients in its own observer.  Each round is one *chunked cohort
-  submission*: the cohort is split into at most ``pool_workers``
-  contiguous chunks and each chunk is a single task carrying only
-  client ids, the round index, and the learning rate — the global
-  parameter vector is broadcast through a
-  :class:`~repro.perf.shared_data.SharedParameterBlock` rewritten by
-  the parent before submission, so per-round IPC is a few tiny pickles
-  instead of ``K`` dataset/config/parameter copies.  Every
-  chunk replays the exact sequential client code path with mini-batch
-  shuffles drawn from a per-``(seed, client, round)`` named substream,
-  so results are bit-identical regardless of worker count (and chunk
-  count) and identical to sequential execution.
+  :func:`~repro.perf.scheduler.terminate_workers`.  The workers train
+  the parent's own clients: the executor's initializer hands them the
+  built clients and the config once, inherited copy-on-write under
+  fork and unpickled once per worker under spawn.  Workers keep no
+  telemetry: the engine counts chunks and clients in its own observer.
+  Each round splits the cohort into at most ``pool_workers`` contiguous
+  chunks, one task each, carrying the chunk, the global parameters, the
+  round index and the learning rate.  Every chunk runs the sequential
+  engine's own per-client loop (mini-batch shuffles drawn from a
+  per-``(seed, client, round)`` named substream) on the same rows, so
+  results are bit-identical to sequential execution for any worker
+  (and chunk) count.
 
 All engines return the round as one
 :class:`~repro.fl.client.CohortUpdates`, rows in participant order,
@@ -66,12 +60,6 @@ from repro.fl.population import PopulationState, train_cohort
 from repro.perf.cancel import check_cancelled, interruptible
 from repro.perf.cpu import cpu_share
 from repro.perf.scheduler import process_executor, terminate_workers
-from repro.perf.shared_data import (
-    SharedDatasetStore,
-    SharedParameterBlock,
-    attach_datasets,
-    attach_parameters,
-)
 
 if TYPE_CHECKING:
     from repro.fl.training import FederatedConfig
@@ -115,7 +103,7 @@ class ExecutionEngine:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release engine resources (pools, shared memory).  Idempotent."""
+        """Release engine resources (worker pools).  Idempotent."""
 
 
 def _batch_rng(
@@ -130,6 +118,36 @@ def _batch_rng(
     if config.sgd.batch_size is None:
         return None
     return substream(config.seed, "batches", client_id, round_index)
+
+
+def _train_clients(
+    clients: Sequence[EdgeServerClient],
+    config: "FederatedConfig",
+    participants: Sequence[int],
+    global_parameters: np.ndarray,
+    round_index: int,
+    learning_rate: float,
+) -> tuple[list, list[float]]:
+    """The one per-client loop: ``(updates, durations)`` in participant order.
+
+    The sequential engine runs it over the whole cohort, each pool
+    worker over one chunk of it, on the same client objects.
+    """
+    updates, durations = [], []
+    for client_id in participants:
+        started = time.perf_counter()
+        updates.append(
+            clients[client_id].train(
+                global_parameters,
+                epochs=config.local_epochs,
+                learning_rate=learning_rate,
+                sgd=config.sgd,
+                proximal_mu=config.proximal_mu,
+                rng=_batch_rng(config, client_id, round_index),
+            )
+        )
+        durations.append(time.perf_counter() - started)
+    return updates, durations
 
 
 class SequentialEngine(ExecutionEngine):
@@ -155,22 +173,16 @@ class SequentialEngine(ExecutionEngine):
         round_index: int,
         learning_rate: float,
     ) -> CohortUpdates:
-        config = self._config
-        updates, durations = [], []
-        for client_id in participants:
-            started = time.perf_counter()
-            updates.append(
-                self._clients[client_id].train(
-                    global_parameters,
-                    epochs=config.local_epochs,
-                    learning_rate=learning_rate,
-                    sgd=config.sgd,
-                    proximal_mu=config.proximal_mu,
-                    rng=_batch_rng(config, client_id, round_index),
-                )
+        return CohortUpdates.from_updates(
+            *_train_clients(
+                self._clients,
+                self._config,
+                participants,
+                global_parameters,
+                round_index,
+                learning_rate,
             )
-            durations.append(time.perf_counter() - started)
-        return CohortUpdates.from_updates(updates, durations)
+        )
 
 
 def vectorizable(
@@ -264,93 +276,46 @@ class BatchedEngine(PopulationEngine):
 
 
 # ----------------------------------------------------------------------
-# Pool backend: worker-side state and task function.  Module-level so
+# Pool backend: the worker's run and its task function.  Module-level so
 # they are picklable under any start method.
 # ----------------------------------------------------------------------
-_POOL_STATE: dict = {}
+
+# ``(clients, config)`` of the training run this worker serves, set once
+# by the initializer.
+_WORKER_RUN: tuple = ()
 
 # How long a forced teardown waits for chunk workers to unwind before
-# SIGKILL.  They own nothing to release (the parent unlinks the shared
-# blocks), so the wait only has to cover the current numpy call.
+# SIGKILL.  They own nothing to release, so the wait only has to cover
+# the current numpy call.
 _KILL_GRACE_S = 1.0
 
 
-def _pool_initializer(
-    spec,
-    param_name,
-    n_parameters,
-    model_config,
-    seed,
-    epochs,
-    sgd,
-    mu,
-) -> None:
-    """One-time worker setup: attach shared data, pin the static config.
+def _pool_initializer(clients, config) -> None:
+    """Pin the run's clients and config in this worker, once.
 
-    Everything that is constant for the lifetime of a training run —
-    datasets, model config, seed, epochs, SGD config, FedProx mu — lands
-    here exactly once, so per-round tasks never re-pickle any of it.
+    Under the fork start method they arrive as the parent's own objects,
+    shared copy-on-write with no pickling; under spawn or forkserver
+    each worker unpickles them once.
     """
-    datasets, handles = attach_datasets(spec)
-    params, param_handle = attach_parameters(param_name, n_parameters)
-    _POOL_STATE["datasets"] = datasets
-    # Keep every shm buffer alive for the worker's lifetime.
-    _POOL_STATE["handles"] = handles + (param_handle,)
-    _POOL_STATE["params"] = params
-    _POOL_STATE["model_config"] = model_config
-    _POOL_STATE["seed"] = seed
-    _POOL_STATE["epochs"] = epochs
-    _POOL_STATE["sgd"] = sgd
-    _POOL_STATE["mu"] = mu
-    _POOL_STATE["clients"] = {}
+    global _WORKER_RUN
+    _WORKER_RUN = (clients, config)
 
 
 def _pool_train_chunk(task):
     """Train one contiguous chunk of the round's cohort in this worker.
 
-    The global parameters are snapshotted from the shared block once per
-    chunk; each client then runs the exact sequential
-    :meth:`EdgeServerClient.train` code path (resident client objects,
-    per-``(seed, client, round)`` shuffle substreams), so the result is
+    Runs :func:`_train_clients`, the sequential engine's loop, on the
+    sequential engine's client objects and rows, so the result is
     bit-identical to sequential execution for any chunking.
     """
-    chunk, round_index, learning_rate = task
-    params = np.array(_POOL_STATE["params"])
-    epochs = _POOL_STATE["epochs"]
-    sgd = _POOL_STATE["sgd"]
-    mu = _POOL_STATE["mu"]
-    seed = _POOL_STATE["seed"]
-    clients = _POOL_STATE["clients"]
-    results = []
-    for client_id in chunk:
-        started = time.perf_counter()
-        client = clients.get(client_id)
-        if client is None:
-            client = EdgeServerClient(
-                client_id,
-                _POOL_STATE["datasets"][client_id],
-                _POOL_STATE["model_config"],
-            )
-            clients[client_id] = client
-        rng = None
-        if sgd is not None and sgd.batch_size is not None:
-            rng = substream(seed, "batches", client_id, round_index)
-        update = client.train(
-            params,
-            epochs=epochs,
-            learning_rate=learning_rate,
-            sgd=sgd,
-            proximal_mu=mu,
-            rng=rng,
-        )
-        results.append((update, time.perf_counter() - started))
-    return results
+    chunk, global_parameters, round_index, learning_rate = task
+    return _train_clients(
+        *_WORKER_RUN, chunk, global_parameters, round_index, learning_rate
+    )
 
 
-def _close_runtime(
-    executor, store: SharedDatasetStore, params: SharedParameterBlock
-) -> None:
-    """Stop the chunk workers, then unlink the shared blocks.
+def _close_runtime(executor) -> None:
+    """Stop the chunk workers.
 
     Idle workers leave on the executor's shutdown sentinel; a hard
     cancel during that wait ends them through :func:`terminate_workers`.
@@ -361,11 +326,6 @@ def _close_runtime(
     except KeyboardInterrupt:
         terminate_workers(executor, _KILL_GRACE_S)
         raise
-    finally:
-        try:
-            store.close()
-        finally:
-            params.close()
 
 
 def _chunk_evenly(items: list, n_chunks: int) -> list[list]:
@@ -382,23 +342,21 @@ def _chunk_evenly(items: list, n_chunks: int) -> list[list]:
 
 
 class PoolEngine(ExecutionEngine):
-    """Persistent worker processes over shared-memory client datasets.
+    """Persistent worker processes that train the parent's own clients.
 
-    Workers initialize once per training run (datasets via shared
-    memory, static training config via the initializer) and keep their
-    client/model objects resident between rounds; each round submits one
-    task per contiguous cohort chunk with the global parameters
-    broadcast through a shared block.  Workers run the *same*
-    :meth:`EdgeServerClient.train` code path as the sequential engine
-    (with the same per-``(seed, client, round)`` mini-batch substreams),
-    and results are gathered in chunk order, so they are deterministic
-    and bit-identical to sequential execution for any worker count.  The
-    workers come from :func:`~repro.perf.scheduler.process_executor`, the
-    seam the campaign scheduler's units use too.  The executor and the
-    shared blocks are created lazily on the first round and released by
-    :meth:`close` (or at garbage collection via a finalizer); a failure
-    while the runtime is being brought up rolls back every partially
-    created resource before propagating.
+    The executor starts lazily on the first round, after every client
+    exists, and hands the clients and the config to each worker once
+    (:func:`_pool_initializer`): under fork they are inherited
+    copy-on-write, under spawn or forkserver unpickled once per worker.
+    Each round submits one task per contiguous cohort chunk, carrying
+    the chunk, the global parameters, the round index and the learning
+    rate.  Workers run :func:`_train_clients`, the sequential engine's
+    loop, on the same objects and rows, and results are gathered in
+    chunk order, so they are bit-identical to sequential execution for
+    any worker count.  The workers come from
+    :func:`~repro.perf.scheduler.process_executor`, the seam the
+    campaign scheduler's units use too, and are stopped by
+    :meth:`close` (or at garbage collection via a finalizer).
     """
 
     name = "pool"
@@ -414,51 +372,20 @@ class PoolEngine(ExecutionEngine):
         self._config = config
         self._observer = observer
         self._executor = None
-        self._store: SharedDatasetStore | None = None
-        self._params: SharedParameterBlock | None = None
         self._finalizer = None
 
-    def _ensure_pool(self, n_parameters: int) -> None:
+    def _ensure_pool(self) -> None:
         if self._executor is not None:
             return
         import weakref
 
-        store = None
-        params = None
-        try:
-            store = SharedDatasetStore(
-                [client.dataset for client in self._clients]
-            )
-            params = SharedParameterBlock(n_parameters)
-            config = self._config
-            executor = process_executor(
-                config.pool_workers,
-                _pool_initializer,
-                (
-                    store.spec,
-                    params.name,
-                    params.n_parameters,
-                    self._clients[0].model_config,
-                    config.seed,
-                    config.local_epochs,
-                    config.sgd,
-                    config.proximal_mu,
-                ),
-            )
-        except BaseException:
-            # Roll back partial construction: without this, a failure
-            # between shm creation and the executor's start would leak
-            # segments that no finalizer knows about yet.
-            if params is not None:
-                params.close()
-            if store is not None:
-                store.close()
-            raise
-        self._store = store
-        self._params = params
-        self._executor = executor
+        self._executor = process_executor(
+            self._config.pool_workers,
+            _pool_initializer,
+            (self._clients, self._config),
+        )
         self._finalizer = weakref.finalize(
-            self, _close_runtime, executor, store, params
+            self, _close_runtime, self._executor
         )
 
     def train_round(
@@ -470,16 +397,12 @@ class PoolEngine(ExecutionEngine):
     ) -> CohortUpdates:
         if not participants:
             return CohortUpdates.from_updates([])
-        broadcast = np.ascontiguousarray(global_parameters, dtype=np.float64)
-        self._ensure_pool(broadcast.size)
-        # Publish the round's model once; the round waits for every
-        # chunk, so no worker can still be reading when the next round
-        # rewrites it.
-        self._params.write(broadcast)
+        self._ensure_pool()
         chunks = _chunk_evenly(list(participants), self._config.pool_workers)
         futures = [
             self._executor.submit(
-                _pool_train_chunk, (tuple(chunk), round_index, learning_rate)
+                _pool_train_chunk,
+                (tuple(chunk), global_parameters, round_index, learning_rate),
             )
             for chunk in chunks
         ]
@@ -492,17 +415,16 @@ class PoolEngine(ExecutionEngine):
             self._observer.counter("engine.pool_tasks").inc(
                 len(participants)
             )
-        results = [pair for future in futures for pair in future.result()]
-        return CohortUpdates.from_updates(
-            [update for update, _ in results],
-            [duration for _, duration in results],
-        )
+        updates, durations = [], []
+        for future in futures:
+            chunk_updates, chunk_durations = future.result()
+            updates += chunk_updates
+            durations += chunk_durations
+        return CohortUpdates.from_updates(updates, durations)
 
     def close(self) -> None:
         if self._finalizer is not None:
             self._executor = None
-            self._store = None
-            self._params = None
             self._finalizer()  # runs _close_runtime at most once
 
 

@@ -94,8 +94,9 @@ class FederatedConfig:
             ``"sequential"`` (reference), ``"population"`` (vectorized
             struct-of-arrays cohort training; equivalent to sequential
             to ``atol=1e-10``), ``"batched"`` (deprecated spelling of
-            ``"population"``, always float64), ``"pool"`` (process pool
-            over shared-memory datasets; bit-identical to sequential),
+            ``"population"``, always float64), ``"pool"`` (worker
+            processes training the parent's own clients; bit-identical
+            to sequential),
             or ``"auto"`` (resolved from the spec and the CPU count).
             See :mod:`repro.fl.engine`.
         pool_workers: worker-process count for the ``"pool"`` backend
@@ -676,7 +677,7 @@ class FederatedTrainer:
         return self.history
 
     def close(self) -> None:
-        """Release execution-engine resources (worker pools, shared memory).
+        """Release execution-engine resources (worker pools).
 
         Idempotent and a no-op for the in-process backends; required for
         deterministic teardown of the ``"pool"`` backend (a GC finalizer

@@ -1,4 +1,4 @@
-"""Performance substrate: caches and shared-memory plumbing.
+"""Performance substrate: caches, the process runtime and CPU budgets.
 
 Helpers behind the pluggable execution engine
 (:mod:`repro.fl.engine`) and the vectorized sweep evaluation in
@@ -6,11 +6,6 @@ Helpers behind the pluggable execution engine
 
 * :class:`EvalCache` — version-keyed memoization of the coordinator's
   round evaluation (skipped/degraded rounds reuse the previous result);
-* :class:`SharedDatasetStore` / :func:`attach_datasets` — one-time
-  shipping of all client datasets to pool workers via
-  ``multiprocessing.shared_memory``;
-* :class:`SharedParameterBlock` / :func:`attach_parameters` — per-round
-  broadcast of the global model to persistent pool workers;
 * :class:`ParallelUnitScheduler` / :func:`estimate_unit_cost` /
   :func:`order_longest_first` — the longest-job-first supervision loop
   every campaign ``--jobs`` value runs through (inline or across
@@ -30,23 +25,11 @@ from repro.perf.scheduler import (
     estimate_unit_cost,
     order_longest_first,
 )
-from repro.perf.shared_data import (
-    SharedDatasetSpec,
-    SharedDatasetStore,
-    SharedParameterBlock,
-    attach_datasets,
-    attach_parameters,
-)
 
 __all__ = [
     "EvalCache",
     "ParallelUnitScheduler",
     "ScheduleOutcome",
-    "SharedDatasetSpec",
-    "SharedDatasetStore",
-    "SharedParameterBlock",
-    "attach_datasets",
-    "attach_parameters",
     "estimate_unit_cost",
     "order_longest_first",
 ]

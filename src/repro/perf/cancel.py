@@ -23,7 +23,9 @@ and SIGTERM at its default, so that a child with no token of its own yet
 still ends on it.  Both signals stay blocked across the fork until those
 dispositions are in place.  Worker processes started through
 :func:`repro.perf.scheduler.process_executor` then install their own
-token (:func:`install_in_worker`) before they take any task.
+token (:func:`install_in_worker`) before they take any task, and keep
+both signals blocked until they have: a signal that lands in between is
+a request on the worker's token, not a death that breaks its pool.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "check_cancelled",
     "interruptible",
     "install_in_worker",
+    "forking_worker",
 ]
 
 _SIGNALS = (signal.SIGINT, signal.SIGTERM)
@@ -123,6 +126,21 @@ def _token_handler_installed() -> bool:
 
 
 _MASK_BEFORE_FORK: set | None = None
+# True while this process forks a pool worker (see forking_worker).
+_FORKING_WORKER = False
+# In a forked pool worker: the mask install_in_worker restores.
+_MASK_UNTIL_INSTALLED: set | None = None
+
+
+@contextmanager
+def forking_worker() -> Iterator[None]:
+    """Forks in this block are pool workers that call install_in_worker."""
+    global _FORKING_WORKER
+    _FORKING_WORKER = True
+    try:
+        yield
+    finally:
+        _FORKING_WORKER = False
 
 
 def _before_fork() -> None:
@@ -139,12 +157,16 @@ def _after_fork_in_parent() -> None:
 
 
 def _after_fork_in_child() -> None:
-    global _MASK_BEFORE_FORK
+    global _MASK_BEFORE_FORK, _FORKING_WORKER, _MASK_UNTIL_INSTALLED
     if _MASK_BEFORE_FORK is not None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_SETMASK, _MASK_BEFORE_FORK)
+        if _FORKING_WORKER:
+            _MASK_UNTIL_INSTALLED = _MASK_BEFORE_FORK
+        else:
+            signal.pthread_sigmask(signal.SIG_SETMASK, _MASK_BEFORE_FORK)
         _MASK_BEFORE_FORK = None
+    _FORKING_WORKER = False
 
 
 os.register_at_fork(
@@ -185,11 +207,15 @@ def install_in_worker() -> None:  # pragma: no cover - runs in workers
     A worker has no bookkeeping of its own to protect, so its token is
     always interruptible: the first SIGINT/SIGTERM stops the unit at its
     next round boundary, the second unwinds it at once through its
-    ``finally`` blocks (engines close, shared-memory segments unlink).
+    ``finally`` blocks (engines close, files and stores are released).
     """
-    global _ACTIVE
+    global _ACTIVE, _MASK_UNTIL_INSTALLED
     token = CancelToken()
     token._interruptible = True
     for signum in _SIGNALS:
         signal.signal(signum, token._on_signal)
     _ACTIVE = token
+    if _MASK_UNTIL_INSTALLED is not None:
+        # Delivers what arrived since the fork, to this token.
+        signal.pthread_sigmask(signal.SIG_SETMASK, _MASK_UNTIL_INSTALLED)
+        _MASK_UNTIL_INSTALLED = None

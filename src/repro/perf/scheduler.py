@@ -49,6 +49,7 @@ stays import-cycle-free below ``repro.campaign``.
 from __future__ import annotations
 
 import json
+import multiprocessing.context
 import os
 import signal
 import time
@@ -70,6 +71,7 @@ from repro.perf.cancel import (
     Cancelled,
     CancelToken,
     activate,
+    forking_worker,
     install_in_worker,
 )
 from repro.perf.cpu import set_sibling_workers
@@ -321,6 +323,18 @@ def _init_worker(
         initializer(*initargs)
 
 
+class _WorkerProcess(multiprocessing.context.ForkProcess):
+    """A forked pool worker: its signals wait for its token."""
+
+    def start(self) -> None:
+        with forking_worker():
+            super().start()
+
+
+class _WorkerContext(multiprocessing.context.ForkContext):
+    Process = _WorkerProcess
+
+
 def process_executor(
     max_workers: int,
     initializer: Callable | None = None,
@@ -336,10 +350,15 @@ def process_executor(
     ``shutdown(wait=True)``.  Each worker also records its
     ``max_workers`` siblings, so its :func:`~repro.perf.cpu.cpu_budget`
     is its share of the mask, not the whole mask.  Scheduler units and
-    pool-engine chunks both run here.
+    pool-engine chunks both run here.  A forked worker keeps SIGINT and
+    SIGTERM blocked until its token is installed, so a group signal
+    that lands during its start is a request, not a death that breaks
+    the pool (:func:`~repro.perf.cancel.forking_worker`).
     """
+    forked = multiprocessing.get_start_method() == "fork"
     return ProcessPoolExecutor(
         max_workers=max_workers,
+        mp_context=_WorkerContext() if forked else None,
         initializer=_init_worker,
         initargs=(initializer, tuple(initargs), max_workers),
     )
@@ -352,7 +371,7 @@ def terminate_workers(executor, grace_s: float = 5.0) -> None:
     cannot coalesce into one handler call, so the worker's token sees a
     second request and unwinds its task through its ``finally`` blocks
     (see :func:`~repro.perf.cancel.install_in_worker`): engines tear
-    down, shared-memory segments are released.  SIGKILL follows for
+    down and release what they hold.  SIGKILL follows for
     whatever is still alive after ``grace_s``.
     """
     # Snapshot the worker processes *before* shutdown: the executor

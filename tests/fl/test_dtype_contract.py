@@ -96,6 +96,20 @@ class TestFloat32GoldenDigests:
             "30a95b73771c43cd64ddd66188917b6a9d7353fb903fb49ff26656b49fdf796d",
             "978ad11df3df8d573848134caee58d80da19e67bf4cf343d6e67da4b9e9943ad",
         ),
+        # The pool carries the sequential digests: its workers train the
+        # parent's own float32 rows with the sequential engine's loop.
+        "pool-minibatch": (
+            "pool",
+            {"sgd": SGDConfig(learning_rate=0.1, decay=0.99, batch_size=32)},
+            "1e79551691c77880744cb29ac89ce0b86dd01af369befb7ed54dcfad882e653e",
+            "5390197859f39c7dfea67cd029b5550ecaf96c3209a69a231d6927cc1b06da95",
+        ),
+        "pool-small-partitions": (
+            "pool",
+            {"partitions": _SMALL_PARTITIONS},
+            "d48b6be73e493fc4036b43f789a44cd100aa9666255b1e29f6b406f2f887a7c9",
+            "3efe11d80a7f860b8d7d416fd69931bf761999704ac286767c8752717b2a7e24",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

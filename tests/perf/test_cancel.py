@@ -4,7 +4,9 @@ SIGINT and SIGTERM only count requests on a token.  The first never
 raises; the second raises only inside an interruptible wait.  A process
 forked while the token's handlers are installed must not inherit them:
 it ignores SIGINT and dies on SIGTERM, even when the signal lands right
-after the fork, before its interpreter finished starting.
+after the fork, before its interpreter finished starting.  A worker
+forked by ``process_executor`` instead holds both signals until its own
+token is installed, so its pool never breaks on one.
 """
 
 from __future__ import annotations
@@ -88,4 +90,21 @@ class TestForkedChildren:
             child.join(20)
         assert not child.is_alive()
         assert child.exitcode == -signal.SIGTERM
+        assert token.requests == 0
+
+    def test_executor_worker_counts_an_immediate_sigterm(self) -> None:
+        from repro.perf.scheduler import process_executor
+
+        token = CancelToken()
+        with token.on_signals():
+            executor = process_executor(1)
+            try:
+                future = executor.submit(os.getpid)
+                # Sent at once, as above: a worker that died on it would
+                # break the pool and fail the future.
+                for worker in list(executor._processes.values()):
+                    os.kill(worker.pid, signal.SIGTERM)
+                assert future.result(timeout=20) != os.getpid()
+            finally:
+                executor.shutdown(wait=True)
         assert token.requests == 0

@@ -1,9 +1,10 @@
 """Resource teardown on failure paths: no leaked shm, no orphan workers.
 
-The pool engine owns three kinds of OS resources — shared-memory
-dataset blocks, a shared parameter block, and worker processes.  These
-tests assert all of them are released on *unhappy* paths: a unit that
-raises mid-round, and a pool whose construction itself fails partway.
+The pool engine's only OS resource is its worker processes: they train
+the parent's own clients, inherited at fork, so no shared-memory block
+exists.  These tests assert the workers are released on *unhappy*
+paths — a unit that raises mid-round, and a pool whose start itself
+fails — and that no ``/dev/shm`` entry appears on any of them.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class TestFaultingUnitTeardown:
         self, tmp_path, tiny_spec: RunSpec, monkeypatch
     ) -> None:
         # Make the aggregation step blow up mid-run: the pool has been
-        # created (workers alive, shm mapped) and must be torn down by
-        # the trainer's close path even though the unit raises.
+        # created (workers alive) and must be torn down by the trainer's
+        # close path even though the unit raises.
         from repro.fl.server import Coordinator
 
         calls = {"n": 0}
@@ -242,9 +243,8 @@ class TestPartialConstructionRollback:
     def test_pool_construction_failure_rolls_back_shared_blocks(
         self, monkeypatch
     ) -> None:
-        # Fail *after* the shm blocks exist but *before* the pool runs:
-        # _ensure_pool must unlink everything it created, because no
-        # finalizer has been registered yet at that point.
+        # Fail while the pool starts: nothing is left behind, no
+        # finalizer is registered, and the next round starts it afresh.
         import numpy as np
 
         import repro.fl.engine as engine_module
