@@ -31,12 +31,11 @@ def test_bench_fig5_energy_vs_k(benchmark, system: CalibratedSystem) -> None:
     )
     emit(result.report())
 
-    # Shape: measured optimum at K = 1 (iid data).
+    # K* = 1 as measured (iid data) and in theory, continuous and
+    # integer: pinned as recorded.
     assert result.k_star_measured == 1
-    # Shape: theory optimum also at the bottom of the range.
-    theory_argmin = result.theory_argmin()
-    assert theory_argmin is not None and theory_argmin <= 2
-    assert result.k_star_theory <= 2.5
+    assert result.theory_argmin() == 1
+    assert result.k_star_theory == pytest.approx(1.0, rel=1e-9)
 
     # Shape: theory tracks measured (strong positive rank correlation).
     pairs = [

@@ -27,6 +27,10 @@ SEEDS = (0, 1, 2)
 K_VALUES = (1, 2, 5, 10)
 E_VALUES = (5, 20, 60)
 FIXED_E = 20
+# Each seed's saving as recorded; the runs are deterministic and read the
+# same at one BLAS thread and at the default count.
+SAVINGS_PIN = (0.37544807310029416, 0.39007648944953, 0.1604291495089477)
+PIN_REL = 1e-9
 
 
 def _prototype(seed: int) -> HardwarePrototype:
@@ -91,10 +95,9 @@ def test_bench_headline_stability(benchmark) -> None:
     )
 
     # K* = 1 on every seed (the Fig. 5 conclusion is not a seed artifact).
-    assert all(k == 1.0 for k in k_stars)
-    # The saving is consistently substantial.
-    assert s_summary.mean > 0.25
-    assert min(savings) > 0.10
+    assert k_stars == [1.0] * len(SEEDS)
+    # Each seed's saving, pinned.
+    assert savings == pytest.approx(list(SAVINGS_PIN), rel=PIN_REL)
 
 
 @pytest.mark.paper

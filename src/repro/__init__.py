@@ -22,7 +22,8 @@ Public API highlights:
 * :mod:`repro.fl` — FedAvg substrate (model, clients, coordinator, loop).
 * :mod:`repro.data` — synthetic-MNIST dataset substrate.
 * :mod:`repro.hardware` — simulated Raspberry-Pi prototype + power meter.
-* :mod:`repro.iot` / :mod:`repro.net` — uplink and coordination channels.
+* :mod:`repro.iot` — IoT data-collection uplinks; :mod:`repro.net` —
+  the edge link's transfer-time law and model message sizes.
 * :mod:`repro.experiments` — regenerates every table/figure of §VI.
 * :mod:`repro.obs` — structured events, metrics and tracing;
   attach an :class:`~repro.obs.Observer` to any execution layer.

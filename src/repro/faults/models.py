@@ -61,9 +61,11 @@ class GilbertElliottModel:
 
     The channel alternates between a *good* state (low loss) and a *bad*
     state (high loss); transitions are drawn per attempt, so losses
-    arrive in bursts rather than independently.  Layered on
-    :class:`~repro.net.channel.WirelessChannel` as its ``loss_model``:
-    the channel asks :meth:`attempt_lost` once per transfer attempt.
+    arrive in bursts rather than independently; ``loss_good ==
+    loss_bad`` is the i.i.d. special case, stationary loss rate
+    ``loss_good``.  The one source of upload loss in a run:
+    :func:`~repro.faults.policies.simulate_upload` asks
+    :meth:`attempt_lost` once per transfer attempt.
 
     Args:
         p_enter_bad: per-attempt probability of a good→bad transition.
@@ -94,7 +96,7 @@ class GilbertElliottModel:
         if loss_bad >= 1.0 and p_exit_bad == 0.0:
             raise ValueError(
                 "loss_bad = 1 with p_exit_bad = 0 makes the bad state "
-                "absorbing and every transfer loop forever"
+                "absorbing and every upload after it fail"
             )
         self.p_enter_bad = p_enter_bad
         self.p_exit_bad = p_exit_bad
@@ -183,7 +185,10 @@ class BurstLossFault:
 
     Parameterises a :class:`GilbertElliottModel` that the injector
     instantiates per client (so burst state evolves independently per
-    link) and layers onto the upload path.
+    link); the trainer hands it to
+    :func:`~repro.faults.policies.simulate_upload` as the upload's only
+    loss source.  An i.i.d. loss rate ``p`` is
+    ``loss_good = loss_bad = p``.
     """
 
     client_id: int

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.net.channel import WirelessChannel
+    from repro.net.channel import ChannelConfig
 
 __all__ = [
     "RetryPolicy",
@@ -246,33 +246,23 @@ class UploadOutcome:
 
 
 def simulate_upload(
-    channel: "WirelessChannel",
+    channel: "ChannelConfig",
     n_bytes: int,
     policy: RetryPolicy,
     rng: np.random.Generator,
     timeout_s: float | None = None,
     attempt_lost: Callable[[], bool] | None = None,
 ) -> UploadOutcome:
-    """Simulate one upload over a lossy channel under a retry policy.
+    """Simulate one upload over a lossy link under a retry policy.
 
-    Each attempt takes :meth:`WirelessChannel.attempt_duration` seconds
-    and is lost either per ``attempt_lost`` (e.g. a Gilbert–Elliott
-    burst model bound to its own RNG stream) or per the channel config's
-    Bernoulli loss.  Lost attempts back off per ``policy`` using ``rng``
-    for deterministic jitter.  The upload fails when the retry cap is
-    exhausted or when starting the next attempt would exceed the total
-    ``timeout_s`` budget.
+    Each attempt takes :meth:`ChannelConfig.transfer_s` seconds and is
+    lost per ``attempt_lost`` (a Gilbert–Elliott burst model bound to
+    its own RNG stream); ``None`` is a lossless link.  Lost attempts
+    back off per ``policy`` using ``rng`` for deterministic jitter.  The
+    upload fails when the retry cap is exhausted or when starting the
+    next attempt would exceed the total ``timeout_s`` budget.
     """
-    if n_bytes < 0:
-        raise ValueError(f"n_bytes must be non-negative; got {n_bytes}")
-    attempt_s = channel.attempt_duration(n_bytes)
-    loss_p = channel.config.loss_probability
-
-    def lost() -> bool:
-        if attempt_lost is not None:
-            return attempt_lost()
-        return loss_p > 0 and rng.random() < loss_p
-
+    attempt_s = channel.transfer_s(n_bytes)
     transfer_s = 0.0
     backoff_s = 0.0
     attempts = 0
@@ -287,7 +277,7 @@ def simulate_upload(
             )
         attempts += 1
         transfer_s += attempt_s
-        if not lost():
+        if attempt_lost is None or not attempt_lost():
             return UploadOutcome(
                 delivered=True,
                 attempts=attempts,

@@ -53,7 +53,7 @@ from repro.fl.partition import Partitions
 from repro.fl.sampling import ClientSampler, UniformSampler
 from repro.fl.server import Coordinator
 from repro.fl.sgd import LearningRateSchedule, SGDConfig
-from repro.net.channel import ChannelConfig, WirelessChannel
+from repro.net.channel import ChannelConfig
 from repro.perf.cache import EvalCache
 from repro.perf.cancel import check_cancelled
 
@@ -193,7 +193,7 @@ class FederatedTrainer:
         observer: Observer | None = None,
         fault_injector: FaultInjector | None = None,
         resilience: ResilienceConfig | None = None,
-        upload_channel: WirelessChannel | None = None,
+        upload_channel: ChannelConfig | None = None,
         client_time_fn: Callable[[int, int], float] | None = None,
     ) -> None:
         if not clients:
@@ -237,7 +237,7 @@ class FederatedTrainer:
         self.update_compressor = update_compressor
         self.fault_injector = fault_injector
         self.resilience = resilience
-        self.upload_channel = upload_channel or WirelessChannel(ChannelConfig())
+        self.upload_channel = upload_channel or ChannelConfig()
         self.client_time_fn = client_time_fn
         self.resilience_log: list[RoundResilienceReport] = []
         self.history = TrainingHistory()
@@ -375,9 +375,8 @@ class FederatedTrainer:
 
         Attempt losses come from the client's Gilbert–Elliott burst
         channel when the fault plan declares one (drawn from that
-        client's dedicated stream), else from the upload channel's
-        Bernoulli loss; backoff jitter draws from the trainer's
-        resilience stream.
+        client's dedicated stream); without one the upload is lossless.
+        Backoff jitter draws from the trainer's resilience stream.
         """
         assert self.resilience is not None
         injector = self.fault_injector

@@ -22,7 +22,7 @@ from repro.hardware.raspberry_pi import (
     RaspberryPiEdgeServer,
     RoundTiming,
 )
-from repro.net.channel import ChannelConfig, WirelessChannel
+from repro.net.channel import ChannelConfig
 
 __all__ = ["DeviceFleet"]
 
@@ -61,9 +61,7 @@ class DeviceFleet(Sequence[RaspberryPiEdgeServer]):
         self.n_samples = np.asarray(n_samples, dtype=np.int64)
         n = len(self.n_samples)
         self.timing = timing
-        # The testbed's link carries no loss generator: a lossy config
-        # fails here, at set-up, as it would for every device.
-        self.channel = WirelessChannel(channel)
+        self.channel = channel
         self._seed = seed
         power_factor = speed_factor = np.ones(n)
         if heterogeneity > 0:
@@ -107,7 +105,7 @@ class DeviceFleet(Sequence[RaspberryPiEdgeServer]):
                     training_w=float(self.training_w[server_id]),
                     uploading_w=float(self.uploading_w[server_id]),
                 ),
-                channel=WirelessChannel(self.channel.config),
+                channel=self.channel,
                 rng=(
                     np.random.default_rng((self._seed, server_id))
                     if timing.jitter_fraction > 0
@@ -125,10 +123,6 @@ class DeviceFleet(Sequence[RaspberryPiEdgeServer]):
         """Every device's step-(3) duration, Table I's law per row."""
         return epochs * (self.tau0 * self.n_samples + self.tau1)
 
-    def transfer_s(self, n_bytes: int) -> float:
-        """One loss-free transfer of ``n_bytes``, the same on every device."""
-        return self.channel.transfer(n_bytes).duration_s
-
     def nominal_timing(
         self, epochs: int, download_bytes: int, upload_bytes: int
     ) -> RoundTiming:
@@ -136,9 +130,9 @@ class DeviceFleet(Sequence[RaspberryPiEdgeServer]):
         columns (the transfers and the wait are scalars)."""
         return RoundTiming(
             waiting_s=float(self.timing.waiting_s or 0.0),
-            downloading_s=self.transfer_s(download_bytes),
+            downloading_s=self.channel.transfer_s(download_bytes),
             training_s=self.training_durations(epochs),
-            uploading_s=self.transfer_s(upload_bytes),
+            uploading_s=self.channel.transfer_s(upload_bytes),
         )
 
     def phase_energies(

@@ -42,7 +42,7 @@ from repro.hardware.power_model import RoundPhase, StepPowers
 from repro.hardware.raspberry_pi import PiTimingConfig, RoundTiming
 from repro.hardware.trace import PowerTrace
 from repro.iot.network import IoTNetwork
-from repro.net.channel import ChannelConfig, WirelessChannel
+from repro.net.channel import ChannelConfig
 from repro.net.messages import (
     ModelMessage,
     model_download_message,
@@ -189,7 +189,7 @@ class _RunLedger:
         # A fully-crashed (empty) round still takes the coordinator's
         # waiting period of wall-clock time.
         self._idle_s = prototype.config.timing.waiting_s or 1.0
-        self._attempt_s = fleet.channel.attempt_duration(upload.total_bytes)
+        self._attempt_s = fleet.channel.transfer_s(upload.total_bytes)
         self._messages = (prototype._download, upload)
         self._collect = None
         if prototype.config.include_iot:
@@ -500,7 +500,7 @@ class HardwarePrototype:
             rho=rho,
             c0=fleet.tau0 * fleet.training_w,
             c1=fleet.tau1 * fleet.training_w,
-            e_upload=fleet.transfer_s(self._upload.total_bytes)
+            e_upload=fleet.channel.transfer_s(self._upload.total_bytes)
             * fleet.uploading_w,
             n_samples=self.samples_per_server,
         )
@@ -543,7 +543,7 @@ class HardwarePrototype:
             observer=self._observer,
             fault_injector=fault_injector,
             resilience=resilience,
-            upload_channel=WirelessChannel(self.config.channel),
+            upload_channel=self.config.channel,
             client_time_fn=client_time_fn,
         )
 
@@ -573,8 +573,8 @@ class HardwarePrototype:
         The simulated wall clock advances round by round: a round lasts
         as long as its slowest *awaited* participant — all selected with
         plain FedAvg; only the K fastest with ``overselection > 0``
-        (stragglers still train and burn energy, but the coordinator
-        moves on without them).
+        (the over-selected devices it does not await still train and
+        burn energy, but the coordinator moves on without them).
 
         ``update_compressor`` (a :class:`~repro.fl.compression.Compressor`
         or :class:`~repro.fl.compression.ErrorFeedback`) compresses each
@@ -590,9 +590,13 @@ class HardwarePrototype:
         backoff waits at waiting power, and the full active energy of a
         client whose round was futile (upload failed, deadline missed,
         update rejected) is charged to the ``energy.wasted_j`` counter
-        on top of appearing in the round totals.  Declared batteries
-        drain by the measured round energy alone: a plan's nominal
-        ``per_round_j`` is not drawn on this testbed.
+        on top of appearing in the round totals.  A plan's
+        :class:`~repro.faults.StragglerFault` is not priced: its
+        slowdown reaches only the trainer's ``round_deadline_s`` test,
+        and a slowed device costs the same joules and seconds as an
+        unslowed one.  Declared batteries drain by the measured round
+        energy alone: a plan's nominal ``per_round_j`` is not drawn on
+        this testbed.
         """
         if federated_config is None:
             if participants is None or epochs is None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core import constants
 from repro.hardware.power_model import RoundPhase, StepPowers
-from repro.net.channel import ChannelConfig, WirelessChannel
+from repro.net.channel import ChannelConfig
 from repro.net.messages import ModelMessage
 from repro.sim.processes import StepProcess
 
@@ -93,13 +93,13 @@ class RaspberryPiEdgeServer:
         server_id: int,
         timing: PiTimingConfig | None = None,
         powers: StepPowers | None = None,
-        channel: WirelessChannel | None = None,
+        channel: ChannelConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
         self.server_id = server_id
         self.timing = timing or PiTimingConfig()
         self.powers = powers or StepPowers()
-        self.channel = channel or WirelessChannel(ChannelConfig())
+        self.channel = channel or ChannelConfig()
         if self.timing.jitter_fraction > 0 and rng is None:
             raise ValueError("jitter requires an rng")
         self._rng = rng
@@ -132,11 +132,11 @@ class RaspberryPiEdgeServer:
         return RoundTiming(
             waiting_s=self._jittered(self.timing.waiting_s) if self.timing.waiting_s else 0.0,
             downloading_s=self._jittered(
-                self.channel.transfer_message(download).duration_s
+                self.channel.transfer_s(download.total_bytes)
             ),
             training_s=self._jittered(self.training_duration(epochs, n_samples)),
             uploading_s=self._jittered(
-                self.channel.transfer_message(upload).duration_s
+                self.channel.transfer_s(upload.total_bytes)
             ),
         )
 
@@ -211,10 +211,8 @@ class RaspberryPiEdgeServer:
 
     def upload_energy(self, upload: ModelMessage) -> float:
         """The constant ``e_k^U``: upload duration x upload power."""
-        return (
-            self.channel.transfer_message(upload).duration_s
-            * self.powers.uploading_w
-        )
+        upload_s = self.channel.transfer_s(upload.total_bytes)
+        return upload_s * self.powers.uploading_w
 
     def duration_table(
         self, epochs_values: list[int], n_values: list[int]

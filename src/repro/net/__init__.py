@@ -1,25 +1,15 @@
-"""Edge-server <-> coordinator communication substrate."""
+"""Edge-server <-> coordinator link: transfer time and message sizes."""
 
-from repro.net.channel import (
-    ChannelConfig,
-    TransferResult,
-    TransferTimeout,
-    WirelessChannel,
-)
+from repro.net.channel import ChannelConfig
 from repro.net.messages import (
     ModelMessage,
     model_download_message,
     model_upload_message,
 )
-from repro.net.router import Router
 
 __all__ = [
     "ChannelConfig",
-    "TransferResult",
-    "TransferTimeout",
-    "WirelessChannel",
     "ModelMessage",
     "model_download_message",
     "model_upload_message",
-    "Router",
 ]

@@ -1,64 +1,26 @@
-"""Wireless channel between edge servers and the coordinator.
+"""Wireless link between edge servers and the coordinator.
 
 The prototype connects 20 Raspberry Pis and the coordinating laptop via
 a TP-Link WiFi router.  For the energy model only two quantities matter:
 how long a model transfer occupies the radio (which sets the duration of
 steps (2)/(4) and, with the step powers of Fig. 3, their energy), and
-how much extra power the transfer draws.  The channel model therefore
-exposes transfer *time* for a byte count at a configurable effective
-rate, with optional per-transfer latency and retransmissions.
+how much extra power the transfer draws.  The link is therefore a
+deterministic transfer-time law, ``latency + 8 * n_bytes / rate``; the
+paper prices an upload as the constant ``e_k^U`` = transfer time x
+upload power.
 
-Retries are bounded: ``ChannelConfig.max_attempts`` truncates the
-geometric retry loop and raises a typed :class:`TransferTimeout`, which
-the resilience policies in :mod:`repro.faults.policies` consume.  An
-optional *loss model* (an object with ``attempt_lost(rng) -> bool``,
-e.g. :class:`repro.faults.models.GilbertElliottModel`) replaces the
-default Bernoulli loss to model bursty links.
+Upload loss is not the link's business: a fault plan's
+:class:`~repro.faults.BurstLossFault` (a Gilbert–Elliott model, i.i.d.
+when ``loss_good == loss_bad``) decides per attempt, and
+:func:`repro.faults.policies.simulate_upload` retries one
+:meth:`ChannelConfig.transfer_s` per attempt under the retry policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
-import numpy as np
-
-from repro.net.messages import ModelMessage
-
-__all__ = [
-    "ChannelConfig",
-    "WirelessChannel",
-    "TransferResult",
-    "TransferTimeout",
-    "LossModel",
-]
-
-
-class LossModel(Protocol):
-    """Anything that can decide whether one transfer attempt is lost."""
-
-    def attempt_lost(self, rng: np.random.Generator) -> bool:
-        """Draw one attempt outcome, advancing any internal state."""
-        ...
-
-
-class TransferTimeout(RuntimeError):
-    """A transfer exhausted ``max_attempts`` without succeeding.
-
-    Attributes:
-        n_bytes: payload size of the abandoned transfer.
-        attempts: attempts actually transmitted (== ``max_attempts``).
-        elapsed_s: radio time burned by those attempts.
-    """
-
-    def __init__(self, n_bytes: int, attempts: int, elapsed_s: float) -> None:
-        super().__init__(
-            f"transfer of {n_bytes} bytes abandoned after "
-            f"{attempts} attempts ({elapsed_s:.3f}s)"
-        )
-        self.n_bytes = n_bytes
-        self.attempts = attempts
-        self.elapsed_s = elapsed_s
+__all__ = ["ChannelConfig"]
 
 
 @dataclass(frozen=True)
@@ -71,131 +33,19 @@ class ChannelConfig:
             on 2.4 GHz through one wall.
         latency_s: fixed per-transfer protocol latency (connection +
             acknowledgement), seconds.
-        loss_probability: probability a transfer attempt fails entirely
-            and is retried (frame-level retransmission is folded into the
-            effective rate; this models application-level retries).
-        max_attempts: cap on transfer attempts; exceeding it raises
-            :class:`TransferTimeout`.  ``None`` (the default) keeps the
-            legacy unbounded geometric retry loop.
     """
 
     rate_bps: float = 20e6
     latency_s: float = 0.01
-    loss_probability: float = 0.0
-    max_attempts: int | None = None
 
     def __post_init__(self) -> None:
         if self.rate_bps <= 0:
             raise ValueError(f"rate_bps must be positive; got {self.rate_bps}")
         if self.latency_s < 0:
             raise ValueError(f"latency_s must be non-negative; got {self.latency_s}")
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise ValueError(
-                f"loss_probability must be in [0, 1); got {self.loss_probability}"
-            )
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1 when set; got {self.max_attempts}"
-            )
 
-
-@dataclass(frozen=True)
-class TransferResult:
-    """Outcome of one (possibly retried) transfer."""
-
-    duration_s: float
-    attempts: int
-    payload_bytes: int
-
-
-class WirelessChannel:
-    """Transfer-time model with (bounded) geometric retries.
-
-    Deterministic when ``loss_probability == 0`` and no loss model is
-    attached (the default and the paper's effective setting — its WiFi
-    link is treated as reliable); a ``rng`` is required otherwise.
-
-    Args:
-        config: link parameters.
-        rng: randomness for loss draws.
-        loss_model: optional stateful per-attempt loss law (e.g. a
-            Gilbert–Elliott burst model) overriding the config's
-            Bernoulli ``loss_probability``.
-    """
-
-    def __init__(
-        self,
-        config: ChannelConfig,
-        rng: np.random.Generator | None = None,
-        loss_model: LossModel | None = None,
-    ) -> None:
-        self.config = config
-        if (config.loss_probability > 0 or loss_model is not None) and rng is None:
-            raise ValueError("a lossy channel requires an rng")
-        self._rng = rng
-        self._loss_model = loss_model
-
-    @property
-    def lossy(self) -> bool:
-        """Whether transfer attempts can be lost on this channel."""
-        return self.config.loss_probability > 0 or self._loss_model is not None
-
-    def attempt_duration(self, n_bytes: int) -> float:
-        """Time for a single transfer attempt of ``n_bytes``."""
+    def transfer_s(self, n_bytes: int) -> float:
+        """Time for one transfer of ``n_bytes``."""
         if n_bytes < 0:
             raise ValueError(f"n_bytes must be non-negative; got {n_bytes}")
-        return self.config.latency_s + 8.0 * n_bytes / self.config.rate_bps
-
-    def expected_duration(self, n_bytes: int) -> float:
-        """Expected total duration including retries.
-
-        With unbounded retries this is the geometric mean duration
-        ``single / (1 - p)``; with ``max_attempts = m`` the attempt
-        count is a truncated geometric (the transfer is abandoned at
-        ``m``), whose expected consumed attempts are
-        ``(1 - p^m) / (1 - p)``.  A stateful ``loss_model`` has no
-        closed form — the config's Bernoulli ``p`` is used as the
-        approximation.
-        """
-        single = self.attempt_duration(n_bytes)
-        p = self.config.loss_probability
-        m = self.config.max_attempts
-        if m is None:
-            return single / (1.0 - p)
-        return single * (1.0 - p**m) / (1.0 - p) if p > 0 else single
-
-    def _attempt_lost(self) -> bool:
-        assert self._rng is not None
-        if self._loss_model is not None:
-            return self._loss_model.attempt_lost(self._rng)
-        return self._rng.random() < self.config.loss_probability
-
-    def transfer(self, n_bytes: int) -> TransferResult:
-        """Simulate one transfer, drawing retries when the link is lossy.
-
-        Raises:
-            TransferTimeout: when ``config.max_attempts`` attempts were
-                transmitted and all were lost.
-        """
-        attempts = 1
-        if self.lossy:
-            single = self.attempt_duration(n_bytes)
-            while self._attempt_lost():
-                if (
-                    self.config.max_attempts is not None
-                    and attempts >= self.config.max_attempts
-                ):
-                    raise TransferTimeout(
-                        n_bytes=n_bytes,
-                        attempts=attempts,
-                        elapsed_s=attempts * single,
-                    )
-                attempts += 1
-        duration = attempts * self.attempt_duration(n_bytes)
-        return TransferResult(
-            duration_s=duration, attempts=attempts, payload_bytes=n_bytes
-        )
-
-    def transfer_message(self, message: ModelMessage) -> TransferResult:
-        """Simulate the transfer of a model message."""
-        return self.transfer(message.total_bytes)
+        return self.latency_s + 8.0 * n_bytes / self.rate_bps

@@ -58,11 +58,26 @@ class TestGilbertElliott:
         conditional = pairs.sum() / max(1, losses[:-1].sum())
         assert conditional > 2 * rate
 
-    def test_stationary_loss_matches_empirical_rate(self) -> None:
+    @pytest.mark.parametrize(
+        "loss_good,loss_bad,expected",
+        [
+            (0.05, 0.8, 0.2375),
+            # i.i.d. loss at rate p: both states lose with p, so the
+            # chain's state changes nothing.
+            (0.2, 0.2, 0.2),
+        ],
+        ids=["burst", "iid"],
+    )
+    def test_stationary_loss_matches_empirical_rate(
+        self, loss_good: float, loss_bad: float, expected: float
+    ) -> None:
         model = GilbertElliottModel(
-            p_enter_bad=0.1, p_exit_bad=0.3, loss_good=0.05, loss_bad=0.8
+            p_enter_bad=0.1,
+            p_exit_bad=0.3,
+            loss_good=loss_good,
+            loss_bad=loss_bad,
         )
-        expected = model.stationary_loss
+        assert model.stationary_loss == pytest.approx(expected, rel=1e-12)
         rng = np.random.default_rng(2)
         observed = np.mean([model.attempt_lost(rng) for _ in range(20000)])
         assert observed == pytest.approx(expected, abs=0.03)

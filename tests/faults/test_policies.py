@@ -13,7 +13,7 @@ from repro.faults.policies import (
     UploadOutcome,
     simulate_upload,
 )
-from repro.net.channel import ChannelConfig, WirelessChannel
+from repro.net.channel import ChannelConfig
 
 
 class TestRetryPolicy:
@@ -74,10 +74,8 @@ class TestResilienceConfig:
             ResilienceConfig(**kwargs)
 
 
-def _channel(loss: float = 0.0) -> WirelessChannel:
-    config = ChannelConfig(rate_bps=1e6, latency_s=0.0, loss_probability=loss)
-    rng = np.random.default_rng(0) if loss > 0 else None
-    return WirelessChannel(config, rng=rng)
+def _channel() -> ChannelConfig:
+    return ChannelConfig(rate_bps=1e6, latency_s=0.0)
 
 
 class TestSimulateUpload:

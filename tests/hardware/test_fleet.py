@@ -22,7 +22,6 @@ from repro.hardware import prototype as prototype_module
 from repro.hardware.power_model import StepPowers
 from repro.hardware.prototype import HardwarePrototype, PrototypeConfig
 from repro.hardware.raspberry_pi import PiTimingConfig, RaspberryPiEdgeServer
-from repro.net.channel import ChannelConfig, WirelessChannel
 from repro.net.messages import model_download_message, model_upload_message
 
 pytestmark = pytest.mark.population_smoke
@@ -111,7 +110,7 @@ class TestLazyDevices:
             server_id=4,
             timing=config.timing,
             powers=config.powers,
-            channel=WirelessChannel(config.channel),
+            channel=config.channel,
             rng=np.random.default_rng((config.seed, 4)),
         )
         download = model_download_message(config.model)
@@ -131,17 +130,6 @@ class TestLazyDevices:
         assert [d.server_id for d in prototype.devices] == [0, 1, 2, 3]
         with pytest.raises(IndexError):
             prototype.devices[4]
-
-    def test_lossy_channel_still_fails_at_setup(self, data):
-        train, test = data
-        with pytest.raises(ValueError, match="lossy channel"):
-            HardwarePrototype(
-                train,
-                test,
-                PrototypeConfig(
-                    n_servers=4, channel=ChannelConfig(loss_probability=0.1)
-                ),
-            )
 
 
 class TestVectorisedHeterogeneity:

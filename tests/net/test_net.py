@@ -1,18 +1,16 @@
-"""Unit tests for the coordination-network substrate."""
+"""Unit tests for the edge link: transfer time and message sizes."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.fl.model import LogisticRegressionConfig
-from repro.net.channel import ChannelConfig, TransferTimeout, WirelessChannel
+from repro.net.channel import ChannelConfig
 from repro.net.messages import (
     ModelMessage,
     model_download_message,
     model_upload_message,
 )
-from repro.net.router import Router
 
 
 class TestMessages:
@@ -45,52 +43,14 @@ class TestMessages:
 
 class TestChannel:
     def test_attempt_duration_is_latency_plus_serialisation(self) -> None:
-        channel = WirelessChannel(ChannelConfig(rate_bps=1e6, latency_s=0.01))
-        assert channel.attempt_duration(12500) == pytest.approx(0.01 + 0.1)
-
-    def test_lossless_transfer_single_attempt(self) -> None:
-        channel = WirelessChannel(ChannelConfig(rate_bps=1e6))
-        result = channel.transfer(1000)
-        assert result.attempts == 1
-        assert result.duration_s == channel.attempt_duration(1000)
-
-    def test_lossy_transfer_retries(self) -> None:
-        channel = WirelessChannel(
-            ChannelConfig(rate_bps=1e6, loss_probability=0.8),
-            rng=np.random.default_rng(0),
-        )
-        attempts = [channel.transfer(100).attempts for _ in range(300)]
-        assert max(attempts) > 1
-        # Geometric mean 1/(1-p) = 5.
-        assert np.mean(attempts) == pytest.approx(5.0, rel=0.25)
-
-    def test_expected_duration_inflates_by_loss(self) -> None:
-        lossless = WirelessChannel(ChannelConfig(rate_bps=1e6))
-        lossy = WirelessChannel(
-            ChannelConfig(rate_bps=1e6, loss_probability=0.5),
-            rng=np.random.default_rng(0),
-        )
-        assert lossy.expected_duration(1000) == pytest.approx(
-            2 * lossless.expected_duration(1000)
-        )
-
-    def test_lossy_requires_rng(self) -> None:
-        with pytest.raises(ValueError, match="rng"):
-            WirelessChannel(ChannelConfig(loss_probability=0.1))
-
-    def test_transfer_message(self) -> None:
-        config = LogisticRegressionConfig()
-        channel = WirelessChannel(ChannelConfig())
-        message = model_upload_message(config)
-        assert channel.transfer_message(message).payload_bytes == message.total_bytes
+        channel = ChannelConfig(rate_bps=1e6, latency_s=0.01)
+        assert channel.transfer_s(12500) == pytest.approx(0.01 + 0.1)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rate_bps": 0.0},
             {"latency_s": -0.1},
-            {"loss_probability": 1.0},
-            {"loss_probability": -0.1},
         ],
     )
     def test_rejects_invalid_config(self, kwargs: dict) -> None:
@@ -99,129 +59,4 @@ class TestChannel:
 
     def test_rejects_negative_bytes(self) -> None:
         with pytest.raises(ValueError, match="n_bytes"):
-            WirelessChannel(ChannelConfig()).attempt_duration(-1)
-
-
-class _AlwaysLost:
-    def attempt_lost(self, rng: np.random.Generator) -> bool:
-        return True
-
-
-class _NeverLost:
-    def attempt_lost(self, rng: np.random.Generator) -> bool:
-        return False
-
-
-class TestBoundedRetries:
-    def test_max_attempts_raises_typed_timeout(self) -> None:
-        channel = WirelessChannel(
-            ChannelConfig(rate_bps=1e6, latency_s=0.0, max_attempts=3),
-            rng=np.random.default_rng(0),
-            loss_model=_AlwaysLost(),
-        )
-        with pytest.raises(TransferTimeout) as excinfo:
-            channel.transfer(12_500)
-        error = excinfo.value
-        assert error.n_bytes == 12_500
-        assert error.attempts == 3
-        assert error.elapsed_s == pytest.approx(3 * 0.1)
-
-    def test_attempts_never_exceed_cap(self) -> None:
-        channel = WirelessChannel(
-            ChannelConfig(rate_bps=1e6, loss_probability=0.8, max_attempts=5),
-            rng=np.random.default_rng(0),
-        )
-        for _ in range(200):
-            try:
-                result = channel.transfer(100)
-            except TransferTimeout as error:
-                assert error.attempts == 5
-            else:
-                assert result.attempts <= 5
-
-    def test_loss_model_overrides_bernoulli_loss(self) -> None:
-        # Config says 90 % loss, but the attached model never loses.
-        channel = WirelessChannel(
-            ChannelConfig(rate_bps=1e6, loss_probability=0.9),
-            rng=np.random.default_rng(0),
-            loss_model=_NeverLost(),
-        )
-        assert all(channel.transfer(100).attempts == 1 for _ in range(50))
-
-    def test_expected_duration_truncated_geometric(self) -> None:
-        p, m = 0.5, 4
-        bounded = WirelessChannel(
-            ChannelConfig(rate_bps=1e6, loss_probability=p, max_attempts=m),
-            rng=np.random.default_rng(0),
-        )
-        unbounded = WirelessChannel(
-            ChannelConfig(rate_bps=1e6, loss_probability=p),
-            rng=np.random.default_rng(0),
-        )
-        single = bounded.attempt_duration(1000)
-        # E[attempts] = (1 - p^m) / (1 - p) < 1 / (1 - p).
-        assert bounded.expected_duration(1000) == pytest.approx(
-            single * (1 - p**m) / (1 - p)
-        )
-        assert bounded.expected_duration(1000) < unbounded.expected_duration(1000)
-
-    def test_lossless_bounded_channel_is_single_attempt(self) -> None:
-        channel = WirelessChannel(ChannelConfig(rate_bps=1e6, max_attempts=2))
-        assert channel.expected_duration(1000) == channel.attempt_duration(1000)
-        assert channel.transfer(1000).attempts == 1
-
-    def test_rejects_bad_max_attempts(self) -> None:
-        with pytest.raises(ValueError, match="max_attempts"):
-            ChannelConfig(max_attempts=0)
-
-
-class TestRouter:
-    def test_uniform_links(self) -> None:
-        router = Router(5, ChannelConfig(rate_bps=1e6))
-        message = ModelMessage("download", 1000)
-        durations = [router.transfer_duration(i, message) for i in range(5)]
-        assert len(set(durations)) == 1
-
-    def test_heterogeneous_link_override(self) -> None:
-        router = Router(3, ChannelConfig(rate_bps=1e6))
-        slow = WirelessChannel(ChannelConfig(rate_bps=1e5))
-        router.set_link(1, slow)
-        message = ModelMessage("download", 10_000)
-        assert router.transfer_duration(1, message) > router.transfer_duration(0, message)
-
-    def test_shared_medium_scales_with_concurrency(self) -> None:
-        router = Router(4, ChannelConfig(rate_bps=1e6), shared_medium=True)
-        message = ModelMessage("download", 1000)
-        single = router.transfer_duration(0, message, concurrent=1)
-        assert router.transfer_duration(0, message, concurrent=4) == pytest.approx(
-            4 * single
-        )
-
-    def test_dedicated_medium_ignores_concurrency(self) -> None:
-        router = Router(4, ChannelConfig(rate_bps=1e6))
-        message = ModelMessage("download", 1000)
-        assert router.transfer_duration(0, message, concurrent=4) == pytest.approx(
-            router.transfer_duration(0, message, concurrent=1)
-        )
-
-    def test_broadcast_durations(self) -> None:
-        router = Router(4, ChannelConfig(rate_bps=1e6), shared_medium=True)
-        message = ModelMessage("download", 1000)
-        durations = router.broadcast_duration([0, 2, 3], message)
-        assert set(durations) == {0, 2, 3}
-        single = router.transfer_duration(0, message, concurrent=1)
-        assert durations[0] == pytest.approx(3 * single)
-
-    def test_rejects_bad_device(self) -> None:
-        router = Router(2)
-        with pytest.raises(ValueError, match="device_id"):
-            router.link(2)
-
-    def test_rejects_bad_concurrency(self) -> None:
-        router = Router(2)
-        with pytest.raises(ValueError, match="concurrent"):
-            router.transfer_duration(0, ModelMessage("upload", 10), concurrent=0)
-
-    def test_rejects_empty_router(self) -> None:
-        with pytest.raises(ValueError, match="n_devices"):
-            Router(0)
+            ChannelConfig().transfer_s(-1)

@@ -8,6 +8,7 @@ entry points.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -119,6 +120,22 @@ def test_deprecated_shim_warning_text(name: str) -> None:
     assert f"repro.{name} is deprecated" in message
     assert "will be removed in repro 2.0" in message
     assert "RunSpec" in message  # points at the replacement surface
+
+
+def test_net_holds_the_link_law_and_message_sizes() -> None:
+    # Upload loss lives in the fault plan; the link only times transfers.
+    import repro.net
+
+    assert set(repro.net.__all__) == {
+        "ChannelConfig",
+        "ModelMessage",
+        "model_download_message",
+        "model_upload_message",
+    }
+    assert [f.name for f in dataclasses.fields(repro.net.ChannelConfig)] == [
+        "rate_bps",
+        "latency_s",
+    ]
 
 
 def test_version_is_semver_like() -> None:
