@@ -15,7 +15,12 @@ the timings:
   decision to keep the pool engine; and population vs sequential on
   the same data, in lock-step rounds, the row behind ``auto``'s pick
   of the population engine at this shape (max |dparam| <= 1e-10 and
-  at most 1.05x sequential's seconds per round);
+  at most 1.05x sequential's seconds per round).  Both guards divide
+  by sequential at a CPU budget of 1, the one core each pool worker
+  gets: above it the sequential engine trains these clients on
+  threads.  That threaded sequential engine runs in the same lock-step
+  rounds as the pool and population, gated to 0 max |dparam| against
+  budget 1, and their times are recorded against it without a bound;
 * **break-even sweep** — pool speedup across model sizes and epoch
   counts, reporting the measured (K, E, model) crossover where the pool
   starts to pay and its ``K * E * d`` work, which is the
@@ -48,6 +53,7 @@ import os
 for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_blas_threads, "1")
 
+import contextlib
 import hashlib
 import json
 import shutil
@@ -57,6 +63,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from bench_engine import _cpu_budget
 
 from repro.campaign import ArtifactStore, CampaignRunner, CampaignSpec, RunSpec
 from repro.data.dataset import Dataset
@@ -64,6 +71,7 @@ from repro.fl.model import LogisticRegressionConfig
 from repro.fl.partition import partition_iid
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
+from repro.perf import cpu
 
 SEED = 0
 N_SERVERS = 20
@@ -213,35 +221,47 @@ def run_engine_level() -> dict:
 
 
 def _lockstep_rounds(
-    backends: tuple[str, str], data, rounds: int
+    sides: dict[str, tuple[str, int | None]], data, rounds: int
 ) -> dict[str, tuple[list[float], np.ndarray]]:
-    """Per-round seconds and final parameters of two trainers in turn.
+    """Per-round seconds and final parameters of trainers run in turn.
 
-    After one warm-up round each, the two trainers alternate rounds,
-    and the one that goes first swaps every round.
+    ``sides`` maps a label to ``(backend, CPU budget)``; a budget of
+    ``None`` leaves the process's own.  After one warm-up round each,
+    the trainers alternate rounds, and the one that goes first rotates
+    every round.
     """
+    labels = list(sides)
     trainers = {
-        backend: _trainer(
+        label: _trainer(
             backend, PAPER_MODEL, data, HEADLINE_K, HEADLINE_E, rounds + 1
         )
-        for backend in backends
+        for label, (backend, _) in sides.items()
     }
-    seconds: dict[str, list[float]] = {backend: [] for backend in backends}
+
+    def at_budget(label: str):
+        budget = sides[label][1]
+        if budget is None:
+            return contextlib.nullcontext()
+        return _cpu_budget(budget)
+
+    seconds: dict[str, list[float]] = {label: [] for label in labels}
     try:
-        for trainer in trainers.values():
-            trainer.run_round()
+        for label, trainer in trainers.items():
+            with at_budget(label):
+                trainer.run_round()
         for round_index in range(rounds):
-            order = backends if round_index % 2 == 0 else backends[::-1]
-            for backend in order:
-                started = time.perf_counter()
-                trainers[backend].run_round()
-                seconds[backend].append(time.perf_counter() - started)
+            shift = round_index % len(labels)
+            for label in labels[shift:] + labels[:shift]:
+                with at_budget(label):
+                    started = time.perf_counter()
+                    trainers[label].run_round()
+                    seconds[label].append(time.perf_counter() - started)
         return {
-            backend: (
-                seconds[backend],
+            label: (
+                seconds[label],
                 trainer.coordinator.global_parameters.copy(),
             )
-            for backend, trainer in trainers.items()
+            for label, trainer in trainers.items()
         }
     finally:
         for trainer in trainers.values():
@@ -249,7 +269,14 @@ def _lockstep_rounds(
 
 
 def run_paper_shape() -> dict:
-    """Pool and population vs sequential at the paper's full data shape."""
+    """Pool and population vs sequential at the paper's full data shape.
+
+    The guards' reference is sequential at a CPU budget of 1, one core
+    as the module's BLAS pin intends: above it the sequential engine
+    trains these clients on threads.  The threaded sequential engine is
+    its own row, lock-step against budget 1, with the pool and
+    population times read against it.
+    """
     train, test, partitions = _make_data(
         PAPER_MODEL, PAPER_SHAPE_SAMPLES_PER_SERVER
     )
@@ -259,14 +286,23 @@ def run_paper_shape() -> dict:
     timings = {}
     params = {}
     for backend in ("sequential", "pool"):
-        timings[backend], params[backend] = _timed_run(
-            backend, PAPER_MODEL, data, HEADLINE_K, HEADLINE_E,
-            PAPER_SHAPE_ROUNDS, warmup_rounds=1,
-        )
+        with _cpu_budget(1):
+            timings[backend], params[backend] = _timed_run(
+                backend, PAPER_MODEL, data, HEADLINE_K, HEADLINE_E,
+                PAPER_SHAPE_ROUNDS, warmup_rounds=1,
+            )
     paired = _lockstep_rounds(
-        ("sequential", "population"), data, PAPER_SHAPE_PAIRED_ROUNDS
+        {
+            "sequential": ("sequential", 1),
+            "threaded": ("sequential", None),
+            "population": ("population", None),
+            "pool": ("pool", None),
+        },
+        data,
+        PAPER_SHAPE_PAIRED_ROUNDS,
     )
     seq_rounds, seq_params = paired["sequential"]
+    threaded_rounds, threaded_params = paired["threaded"]
     pop_rounds, pop_params = paired["population"]
     row = {
         "participants": HEADLINE_K,
@@ -274,6 +310,7 @@ def run_paper_shape() -> dict:
         "samples_per_server": PAPER_SHAPE_SAMPLES_PER_SERVER,
         "rounds": PAPER_SHAPE_ROUNDS,
         "model": "784x10",
+        "sequential_cpu_budget": 1,
         "seconds_per_round_sequential": timings["sequential"]
         / PAPER_SHAPE_ROUNDS,
         "seconds_per_round_pool": timings["pool"] / PAPER_SHAPE_ROUNDS,
@@ -295,21 +332,48 @@ def run_paper_shape() -> dict:
             ),
         },
     }
+    threaded = float(np.median(threaded_rounds))
+    row["threaded_sequential"] = {
+        "paired_rounds": PAPER_SHAPE_PAIRED_ROUNDS,
+        "cpu_budget": cpu.cpu_budget(),
+        "round_seconds_budget_1": seq_rounds,
+        "round_seconds_threaded": threaded_rounds,
+        "round_seconds_pool": paired["pool"][0],
+        "seconds_per_round_threaded": threaded,
+        "ratio_vs_budget_1": threaded / float(np.median(seq_rounds)),
+        "max_abs_param_diff": float(
+            np.max(np.abs(threaded_params - seq_params))
+        ),
+        # Recorded, not bounded: the pool's workers and the population
+        # engine against in-process threads on the same cores.
+        "pool_over_threaded": float(np.median(paired["pool"][0])) / threaded,
+        "population_over_threaded": float(np.median(pop_rounds)) / threaded,
+    }
     population = row["population"]
+    threaded_row = row["threaded_sequential"]
     print(
         f"paper shape ({PAPER_SHAPE_SAMPLES_PER_SERVER} samples/server, "
         f"K={HEADLINE_K}, E={HEADLINE_E}, 784x10): "
-        f"sequential {row['seconds_per_round_sequential']:.2f} s/round, "
-        f"pool {row['seconds_per_round_pool']:.2f} s/round, "
+        f"sequential {row['seconds_per_round_sequential']:.2f} s/round "
+        f"(budget 1), pool {row['seconds_per_round_pool']:.2f} s/round, "
         f"{row['speedup_pool']:.2f}x, "
         f"max|dparam| {row['max_abs_param_diff']:.1e}"
     )
     print(
         f"paper shape, lock-step rounds: sequential "
-        f"{population['seconds_per_round_sequential']:.2f} s/round, "
-        f"population {population['seconds_per_round_population']:.2f} "
+        f"{population['seconds_per_round_sequential']:.2f} s/round "
+        f"(budget 1), population "
+        f"{population['seconds_per_round_population']:.2f} "
         f"s/round, {population['ratio_vs_sequential']:.2f}x sequential, "
         f"max|dparam| {population['max_abs_param_diff']:.1e}"
+    )
+    print(
+        f"paper shape, lock-step rounds: sequential at budget "
+        f"{threaded_row['cpu_budget']} {threaded:.2f} s/round, "
+        f"{threaded_row['ratio_vs_budget_1']:.2f}x budget 1, "
+        f"max|dparam| {threaded_row['max_abs_param_diff']:.1e}; "
+        f"pool {threaded_row['pool_over_threaded']:.2f}x and population "
+        f"{threaded_row['population_over_threaded']:.2f}x of it"
     )
     return row
 
@@ -483,6 +547,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"pool backend diverged from sequential at the {label} "
                 f"(max|dparam| = {row['max_abs_param_diff']:.2e}, must be 0)"
             )
+    threaded = paper_shape["threaded_sequential"]
+    if threaded["max_abs_param_diff"] != 0.0:
+        failures.append(
+            f"sequential at CPU budget {threaded['cpu_budget']} diverged "
+            "from budget 1 at the paper shape (max|dparam| = "
+            f"{threaded['max_abs_param_diff']:.2e}, must be 0)"
+        )
     population = paper_shape["population"]
     if population["max_abs_param_diff"] > ACCEPT_POPULATION_ATOL:
         failures.append(

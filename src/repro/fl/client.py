@@ -82,6 +82,8 @@ class CohortUpdates:
         gradient_steps: ``(K,)`` SGD steps each client took.
         epochs: ``(K,)`` local epochs each client ran.
         durations_s: ``(K,)`` measured training seconds per client.
+            Clients trained on threads overlap, so these can sum past
+            the round's wall time.
     """
 
     client_ids: np.ndarray

@@ -6,7 +6,12 @@ engine interface so the *how* can vary without touching FedAvg
 semantics:
 
 * :class:`SequentialEngine` — the reference path: one
-  :meth:`EdgeServerClient.train` call per participant, in order.
+  :meth:`EdgeServerClient.train` call per participant, results in
+  participant order.  Above a CPU budget of 1
+  (:func:`~repro.perf.cpu.cpu_budget`) a full-batch cohort of clients
+  with at least ``_THREAD_MIN_ROWS`` rows each trains on that many
+  threads, as the paper's devices train side by side, with the same
+  bits (:func:`_train_clients`).
 * :class:`PopulationEngine` — the one vectorized engine.  It adopts the
   clients' partition table once (a
   :class:`~repro.fl.client.ClientFleet`'s, building no client and
@@ -58,7 +63,7 @@ from repro.fl.client import CohortUpdates, EdgeServerClient, shared_model_config
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.population import PopulationState, train_cohort
 from repro.perf.cancel import check_cancelled, interruptible
-from repro.perf.cpu import cpu_share
+from repro.perf.cpu import cpu_share, ordered_map
 from repro.perf.scheduler import process_executor, terminate_workers
 
 if TYPE_CHECKING:
@@ -120,6 +125,46 @@ def _batch_rng(
     return substream(config.seed, "batches", client_id, round_index)
 
 
+# Rows every client of a full-batch cohort holds at least before
+# :func:`_train_clients` trains the cohort on the CPU budget's threads.
+# With one BLAS thread on 2 vCPUs, 20 clients at budget 2 took this
+# share of budget 1's time (medians of 5 to 7 alternated pairs), for
+# E = 1, 4 and 16:
+#
+#     rows   784x10 LR            784-64-10 MLP
+#      100   1.22  1.13  1.06     1.04  1.13  0.99
+#      128   1.15  0.83  1.01     (noisy, 0.85 to 1.78)
+#      192   1.02  1.18  0.76
+#      256   0.86  0.66  0.63     1.09  1.08  0.54
+#      512   0.77  0.60  0.58     0.59  0.53  0.58
+#     1000   0.69  0.60  0.56     0.81  0.60  0.58
+#
+# The small-GEMM cutoff (128 rows at 784x10, ``model._swaps_forward``) is
+# still break-even; from 256 rows the paper's model always gains.
+_THREAD_MIN_ROWS = 256
+
+
+def _trains_on_threads(
+    clients: Sequence[EdgeServerClient],
+    config: "FederatedConfig",
+    participants: Sequence[int],
+) -> bool:
+    """Whether :func:`_train_clients` may train ``participants`` on threads.
+
+    Only a cohort that trains full batch, names each client once and
+    gives every client at least ``_THREAD_MIN_ROWS`` rows: such clients
+    share nothing (each owns its model, its rows and their widened
+    copies, and draws no shuffle), so their updates keep their bits on
+    any thread.  Mini-batch training is never threaded: it measured
+    0.83x on batches of 32.
+    """
+    return (
+        config.sgd.batch_size is None
+        and len(set(participants)) == len(participants)
+        and all(clients[c].n_samples >= _THREAD_MIN_ROWS for c in participants)
+    )
+
+
 def _train_clients(
     clients: Sequence[EdgeServerClient],
     config: "FederatedConfig",
@@ -131,27 +176,43 @@ def _train_clients(
     """The one per-client loop: ``(updates, durations)`` in participant order.
 
     The sequential engine runs it over the whole cohort, each pool
-    worker over one chunk of it, on the same client objects.
+    worker over one chunk of it, on the same client objects.  The
+    clients train through :func:`~repro.perf.cpu.ordered_map`, on the
+    CPU budget's threads where :func:`_trains_on_threads` allows, with
+    the same bits at any budget; a pool worker's budget is 1, so it
+    keeps the plain loop.  Each duration is its own client's wall time,
+    so threaded durations overlap.
     """
-    updates, durations = [], []
-    for client_id in participants:
+
+    def train(client_id: int) -> tuple:
         started = time.perf_counter()
-        updates.append(
-            clients[client_id].train(
-                global_parameters,
-                epochs=config.local_epochs,
-                learning_rate=learning_rate,
-                sgd=config.sgd,
-                proximal_mu=config.proximal_mu,
-                rng=_batch_rng(config, client_id, round_index),
-            )
+        update = clients[client_id].train(
+            global_parameters,
+            epochs=config.local_epochs,
+            learning_rate=learning_rate,
+            sgd=config.sgd,
+            proximal_mu=config.proximal_mu,
+            rng=_batch_rng(config, client_id, round_index),
         )
-        durations.append(time.perf_counter() - started)
-    return updates, durations
+        return update, time.perf_counter() - started
+
+    threads = len(participants)
+    if not _trains_on_threads(clients, config, participants):
+        threads = 1
+    trained = ordered_map(train, participants, threads)
+    return [update for update, _ in trained], [
+        duration for _, duration in trained
+    ]
 
 
 class SequentialEngine(ExecutionEngine):
-    """Reference backend: per-client training in participant order."""
+    """Reference backend: per-client training, results in participant
+    order.
+
+    Runs :func:`_train_clients` over the whole cohort in this process,
+    so a full-batch cohort above the row floor trains on the process's
+    CPU budget, and each update has the same bits at any budget.
+    """
 
     name = "sequential"
 

@@ -15,7 +15,8 @@ Helpers behind the pluggable execution engine
   every worker process, the pool engine's included;
 * :mod:`repro.perf.cpu` — how many CPUs this process may use beside
   BLAS (:func:`~repro.perf.cpu.cpu_budget`), and the ordered map that
-  trains lane blocks and scores evaluation rows on them.
+  trains lane blocks and full-batch clients and scores evaluation rows
+  on them.
 """
 
 from repro.perf.cache import EvalCache

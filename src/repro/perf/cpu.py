@@ -13,12 +13,13 @@ The BLAS thread count is read, never set: changing it moves the bits of
 every forward above the small-GEMM cutoff (DESIGN.md, "GEMM
 orientation").  When it cannot be read the budget is 1.
 
-:func:`ordered_map` runs independent pieces of one computation (lane
-blocks, evaluation row blocks) on that many threads.  numpy releases the
-interpreter lock in GEMMs, ufunc loops, casts and gathers, so the pieces
-overlap.  At budget 1 it is a plain loop and starts no thread; above it,
-its threads end before it returns, so a process forked afterwards
-inherits none.
+:func:`ordered_map` runs independent pieces of one computation on that
+many threads: the population engine's lane blocks, the logistic head's
+evaluation row blocks and the sequential engine's full-batch clients.
+numpy releases the interpreter lock in GEMMs, ufunc loops, casts and
+gathers, so the pieces overlap.  At budget 1 it is a plain loop and
+starts no thread; above it, its threads end before it returns, so a
+process forked afterwards inherits none.
 """
 
 from __future__ import annotations

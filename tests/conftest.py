@@ -7,6 +7,8 @@ fixture state (datasets are immutable; trainers are built per test).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -28,6 +30,7 @@ from repro.data.dataset import Dataset
 from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.fl import model as fl_model
 from repro.fl import population as fl_population
+from repro.fl.client import EdgeServerClient
 from repro.fl.model import LogisticRegressionConfig
 from repro.perf import cpu
 
@@ -104,8 +107,10 @@ def forced_cpu_budget(monkeypatch) -> int:
 
     Reports one BLAS thread, so the budget is the whole affinity mask;
     OpenBLAS itself keeps its threads, so the GEMMs' bits do not move.
-    The block-epoch and row-count floors drop to 1, so every map of two
-    or more blocks runs threaded, however small.
+    The block-epoch and evaluation row-count floors drop to 1, so every
+    such map of two or more blocks runs threaded, however small.  The
+    sequential engine's client row floor stays, so a cohort below it
+    keeps the plain loop.
     """
     monkeypatch.setattr(cpu, "_blas_threads", lambda: 1)
     monkeypatch.setattr(fl_population, "_MIN_BLOCK_EPOCHS_PER_THREAD", 1)
@@ -127,3 +132,17 @@ def at_budgets(monkeypatch, forced_cpu_budget):
         return at_one, fn()
 
     return run
+
+
+@pytest.fixture()
+def training_threads(monkeypatch) -> set[int]:
+    """The idents of the threads that run ``EdgeServerClient.train``."""
+    threads: set[int] = set()
+    original = EdgeServerClient.train
+
+    def train(self, *args, **kwargs):
+        threads.add(threading.get_ident())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeServerClient, "train", train)
+    return threads

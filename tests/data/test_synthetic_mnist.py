@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,53 @@ class TestLoad:
         b_train, b_test = load_synthetic_mnist(100, 50, seed=9)
         np.testing.assert_array_equal(a_train.features, b_train.features)
         np.testing.assert_array_equal(a_test.labels, b_test.labels)
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestGoldenDigests:
+    """The generated sets, bit for bit, so that a rewrite of how the
+    class blocks are assembled and permuted keeps the random stream."""
+
+    def test_paper_split(self) -> None:
+        train, test = load_synthetic_mnist(60_000, 10_000, seed=0)
+        assert train.features.dtype == np.float32
+        assert train.features.flags.c_contiguous
+        assert train.labels.dtype == np.int64
+        assert _sha256(train.features) == (
+            "373a566e2e50cded9d46f7b69de7a55b899f874d96e58931fc14b8eca2193d0a"
+        )
+        assert _sha256(train.labels) == (
+            "b6a837ae8d43093a3ee6e24551f0a7b8bed75092591621eb00aae5781cb64de8"
+        )
+        assert _sha256(test.features) == (
+            "48c43499bee9c20b337417ba5c6ca109d34dfc5ab0d70c9783dfc6dd95f774f4"
+        )
+        assert _sha256(test.labels) == (
+            "72548283e0d35051491f24657eea97d7a1235171ccf709cdd905f5257cb8bba4"
+        )
+
+    @pytest.mark.parametrize(
+        "n, seed, features_sha, labels_sha",
+        [
+            (
+                12_345,
+                0,
+                "c85ef37e3beecc5438e724bb9102a73576a9dce6b7d1890587780daa51c3c082",
+                "b1812f05629834b006d250028b9b11f1d107306efa65db30d2f38b9dd97e4d3d",
+            ),
+            # Fewer samples than classes: the empty classes draw nothing.
+            (
+                7,
+                2,
+                "c6852ccfd01973e5a770b5e4e8e9e727c9134660908b6176ae7ffa93a1788d54",
+                "954f18625f2c72f243ef1b26feb4f8ee2669fb9c83ca2dd44ae714671cd9932d",
+            ),
+        ],
+    )
+    def test_uneven_class_counts(self, n, seed, features_sha, labels_sha) -> None:
+        dataset = generate_synthetic_mnist(n, seed=seed)
+        assert _sha256(dataset.features) == features_sha
+        assert _sha256(dataset.labels) == labels_sha

@@ -15,7 +15,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.data.synthetic_mnist import load_synthetic_mnist
+from repro.data.synthetic_mnist import (
+    generate_synthetic_mnist,
+    load_synthetic_mnist,
+)
 from repro.fl.async_training import AsyncConfig, AsyncFederatedTrainer
 from repro.fl.history_io import history_to_json
 from repro.fl.model import LogisticRegressionConfig, LogisticRegressionModel
@@ -32,6 +35,13 @@ _PARTITIONS = partition_iid(_TRAIN, _N_CLIENTS, np.random.default_rng(5))
 # 100 rows per client, as in the campaign grid: below 128 rows BLAS sums
 # in an order that depends on operand layout.
 _SMALL_PARTITIONS = partition_iid(_TRAIN, 12, np.random.default_rng(5))
+# 1 000 rows per client: above the row floor from which the sequential
+# engine trains a full-batch cohort on the CPU budget's threads.
+_LARGE_PARTITIONS = partition_iid(
+    generate_synthetic_mnist(6_000, seed=3),
+    _N_CLIENTS,
+    np.random.default_rng(5),
+)
 
 
 def _run(backend: str, partitions=_PARTITIONS, **config_kwargs):
@@ -90,6 +100,12 @@ class TestFloat32GoldenDigests:
             "d48b6be73e493fc4036b43f789a44cd100aa9666255b1e29f6b406f2f887a7c9",
             "3efe11d80a7f860b8d7d416fd69931bf761999704ac286767c8752717b2a7e24",
         ),
+        "sequential-large-partitions": (
+            "sequential",
+            {"partitions": _LARGE_PARTITIONS},
+            "b4cbd8b08f30b97f65510475eafe10cb81543bbacb99fc4252462484849ef876",
+            "f38dd172b855145810a6314f69b79720c23a0e16a587f5fe1974942a33b0eea2",
+        ),
         "pool": (
             "pool",
             {},
@@ -110,6 +126,12 @@ class TestFloat32GoldenDigests:
             "d48b6be73e493fc4036b43f789a44cd100aa9666255b1e29f6b406f2f887a7c9",
             "3efe11d80a7f860b8d7d416fd69931bf761999704ac286767c8752717b2a7e24",
         ),
+        "pool-large-partitions": (
+            "pool",
+            {"partitions": _LARGE_PARTITIONS},
+            "b4cbd8b08f30b97f65510475eafe10cb81543bbacb99fc4252462484849ef876",
+            "f38dd172b855145810a6314f69b79720c23a0e16a587f5fe1974942a33b0eea2",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -124,11 +146,16 @@ class TestFloat32GoldenDigests:
 
 
 class TestFloat32GoldenDigestsAtCpuBudget(TestFloat32GoldenDigests):
-    """The golden digests, unedited, with threaded lane and row blocks."""
+    """The golden digests, unedited, with threaded lane and row blocks
+    and, above the row floor, threaded sequential clients."""
 
     @pytest.fixture(autouse=True)
     def _threaded(self, forced_cpu_budget):
         pass
+
+    def test_large_partitions_train_on_threads(self, training_threads):
+        self.test_digest("sequential-large-partitions")
+        assert len(training_threads) > 1
 
 
 def _run_async():
