@@ -17,10 +17,6 @@ the subsystem exists for:
 * **report from artifacts** — regenerating the Fig. 5/6 energy grid
   from the store must likewise be a small fraction of the initial run
   (reports never re-train).
-* **pooled backend** — the same campaign with ``backend_override="pool"``,
-  now guarded: the persistent-worker pool must not fall below the
-  bounded-overhead floor (and must beat sequential outright when the
-  container has multiple cores).
 * **parallel campaign** — the same grid with ``jobs=4`` through the
   longest-first unit scheduler, guarded the same CPU-aware way, plus a
   whole-store byte-identity check against the sequential run.
@@ -28,13 +24,10 @@ the subsystem exists for:
 Speed guards are CPU-aware because the acceptance speedups are
 physically impossible on a single core: with enough CPUs the full
 thresholds apply, otherwise the bounded-overhead floor applies and the
-JSON records ``cpu_limited: true``.  The measured pool break-even
-crossover lives in ``BENCH_parallel.json`` (benchmarks/bench_parallel.py
-sweeps model size and epochs); this file records the headline-config
-guard verdicts.
+JSON records ``cpu_limited: true``.
 
 Writes ``BENCH_campaign.json`` and exits non-zero if orchestration
-overhead, resume, report, pooled, or parallel runs regress past their
+overhead, resume, report, or parallel runs regress past their
 thresholds, or if the parallel store's bytes diverge.
 
 Not a pytest benchmark (no ``test_`` prefix — the timings are a
@@ -81,7 +74,6 @@ OVERHEAD_REPEATS = 5  # alternated campaign/bare-loop pairs
 # bounded-overhead floor always.
 PARALLEL_JOBS = 4
 ACCEPT_PARALLEL_SPEEDUP = 2.0  # enforced when cpus >= PARALLEL_JOBS
-ACCEPT_POOL_SPEEDUP = 1.0  # enforced when cpus >= 2
 MIN_BOUNDED_SPEEDUP = 0.5  # always enforced
 
 
@@ -128,11 +120,9 @@ def _make_campaign() -> CampaignSpec:
 
 
 def _timed_campaign(
-    campaign: CampaignSpec, root: Path, backend: str | None = None
+    campaign: CampaignSpec, root: Path
 ) -> tuple[float, CampaignRunner]:
-    runner = CampaignRunner(
-        campaign, ArtifactStore(root), backend_override=backend
-    )
+    runner = CampaignRunner(campaign, ArtifactStore(root))
     started = time.perf_counter()
     summary = runner.run()
     elapsed = time.perf_counter() - started
@@ -224,10 +214,6 @@ def main(argv: list[str] | None = None) -> int:
             f"({100 * report_s / campaign_s:.1f}% of initial run)"
         )
 
-        pool_s, _ = _timed_campaign(campaign, workdir / "pool", backend="pool")
-        pool_speedup = campaign_s / pool_s
-        print(f"pooled backend: {pool_s:.3f}s ({pool_speedup:.2f}x)")
-
         par_root = workdir / "parallel"
         runner = CampaignRunner(campaign, ArtifactStore(par_root))
         started = time.perf_counter()
@@ -264,7 +250,6 @@ def main(argv: list[str] | None = None) -> int:
             "bare_unit_loop": bare_s,
             "resume_noop": resume_s,
             "report_from_artifacts": report_s,
-            "campaign_pooled": pool_s,
             "campaign_parallel": parallel_s,
         },
         "overhead_repeats": OVERHEAD_REPEATS,
@@ -276,19 +261,16 @@ def main(argv: list[str] | None = None) -> int:
         "orchestration_overhead_fraction": overhead,
         "resume_fraction_of_run": resume_s / campaign_s,
         "report_fraction_of_run": report_s / campaign_s,
-        "pool_speedup": pool_speedup,
         "parallel_jobs": PARALLEL_JOBS,
         "parallel_speedup": parallel_speedup,
         "parallel_store_byte_identical": parallel_identical,
         "available_cpus": cpus,
         "cpu_limited": cpus < PARALLEL_JOBS,
-        "break_even_reference": "BENCH_parallel.json (break_even section)",
         "thresholds": {
             "max_overhead_fraction": MAX_OVERHEAD_FRACTION,
             "max_resume_fraction": MAX_RESUME_FRACTION,
             "max_report_fraction": MAX_REPORT_FRACTION,
             "accept_parallel_speedup": ACCEPT_PARALLEL_SPEEDUP,
-            "accept_pool_speedup": ACCEPT_POOL_SPEEDUP,
             "min_bounded_speedup": MIN_BOUNDED_SPEEDUP,
         },
     }
@@ -310,14 +292,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"report took {100 * report_s / campaign_s:.1f}% of the "
             f"initial run (max {100 * MAX_REPORT_FRACTION:.0f}%)"
-        )
-    pool_threshold = (
-        ACCEPT_POOL_SPEEDUP if cpus >= 2 else MIN_BOUNDED_SPEEDUP
-    )
-    if pool_speedup < pool_threshold:
-        failures.append(
-            f"pooled campaign {pool_speedup:.2f}x below "
-            f"{pool_threshold:.2f}x threshold ({cpus} cpus)"
         )
     parallel_threshold = (
         ACCEPT_PARALLEL_SPEEDUP

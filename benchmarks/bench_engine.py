@@ -1,6 +1,6 @@
-"""Execution-engine benchmark: sequential vs batched vs pool speedups.
+"""Execution-engine benchmark: sequential vs batched speedups.
 
-Times the three :mod:`repro.fl.engine` backends over the ISSUE grid
+Times the sequential and batched :mod:`repro.fl.engine` backends over the ISSUE grid
 (K ∈ {1, 5, 10, 20}, E ∈ {1, 4, 16}) at prototype scale — the reduced
 20-server testbed the test suite runs, with an edge-IoT-sized model
 (32 features, 5 classes, ~30 samples per server) whose per-client
@@ -39,18 +39,8 @@ or accuracies differ by a bit, or if a streamed evaluation takes longer
 than a widened one; it records from which evaluation the held
 transpose's build pays for itself (``_HELD_TRANSPOSE_MIN_EVALUATIONS``).
 
-The paper-sized contrast row also times the persistent-worker pool
-backend against sequential in lock-step: both trainers stay alive, each
-repeat times ``GRID_ROUNDS`` rounds of one and then of the other, the
-first mover swaps every repeat, and the guard reads the median of the
-per-repeat speedups (one round is only ~0.05 s of work, too little for a
-single back-to-back ratio to be stable).  The guard is CPU-aware: with
-multiple cores the pool must beat sequential by the acceptance margin;
-on a single-core container (where a speedup is physically impossible)
-the guard degrades to a bounded-overhead floor and the row records
-``cpu_limited: true``.
-``benchmarks/bench_parallel.py`` owns the full two-level parallel
-acceptance run.
+``benchmarks/bench_parallel.py`` owns the threaded and campaign-level
+parallel rows.
 
 Not a pytest benchmark (no ``test_`` prefix — the timings are a
 tracking artifact, not an assertion):
@@ -62,9 +52,8 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread per process, as benchmarks/e2e pins it: the pool's gain
-# is process-level parallelism, and a multi-threaded BLAS would let the
-# sequential baseline occupy the same cores.  Must run before numpy loads.
+# One BLAS thread per process, as benchmarks/e2e pins it, so the rows
+# compare with the e2e benchmark's.  Must run before numpy loads.
 for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_blas_threads, "1")
 
@@ -94,7 +83,7 @@ from repro.perf import cpu
 
 N_SERVERS = 20
 SEED = 0
-BACKENDS = ("sequential", "batched", "pool")
+BACKENDS = ("sequential", "batched")
 K_VALUES = (1, 5, 10, 20)
 E_VALUES = (1, 4, 16)
 GRID_ROUNDS = 10
@@ -116,14 +105,6 @@ IOT_SAMPLES_PER_SERVER = 30
 # across clients cannot beat the per-client loop by much on one core.
 PAPER_MODEL = LogisticRegressionConfig(n_features=784, n_classes=10)
 PAPER_SAMPLES_PER_SERVER = 100
-
-# Pool guard thresholds (paper contrast row): the acceptance speedup
-# applies when the cores exist; otherwise only bounded overhead is
-# enforceable.
-ACCEPT_POOL_SPEEDUP = 1.5
-MIN_BOUNDED_POOL_SPEEDUP = 0.5
-POOL_CPU_FLOOR = 2
-POOL_REPEATS = 7
 
 # Dtype-contract guard (paper row): float32-stored features may cost at
 # most this much more per round than float64 ones.  Timed at 1 000
@@ -151,13 +132,6 @@ EVALUATION_ROWS = (20_000, 40_000, 60_000)
 EVALUATION_PAIRS = 5
 EVALUATION_LAYOUTS = ("streamed", "held", "widened")
 EVALUATION_BUDGETS = (1, 2)
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _linear_task(n: int, model: LogisticRegressionConfig, seed: int) -> Dataset:
@@ -204,18 +178,14 @@ def run_dtype_contract(data, model: LogisticRegressionConfig) -> dict:
         for name, variant in variants.items()
     }
     times: dict[str, list[float]] = {name: [] for name in variants}
-    try:
-        for _ in range(WARMUP_ROUNDS):
-            for trainer in trainers.values():
-                trainer.run_round()
-        for _ in range(DTYPE_ROUNDS):
-            for name, trainer in trainers.items():
-                started = time.perf_counter()
-                trainer.run_round()
-                times[name].append(time.perf_counter() - started)
-    finally:
+    for _ in range(WARMUP_ROUNDS):
         for trainer in trainers.values():
-            trainer.close()
+            trainer.run_round()
+    for _ in range(DTYPE_ROUNDS):
+        for name, trainer in trainers.items():
+            started = time.perf_counter()
+            trainer.run_round()
+            times[name].append(time.perf_counter() - started)
     ratios = [b / a for a, b in zip(times["float64"], times["float32"])]
     return {
         "samples_per_server": DTYPE_SAMPLES_PER_SERVER,
@@ -485,16 +455,13 @@ def _timed_run(
     trainer = _trainer(
         backend, model, data, participants, epochs, WARMUP_ROUNDS + rounds
     )
-    try:
-        for _ in range(WARMUP_ROUNDS):
-            trainer.run_round()
-        started = time.perf_counter()
-        for _ in range(rounds):
-            trainer.run_round()
-        elapsed = time.perf_counter() - started
-        return elapsed, trainer.coordinator.global_parameters.copy()
-    finally:
-        trainer.close()
+    for _ in range(WARMUP_ROUNDS):
+        trainer.run_round()
+    started = time.perf_counter()
+    for _ in range(rounds):
+        trainer.run_round()
+    elapsed = time.perf_counter() - started
+    return elapsed, trainer.coordinator.global_parameters.copy()
 
 
 def run_grid(data, model: LogisticRegressionConfig) -> list[dict]:
@@ -513,57 +480,14 @@ def run_grid(data, model: LogisticRegressionConfig) -> list[dict]:
                 "rounds": GRID_ROUNDS,
                 "seconds_per_round": timings,
                 "speedup_batched": timings["sequential"] / timings["batched"],
-                "speedup_pool": timings["sequential"] / timings["pool"],
             }
             rows.append(row)
             print(
                 f"K={participants:2d} E={epochs:2d}: "
                 f"seq {timings['sequential'] * 1000:7.2f} ms/round, "
-                f"batched {row['speedup_batched']:5.2f}x, "
-                f"pool {row['speedup_pool']:5.2f}x"
+                f"batched {row['speedup_batched']:5.2f}x"
             )
     return rows
-
-
-def run_pool_lockstep(
-    data, model: LogisticRegressionConfig
-) -> tuple[dict[str, list[float]], dict[str, np.ndarray]]:
-    """Seconds per round of sequential and pool, repeat by repeat.
-
-    Both trainers warm up, then each repeat times ``GRID_ROUNDS`` rounds
-    of one backend and then of the other; which goes first swaps every
-    repeat.  Returns the per-repeat seconds per round and the final
-    parameters of each backend.
-    """
-    backends = ("sequential", "pool")
-    rounds = WARMUP_ROUNDS + POOL_REPEATS * GRID_ROUNDS
-    trainers = {
-        backend: _trainer(
-            backend, model, data, HEADLINE_K, HEADLINE_E, rounds
-        )
-        for backend in backends
-    }
-    seconds: dict[str, list[float]] = {backend: [] for backend in backends}
-    try:
-        for trainer in trainers.values():
-            for _ in range(WARMUP_ROUNDS):
-                trainer.run_round()
-        for repeat in range(POOL_REPEATS):
-            order = backends if repeat % 2 == 0 else backends[::-1]
-            for backend in order:
-                started = time.perf_counter()
-                for _ in range(GRID_ROUNDS):
-                    trainers[backend].run_round()
-                seconds[backend].append(
-                    (time.perf_counter() - started) / GRID_ROUNDS
-                )
-        return seconds, {
-            backend: trainer.coordinator.global_parameters.copy()
-            for backend, trainer in trainers.items()
-        }
-    finally:
-        for trainer in trainers.values():
-            trainer.close()
 
 
 def run_headline(data, model: LogisticRegressionConfig) -> dict:
@@ -582,9 +506,6 @@ def run_headline(data, model: LogisticRegressionConfig) -> dict:
     max_diff_batched = float(
         np.max(np.abs(params["batched"] - params["sequential"]))
     )
-    max_diff_pool = float(
-        np.max(np.abs(params["pool"] - params["sequential"]))
-    )
     return {
         "participants": HEADLINE_K,
         "epochs": HEADLINE_E,
@@ -593,11 +514,8 @@ def run_headline(data, model: LogisticRegressionConfig) -> dict:
         "seconds_best": best,
         "seconds_median": median,
         "speedup_batched": best["sequential"] / best["batched"],
-        "speedup_pool": best["sequential"] / best["pool"],
         "max_abs_param_diff_batched": max_diff_batched,
-        "max_abs_param_diff_pool": max_diff_pool,
-        "equivalent_at_1e-10": max_diff_batched <= 1e-10
-        and max_diff_pool == 0.0,
+        "equivalent_at_1e-10": max_diff_batched <= 1e-10,
     }
 
 
@@ -615,44 +533,26 @@ def main(argv: list[str] | None = None) -> int:
     headline = run_headline(data, IOT_MODEL)
     print(
         f"  batched {headline['speedup_batched']:.2f}x, "
-        f"pool {headline['speedup_pool']:.2f}x, "
         f"max|dparam| batched {headline['max_abs_param_diff_batched']:.2e}"
     )
 
-    cpus = _available_cpus()
     paper_data = _make_data(PAPER_MODEL, PAPER_SAMPLES_PER_SERVER)
-    elapsed, _ = _timed_run(
-        "batched", PAPER_MODEL, paper_data, HEADLINE_K, HEADLINE_E, GRID_ROUNDS
-    )
-    repeats, paper_params = run_pool_lockstep(paper_data, PAPER_MODEL)
     paper_times = {
-        "sequential": statistics.median(repeats["sequential"]),
-        "batched": elapsed / GRID_ROUNDS,
-        "pool": statistics.median(repeats["pool"]),
+        backend: _timed_run(
+            backend, PAPER_MODEL, paper_data, HEADLINE_K, HEADLINE_E,
+            GRID_ROUNDS,
+        )[0]
+        / GRID_ROUNDS
+        for backend in BACKENDS
     }
-    pool_speedups = [
-        sequential / pool
-        for sequential, pool in zip(repeats["sequential"], repeats["pool"])
-    ]
     paper_row = {
         "participants": HEADLINE_K,
         "epochs": HEADLINE_E,
         "rounds": GRID_ROUNDS,
         "seconds_per_round": paper_times,
         "speedup_batched": paper_times["sequential"] / paper_times["batched"],
-        "pool_repeats": POOL_REPEATS,
-        "seconds_per_round_repeats": repeats,
-        "speedup_pool_repeats": pool_speedups,
-        "speedup_pool": statistics.median(pool_speedups),
-        "max_abs_param_diff_pool": float(
-            np.max(np.abs(paper_params["pool"] - paper_params["sequential"]))
-        ),
-        "available_cpus": cpus,
-        "cpu_limited": cpus < POOL_CPU_FLOOR,
         "note": "784x10 kernels are BLAS-bound; cross-client batching "
-        "mostly removes dispatch overhead, so the gain is modest.  The "
-        "pool row is the workload the persistent-worker runtime targets "
-        "— its speedup scales with available cores.",
+        "mostly removes dispatch overhead, so the gain is modest.",
     }
     paper_row["dtype_contract"] = run_dtype_contract(
         _make_data(PAPER_MODEL, DTYPE_SAMPLES_PER_SERVER), PAPER_MODEL
@@ -660,9 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     paper_row["gemm_orientation"] = run_gemm_orientation(PAPER_MODEL)
     print(
         f"paper-sized model contrast: batched "
-        f"{paper_row['speedup_batched']:.2f}x, "
-        f"pool {paper_row['speedup_pool']:.2f}x "
-        f"({cpus} cpus), float32/float64 sequential "
+        f"{paper_row['speedup_batched']:.2f}x, float32/float64 sequential "
         f"{paper_row['dtype_contract']['float32_over_float64']:.2f}x, "
         f"model/naive epochs "
         f"{paper_row['gemm_orientation']['model_over_naive']:.2f}x"
@@ -698,12 +596,6 @@ def main(argv: list[str] | None = None) -> int:
             "rows": evaluation,
             "held_transpose_min_evaluations": _HELD_TRANSPOSE_MIN_EVALUATIONS,
         },
-        "pool_thresholds": {
-            "repeats": POOL_REPEATS,
-            "accept_pool_speedup": ACCEPT_POOL_SPEEDUP,
-            "min_bounded_pool_speedup": MIN_BOUNDED_POOL_SPEEDUP,
-            "pool_cpu_floor": POOL_CPU_FLOOR,
-        },
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
@@ -714,22 +606,6 @@ def main(argv: list[str] | None = None) -> int:
             "batched backend slower than sequential at "
             f"K={HEADLINE_K}, E={HEADLINE_E} "
             f"({headline['speedup_batched']:.2f}x)"
-        )
-    if paper_row["max_abs_param_diff_pool"] != 0.0:
-        failures.append(
-            "pool backend diverged from sequential at paper scale "
-            f"(max|dparam| = {paper_row['max_abs_param_diff_pool']:.2e})"
-        )
-    pool_threshold = (
-        ACCEPT_POOL_SPEEDUP
-        if cpus >= POOL_CPU_FLOOR
-        else MIN_BOUNDED_POOL_SPEEDUP
-    )
-    if paper_row["speedup_pool"] < pool_threshold:
-        failures.append(
-            f"median pool speedup {paper_row['speedup_pool']:.2f}x over "
-            f"{POOL_REPEATS} lock-step repeats at paper scale below "
-            f"{pool_threshold:.2f}x threshold ({cpus} cpus)"
         )
     dtype_ratio = paper_row["dtype_contract"]["float32_over_float64"]
     if dtype_ratio > MAX_FLOAT32_RATIO:

@@ -13,12 +13,9 @@ guards) in three telemetry modes:
   an append-only JSONL spool file, one flushed line per event — the
   cross-process transport the campaign runner uses.
 
-for both the ``sequential`` and ``pool`` execution backends.  As under a
-campaign, the unit spool is the only one: the pool engine's chunk
-workers keep no telemetry, and the engine counts their work in the
-unit's observer.
+on the ``sequential`` execution backend.
 
-Guards (per backend, median of paired per-rep ratios):
+Guards (median of paired per-rep ratios):
 
 * full in-process telemetry must cost < 10 % wall-clock over off;
 * spool streaming must add < 5 % over in-process telemetry.
@@ -62,7 +59,7 @@ from repro.obs import Observer, SpoolObserver, TelemetrySpool
 
 N_SERVERS = 20
 SEED = 0
-BACKENDS = ("sequential", "pool")
+BACKENDS = ("sequential",)
 MODES = ("off", "inproc", "spool")
 
 # Headline cell (mirrors bench_engine): K=20 participants, E=16 local
@@ -70,8 +67,8 @@ MODES = ("off", "inproc", "spool")
 # into — dominates, making this the *worst* case for relative overhead.
 HEADLINE_K = 20
 HEADLINE_E = 16
-# Long timed regions so per-round scheduling/IPC jitter (large for the
-# pool backend on a busy box) averages out inside one measurement.
+# Long timed regions so per-round scheduling jitter averages out inside
+# one measurement.
 TIMED_ROUNDS = 40
 WARMUP_ROUNDS = 2
 # Overhead is estimated pairwise: each rep times the three modes
@@ -145,7 +142,6 @@ def _timed_run(backend: str, mode: str, data, scratch: Path) -> dict:
             trainer.run_round()
         elapsed = time.perf_counter() - started
     finally:
-        trainer.close()
         if isinstance(observer, SpoolObserver):
             observer.finalize()
     row = {"elapsed_s": elapsed}

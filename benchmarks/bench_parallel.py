@@ -1,39 +1,29 @@
-"""Two-level parallel-runtime benchmark: pool engine + campaign jobs.
+"""Two-level parallel-runtime benchmark: threaded clients + campaign jobs.
 
 Measures both layers of the parallel execution runtime against their
 sequential references and certifies the determinism contract alongside
 the timings:
 
-* **engine level** — the persistent-worker pool backend vs the
-  sequential engine at the paper headline (K=20, E=16, 784x10 model),
-  with ``max_abs_param_diff`` (must be exactly 0);
+* **paper shape** — the paper's full data shape (3 000 samples per
+  server, K=20, E=16, 784x10) in lock-step rounds: the sequential
+  engine at a CPU budget of 1, the same engine at the process's own
+  budget, which trains these full-batch clients on threads (gated to
+  0 max |dparam| against budget 1), and the population engine, the row
+  behind ``auto``'s pick of it at this shape (max |dparam| <= 1e-10 and
+  at most 1.05x sequential's seconds per round at budget 1).  The
+  population engine's time is also recorded against the threaded
+  sequential engine, without a bound;
 * **campaign level** — an 8-unit (K, E) grid run with ``jobs=4`` vs the
   sequential runner, with whole-store byte identity (unit files must
-  hash identically and the index digests must be equal);
-* **paper shape** — pool vs sequential at the paper's full data shape
-  (3 000 samples per server, K=20, E=16, 784x10), the row behind the
-  decision to keep the pool engine; and population vs sequential on
-  the same data, in lock-step rounds, the row behind ``auto``'s pick
-  of the population engine at this shape (max |dparam| <= 1e-10 and
-  at most 1.05x sequential's seconds per round).  Both guards divide
-  by sequential at a CPU budget of 1, the one core each pool worker
-  gets: above it the sequential engine trains these clients on
-  threads.  That threaded sequential engine runs in the same lock-step
-  rounds as the pool and population, gated to 0 max |dparam| against
-  budget 1, and their times are recorded against it without a bound;
-* **break-even sweep** — pool speedup across model sizes and epoch
-  counts, reporting the measured (K, E, model) crossover where the pool
-  starts to pay and its ``K * E * d`` work, which is the
-  ``POOL_MIN_WORK`` constant ``backend="auto"`` uses in
-  ``repro.fl.engine``.
+  hash identically and the index digests must be equal).
 
-Speed guards are CPU-aware: the acceptance thresholds (pool >= 1.5x at
-the paper shape, parallel campaign >= 2.0x at 4 jobs) are physically
-impossible without multiple cores, so they are enforced only when the container grants
-enough CPUs; on smaller boxes the guard degrades to a bounded-overhead
-floor and the JSON records ``cpu_limited: true``.  The determinism
-guards (param diff 0, store byte identity) are enforced unconditionally
-— parallelism must never change results, whatever the core count.
+The campaign speed guard is CPU-aware: its acceptance threshold
+(>= 2.0x at 4 jobs) is physically impossible without multiple cores, so
+it is enforced only when the container grants enough CPUs; on smaller
+boxes the guard degrades to a bounded-overhead floor and the JSON
+records ``cpu_limited: true``.  The determinism guards (param diffs,
+store byte identity) are enforced unconditionally — parallelism must
+never change results, whatever the core count.
 
 Writes ``BENCH_parallel.json`` and exits non-zero on any guard failure.
 
@@ -47,9 +37,10 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread per process, as benchmarks/e2e pins it: the pool's gain
-# is process-level parallelism, and a multi-threaded BLAS would let the
-# sequential baseline occupy the same cores.  Must run before numpy loads.
+# One BLAS thread per process, as benchmarks/e2e pins it: the threads and
+# worker processes measured here are the parallelism, and a
+# multi-threaded BLAS would let the baselines occupy the same cores.
+# Must run before numpy loads.
 for _blas_threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_blas_threads, "1")
 
@@ -76,19 +67,14 @@ from repro.perf import cpu
 SEED = 0
 N_SERVERS = 20
 
-# Engine-level headline: the paper model at the paper's largest cell.
+# The paper model at the paper's largest cell, on the prototype's 60k
+# samples over 20 servers.
 HEADLINE_K = 20
 HEADLINE_E = 16
-HEADLINE_ROUNDS = 10
-WARMUP_ROUNDS = 2
 PAPER_MODEL = LogisticRegressionConfig(n_features=784, n_classes=10)
-PAPER_SAMPLES_PER_SERVER = 100
-
-# Paper shape: the prototype's 60k samples over 20 servers.
 PAPER_SHAPE_SAMPLES_PER_SERVER = 3_000
-PAPER_SHAPE_ROUNDS = 3
-# Population vs sequential: rounds alternate between the two trainers,
-# so host drift hits both sides alike; the medians are compared.
+# Rounds alternate between the trainers, so host drift hits every side
+# alike; the medians are compared.
 PAPER_SHAPE_PAIRED_ROUNDS = 5
 ACCEPT_POPULATION_ROUND_RATIO = 1.05  # population / sequential s/round
 ACCEPT_POPULATION_ATOL = 1e-10
@@ -102,20 +88,8 @@ CAMPAIGN_K = (1, 2, 4, 8)
 CAMPAIGN_E = (1, 4)
 CAMPAIGN_JOBS = 4
 
-# Break-even sweep: where does the pool start to pay?
-SWEEP_MODELS = (
-    ("32x5", LogisticRegressionConfig(n_features=32, n_classes=5), 30),
-    ("256x10", LogisticRegressionConfig(n_features=256, n_classes=10), 60),
-    ("784x10", PAPER_MODEL, PAPER_SAMPLES_PER_SERVER),
-)
-SWEEP_E = (1, 4, 16)
-SWEEP_K = 20
-SWEEP_ROUNDS = 4
-
 # CPU-aware guard thresholds.
-ACCEPT_POOL_SPEEDUP = 1.5  # enforced when cpus >= POOL_CPU_FLOOR
 ACCEPT_PARALLEL_SPEEDUP = 2.0  # enforced when cpus >= CAMPAIGN_JOBS
-POOL_CPU_FLOOR = 2
 MIN_BOUNDED_SPEEDUP = 0.5  # always enforced: parallelism may not
 # cost more than 2x even with nothing to parallelise onto
 
@@ -168,58 +142,6 @@ def _trainer(
     )
 
 
-def _timed_run(
-    backend: str,
-    model: LogisticRegressionConfig,
-    data,
-    participants: int,
-    epochs: int,
-    rounds: int,
-    warmup_rounds: int = WARMUP_ROUNDS,
-) -> tuple[float, np.ndarray]:
-    trainer = _trainer(
-        backend, model, data, participants, epochs, warmup_rounds + rounds
-    )
-    try:
-        for _ in range(warmup_rounds):
-            trainer.run_round()
-        started = time.perf_counter()
-        for _ in range(rounds):
-            trainer.run_round()
-        elapsed = time.perf_counter() - started
-        return elapsed, trainer.coordinator.global_parameters.copy()
-    finally:
-        trainer.close()
-
-
-def run_engine_level() -> dict:
-    """Pool vs sequential at the paper headline, identity certified."""
-    data = _make_data(PAPER_MODEL, PAPER_SAMPLES_PER_SERVER)
-    seq_s, seq_params = _timed_run(
-        "sequential", PAPER_MODEL, data, HEADLINE_K, HEADLINE_E,
-        HEADLINE_ROUNDS,
-    )
-    pool_s, pool_params = _timed_run(
-        "pool", PAPER_MODEL, data, HEADLINE_K, HEADLINE_E, HEADLINE_ROUNDS
-    )
-    max_diff = float(np.max(np.abs(pool_params - seq_params)))
-    row = {
-        "participants": HEADLINE_K,
-        "epochs": HEADLINE_E,
-        "rounds": HEADLINE_ROUNDS,
-        "model": "784x10",
-        "seconds_sequential": seq_s,
-        "seconds_pool": pool_s,
-        "speedup_pool": seq_s / pool_s,
-        "max_abs_param_diff": max_diff,
-    }
-    print(
-        f"engine headline (K={HEADLINE_K}, E={HEADLINE_E}, 784x10): "
-        f"pool {row['speedup_pool']:.2f}x, max|dparam| {max_diff:.1e}"
-    )
-    return row
-
-
 def _lockstep_rounds(
     sides: dict[str, tuple[str, int | None]], data, rounds: int
 ) -> dict[str, tuple[list[float], np.ndarray]]:
@@ -245,37 +167,32 @@ def _lockstep_rounds(
         return _cpu_budget(budget)
 
     seconds: dict[str, list[float]] = {label: [] for label in labels}
-    try:
-        for label, trainer in trainers.items():
+    for label, trainer in trainers.items():
+        with at_budget(label):
+            trainer.run_round()
+    for round_index in range(rounds):
+        shift = round_index % len(labels)
+        for label in labels[shift:] + labels[:shift]:
             with at_budget(label):
-                trainer.run_round()
-        for round_index in range(rounds):
-            shift = round_index % len(labels)
-            for label in labels[shift:] + labels[:shift]:
-                with at_budget(label):
-                    started = time.perf_counter()
-                    trainers[label].run_round()
-                    seconds[label].append(time.perf_counter() - started)
-        return {
-            label: (
-                seconds[label],
-                trainer.coordinator.global_parameters.copy(),
-            )
-            for label, trainer in trainers.items()
-        }
-    finally:
-        for trainer in trainers.values():
-            trainer.close()
+                started = time.perf_counter()
+                trainers[label].run_round()
+                seconds[label].append(time.perf_counter() - started)
+    return {
+        label: (
+            seconds[label],
+            trainer.coordinator.global_parameters.copy(),
+        )
+        for label, trainer in trainers.items()
+    }
 
 
 def run_paper_shape() -> dict:
-    """Pool and population vs sequential at the paper's full data shape.
+    """Threaded sequential and population vs sequential at budget 1.
 
-    The guards' reference is sequential at a CPU budget of 1, one core
-    as the module's BLAS pin intends: above it the sequential engine
-    trains these clients on threads.  The threaded sequential engine is
-    its own row, lock-step against budget 1, with the pool and
-    population times read against it.
+    All three train the paper's full data shape in lock-step rounds.
+    Budget 1 is the guards' reference, one core as the module's BLAS
+    pin intends: above it the sequential engine trains these clients on
+    threads.
     """
     train, test, partitions = _make_data(
         PAPER_MODEL, PAPER_SHAPE_SAMPLES_PER_SERVER
@@ -283,20 +200,11 @@ def run_paper_shape() -> dict:
     # Evaluate on the small test split: the row times local training.
     data = (test, test, partitions)
     del train
-    timings = {}
-    params = {}
-    for backend in ("sequential", "pool"):
-        with _cpu_budget(1):
-            timings[backend], params[backend] = _timed_run(
-                backend, PAPER_MODEL, data, HEADLINE_K, HEADLINE_E,
-                PAPER_SHAPE_ROUNDS, warmup_rounds=1,
-            )
     paired = _lockstep_rounds(
         {
             "sequential": ("sequential", 1),
             "threaded": ("sequential", None),
             "population": ("population", None),
-            "pool": ("pool", None),
         },
         data,
         PAPER_SHAPE_PAIRED_ROUNDS,
@@ -308,16 +216,8 @@ def run_paper_shape() -> dict:
         "participants": HEADLINE_K,
         "epochs": HEADLINE_E,
         "samples_per_server": PAPER_SHAPE_SAMPLES_PER_SERVER,
-        "rounds": PAPER_SHAPE_ROUNDS,
         "model": "784x10",
         "sequential_cpu_budget": 1,
-        "seconds_per_round_sequential": timings["sequential"]
-        / PAPER_SHAPE_ROUNDS,
-        "seconds_per_round_pool": timings["pool"] / PAPER_SHAPE_ROUNDS,
-        "speedup_pool": timings["sequential"] / timings["pool"],
-        "max_abs_param_diff": float(
-            np.max(np.abs(params["pool"] - params["sequential"]))
-        ),
         "population": {
             "paired_rounds": PAPER_SHAPE_PAIRED_ROUNDS,
             "round_seconds_sequential": seq_rounds,
@@ -338,31 +238,22 @@ def run_paper_shape() -> dict:
         "cpu_budget": cpu.cpu_budget(),
         "round_seconds_budget_1": seq_rounds,
         "round_seconds_threaded": threaded_rounds,
-        "round_seconds_pool": paired["pool"][0],
         "seconds_per_round_threaded": threaded,
         "ratio_vs_budget_1": threaded / float(np.median(seq_rounds)),
         "max_abs_param_diff": float(
             np.max(np.abs(threaded_params - seq_params))
         ),
-        # Recorded, not bounded: the pool's workers and the population
-        # engine against in-process threads on the same cores.
-        "pool_over_threaded": float(np.median(paired["pool"][0])) / threaded,
+        # Recorded, not bounded: the population engine against
+        # in-process threads on the same cores.
         "population_over_threaded": float(np.median(pop_rounds)) / threaded,
     }
     population = row["population"]
     threaded_row = row["threaded_sequential"]
     print(
         f"paper shape ({PAPER_SHAPE_SAMPLES_PER_SERVER} samples/server, "
-        f"K={HEADLINE_K}, E={HEADLINE_E}, 784x10): "
-        f"sequential {row['seconds_per_round_sequential']:.2f} s/round "
-        f"(budget 1), pool {row['seconds_per_round_pool']:.2f} s/round, "
-        f"{row['speedup_pool']:.2f}x, "
-        f"max|dparam| {row['max_abs_param_diff']:.1e}"
-    )
-    print(
-        f"paper shape, lock-step rounds: sequential "
-        f"{population['seconds_per_round_sequential']:.2f} s/round "
-        f"(budget 1), population "
+        f"K={HEADLINE_K}, E={HEADLINE_E}, 784x10), lock-step rounds: "
+        f"sequential {population['seconds_per_round_sequential']:.2f} "
+        f"s/round (budget 1), population "
         f"{population['seconds_per_round_population']:.2f} "
         f"s/round, {population['ratio_vs_sequential']:.2f}x sequential, "
         f"max|dparam| {population['max_abs_param_diff']:.1e}"
@@ -372,8 +263,7 @@ def run_paper_shape() -> dict:
         f"{threaded_row['cpu_budget']} {threaded:.2f} s/round, "
         f"{threaded_row['ratio_vs_budget_1']:.2f}x budget 1, "
         f"max|dparam| {threaded_row['max_abs_param_diff']:.1e}; "
-        f"pool {threaded_row['pool_over_threaded']:.2f}x and population "
-        f"{threaded_row['population_over_threaded']:.2f}x of it"
+        f"population {threaded_row['population_over_threaded']:.2f}x of it"
     )
     return row
 
@@ -454,85 +344,31 @@ def run_campaign_level(workdir: Path) -> dict:
     return row
 
 
-def run_break_even() -> dict:
-    """Pool speedup across model sizes/epochs; where does it cross 1x?"""
-    rows = []
-    for label, model, samples in SWEEP_MODELS:
-        data = _make_data(model, samples)
-        for epochs in SWEEP_E:
-            seq_s, _ = _timed_run(
-                "sequential", model, data, SWEEP_K, epochs, SWEEP_ROUNDS
-            )
-            pool_s, _ = _timed_run(
-                "pool", model, data, SWEEP_K, epochs, SWEEP_ROUNDS
-            )
-            speedup = seq_s / pool_s
-            rows.append(
-                {
-                    "model": label,
-                    "participants": SWEEP_K,
-                    "epochs": epochs,
-                    "work": SWEEP_K * epochs * model.n_features,
-                    "seconds_per_round_sequential": seq_s / SWEEP_ROUNDS,
-                    "seconds_per_round_pool": pool_s / SWEEP_ROUNDS,
-                    "speedup_pool": speedup,
-                }
-            )
-            print(
-                f"break-even sweep {label} K={SWEEP_K} E={epochs:2d}: "
-                f"pool {speedup:.2f}x"
-            )
-    # The work proxy K*E*d ignores n and dispatch costs, so speedup is
-    # not monotone in it: the crossover is the smallest profitable work
-    # above which *every* measured row is profitable.
-    crossover = None
-    for row in sorted(rows, key=lambda r: r["work"], reverse=True):
-        if row["speedup_pool"] < 1.0:
-            break
-        crossover = {
-            key: row[key] for key in ("model", "participants", "epochs", "work")
-        }
-    if crossover is None:
-        print("pool crossover work: none (the pool never paid)")
-    else:
-        print(
-            f"pool crossover work K*E*d = {crossover['work']} "
-            "(POOL_MIN_WORK in repro.fl.engine)"
-        )
-    return {"rows": rows, "first_crossover": crossover}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     out_path = Path(args[0]) if args else Path("BENCH_parallel.json")
     cpus = _available_cpus()
-    cpu_limited = cpus < max(POOL_CPU_FLOOR, CAMPAIGN_JOBS)
+    cpu_limited = cpus < CAMPAIGN_JOBS
     print(f"available cpus: {cpus} (cpu_limited={cpu_limited})")
 
-    engine = run_engine_level()
     paper_shape = run_paper_shape()
     workdir = Path(tempfile.mkdtemp(prefix="bench_parallel_"))
     try:
         campaign = run_campaign_level(workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    break_even = run_break_even()
 
     payload = {
         "benchmark": "parallel",
         "available_cpus": cpus,
         "cpu_limited": cpu_limited,
-        "engine_headline": engine,
         "paper_shape": paper_shape,
         "campaign_parallel": campaign,
-        "break_even": break_even,
         "thresholds": {
-            "accept_pool_speedup": ACCEPT_POOL_SPEEDUP,
             "accept_parallel_speedup": ACCEPT_PARALLEL_SPEEDUP,
             "accept_population_round_ratio": ACCEPT_POPULATION_ROUND_RATIO,
             "accept_population_atol": ACCEPT_POPULATION_ATOL,
             "min_bounded_speedup": MIN_BOUNDED_SPEEDUP,
-            "pool_cpu_floor": POOL_CPU_FLOOR,
             "campaign_jobs": CAMPAIGN_JOBS,
         },
     }
@@ -541,12 +377,6 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     # Determinism guards: unconditional.
-    for label, row in (("headline", engine), ("paper shape", paper_shape)):
-        if row["max_abs_param_diff"] != 0.0:
-            failures.append(
-                f"pool backend diverged from sequential at the {label} "
-                f"(max|dparam| = {row['max_abs_param_diff']:.2e}, must be 0)"
-            )
     threaded = paper_shape["threaded_sequential"]
     if threaded["max_abs_param_diff"] != 0.0:
         failures.append(
@@ -571,24 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             "parallel campaign store is not byte-identical to sequential"
         )
-    # Speed guards: acceptance thresholds where the cores exist,
-    # bounded-overhead floors everywhere.
-    pool_threshold = (
-        ACCEPT_POOL_SPEEDUP if cpus >= POOL_CPU_FLOOR else MIN_BOUNDED_SPEEDUP
-    )
-    # The acceptance bar applies to the paper's own data shape; the
-    # 100-sample headline is too little work per round to amortise IPC
-    # on two cores, so it only has to clear the bounded floor.
-    if paper_shape["speedup_pool"] < pool_threshold:
-        failures.append(
-            f"pool speedup {paper_shape['speedup_pool']:.2f}x at the paper "
-            f"shape below {pool_threshold:.2f}x threshold ({cpus} cpus)"
-        )
-    if engine["speedup_pool"] < MIN_BOUNDED_SPEEDUP:
-        failures.append(
-            f"pool speedup {engine['speedup_pool']:.2f}x at the headline "
-            f"below the {MIN_BOUNDED_SPEEDUP:.2f}x floor"
-        )
+    # Speed guard: the acceptance threshold where the cores exist, a
+    # bounded-overhead floor everywhere.
     parallel_threshold = (
         ACCEPT_PARALLEL_SPEEDUP
         if cpus >= CAMPAIGN_JOBS

@@ -311,11 +311,8 @@ def _final_params(backend: str, dtype: str = "float64") -> np.ndarray:
         train_eval=train,
         test_eval=test,
     )
-    try:
-        trainer.run()
-        return trainer.coordinator.global_parameters.copy()
-    finally:
-        trainer.close()
+    trainer.run()
+    return trainer.coordinator.global_parameters.copy()
 
 
 def run_equivalence() -> dict:

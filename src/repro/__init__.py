@@ -14,9 +14,10 @@ Public API highlights:
   and regenerate the Fig. 5/6 grids from stored artifacts
   (:mod:`repro.campaign`).
 * :class:`CampaignRepository` / :func:`open_store` — the campaign
-  storage API: JSON-manifest and SQLite-indexed backends behind one
-  interface, with typed :class:`StoreHealthReport` integrity results
-  and backend migration (:mod:`repro.campaign.repository`).
+  storage API: one store with a SQLite index, typed
+  :class:`StoreHealthReport` integrity results, and
+  :func:`~repro.campaign.repository.migrate_store`, the one-way import
+  of a legacy ``manifest.json`` store (:mod:`repro.campaign.repository`).
 * :class:`repro.core.EnergyPlanner` — calibrated constants in, optimal
   integer ``(K, E, T)`` schedule out (the paper's contribution).
 * :mod:`repro.fl` — FedAvg substrate (model, clients, coordinator, loop).

@@ -1,8 +1,8 @@
 """Campaign aggregation: tables and grids from stored artifacts alone.
 
 Everything here reads the campaign store through its repository API
-(:class:`~repro.campaign.repository.CampaignRepository` — any backend)
-and nothing else — no trainer, no prototype, no randomness — so a
+(:class:`~repro.campaign.repository.CampaignRepository`) and nothing
+else — no trainer, no prototype, no randomness — so a
 finished (or half-finished) campaign can be re-analysed arbitrarily
 often without re-running a single round of training.  That is the
 workflow the paper's figures imply: run the expensive ``(K, E)`` sweep

@@ -16,12 +16,12 @@ Consequences:
 * killing a campaign after N units and resuming it produces artifacts
   bit-identical to an uninterrupted run (the resume test in
   ``tests/campaign/`` byte-compares the histories);
-* a unit's execution backend (``sequential`` / ``population`` /
-  ``pool`` ...) is part of its spec — and hence its key — so artifacts
-  always record the engine that produced them (the vectorized engine is
-  numerically, not byte-, identical to the reference); result-neutral
-  knobs such as ``telemetry`` and ``pool_workers`` are excluded from
-  the key, so toggling them never invalidates finished work;
+* a unit's execution backend (``sequential`` / ``population`` ...) is
+  part of its spec — and hence its key — so artifacts always record the
+  engine that produced them (the vectorized engine is numerically, not
+  byte-, identical to the reference); the result-neutral ``telemetry``
+  knob is excluded from the key, so toggling it never invalidates
+  finished work;
 * completed units are skipped by content key, never re-trained — the
   report stage (:mod:`repro.campaign.report`) regenerates every table
   from the store alone.
@@ -216,9 +216,9 @@ def execute_unit(
     )
     # The spec's full FederatedConfig projection is handed to the
     # trainer, so every training knob the spec declares — including
-    # dropout_probability, proximal_mu, and pool_workers, which the
-    # loop arguments cannot express — is honored exactly as the
-    # stored spec.json records it.
+    # dropout_probability and proximal_mu, which the loop arguments
+    # cannot express — is honored exactly as the stored spec.json
+    # records it.
     return prototype.run(
         federated_config=spec.federated_config(),
         fault_plan=spec.fault_plan,

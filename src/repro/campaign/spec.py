@@ -26,10 +26,10 @@ Both carry content-hashed keys (:meth:`RunSpec.key`,
 key is the unit's identity in the on-disk artifact store, which is what
 makes interrupted campaigns resumable — a completed unit is recognised
 by its key and skipped, and because every unit is executed on a fresh,
-independently-seeded testbed, the skip is bit-exact.  Result-neutral
-execution knobs (``telemetry``, ``pool_workers``) are excluded from the
-hash: they cannot change what a run computes, so toggling them on a
-finished campaign must not invalidate its completed units.
+independently-seeded testbed, the skip is bit-exact.  The
+result-neutral ``telemetry`` knob is excluded from the hash: it cannot
+change what a run computes, so toggling it on a finished campaign must
+not invalidate its completed units.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ __all__ = [
 _RUN_SCHEMA = "repro.run-spec/1"
 _CAMPAIGN_SCHEMA = "repro.campaign-spec/1"
 
-# Execution knobs that cannot change what a run computes (telemetry only
-# records, pool_workers only partitions bit-identical work) and are
-# therefore excluded from content keys: toggling them on a finished
-# campaign must not force a retrain of already-computed cells.
+# Document fields that cannot change what a run computes and are
+# therefore excluded from content keys: toggling telemetry (it only
+# records) on a finished campaign must not force a retrain of
+# already-computed cells.  The other is the retired pool worker count,
+# which every document still carries at one fixed value.
 _KEY_NEUTRAL_FIELDS = ("telemetry", "pool_workers")
 
 # Fields added after schema v1 shipped.  At their defaults they describe
@@ -111,10 +112,9 @@ class RunSpec:
         noise_std: synthetic-MNIST pixel-noise level.
         dropout_probability / proximal_mu / overselection: forwarded to
             :class:`~repro.fl.training.FederatedConfig`.
-        backend: execution engine (``sequential`` / ``batched`` /
-            ``pool`` / ``population``, or ``auto`` for data-driven
-            selection; see :mod:`repro.fl.engine`).
-        pool_workers: worker count for the ``pool`` backend.
+        backend: execution engine (``sequential`` / ``population``,
+            their older spellings ``pool`` / ``batched``, or ``auto``
+            for selection from the spec; see :mod:`repro.fl.engine`).
         tiers: fog aggregation tiers between edge and cloud; ``0``
             keeps the paper's flat (single-hop) aggregation.  Tiered
             folds match the flat mean to ``~1e-12``, not bit-for-bit,
@@ -146,7 +146,6 @@ class RunSpec:
     proximal_mu: float = 0.0
     overselection: int = 0
     backend: str = "sequential"
-    pool_workers: int = 2
     tiers: int = 0
     population_dtype: str = "float64"
     telemetry: bool = False
@@ -216,7 +215,6 @@ class RunSpec:
             overselection=self.overselection,
             seed=self.seed,
             backend=self.backend,
-            pool_workers=self.pool_workers,
             population_dtype=self.population_dtype,
         )
 
@@ -260,7 +258,6 @@ class RunSpec:
                 overselection=federated.overselection,
                 seed=federated.seed,
                 backend=federated.backend,
-                pool_workers=federated.pool_workers,
                 population_dtype=federated.population_dtype,
             )
             if federated.target_accuracy is not None:
@@ -291,7 +288,10 @@ class RunSpec:
             "proximal_mu": float(self.proximal_mu),
             "overselection": int(self.overselection),
             "backend": str(self.backend),
-            "pool_workers": int(self.pool_workers),
+            # Retired with the pool's worker processes; written at the
+            # value every stored document holds, so units written today
+            # keep the bytes of those written before.
+            "pool_workers": 2,
             "tiers": int(self.tiers),
             "population_dtype": str(self.population_dtype),
             "telemetry": bool(self.telemetry),
@@ -332,7 +332,7 @@ class RunSpec:
                 proximal_mu=float(data["proximal_mu"]),
                 overselection=int(data["overselection"]),
                 backend=str(data["backend"]),
-                pool_workers=int(data["pool_workers"]),
+                # "pool_workers" is retired and ignored.
                 # Post-v1 fields: absent in documents written before
                 # they existed, where absence means the default.
                 tiers=int(data.get("tiers", 0)),
@@ -368,11 +368,12 @@ class RunSpec:
 
         This is the projection the content hash covers: every field that
         can change what the run computes, and nothing that merely
-        changes how it is executed or observed (``telemetry``,
-        ``pool_workers``).  Post-v1 fields (``tiers``,
-        ``population_dtype``) are dropped at their default values so
-        keys minted before those fields existed keep resolving; away
-        from the defaults they change results and enter the hash.
+        changes how it is observed (``telemetry``), nor the retired pool
+        worker count the document still carries.  Post-v1 fields
+        (``tiers``, ``population_dtype``) are dropped at their default
+        values so keys minted before those fields existed keep
+        resolving; away from the defaults they change results and enter
+        the hash.
         """
         doc = self.to_dict()
         for field_name in _KEY_NEUTRAL_FIELDS:
@@ -388,9 +389,8 @@ class RunSpec:
         Two specs with equal field values always share a key regardless
         of construction order or process; any semantic change (a
         different seed, backend, fault plan, ...) changes it, while
-        result-neutral knobs (``telemetry``, ``pool_workers``) do not —
-        so enabling telemetry on a finished campaign never forces a
-        retrain.  The artifact store uses the key as the unit's
+        the result-neutral ``telemetry`` knob does not — so enabling
+        telemetry on a finished campaign never forces a retrain.  The artifact store uses the key as the unit's
         directory name and the resume logic as its completed-work
         identity.
         """
@@ -675,8 +675,8 @@ class CampaignSpec:
         """Deterministic content hash identifying this campaign.
 
         Like :meth:`RunSpec.key`, the hash covers the identity
-        projection of the base spec, so toggling a result-neutral knob
-        (``telemetry``, ``pool_workers``) on a finished campaign keeps
+        projection of the base spec, so toggling the result-neutral
+        ``telemetry`` knob on a finished campaign keeps
         the store's campaign binding — and resume — intact.  The
         post-v1 ``tiers`` axis is dropped when empty for the same
         reason: an un-swept axis describes exactly what its absence

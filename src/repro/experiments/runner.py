@@ -346,10 +346,10 @@ def common_options() -> argparse.ArgumentParser:
             "execution engine for FL training: 'sequential' (reference, "
             "the default), 'population' (vectorized struct-of-arrays "
             "cohort training), 'batched' (a spelling of 'population' "
-            "that always computes in float64), 'pool' (worker "
-            "processes, bit-identical to 'sequential'), or 'auto' "
-            "(chosen from the spec and the CPU count); results are "
-            "equivalent across backends.  For 'campaign run' this "
+            "that always computes in float64), 'pool' (a spelling of "
+            "'sequential'), or 'auto' ('population' where the spec "
+            "allows it, else 'sequential'); results are equivalent "
+            "across backends.  For 'campaign run' this "
             "overrides every unit's backend"
         ),
     )

@@ -24,22 +24,8 @@ semantics:
   the sequential path (batched ``matmul`` is per-slice gemm), so
   float64 results agree to ``atol=1e-10``.  :class:`BatchedEngine` is
   its deprecated ``"batched"`` spelling, pinned to float64.
-* :class:`PoolEngine` — persistent worker processes started through
-  :func:`repro.perf.scheduler.process_executor`, the seam the campaign
-  scheduler's units use, so signals reach them as cancel requests and a
-  forced teardown goes through
-  :func:`~repro.perf.scheduler.terminate_workers`.  The workers train
-  the parent's own clients: the executor's initializer hands them the
-  built clients and the config once, inherited copy-on-write under
-  fork and unpickled once per worker under spawn.  Workers keep no
-  telemetry: the engine counts chunks and clients in its own observer.
-  Each round splits the cohort into at most ``pool_workers`` contiguous
-  chunks, one task each, carrying the chunk, the global parameters, the
-  round index and the learning rate.  Every chunk runs the sequential
-  engine's own per-client loop (mini-batch shuffles drawn from a
-  per-``(seed, client, round)`` named substream) on the same rows, so
-  results are bit-identical to sequential execution for any worker
-  (and chunk) count.
+* :class:`PoolEngine` — the ``"pool"`` spelling of the sequential
+  engine, kept because backend names are hashed into unit keys.
 
 All engines return the round as one
 :class:`~repro.fl.client.CohortUpdates`, rows in participant order,
@@ -52,7 +38,6 @@ matrix its kernel trained into; the per-client engines stack their
 from __future__ import annotations
 
 import time
-from concurrent.futures import wait
 from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -62,9 +47,7 @@ from repro.faults.models import substream
 from repro.fl.client import CohortUpdates, EdgeServerClient, shared_model_config
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.population import PopulationState, train_cohort
-from repro.perf.cancel import check_cancelled, interruptible
-from repro.perf.cpu import cpu_share, ordered_map
-from repro.perf.scheduler import process_executor, terminate_workers
+from repro.perf.cpu import ordered_map
 
 if TYPE_CHECKING:
     from repro.fl.training import FederatedConfig
@@ -107,18 +90,15 @@ class ExecutionEngine:
         """Train every participant from ``global_parameters``, in order."""
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release engine resources (worker pools).  Idempotent."""
-
 
 def _batch_rng(
     config: "FederatedConfig", client_id: int, round_index: int
 ) -> np.random.Generator | None:
-    """Mini-batch shuffle stream shared by the sequential and pool paths.
+    """Mini-batch shuffle stream of one client's local training.
 
-    Keyed by ``(seed, client, round)`` so any execution order — or
-    process — consumes the identical shuffle.  ``None`` on the
-    full-batch path, where no shuffle randomness is drawn at all.
+    Keyed by ``(seed, client, round)`` so any execution order consumes
+    the identical shuffle.  ``None`` on the full-batch path, where no
+    shuffle randomness is drawn at all.
     """
     if config.sgd.batch_size is None:
         return None
@@ -175,13 +155,10 @@ def _train_clients(
 ) -> tuple[list, list[float]]:
     """The one per-client loop: ``(updates, durations)`` in participant order.
 
-    The sequential engine runs it over the whole cohort, each pool
-    worker over one chunk of it, on the same client objects.  The
-    clients train through :func:`~repro.perf.cpu.ordered_map`, on the
-    CPU budget's threads where :func:`_trains_on_threads` allows, with
-    the same bits at any budget; a pool worker's budget is 1, so it
-    keeps the plain loop.  Each duration is its own client's wall time,
-    so threaded durations overlap.
+    The clients train through :func:`~repro.perf.cpu.ordered_map`, on
+    the CPU budget's threads where :func:`_trains_on_threads` allows,
+    with the same bits at any budget.  Each duration is its own client's
+    wall time, so threaded durations overlap.
     """
 
     def train(client_id: int) -> tuple:
@@ -290,7 +267,7 @@ class PopulationEngine(ExecutionEngine):
         if not vectorizable(clients, config):
             raise ValueError(
                 "the population engine needs logistic regression with "
-                "full-batch GD; use the sequential or pool engine"
+                "full-batch GD; use the sequential engine"
             )
         self._config = config
         self._observer = observer
@@ -336,173 +313,21 @@ class BatchedEngine(PopulationEngine):
     name = "batched"
 
 
-# ----------------------------------------------------------------------
-# Pool backend: the worker's run and its task function.  Module-level so
-# they are picklable under any start method.
-# ----------------------------------------------------------------------
+class PoolEngine(SequentialEngine):
+    """The ``"pool"`` spelling of :class:`SequentialEngine`.
 
-# ``(clients, config)`` of the training run this worker serves, set once
-# by the initializer.
-_WORKER_RUN: tuple = ()
-
-# How long a forced teardown waits for chunk workers to unwind before
-# SIGKILL.  They own nothing to release, so the wait only has to cover
-# the current numpy call.
-_KILL_GRACE_S = 1.0
-
-
-def _pool_initializer(clients, config) -> None:
-    """Pin the run's clients and config in this worker, once.
-
-    Under the fork start method they arrive as the parent's own objects,
-    shared copy-on-write with no pickling; under spawn or forkserver
-    each worker unpickles them once.
-    """
-    global _WORKER_RUN
-    _WORKER_RUN = (clients, config)
-
-
-def _pool_train_chunk(task):
-    """Train one contiguous chunk of the round's cohort in this worker.
-
-    Runs :func:`_train_clients`, the sequential engine's loop, on the
-    sequential engine's client objects and rows, so the result is
-    bit-identical to sequential execution for any chunking.
-    """
-    chunk, global_parameters, round_index, learning_rate = task
-    return _train_clients(
-        *_WORKER_RUN, chunk, global_parameters, round_index, learning_rate
-    )
-
-
-def _close_runtime(executor) -> None:
-    """Stop the chunk workers.
-
-    Idle workers leave on the executor's shutdown sentinel; a hard
-    cancel during that wait ends them through :func:`terminate_workers`.
-    """
-    try:
-        with interruptible():
-            executor.shutdown(wait=True, cancel_futures=True)
-    except KeyboardInterrupt:
-        terminate_workers(executor, _KILL_GRACE_S)
-        raise
-
-
-def _chunk_evenly(items: list, n_chunks: int) -> list[list]:
-    """Split ``items`` into at most ``n_chunks`` contiguous, even chunks."""
-    n_chunks = max(1, min(n_chunks, len(items)))
-    base, extra = divmod(len(items), n_chunks)
-    chunks = []
-    start = 0
-    for i in range(n_chunks):
-        size = base + (1 if i < extra else 0)
-        chunks.append(items[start : start + size])
-        start += size
-    return chunks
-
-
-class PoolEngine(ExecutionEngine):
-    """Persistent worker processes that train the parent's own clients.
-
-    The executor starts lazily on the first round, after every client
-    exists, and hands the clients and the config to each worker once
-    (:func:`_pool_initializer`): under fork they are inherited
-    copy-on-write, under spawn or forkserver unpickled once per worker.
-    Each round submits one task per contiguous cohort chunk, carrying
-    the chunk, the global parameters, the round index and the learning
-    rate.  Workers run :func:`_train_clients`, the sequential engine's
-    loop, on the same objects and rows, and results are gathered in
-    chunk order, so they are bit-identical to sequential execution for
-    any worker count.  The workers come from
-    :func:`~repro.perf.scheduler.process_executor`, the seam the
-    campaign scheduler's units use too, and are stopped by
-    :meth:`close` (or at garbage collection via a finalizer).
+    Kept, like ``"batched"``, because backend names are hashed into
+    ``RunSpec.key()``.  ``train_round`` is the class's own attribute, so
+    tooling that wraps each engine class's ``train_round`` wraps it once.
     """
 
     name = "pool"
-
-    def __init__(
-        self,
-        clients: Sequence[EdgeServerClient],
-        config: "FederatedConfig",
-        observer: "Observer | None" = None,
-    ) -> None:
-        # Built at set-up; the workers start on the first round.
-        self._clients = list(clients)
-        self._config = config
-        self._observer = observer
-        self._executor = None
-        self._finalizer = None
-
-    def _ensure_pool(self) -> None:
-        if self._executor is not None:
-            return
-        import weakref
-
-        self._executor = process_executor(
-            self._config.pool_workers,
-            _pool_initializer,
-            (self._clients, self._config),
-        )
-        self._finalizer = weakref.finalize(
-            self, _close_runtime, self._executor
-        )
-
-    def train_round(
-        self,
-        participants: Sequence[int],
-        global_parameters: np.ndarray,
-        round_index: int,
-        learning_rate: float,
-    ) -> CohortUpdates:
-        if not participants:
-            return CohortUpdates.from_updates([])
-        self._ensure_pool()
-        chunks = _chunk_evenly(list(participants), self._config.pool_workers)
-        futures = [
-            self._executor.submit(
-                _pool_train_chunk,
-                (tuple(chunk), global_parameters, round_index, learning_rate),
-            )
-            for chunk in chunks
-        ]
-        while wait(futures, timeout=0.2).not_done:
-            # A cancelled pass stops waiting here; close() then lets the
-            # running chunks finish before the workers leave.
-            check_cancelled()
-        if self._observer is not None:
-            self._observer.counter("engine.pool_chunks").inc(len(chunks))
-            self._observer.counter("engine.pool_tasks").inc(
-                len(participants)
-            )
-        updates, durations = [], []
-        for future in futures:
-            chunk_updates, chunk_durations = future.result()
-            updates += chunk_updates
-            durations += chunk_durations
-        return CohortUpdates.from_updates(updates, durations)
-
-    def close(self) -> None:
-        if self._finalizer is not None:
-            self._executor = None
-            self._finalizer()  # runs _close_runtime at most once
+    train_round = SequentialEngine.train_round
 
 
 # ----------------------------------------------------------------------
-# Backend selection (``--backend auto``): a pure function of the spec
-# and the process's CPU share.  The CPU share only ever chooses between
-# pool and sequential, whose results are bit-identical, so it can never
-# change a stored byte.
+# Backend selection (``--backend auto``): a pure function of the spec.
 # ----------------------------------------------------------------------
-
-# The pool needs a second core to overlap anything.
-POOL_MIN_CPUS = 2
-
-# Timing-law work ``K * E * d`` per round above which every measured
-# pool row beat sequential on a 2-vCPU host with one BLAS thread per
-# process; ``benchmarks/bench_parallel.py`` measures and prints it.
-POOL_MIN_WORK = 62_720
 
 # Below this population size ``auto`` computes in float64 whatever
 # ``population_dtype`` says: stores keyed there were written by the
@@ -515,30 +340,16 @@ def resolve_backend(
     backend: str,
     clients: Sequence[EdgeServerClient],
     config: "FederatedConfig",
-    *,
-    available_cpus: int | None = None,
 ) -> str:
     """Resolve ``"auto"`` to a concrete backend; pass others through.
 
-    A :func:`vectorizable` spec resolves to ``"population"``.  Anything
-    else takes the pool when this process's CPU share
-    (:func:`~repro.perf.cpu.cpu_share`) has at least
-    :data:`POOL_MIN_CPUS` cores and the round's ``K * E * d`` reaches
-    :data:`POOL_MIN_WORK`, and runs sequentially otherwise: a campaign
-    worker sharing the mask with its siblings starts no pool of its own.
+    A :func:`vectorizable` spec resolves to ``"population"``, anything
+    else to ``"sequential"``.
     """
     if backend != AUTO_BACKEND:
         return backend
     if vectorizable(clients, config):
         return "population"
-    cpus = available_cpus if available_cpus is not None else cpu_share()
-    work = (
-        config.participants_per_round
-        * config.local_epochs
-        * shared_model_config(clients).n_features
-    )
-    if cpus >= POOL_MIN_CPUS and work >= POOL_MIN_WORK:
-        return "pool"
     return "sequential"
 
 

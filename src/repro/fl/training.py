@@ -94,13 +94,11 @@ class FederatedConfig:
             ``"sequential"`` (reference), ``"population"`` (vectorized
             struct-of-arrays cohort training; equivalent to sequential
             to ``atol=1e-10``), ``"batched"`` (deprecated spelling of
-            ``"population"``, always float64), ``"pool"`` (worker
-            processes training the parent's own clients; bit-identical
-            to sequential),
-            or ``"auto"`` (resolved from the spec and the CPU count).
-            See :mod:`repro.fl.engine`.
-        pool_workers: worker-process count for the ``"pool"`` backend
-            (ignored by the other backends).
+            ``"population"``, always float64), ``"pool"`` (a spelling
+            of ``"sequential"``, kept because backend names are hashed
+            into unit keys), or ``"auto"`` (``"population"`` where the
+            spec is vectorizable, ``"sequential"`` otherwise).  See
+            :mod:`repro.fl.engine`.
         population_dtype: compute dtype of the ``"population"``
             backend — ``"float64"`` (default, equivalence-tested) or
             ``"float32"`` (accuracy delta measured by
@@ -118,7 +116,6 @@ class FederatedConfig:
     overselection: int = 0
     seed: int = 0
     backend: str = "sequential"
-    pool_workers: int = 2
     population_dtype: str = "float64"
 
     def __post_init__(self) -> None:
@@ -151,10 +148,6 @@ class FederatedConfig:
             raise ValueError(
                 f"backend must be one of {BACKENDS} or {AUTO_BACKEND!r}; "
                 f"got {self.backend!r}"
-            )
-        if self.pool_workers < 1:
-            raise ValueError(
-                f"pool_workers must be >= 1; got {self.pool_workers}"
             )
         if self.population_dtype not in ("float64", "float32"):
             raise ValueError(
@@ -674,12 +667,3 @@ class FederatedTrainer:
             ):
                 break
         return self.history
-
-    def close(self) -> None:
-        """Release execution-engine resources (worker pools).
-
-        Idempotent and a no-op for the in-process backends; required for
-        deterministic teardown of the ``"pool"`` backend (a GC finalizer
-        covers the case where it is never called).
-        """
-        self._engine.close()

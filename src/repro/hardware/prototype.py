@@ -564,10 +564,10 @@ class HardwarePrototype:
         ``federated_config``, when given, is the single source of truth
         for the training loop: ``(K, E)``, round budget, accuracy
         target, overselection, and every knob the loop arguments cannot
-        express (dropout probability, FedProx mu, pool workers) are all
-        taken from it and the corresponding arguments are ignored.
-        Without it, ``participants`` and ``epochs`` are required and a
-        config is assembled from the loop arguments.
+        express (dropout probability, FedProx mu) are all taken from it
+        and the corresponding arguments are ignored.  Without it,
+        ``participants`` and ``epochs`` are required and a config is
+        assembled from the loop arguments.
 
         Stops at ``target_accuracy`` if given, else after ``n_rounds``.
         The simulated wall clock advances round by round: a round lasts
@@ -651,14 +651,9 @@ class HardwarePrototype:
             fault_injector=injector,
             resilience=resilience,
         )
-        try:
-            history = trainer.run(
-                lambda record: ledger.settle(
-                    record, trainer.last_resilience_report
-                )
-            )
-        finally:
-            trainer.close()
+        history = trainer.run(
+            lambda record: ledger.settle(record, trainer.last_resilience_report)
+        )
         # One combined message at the cloud is priced at the mean upload
         # energy (symmetric link: receiving a model costs what sending
         # it does).  Fog tiers shrink the per-round message count from K

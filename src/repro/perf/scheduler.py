@@ -28,7 +28,7 @@ scheduling half of that story:
 * the **process seam** every worker process of the package comes
   from: :func:`process_executor` starts workers whose signals count on
   a cancel token, and :func:`terminate_workers` is the one forced
-  teardown.  The pool engine's chunk workers use both too.
+  teardown.
 
 Determinism is the caller's contract: each worker must derive all
 randomness from its own unit's seed, and all result recording must be
@@ -98,8 +98,7 @@ __all__ = [
 # scale).  Factors are deliberately conservative — at BLAS-bound paper
 # scale (784x10) vectorization only buys ~1.1x, and an *under*-estimated
 # cost would tighten watchdog deadlines, so we err toward
-# sequential-like cost.  Pool stays at 1.0 so the deadline covers a
-# host with a single core.
+# sequential-like cost.  "pool" is a spelling of the sequential engine.
 BACKEND_COST_FACTORS = {
     "sequential": 1.0,
     # "batched" is a spelling of the population engine.
@@ -349,11 +348,10 @@ def process_executor(
     its task, and the owner shuts the executor down with
     ``shutdown(wait=True)``.  Each worker also records its
     ``max_workers`` siblings, so its :func:`~repro.perf.cpu.cpu_budget`
-    is its share of the mask, not the whole mask.  Scheduler units and
-    pool-engine chunks both run here.  A forked worker keeps SIGINT and
-    SIGTERM blocked until its token is installed, so a group signal
-    that lands during its start is a request, not a death that breaks
-    the pool (:func:`~repro.perf.cancel.forking_worker`).
+    is its share of the mask, not the whole mask.  A forked worker keeps
+    SIGINT and SIGTERM blocked until its token is installed, so a group
+    signal that lands during its start is a request, not a death that
+    breaks the pool (:func:`~repro.perf.cancel.forking_worker`).
     """
     forked = multiprocessing.get_start_method() == "fork"
     return ProcessPoolExecutor(

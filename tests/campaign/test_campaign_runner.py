@@ -50,7 +50,6 @@ class TestRunUnitHonorsSpec:
             tiny_spec,
             dropout_probability=0.25,
             proximal_mu=0.5,
-            pool_workers=3,
         )
         runner = CampaignRunner(
             CampaignSpec(name="knobs", base=spec),
@@ -61,7 +60,6 @@ class TestRunUnitHonorsSpec:
         assert config == spec.federated_config()
         assert config.dropout_probability == 0.25
         assert config.proximal_mu == 0.5
-        assert config.pool_workers == 3
 
     def test_dropout_probability_changes_what_trains(
         self, tmp_path, tiny_spec: RunSpec

@@ -81,9 +81,7 @@ class TestBitForBitTotals:
         base = dataclasses.replace(tiny_spec, telemetry=True)
         make = lambda backend: CampaignSpec(  # noqa: E731
             name="engines",
-            base=dataclasses.replace(
-                base, backend=backend, pool_workers=2
-            ),
+            base=dataclasses.replace(base, backend=backend),
         )
         seq_store = _run(make("sequential"), tmp_path / "seq")
         pool_obs = Observer()
@@ -93,9 +91,8 @@ class TestBitForBitTotals:
         assert campaign_telemetry(seq_store).sum_over_units(
             "energy.joules"
         ) == campaign_telemetry(pool_store).sum_over_units("energy.joules")
-        # The engine's chunk counters rode the unit spools to the parent
-        # observer via the collector.
-        assert pool_obs.metrics.sum_values("engine.pool_tasks") > 0
+        # The unit spools rode to the parent observer via the collector.
+        assert pool_obs.metrics.sum_values("energy.joules") > 0
 
     def test_parent_observer_merge_matches_stored_fold(
         self, tmp_path, telemetry_campaign

@@ -132,16 +132,52 @@ class TestRunSpecKeys:
     ) -> None:
         assert dataclasses.replace(tiny_spec, **change).key() != tiny_spec.key()
 
-    @pytest.mark.parametrize(
-        "change", [{"telemetry": True}, {"pool_workers": 8}]
-    )
+    @pytest.mark.parametrize("change", [{"telemetry": True}])
     def test_result_neutral_knobs_do_not_change_key(
         self, tiny_spec: RunSpec, change: dict
     ) -> None:
-        # Telemetry and pool-worker count cannot change what a run
-        # computes; toggling them on a finished campaign must not
-        # invalidate its completed units.
+        # Telemetry cannot change what a run computes; toggling it on a
+        # finished campaign must not invalidate its completed units.
         assert dataclasses.replace(tiny_spec, **change).key() == tiny_spec.key()
+
+    def test_a_stored_pool_spec_with_its_worker_count_still_loads(
+        self,
+    ) -> None:
+        # A unit's spec.json as written while the pool backend ran worker
+        # processes, with their count, which never entered the key.  The
+        # key below was computed by that release.
+        document = {
+            "schema": "repro.run-spec/1",
+            "name": "run",
+            "n_train": 2000,
+            "n_test": 600,
+            "n_servers": 20,
+            "participants": 1,
+            "epochs": 1,
+            "max_rounds": 150,
+            "target_accuracy": 0.82,
+            "train_to_target": True,
+            "l2": 0.001,
+            "seed": 0,
+            "noise_std": 0.25,
+            "dropout_probability": 0.0,
+            "proximal_mu": 0.0,
+            "overselection": 0,
+            "backend": "pool",
+            "pool_workers": 2,
+            "tiers": 0,
+            "population_dtype": "float64",
+            "telemetry": False,
+            "fault_plan": None,
+            "resilience": None,
+        }
+        spec = RunSpec.from_dict(document)
+        assert spec.backend == "pool"
+        assert spec.key() == "e68aa65386ee519d"
+        assert RunSpec.from_json(json.dumps(document)) == spec
+        # The document format is unchanged, so new units keep the bytes.
+        assert spec.to_dict() == document
+        assert list(spec.to_dict()) == list(document)
 
     def test_result_neutral_knobs_do_not_change_campaign_key(
         self, tiny_campaign: CampaignSpec

@@ -1,18 +1,15 @@
 """Process-group drain of a pool-backend campaign.
 
 A terminal's Ctrl-C, a container stop or a batch scheduler's preemption
-signals the whole process group at once: the campaign process, its
-scheduler workers and every pool-engine chunk worker below them.  One
-such SIGTERM must drain the run — no second signal — and leave a
-``verify()``-clean store that resumes to the bytes of an uninterrupted
-run.
+signals the whole process group at once: the campaign process and its
+scheduler workers.  One such SIGTERM must drain the run — no second
+signal — and leave a ``verify()``-clean store that resumes to the bytes
+of an uninterrupted run.
 
 The signal is fired from inside the run, just before the second round
 of the first unit to reach it, through a file latch so it fires exactly
-once per run.  At that point the unit's chunk workers sit idle on their
-task queue between rounds, which is where an engine that kills its
-workers on SIGTERM and then tears its pool down leaves the parent
-waiting forever.
+once per run.  The units name the ``pool`` backend, a spelling of the
+sequential engine, so stores keyed by it keep draining and resuming.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ _SCRIPT = textwrap.dedent(
     spec = RunSpec(
         name="tiny", n_train=160, n_test=80, n_servers=4,
         participants=2, epochs=2, max_rounds=3,
-        train_to_target=False, backend="pool", pool_workers=2,
+        train_to_target=False, backend="pool",
     )
     campaign = CampaignSpec(
         name="pool-drain", base=spec, participants=(1, 2), epochs=(1, 2)
@@ -83,7 +80,7 @@ _SCRIPT = textwrap.dedent(
 
 
 def _campaign(tiny_spec: RunSpec) -> CampaignSpec:
-    base = dataclasses.replace(tiny_spec, backend="pool", pool_workers=2)
+    base = dataclasses.replace(tiny_spec, backend="pool")
     return CampaignSpec(
         name="pool-drain", base=base, participants=(1, 2), epochs=(1, 2)
     )

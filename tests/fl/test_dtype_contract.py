@@ -51,7 +51,6 @@ def _run(backend: str, partitions=_PARTITIONS, **config_kwargs):
         local_epochs=2,
         sgd=SGDConfig(learning_rate=0.1, decay=0.99),
         backend=backend,
-        pool_workers=2,
     )
     defaults.update(config_kwargs)
     trainer = FederatedTrainer(
@@ -60,10 +59,7 @@ def _run(backend: str, partitions=_PARTITIONS, **config_kwargs):
         train_eval=_TRAIN,
         test_eval=_TEST,
     )
-    try:
-        trainer.run()
-    finally:
-        trainer.close()
+    trainer.run()
     return trainer.coordinator.global_parameters, trainer.history
 
 
@@ -112,8 +108,8 @@ class TestFloat32GoldenDigests:
             "30a95b73771c43cd64ddd66188917b6a9d7353fb903fb49ff26656b49fdf796d",
             "978ad11df3df8d573848134caee58d80da19e67bf4cf343d6e67da4b9e9943ad",
         ),
-        # The pool carries the sequential digests: its workers train the
-        # parent's own float32 rows with the sequential engine's loop.
+        # The pool carries the sequential digests: it is a spelling of
+        # the sequential engine.
         "pool-minibatch": (
             "pool",
             {"sgd": SGDConfig(learning_rate=0.1, decay=0.99, batch_size=32)},

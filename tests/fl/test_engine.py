@@ -2,7 +2,7 @@
 
 Every backend must be a drop-in replacement for the sequential
 reference: ``batched`` within ``atol=1e-10`` (bit-identical in
-practice), ``pool`` bit-identical regardless of worker count.  The
+practice), ``pool`` (a spelling of sequential) bit-identical.  The
 suite sweeps seeds, K, E, FedProx, dropout, over-selection, and an
 active fault plan with resilience policies, comparing final
 parameters, full histories, resilience reports, and prototype energy.
@@ -11,6 +11,7 @@ parameters, full histories, resilience reports, and prototype energy.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -70,7 +71,6 @@ def _run(
         local_epochs=2,
         sgd=SGDConfig(learning_rate=0.5, decay=0.99),
         backend=backend,
-        pool_workers=2,
     )
     defaults.update(config_kwargs)
     clients = build_clients(_PARTITIONS, model_config)
@@ -95,10 +95,7 @@ def _run(
         observer=observer,
         **kwargs,
     )
-    try:
-        trainer.run()
-    finally:
-        trainer.close()
+    trainer.run()
     return (
         trainer.coordinator.global_parameters,
         trainer.history,
@@ -174,11 +171,6 @@ class TestBackendEquivalence:
         _assert_equivalent(reference, candidate, exact=backend == "pool")
         assert candidate[2], "fault plan produced no resilience reports"
 
-    def test_pool_worker_count_invariant(self):
-        one = _run("pool", pool_workers=1)
-        three = _run("pool", pool_workers=3)
-        _assert_equivalent(one, three, exact=True)
-
     def test_pool_minibatch_bit_identical(self):
         kwargs = dict(sgd=SGDConfig(learning_rate=0.3, batch_size=16))
         reference = _run("sequential", **kwargs)
@@ -215,20 +207,6 @@ class TestBatchedFallback:
         # round trains from the resident stacks.
         assert observer.metrics.value("engine.population_rounds") == 8
 
-    def test_pool_chunks_and_tasks_counted(self):
-        observer = Observer()
-        _run(
-            "pool",
-            observer=observer,
-            n_rounds=4,
-            participants_per_round=3,
-            pool_workers=2,
-        )
-        # 3 participants over 2 workers -> one chunked submission of 2
-        # IPC tasks per round, covering all 3 clients.
-        assert observer.metrics.value("engine.pool_chunks") == 8
-        assert observer.metrics.value("engine.pool_tasks") == 12
-
 
 class TestEvalCache:
     def test_degraded_rounds_hit_eval_cache(self):
@@ -246,7 +224,6 @@ class TestEvalCache:
             resilience=ResilienceConfig(min_quorum=5),  # unreachable quorum
         )
         trainer.run()
-        trainer.close()
         assert all(record.degraded for record in trainer.history.records)
         assert trainer.coordinator.parameters_version == 0
         # First degraded round evaluates version 0; rounds 2..5 hit.
@@ -265,7 +242,6 @@ class TestEvalCache:
             test_eval=_TEST,
         )
         trainer.run()
-        trainer.close()
         assert trainer.coordinator.parameters_version == 4
 
 
@@ -288,33 +264,34 @@ class TestEngineLifecycle:
         with pytest.raises(ValueError, match="backend must be one of"):
             create_engine("gpu", clients, config, None)
 
-    def test_pool_workers_validated(self):
-        with pytest.raises(ValueError, match="pool_workers"):
-            FederatedConfig(
-                n_rounds=1,
-                participants_per_round=1,
-                local_epochs=1,
-                pool_workers=0,
-            )
+    def test_pool_runs_in_process(self):
+        # "pool" is a spelling of the sequential engine: no child
+        # process is started at any point of the run.
+        before = set(multiprocessing.active_children())
+        children = []
 
-    def test_close_is_idempotent(self):
-        clients = build_clients(_PARTITIONS, _CONFIG)
-        config = FederatedConfig(
-            n_rounds=2,
-            participants_per_round=2,
-            local_epochs=1,
-            backend="pool",
-            pool_workers=2,
-        )
-        trainer = FederatedTrainer(
-            clients=clients,
-            config=config,
-            train_eval=_TRAIN,
-            test_eval=_TEST,
-        )
-        trainer.run()
-        trainer.close()
-        trainer.close()
+        def note_children(record) -> None:
+            children.extend(set(multiprocessing.active_children()) - before)
+
+        params = {}
+        for backend in ("pool", "sequential"):
+            trainer = FederatedTrainer(
+                clients=build_clients(_PARTITIONS, _CONFIG),
+                config=FederatedConfig(
+                    n_rounds=2,
+                    participants_per_round=3,
+                    local_epochs=2,
+                    backend=backend,
+                ),
+                train_eval=_TRAIN,
+                test_eval=_TEST,
+            )
+            trainer.run(note_children)
+            assert trainer.resolved_backend == backend
+            params[backend] = trainer.coordinator.global_parameters
+        assert children == []
+        assert set(multiprocessing.active_children()) <= before
+        np.testing.assert_array_equal(params["pool"], params["sequential"])
 
     def test_engine_factory_types(self):
         clients = build_clients(_PARTITIONS, _CONFIG)
@@ -425,3 +402,6 @@ class TestGoldenDigests:
     def test_run_spec_keys(self):
         assert RunSpec(backend="batched").key() == "101462086ae3cf9b"
         assert RunSpec(backend="auto").key() == "285518ec1002fc32"
+        assert RunSpec(backend="pool").key() == "e68aa65386ee519d"
+        assert RunSpec(backend="sequential").key() == "19e37e62fc3dd66d"
+        assert RunSpec(backend="population").key() == "3b5857064e774eb3"

@@ -7,12 +7,13 @@ spelling).  The suite sweeps seeds, K, E, FedProx, dropout,
 over-selection, and an active fault plan; checks cohort-order
 invariance of :func:`train_cohort`; pins the fog-tier aggregation fold
 to the flat mean; and checks that ``auto`` is a pure function of the
-spec and the CPU count.
+spec.
 """
 
 from __future__ import annotations
 
 import builtins
+import os
 import pathlib
 import sys
 import tracemalloc
@@ -27,7 +28,6 @@ from repro.faults.policies import ResilienceConfig, RetryPolicy
 from repro.fl.client import ClientFleet, EdgeServerClient, LocalUpdate
 from repro.fl.engine import (
     AUTO_BACKEND,
-    POOL_MIN_WORK,
     PopulationEngine,
     SequentialEngine,
     create_engine,
@@ -108,10 +108,7 @@ def _run(
         observer=observer,
         **kwargs,
     )
-    try:
-        trainer.run()
-    finally:
-        trainer.close()
+    trainer.run()
     return (
         trainer.coordinator.global_parameters,
         trainer.history,
@@ -596,7 +593,6 @@ class TestFloydSampler:
 
 
 def _resolve_auto(
-    available_cpus: int,
     *,
     model_config=_CONFIG,
     participants: int = 5,
@@ -611,32 +607,37 @@ def _resolve_auto(
         backend=AUTO_BACKEND,
         **config_kwargs,
     )
-    return resolve_backend(
-        AUTO_BACKEND, clients, config, available_cpus=available_cpus
-    )
+    return resolve_backend(AUTO_BACKEND, clients, config)
 
 
-# An MLP on 8 features needs K*E = POOL_MIN_WORK / 8 to reach the pool.
-_POOL_EPOCHS = -(-POOL_MIN_WORK // (8 * _N_CLIENTS))
+def _pin_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+# ``auto`` once took worker processes for a non-vectorizable round of
+# K * E * d >= 62 720 on two or more CPUs; an MLP on 8 features reaches
+# that work at this many epochs.
+_POOL_EPOCHS = -(-62_720 // (8 * _N_CLIENTS))
 _MLP = MLPConfig(n_features=8, n_hidden=4, n_classes=3)
 
 
 class TestAutoSelection:
     def test_vectorized_small_population(self):
-        assert _resolve_auto(1) == "population"
+        assert _resolve_auto() == "population"
 
     def test_vectorized_single_participant(self):
-        assert _resolve_auto(1, participants=1) == "population"
+        assert _resolve_auto(participants=1) == "population"
 
-    def test_vectorized_large_population(self):
-        assert _resolve_auto(64, participants=_N_CLIENTS, epochs=16) == (
+    def test_vectorized_large_population(self, monkeypatch):
+        _pin_cpus(monkeypatch, 64)
+        assert _resolve_auto(participants=_N_CLIENTS, epochs=16) == (
             "population"
         )
 
-    def test_single_cpu_never_pool(self):
+    def test_single_cpu_never_pool(self, monkeypatch):
+        _pin_cpus(monkeypatch, 1)
         assert (
             _resolve_auto(
-                1,
                 model_config=_MLP,
                 participants=_N_CLIENTS,
                 epochs=_POOL_EPOCHS,
@@ -644,22 +645,10 @@ class TestAutoSelection:
             == "sequential"
         )
 
-    def test_pool_when_measured_profitable(self):
+    def test_no_profitable_row_never_pool(self, monkeypatch):
+        _pin_cpus(monkeypatch, 64)
         assert (
             _resolve_auto(
-                2,
-                model_config=_MLP,
-                participants=_N_CLIENTS,
-                epochs=_POOL_EPOCHS,
-            )
-            == "pool"
-        )
-
-    def test_no_profitable_row_never_pool(self):
-        # Below the measured crossover work the pool cannot pay.
-        assert (
-            _resolve_auto(
-                64,
                 model_config=_MLP,
                 participants=_N_CLIENTS,
                 epochs=_POOL_EPOCHS - 1,
@@ -669,14 +658,17 @@ class TestAutoSelection:
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_auto_reads_no_file(self, cpus: int, monkeypatch):
+        # A pure function of the spec: neither a file nor the CPU count
+        # moves the answer.
         def refuse(*args, **kwargs):
             raise AssertionError("backend selection must not read files")
 
+        _pin_cpus(monkeypatch, cpus)
         monkeypatch.setattr(pathlib.Path, "read_text", refuse)
         monkeypatch.setattr(builtins, "open", refuse)
         for participants, epochs in ((1, 1), (4, 2), (_N_CLIENTS, 64)):
             assert (
-                _resolve_auto(cpus, participants=participants, epochs=epochs)
+                _resolve_auto(participants=participants, epochs=epochs)
                 == "population"
             )
         non_vectorizable = (
@@ -685,12 +677,12 @@ class TestAutoSelection:
         )
         for kwargs in non_vectorizable:
             for epochs in (1, _POOL_EPOCHS):
-                resolved = _resolve_auto(
-                    cpus, participants=_N_CLIENTS, epochs=epochs, **kwargs
+                assert (
+                    _resolve_auto(
+                        participants=_N_CLIENTS, epochs=epochs, **kwargs
+                    )
+                    == "sequential"
                 )
-                assert resolved in ("sequential", "pool")
-                if cpus == 1:
-                    assert resolved == "sequential"
 
     def test_trainer_resolves_auto_once(self):
         clients = build_clients(_PARTITIONS, _CONFIG)
@@ -706,4 +698,3 @@ class TestAutoSelection:
             test_eval=_TEST,
         )
         assert trainer.resolved_backend == "population"
-        trainer.close()

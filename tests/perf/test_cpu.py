@@ -1,8 +1,7 @@
 """The per-process CPU budget and its ordered map.
 
 Pins the budget rule, that budget 1 starts no thread, that a worker of
-``process_executor`` gets its share of the mask (so an ``auto`` unit
-inside a campaign worker starts no pool of its own), and that a process
+``process_executor`` gets its share of the mask, and that a process
 forked after a threaded map can run one itself.
 """
 
@@ -15,15 +14,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.data.dataset import Dataset
 from repro.fl import model as fl_model
 from repro.fl import population as fl_population
-from repro.fl.engine import AUTO_BACKEND, POOL_MIN_WORK, resolve_backend
-from repro.fl.mlp import MLPConfig
 from repro.fl.model import LogisticRegressionConfig
-from repro.fl.partition import partition_iid
 from repro.fl.population import PopulationState, train_cohort
-from repro.fl.training import FederatedConfig, build_clients
 from repro.perf import cpu
 from repro.perf.scheduler import process_executor
 
@@ -113,34 +107,12 @@ class TestOrderedMap:
         model.accuracy(features.astype(np.float64), labels)
 
 
-# An MLP on 8 features: K * E * d reaches POOL_MIN_WORK, so only the CPU
-# share keeps `auto` off the pool.
-_MLP = MLPConfig(n_features=8, n_hidden=4, n_classes=3)
-_N_CLIENTS = 8
-_POOL_EPOCHS = -(-POOL_MIN_WORK // (8 * _N_CLIENTS))
-
-
-def _resolve_mlp_auto() -> str:
-    rng = np.random.default_rng(0)
-    data = Dataset(rng.normal(size=(96, 8)), rng.integers(0, 3, size=96), 3)
-    partitions = partition_iid(data, _N_CLIENTS, np.random.default_rng(1))
-    config = FederatedConfig(
-        n_rounds=1,
-        participants_per_round=_N_CLIENTS,
-        local_epochs=_POOL_EPOCHS,
-        backend=AUTO_BACKEND,
-    )
-    return resolve_backend(
-        AUTO_BACKEND, build_clients(partitions, _MLP), config
-    )
-
-
 def _pin_two_cpus() -> None:  # runs in workers
     os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
 
 
-def _worker_view() -> tuple[int, int, str]:  # runs in workers
-    return cpu.cpu_share(), cpu.cpu_budget(), _resolve_mlp_auto()
+def _worker_view() -> tuple[int, int]:  # runs in workers
+    return cpu.cpu_share(), cpu.cpu_budget()
 
 
 def _threaded_map_in_child() -> None:  # runs in a forked child
@@ -163,17 +135,12 @@ class TestWorkerShare:
         monkeypatch.setattr(cpu, "_blas_threads", lambda: 1)
         executor = process_executor(2, initializer=_pin_two_cpus)
         try:
-            share, budget, backend = executor.submit(_worker_view).result(
+            share, budget = executor.submit(_worker_view).result(
                 timeout=_TIMEOUT_S
             )
         finally:
             executor.shutdown(wait=True)
         assert (share, budget) == (1, 1)
-        assert backend == "sequential"
-
-    def test_parent_with_two_cpus_takes_the_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert _resolve_mlp_auto() == "pool"
 
     def test_fork_after_threaded_map(self, forced_cpu_budget):
         assert len(cpu.ordered_map(lambda i: i, range(16), 2)) == 16

@@ -1,10 +1,9 @@
 """Resource teardown on failure paths: no leaked shm, no orphan workers.
 
-The pool engine's only OS resource is its worker processes: they train
-the parent's own clients, inherited at fork, so no shared-memory block
-exists.  These tests assert the workers are released on *unhappy*
-paths — a unit that raises mid-round, and a pool whose start itself
-fails — and that no ``/dev/shm`` entry appears on any of them.
+A unit that raises mid-round or is interrupted, and a scheduler drain
+cut short by a second Ctrl-C, must leave no child process and no
+``/dev/shm`` entry behind.  The ``pool`` units run in-process, as every
+engine does, so nothing of theirs may outlive the unit either.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import time
 import pytest
 
 from repro.campaign import ArtifactStore, CampaignRunner, CampaignSpec, RunSpec
-from repro.fl.engine import PoolEngine, create_engine
-from repro.fl.training import FederatedConfig
 
 pytestmark = pytest.mark.parallel_smoke
 
@@ -50,9 +47,8 @@ class TestFaultingUnitTeardown:
     def test_faulting_pool_unit_leaks_nothing(
         self, tmp_path, tiny_spec: RunSpec, monkeypatch
     ) -> None:
-        # Make the aggregation step blow up mid-run: the pool has been
-        # created (workers alive) and must be torn down by the trainer's
-        # close path even though the unit raises.
+        # Make the aggregation step blow up mid-run: the unit raises
+        # with a round half done and must leave nothing behind.
         from repro.fl.server import Coordinator
 
         calls = {"n": 0}
@@ -72,8 +68,8 @@ class TestFaultingUnitTeardown:
         campaign = CampaignSpec(name="faulting", base=spec)
         store = ArtifactStore(tmp_path / "store")
         runner = CampaignRunner(campaign, store)
-        # supervision=None: this test is about the engine's teardown on
-        # the raise-through path, not about retries absorbing the fault.
+        # supervision=None: this test is about the raise-through path,
+        # not about retries absorbing the fault.
         with pytest.raises(RuntimeError, match="injected aggregation fault"):
             runner.run(supervision=None)
 
@@ -85,8 +81,8 @@ class TestFaultingUnitTeardown:
     def test_faulting_pool_unit_is_quarantined_without_leaks(
         self, tmp_path, tiny_spec: RunSpec, monkeypatch
     ) -> None:
-        # Same injected fault under default supervision: every retry
-        # tears its engine down, and quarantine ends the pass cleanly.
+        # Same injected fault under default supervision: no retry leaves
+        # anything behind, and quarantine ends the pass cleanly.
         from repro.campaign.runner import DEFAULT_SUPERVISION
         from repro.fl.server import Coordinator
 
@@ -120,7 +116,7 @@ class TestFaultingUnitTeardown:
         self, tmp_path, tiny_spec: RunSpec, monkeypatch
     ) -> None:
         # A Ctrl-C mid-round takes the KeyboardInterrupt path through
-        # the runner; the engine must still be torn down.
+        # the runner; it must leave nothing behind either.
         from repro.fl.server import Coordinator
 
         calls = {"n": 0}
@@ -238,58 +234,3 @@ class TestDoubleInterrupt:
         assert _shm_entries() - shm_before == set()
         assert _wait_no_new_children(children_before) == set()
 
-
-class TestPartialConstructionRollback:
-    def test_pool_construction_failure_rolls_back_shared_blocks(
-        self, monkeypatch
-    ) -> None:
-        # Fail while the pool starts: nothing is left behind, no
-        # finalizer is registered, and the next round starts it afresh.
-        import numpy as np
-
-        import repro.fl.engine as engine_module
-        from repro.data.synthetic_mnist import load_synthetic_mnist
-        from repro.fl.model import LogisticRegressionConfig
-        from repro.fl.partition import partition_iid
-        from repro.fl.training import build_clients
-
-        train, _ = load_synthetic_mnist(n_train=80, n_test=40, seed=0)
-        model = LogisticRegressionConfig(
-            n_features=train.n_features, n_classes=train.n_classes
-        )
-        shards = partition_iid(train, 4, np.random.default_rng(0))
-        clients = build_clients(shards, model)
-        config = FederatedConfig(
-            n_rounds=3,
-            participants_per_round=2,
-            local_epochs=1,
-            backend="pool",
-        )
-        engine = create_engine("pool", clients, config)
-        assert isinstance(engine, PoolEngine)
-
-        real_process_executor = engine_module.process_executor
-
-        def _exploding_process_executor(*args, **kwargs):
-            raise RuntimeError("injected pool-start failure")
-
-        monkeypatch.setattr(
-            engine_module, "process_executor", _exploding_process_executor
-        )
-
-        shm_before = _shm_entries()
-        params = np.zeros(model.n_parameters, dtype=np.float64)
-        with pytest.raises(RuntimeError, match="injected pool-start failure"):
-            engine.train_round([0, 1], params, round_index=0, learning_rate=0.1)
-
-        assert _shm_entries() - shm_before == set()
-        # The engine is still usable once the fault clears.
-        monkeypatch.setattr(
-            engine_module, "process_executor", real_process_executor
-        )
-        results = engine.train_round(
-            [0, 1], params, round_index=0, learning_rate=0.1
-        )
-        assert len(results) == 2
-        engine.close()
-        assert _shm_entries() - shm_before == set()
