@@ -13,6 +13,12 @@ the timings:
   at most 1.05x sequential's seconds per round at budget 1).  The
   population engine's time is also recorded against the threaded
   sequential engine, without a bound;
+* **data generation** — ``load_synthetic_mnist(60_000, 10_000)``, the
+  paper's split, at a CPU budget of 1 and at the process's own budget,
+  which draws on the calling thread while a second shapes the classes
+  and generates the test split.  Repeats alternate the two sides; all
+  four arrays must hash identically on every repeat of both.  The time
+  ratio is recorded without a bound;
 * **campaign level** — an 8-unit (K, E) grid run with ``jobs=4`` vs the
   sequential runner, with whole-store byte identity (unit files must
   hash identically and the index digests must be equal).
@@ -58,6 +64,7 @@ from bench_engine import _cpu_budget
 
 from repro.campaign import ArtifactStore, CampaignRunner, CampaignSpec, RunSpec
 from repro.data.dataset import Dataset
+from repro.data.synthetic_mnist import load_synthetic_mnist
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.partition import partition_iid
 from repro.fl.sgd import SGDConfig
@@ -78,6 +85,11 @@ PAPER_SHAPE_SAMPLES_PER_SERVER = 3_000
 PAPER_SHAPE_PAIRED_ROUNDS = 5
 ACCEPT_POPULATION_ROUND_RATIO = 1.05  # population / sequential s/round
 ACCEPT_POPULATION_ATOL = 1e-10
+
+# The paper's MNIST split, generated at each budget in turn.
+DATA_N_TRAIN = 60_000
+DATA_N_TEST = 10_000
+DATA_PAIRED_REPEATS = 5
 
 # Campaign-level: the same 8-unit demo grid bench_campaign.py uses.
 CAMPAIGN_N_SERVERS = 8
@@ -268,6 +280,62 @@ def run_paper_shape() -> dict:
     return row
 
 
+def run_data_generation() -> dict:
+    """The paper's split at budget 1 and at the process's own budget.
+
+    After one warm-up each, the sides alternate, and the one that goes
+    first rotates every repeat.  Each run's four arrays are hashed.
+    """
+    sides = {"budget_1": 1, "budget_process": None}
+    seconds: dict[str, list[float]] = {label: [] for label in sides}
+    digests: set[tuple[str, ...]] = set()
+
+    def generate(label: str) -> float:
+        budget = sides[label]
+        context = contextlib.nullcontext() if budget is None else _cpu_budget(budget)
+        with context:
+            started = time.perf_counter()
+            train, test = load_synthetic_mnist(DATA_N_TRAIN, DATA_N_TEST, seed=SEED)
+            elapsed = time.perf_counter() - started
+        digests.add(
+            tuple(
+                hashlib.sha256(array.tobytes()).hexdigest()
+                for array in (train.features, train.labels, test.features, test.labels)
+            )
+        )
+        return elapsed
+
+    labels = list(sides)
+    for label in labels:
+        generate(label)
+    for repeat in range(DATA_PAIRED_REPEATS):
+        shift = repeat % len(labels)
+        for label in labels[shift:] + labels[:shift]:
+            seconds[label].append(generate(label))
+    serial = float(np.median(seconds["budget_1"]))
+    beside = float(np.median(seconds["budget_process"]))
+    row = {
+        "n_train": DATA_N_TRAIN,
+        "n_test": DATA_N_TEST,
+        "paired_repeats": DATA_PAIRED_REPEATS,
+        "cpu_budget": cpu.cpu_budget(),
+        "seconds_budget_1": seconds["budget_1"],
+        "seconds_budget_process": seconds["budget_process"],
+        "median_s_budget_1": serial,
+        "median_s_budget_process": beside,
+        # Recorded, not bounded.
+        "ratio_vs_budget_1": beside / serial,
+        "arrays_identical": len(digests) == 1,
+    }
+    print(
+        f"data generation ({DATA_N_TRAIN} + {DATA_N_TEST}): budget 1 "
+        f"{serial:.3f} s, budget {row['cpu_budget']} {beside:.3f} s, "
+        f"{row['ratio_vs_budget_1']:.2f}x, "
+        f"identical={row['arrays_identical']}"
+    )
+    return row
+
+
 def _campaign_spec() -> CampaignSpec:
     base = RunSpec(
         name="bench-parallel",
@@ -352,6 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"available cpus: {cpus} (cpu_limited={cpu_limited})")
 
     paper_shape = run_paper_shape()
+    data_generation = run_data_generation()
     workdir = Path(tempfile.mkdtemp(prefix="bench_parallel_"))
     try:
         campaign = run_campaign_level(workdir)
@@ -363,6 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         "available_cpus": cpus,
         "cpu_limited": cpu_limited,
         "paper_shape": paper_shape,
+        "data_generation": data_generation,
         "campaign_parallel": campaign,
         "thresholds": {
             "accept_parallel_speedup": ACCEPT_PARALLEL_SPEEDUP,
@@ -396,6 +466,11 @@ def main(argv: list[str] | None = None) -> int:
             f"population takes {population['ratio_vs_sequential']:.2f}x "
             "sequential's seconds per round at the paper shape (ceiling "
             f"{ACCEPT_POPULATION_ROUND_RATIO:.2f}x)"
+        )
+    if not data_generation["arrays_identical"]:
+        failures.append(
+            "load_synthetic_mnist's arrays differ between CPU budget 1 and "
+            f"budget {data_generation['cpu_budget']}"
         )
     if not campaign["stores_byte_identical"]:
         failures.append(

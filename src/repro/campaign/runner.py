@@ -231,8 +231,8 @@ def _unit_spool_observer(spec: RunSpec, spool_dir: str) -> SpoolObserver:
 
     The spool file is named by the unit's content key (unique within a
     campaign, filesystem-safe) and labelled with the unit's readable
-    name.  It is the unit's only spool: a pool engine counts its chunk
-    workers' work in this observer.
+    name.  It is the unit's only spool: every engine trains in this
+    process, so all of the unit's work is counted in this observer.
     """
     spool = TelemetrySpool(
         Path(spool_dir) / f"{spec.key()}.jsonl", unit=spec.name

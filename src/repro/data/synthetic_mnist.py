@@ -16,13 +16,25 @@ paper) the resulting task has the properties the evaluation relies on:
   trade-offs of Fig. 4 are visible),
 * i.i.d. sampling across edge servers, matching the paper's uniform
   60 000-sample allocation over 20 servers.
+
+Generation uses the CPU budget (:mod:`repro.perf.cpu`) and gives the
+same bits at any budget.  The calling thread makes every draw from a
+split's generator, in stream order, and writes each class's noise
+straight into its rows.  A second thread shapes each class as its draws
+finish (and, for :func:`load_synthetic_mnist`, first generates the test
+split).  The permutation is applied in place, so no split is ever held
+twice.
 """
 
 from __future__ import annotations
 
+import queue
+from typing import Callable, TypeVar
+
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.perf.cpu import run_beside
 
 __all__ = [
     "IMAGE_SIDE",
@@ -61,6 +73,8 @@ _SCALE_Y = 3
 _SCALE_X = 4
 _MAX_SHIFT = 3
 
+R = TypeVar("R")
+
 
 def render_glyph(digit: int) -> np.ndarray:
     """Render the clean 28x28 prototype image for ``digit``.
@@ -82,32 +96,142 @@ def render_glyph(digit: int) -> np.ndarray:
     return canvas
 
 
-def _perturb(
-    base: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    noise_std: float,
-) -> np.ndarray:
-    """Produce ``n`` noisy translated copies of ``base`` (shape (28, 28)).
+# Rows of float64 noise per draw: the normals reach the images as
+# float32 through a few-MB buffer, never as a whole class at float64.
+_NOISE_ROWS = 256
 
-    Translation is applied with :func:`numpy.roll`, vectorised by grouping
-    samples that share the same (dy, dx) offset, so generating the full
-    60 000-sample training set stays fast.
+
+class _Split:
+    """One generated set: its buffers and its random streams.
+
+    Its buffers are allocated here, on the calling thread, so none of
+    the set's memory sits in a helper thread's malloc arena.
     """
-    shifts_y = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=n)
-    shifts_x = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=n)
-    out = np.empty((n, IMAGE_SIDE, IMAGE_SIDE), dtype=np.float32)
+
+    def __init__(
+        self, n_samples: int, seed: int, noise_std: float, label_noise: float
+    ) -> None:
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be positive; got {n_samples}")
+        if not 0.0 <= label_noise < 1.0:
+            raise ValueError(f"label_noise must be in [0, 1); got {label_noise}")
+        self.seed = seed
+        self.noise_std = noise_std
+        self.label_noise = label_noise
+        self.rng = np.random.default_rng(seed)
+        self.images = np.empty((n_samples, IMAGE_SIDE, IMAGE_SIDE), dtype=np.float32)
+        self.labels = np.empty(n_samples, dtype=np.int64)
+        self.perm: np.ndarray | None = None
+
+    def draw(self, hand_off: Callable[[tuple], object]) -> None:
+        """Every draw of the set, in stream order.
+
+        Per class: the shifts, the intensity and the noise, which goes
+        straight into the class's rows as float32.  ``hand_off`` then
+        gets what :func:`_shape` needs to finish those rows.  After the
+        classes: the label noise (its own stream) and the permutation.
+        """
+        rng = self.rng
+        n_samples = len(self.labels)
+        per_class = np.full(N_CLASSES, n_samples // N_CLASSES, dtype=np.int64)
+        per_class[: n_samples % N_CLASSES] += 1
+        cursor = 0
+        for digit, count in enumerate(per_class.tolist()):
+            if count == 0:
+                continue
+            stop = cursor + count
+            shifts_y = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=count)
+            shifts_x = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=count)
+            intensity = rng.uniform(0.6, 1.0, size=(count, 1, 1)).astype(np.float32)
+            # One stream, drawn in pieces: the same normals as one call.
+            for row in range(cursor, stop, _NOISE_ROWS):
+                rows = min(_NOISE_ROWS, stop - row)
+                self.images[row : row + rows] = rng.normal(
+                    0.0, self.noise_std, size=(rows, IMAGE_SIDE, IMAGE_SIDE)
+                )
+            self.labels[cursor:stop] = digit
+            hand_off((digit, self.images[cursor:stop], shifts_y, shifts_x, intensity))
+            cursor = stop
+
+        if self.label_noise > 0:
+            # Dedicated stream so changing label_noise never perturbs the
+            # images or the sample order drawn from the main stream.
+            label_rng = np.random.default_rng([self.seed, 0x1AB31])
+            flip = label_rng.random(n_samples) < self.label_noise
+            self.labels[flip] = label_rng.integers(
+                0, N_CLASSES, size=int(flip.sum())
+            )
+        self.perm = rng.permutation(n_samples)
+
+    def shuffle(self) -> Dataset:
+        """The drawn and shaped set in permuted order, permuted in place."""
+        features = self.images.reshape(len(self.labels), N_FEATURES)
+        _permute_rows(features, self.perm)
+        return Dataset(features, self.labels[self.perm], N_CLASSES)
+
+    def generate(self) -> Dataset:
+        """Draw, shape and shuffle the set on this thread alone."""
+        self.draw(_shape)
+        return self.shuffle()
+
+
+def _shape(job: tuple) -> None:
+    """Finish one class's noise rows into images.
+
+    Adds each sample's glyph, rolled by its shift (grouped by offset)
+    and scaled by its intensity, then clips to ``[0, 1]``.  Float32
+    addition commutes, so adding the glyph to the noise gives the bits
+    of adding the noise to the glyph.
+    """
+    digit, rows, shifts_y, shifts_x, intensity = job
+    base = render_glyph(digit)
     for dy in range(-_MAX_SHIFT, _MAX_SHIFT + 1):
         for dx in range(-_MAX_SHIFT, _MAX_SHIFT + 1):
-            mask = (shifts_y == dy) & (shifts_x == dx)
-            if not mask.any():
-                continue
-            out[mask] = np.roll(base, (dy, dx), axis=(0, 1))
-    intensity = rng.uniform(0.6, 1.0, size=(n, 1, 1)).astype(np.float32)
-    out *= intensity
-    out += rng.normal(0.0, noise_std, size=out.shape).astype(np.float32)
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
+            picked = np.flatnonzero((shifts_y == dy) & (shifts_x == dx))
+            if picked.size:
+                rows[picked] += np.roll(base, (dy, dx), axis=(0, 1)) * intensity[picked]
+    np.clip(rows, 0.0, 1.0, out=rows)
+
+
+def _permute_rows(rows: np.ndarray, perm: np.ndarray) -> None:
+    """``rows[:] = rows[perm]``, one cycle of ``perm`` at a time, so the
+    set is never held twice: one row is all it holds on the side."""
+    order = perm.tolist()
+    placed = bytearray(len(order))
+    held = np.empty_like(rows[0])
+    for start in range(len(order)):
+        if placed[start]:
+            continue
+        held[...] = rows[start]
+        here, there = start, order[start]
+        while there != start:
+            rows[here] = rows[there]
+            placed[here] = 1
+            here, there = there, order[there]
+        rows[here] = held
+        placed[here] = 1
+
+
+def _generate(split: _Split, beside: Callable[[], R]) -> tuple[Dataset, R]:
+    """``split`` and ``beside()``: the split's draws run on this thread
+    while a second one runs ``beside`` and then shapes each class the
+    draws hand it (:func:`~repro.perf.cpu.run_beside`)."""
+    jobs: queue.SimpleQueue = queue.SimpleQueue()
+
+    def draw() -> None:
+        try:
+            split.draw(jobs.put)
+        finally:
+            jobs.put(None)
+
+    def shape() -> R:
+        result = beside()
+        for job in iter(jobs.get, None):
+            _shape(job)
+        return result
+
+    _, result = run_beside(draw, shape)
+    return split.shuffle(), result
 
 
 def generate_synthetic_mnist(
@@ -139,36 +263,8 @@ def generate_synthetic_mnist(
     Returns:
         A :class:`~repro.data.dataset.Dataset` with 784 features per sample.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive; got {n_samples}")
-    if not 0.0 <= label_noise < 1.0:
-        raise ValueError(f"label_noise must be in [0, 1); got {label_noise}")
-    rng = np.random.default_rng(seed)
-    per_class = np.full(N_CLASSES, n_samples // N_CLASSES, dtype=np.int64)
-    per_class[: n_samples % N_CLASSES] += 1
-
-    images = np.empty((n_samples, IMAGE_SIDE, IMAGE_SIDE), dtype=np.float32)
-    labels = np.empty(n_samples, dtype=np.int64)
-    cursor = 0
-    for digit in range(N_CLASSES):
-        count = int(per_class[digit])
-        if count == 0:
-            continue
-        base = render_glyph(digit)
-        images[cursor : cursor + count] = _perturb(base, count, rng, noise_std)
-        labels[cursor : cursor + count] = digit
-        cursor += count
-
-    if label_noise > 0:
-        # Dedicated stream so changing label_noise never perturbs the
-        # images or the sample order drawn from the main stream.
-        label_rng = np.random.default_rng([seed, 0x1AB31])
-        flip = label_rng.random(n_samples) < label_noise
-        labels[flip] = label_rng.integers(0, N_CLASSES, size=int(flip.sum()))
-
-    perm = rng.permutation(n_samples)
-    features = images.reshape(n_samples, N_FEATURES)[perm]
-    return Dataset(features, labels[perm], N_CLASSES)
+    split = _Split(n_samples, seed, noise_std, label_noise)
+    return _generate(split, lambda: None)[0]
 
 
 def load_synthetic_mnist(
@@ -182,11 +278,8 @@ def load_synthetic_mnist(
 
     Train and test sets are generated from independent random streams of
     the same seed so they are disjoint draws of the same distribution.
+    The test set is generated beside the training set's draws.
     """
-    train = generate_synthetic_mnist(
-        n_train, seed=seed, noise_std=noise_std, label_noise=label_noise
-    )
-    test = generate_synthetic_mnist(
-        n_test, seed=seed + 1, noise_std=noise_std, label_noise=label_noise
-    )
-    return train, test
+    train = _Split(n_train, seed, noise_std, label_noise)
+    test = _Split(n_test, seed + 1, noise_std, label_noise)
+    return _generate(train, test.generate)

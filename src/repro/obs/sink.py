@@ -2,9 +2,9 @@
 
 The telemetry of one campaign is scattered over the scheduler's worker
 processes, each with its own :class:`~repro.obs.observer.Observer` and
-one spool per unit.  A pool engine's chunk workers keep no telemetry of
-their own: the engine counts their chunks and clients in its unit's
-observer.  This module is the transport that reunifies the units:
+one spool per unit.  A unit runs in one process (every engine trains in
+its caller's process), so its observer sees all of its work.  This
+module is the transport that reunifies the units:
 
 * :class:`TelemetrySpool` — a worker-side sink that streams telemetry
   records (events, metric records, span trees, lifecycle markers) to an

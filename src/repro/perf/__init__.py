@@ -14,9 +14,10 @@ Helpers behind the pluggable execution engine
   :func:`~repro.perf.scheduler.terminate_workers` start and force-stop
   every worker process;
 * :mod:`repro.perf.cpu` — how many CPUs this process may use beside
-  BLAS (:func:`~repro.perf.cpu.cpu_budget`), and the ordered map that
+  BLAS (:func:`~repro.perf.cpu.cpu_budget`), the ordered map that
   trains lane blocks and full-batch clients and scores evaluation rows
-  on them.
+  on them, and the run-beside that shapes synthetic-MNIST classes
+  beside their random draws.
 """
 
 from repro.perf.cache import EvalCache

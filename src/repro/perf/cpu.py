@@ -16,9 +16,12 @@ orientation").  When it cannot be read the budget is 1.
 :func:`ordered_map` runs independent pieces of one computation on that
 many threads: the population engine's lane blocks, the logistic head's
 evaluation row blocks and the sequential engine's full-batch clients.
-numpy releases the interpreter lock in GEMMs, ufunc loops, casts and
-gathers, so the pieces overlap.  At budget 1 it is a plain loop and
-starts no thread; above it, its threads end before it returns, so a
+:func:`run_beside` runs two dependent ones at once: the synthetic-MNIST
+generator's random draws on the calling thread, and the shaping of what
+they drew, and the test split, on a second.  numpy releases the
+interpreter lock in GEMMs, ufunc loops, casts, gathers and random
+fills, so the pieces overlap.  At budget 1 both are plain calls and
+start no thread; above it, their threads end before they return, so a
 process forked afterwards inherits none.
 """
 
@@ -33,7 +36,13 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-__all__ = ["cpu_budget", "cpu_share", "ordered_map", "set_sibling_workers"]
+__all__ = [
+    "cpu_budget",
+    "cpu_share",
+    "ordered_map",
+    "run_beside",
+    "set_sibling_workers",
+]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -106,3 +115,21 @@ def ordered_map(
         return [function(item) for item in items]
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(function, items))
+
+
+def run_beside(main: Callable[[], T], side: Callable[[], R]) -> tuple[T, R]:
+    """``(main(), side())``, with ``side`` on a second thread while
+    ``main`` runs on this one, when :func:`cpu_budget` allows two.
+
+    At budget 1 it calls ``main`` and then ``side`` here.  So ``side``
+    may wait for what ``main`` hands it, but ``main`` must never wait
+    for ``side``, and must hand over whatever ``side`` waits for even
+    when it fails.  The side thread ends before this returns or raises.
+    ``main``'s error wins over ``side``'s.
+    """
+    if cpu_budget() < 2:
+        return main(), side()
+    with ThreadPoolExecutor(1) as pool:
+        beside = pool.submit(side)
+        result = main()
+    return result, beside.result()

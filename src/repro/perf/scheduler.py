@@ -370,7 +370,9 @@ def terminate_workers(executor, grace_s: float = 5.0) -> None:
     second request and unwinds its task through its ``finally`` blocks
     (see :func:`~repro.perf.cancel.install_in_worker`): engines tear
     down and release what they hold.  SIGKILL follows for
-    whatever is still alive after ``grace_s``.
+    whatever is still alive after ``grace_s``, so every worker is joined
+    within about ``grace_s``: one in a task that never polls its token
+    too, and one a broken executor only sent SIGTERM.
     """
     # Snapshot the worker processes *before* shutdown: the executor
     # drops its _processes reference (sets it to None) as part of
@@ -708,9 +710,18 @@ class _Batch:
                 break
             self.waiting.remove(index)
             self.submitted[index] = now
-            future = self.executor.submit(
-                self.worker, self.make_payload(index, self.attempts[index])
-            )
+            try:
+                future = self.executor.submit(
+                    self.worker, self.make_payload(index, self.attempts[index])
+                )
+            except BrokenProcessPool:
+                # A worker died before its future resolved: this unit
+                # waits, uncharged, for the rebuild those futures bring.
+                self.submitted.pop(index)
+                self._requeue(index, now)
+                if not self.in_flight:
+                    self._recover([])
+                break
             self.in_flight[future] = index
         processes = getattr(self.executor, "_processes", None) or {}
         for pid, proc in processes.items():
@@ -836,10 +847,8 @@ class _Batch:
             for pid, proc in self.known_procs.items()
             if proc.exitcode == -signal.SIGKILL
         }
-        try:
-            self.executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - defensive
-            pass
+        # Survivors are resubmitted, so their workers are interrupted.
+        self._retire()
         self.known_procs.clear()
         self.outcome.pool_rebuilds += 1
         if self.observer is not None:
@@ -946,18 +955,27 @@ class _Batch:
     # ------------------------------------------------------------------
     # Cancellation.
     # ------------------------------------------------------------------
+    def _retire(self) -> None:
+        """Interrupt the executor's workers and SIGKILL them after the
+        kill grace: a rebuild's and a hard cancel's one teardown."""
+        terminate_workers(
+            self.executor,
+            self.supervision.kill_grace_s if self.supervision else 5.0,
+        )
+
     def _await_in_flight(self) -> None:
-        """Wait for in-flight units; a hard cancel terminates them instead."""
+        """Wait for in-flight units; a hard cancel terminates them instead.
+
+        ``shutdown(wait=True)`` returns only once the executor has
+        joined every worker, so no worker outlives a drain or a return.
+        """
         try:
             with self.token.interruptible():
                 self.executor.shutdown(wait=True, cancel_futures=True)
         except KeyboardInterrupt:
             self.outcome.hard_cancelled = True
             self._count("scheduler.hard_cancels")
-            terminate_workers(
-                self.executor,
-                self.supervision.kill_grace_s if self.supervision else 5.0,
-            )
+            self._retire()
 
     def _drain(self) -> None:
         """Nothing new starts; book what the in-flight units did."""

@@ -7,6 +7,7 @@ fixture state (datasets are immutable; trainers are built per test).
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 
 import numpy as np
@@ -56,6 +57,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus: int) -> None:
     # says how many threads its digests were computed with.
     if exitstatus and terminalreporter.verbosity < 0:
         terminalreporter.write_line(pytest_report_header(terminalreporter.config))
+
+
+@pytest.fixture(autouse=True)
+def _no_child_outlives_the_test(request):
+    """A parallel or chaos test leaves no live child process behind.
+
+    Checked after every other fixture's teardown, so a worker that
+    outlives its campaign, its scheduler or its executor fails the test
+    that started it, and is killed before the next test runs.
+    """
+    yield
+    if not any(
+        request.node.get_closest_marker(marker)
+        for marker in ("parallel_smoke", "chaos_smoke")
+    ):
+        return
+    alive = multiprocessing.active_children()
+    for child in alive:
+        child.kill()
+        child.join(5.0)
+    assert not alive, f"live child processes after the test: {alive}"
 
 
 @pytest.fixture(scope="session")

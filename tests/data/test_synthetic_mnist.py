@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
+from repro.data import synthetic_mnist
 from repro.data.synthetic_mnist import (
     IMAGE_SIDE,
     N_CLASSES,
@@ -15,6 +17,7 @@ from repro.data.synthetic_mnist import (
     load_synthetic_mnist,
     render_glyph,
 )
+from repro.perf import cpu
 
 
 class TestGlyphs:
@@ -181,3 +184,62 @@ class TestGoldenDigests:
         dataset = generate_synthetic_mnist(n, seed=seed)
         assert _sha256(dataset.features) == features_sha
         assert _sha256(dataset.labels) == labels_sha
+
+
+@pytest.fixture()
+def shaping_threads(monkeypatch) -> set[int]:
+    """The idents of the threads that shape the generated classes."""
+    threads: set[int] = set()
+    original = synthetic_mnist._shape
+
+    def shape(job):
+        threads.add(threading.get_ident())
+        return original(job)
+
+    monkeypatch.setattr(synthetic_mnist, "_shape", shape)
+    return threads
+
+
+class TestGoldenDigestsAtCpuBudget(TestGoldenDigests):
+    """The golden digests, unedited, with the shaping and the test split
+    on a second thread beside the draws."""
+
+    @pytest.fixture(autouse=True)
+    def _threaded(self, forced_cpu_budget, shaping_threads):
+        yield
+        assert shaping_threads - {threading.get_ident()}, (
+            "generation ran on one thread"
+        )
+
+
+class TestGenerationThreads:
+    def test_no_thread_outlives_generation(self, forced_cpu_budget):
+        before = threading.active_count()
+        load_synthetic_mnist(300, 100, seed=4)
+        assert threading.active_count() == before
+
+    def test_helper_error_surfaces_and_its_thread_ends(
+        self, forced_cpu_budget, monkeypatch
+    ):
+        def fail(job):
+            raise RuntimeError("shaping failed")
+
+        monkeypatch.setattr(synthetic_mnist, "_shape", fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="shaping failed"):
+            load_synthetic_mnist(300, 100, seed=4)
+        assert threading.active_count() == before
+
+    def test_budget_one_starts_no_thread(self, forced_cpu_budget, monkeypatch):
+        def generate():
+            train, test = load_synthetic_mnist(300, 100, seed=4)
+            return train.features, train.labels, test.features, test.labels
+
+        def refuse(self):
+            raise AssertionError("generation at budget 1 must not start a thread")
+
+        threaded = generate()
+        monkeypatch.setattr(cpu, "_blas_threads", lambda: None)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for serial, beside in zip(generate(), threaded):
+            np.testing.assert_array_equal(serial, beside)

@@ -1,4 +1,4 @@
-"""The per-process CPU budget and its ordered map.
+"""The per-process CPU budget, its ordered map and its run-beside.
 
 Pins the budget rule, that budget 1 starts no thread, that a worker of
 ``process_executor`` gets its share of the mask, and that a process
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
 import threading
 
 import numpy as np
@@ -105,6 +106,58 @@ class TestOrderedMap:
         model = LogisticRegressionConfig().build()
         model.loss(features, labels)
         model.accuracy(features.astype(np.float64), labels)
+
+
+class TestRunBeside:
+    def test_side_runs_beside_and_its_thread_ends(self, forced_cpu_budget):
+        before = threading.active_count()
+        handed = queue.SimpleQueue()
+
+        def main():
+            for i in range(3):
+                handed.put(i)
+            handed.put(None)
+            return threading.get_ident()
+
+        def side():
+            return list(iter(handed.get, None)), threading.get_ident()
+
+        main_thread, (taken, side_thread) = cpu.run_beside(main, side)
+        assert taken == [0, 1, 2]
+        assert main_thread == threading.get_ident() != side_thread
+        assert threading.active_count() == before
+
+    def test_budget_one_runs_main_then_side_here(self, monkeypatch):
+        monkeypatch.setattr(cpu, "_blas_threads", lambda: None)
+        TestOrderedMap._refuse_threads(monkeypatch)
+        calls = []
+        assert cpu.run_beside(
+            lambda: calls.append("main") or 1, lambda: calls.append("side") or 2
+        ) == (1, 2)
+        assert calls == ["main", "side"]
+
+    def test_main_error_wins_after_the_side_ends(self, forced_cpu_budget):
+        before = threading.active_count()
+        side_done = threading.Event()
+
+        def main():
+            raise ValueError("main")
+
+        def side():
+            side_done.set()
+            raise KeyError("side")
+
+        with pytest.raises(ValueError, match="main"):
+            cpu.run_beside(main, side)
+        assert side_done.is_set()
+        assert threading.active_count() == before
+
+    def test_side_error_surfaces(self, forced_cpu_budget):
+        def side():
+            raise KeyError("side")
+
+        with pytest.raises(KeyError, match="side"):
+            cpu.run_beside(lambda: None, side)
 
 
 def _pin_two_cpus() -> None:  # runs in workers

@@ -9,6 +9,7 @@ exactly the bytes a sequential run produces.
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,39 @@ class TestScheduler:
     def test_rejects_bad_job_counts(self) -> None:
         with pytest.raises(ValueError, match="jobs"):
             ParallelUnitScheduler(jobs=0)
+
+    @pytest.mark.parametrize("refused", [0, 1])
+    def test_submit_to_a_just_broken_pool_waits_uncharged(
+        self, monkeypatch, refused
+    ) -> None:
+        # A worker can die between two waits: the pool is marked broken
+        # before its futures resolve, so a submit in that window raises.
+        # With nothing in flight (refused=0) the loop rebuilds at once.
+        scheduler = ParallelUnitScheduler(jobs=2)
+        real_new_executor = scheduler._new_executor
+        submits = {"n": 0}
+
+        class _BrokenOnce:
+            def __init__(self, executor):
+                self._executor = executor
+
+            def __getattr__(self, name):
+                return getattr(self._executor, name)
+
+            def submit(self, fn, *args):
+                submits["n"] += 1
+                if submits["n"] == refused + 1:
+                    raise BrokenProcessPool("a worker died")
+                return self._executor.submit(fn, *args)
+
+        monkeypatch.setattr(
+            scheduler, "_new_executor", lambda: _BrokenOnce(real_new_executor())
+        )
+        outcome = scheduler.run(list(range(4)), _square)
+        assert outcome.completed == list(range(4))
+        assert outcome.attempts == {i: 1 for i in range(4)}
+        assert not outcome.failed
+        assert outcome.pool_rebuilds == (1 if refused == 0 else 0)
 
     def test_emits_scheduler_telemetry(self) -> None:
         observer = Observer()
